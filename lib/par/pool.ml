@@ -9,10 +9,12 @@ type t = {
   nonempty : Condition.t;  (* workers: the queue gained a job *)
   not_full : Condition.t;  (* blocking submitters: the queue lost a job *)
   all_done : Condition.t;  (* drain: outstanding reached zero *)
-  queue : (unit -> unit) Queue.t;
+  queue : (int * (unit -> unit)) Queue.t;  (* jobs with their submission number *)
+  mutable submitted : int;
   mutable outstanding : int;  (* accepted, not yet completed *)
   mutable stopping : bool;
-  mutable failed : exn list;  (* job exceptions, most recent first *)
+  mutable failed : (int * exn) list;  (* job exceptions by submission number,
+                                          most recently recorded first *)
   mutable domains : unit Domain.t list;
 }
 
@@ -25,21 +27,22 @@ let pending t =
   Mutex.unlock t.m;
   n
 
-let record_failure t e =
+let record_failure t seq e =
   Mutex.lock t.m;
-  t.failed <- e :: t.failed;
+  t.failed <- (seq, e) :: t.failed;
   Mutex.unlock t.m
 
+(* Oldest submission first, whatever order concurrent workers finished in. *)
 let failures t =
   Mutex.lock t.m;
-  let es = List.rev t.failed in
+  let es = List.sort (fun (a, _) (b, _) -> compare a b) t.failed in
   t.failed <- [];
   Mutex.unlock t.m;
-  es
+  List.map snd es
 
 (* Run one job (exceptions are held, not propagated) and mark it done. *)
-let run_job t job =
-  (try job () with e -> record_failure t e);
+let run_job t (seq, job) =
+  (try job () with e -> record_failure t seq e);
   Mutex.lock t.m;
   t.outstanding <- t.outstanding - 1;
   if t.outstanding = 0 then Condition.broadcast t.all_done;
@@ -72,6 +75,7 @@ let create ?(queue_capacity = 1024) mode =
       not_full = Condition.create ();
       all_done = Condition.create ();
       queue = Queue.create ();
+      submitted = 0;
       outstanding = 0;
       stopping = false;
       failed = [];
@@ -89,7 +93,8 @@ let submit t job =
     if t.stopping then Error Stopped
     else if Queue.length t.queue >= t.queue_capacity then Error Saturated
     else begin
-      Queue.push job t.queue;
+      Queue.push (t.submitted, job) t.queue;
+      t.submitted <- t.submitted + 1;
       t.outstanding <- t.outstanding + 1;
       Condition.signal t.nonempty;
       Ok ()
@@ -110,7 +115,8 @@ let submit_blocking t job =
     invalid_arg "Pool.map: pool is shut down"
   end
   else begin
-    Queue.push job t.queue;
+    Queue.push (t.submitted, job) t.queue;
+    t.submitted <- t.submitted + 1;
     t.outstanding <- t.outstanding + 1;
     Condition.signal t.nonempty;
     Mutex.unlock t.m

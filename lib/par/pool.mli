@@ -48,18 +48,18 @@ val pending : t -> int
 val drain : t -> unit
 (** [Deterministic]: run every queued job FIFO on the caller's thread
     (including jobs those jobs enqueue).  [Domains]: block until every
-    accepted job has completed.  Re-raises the earliest-recorded job
-    exception, if any, discarding the rest — use {!drain_all} to recover
+    accepted job has completed.  Re-raises the exception of the earliest
+    submitted job that failed, if any, discarding the rest — use {!drain_all} to recover
     every failure. *)
 
 val drain_all : t -> exn list
 (** Like {!drain}, but never raises: completes every accepted job and
-    returns all held job exceptions, earliest first (empty when every job
-    succeeded).  Clears the failure list. *)
+    returns all held job exceptions in submission order (empty when every
+    job succeeded).  Clears the failure list. *)
 
 val failures : t -> exn list
-(** Take (and clear) the job exceptions recorded so far, earliest first,
-    without draining. *)
+(** Take (and clear) the job exceptions recorded so far, in submission
+    order, without draining. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Apply [f] to every element and return the results in input order.

@@ -71,35 +71,69 @@ type path = Local | Shared
 
 type role = Read | Write | Fill | Drain
 
-type sstate = {
-  role : role;
-  path : path;
-  engine : Adg.id;
+(* Byte accounting of one stream. Every field is a float, so the record is
+   stored flat and the cycle loop updates it without allocating. *)
+type flow = {
   port_cap : float;   (* bytes of port-side buffering *)
   mpf : float;        (* memory-side bytes per firing *)
   total : float;      (* memory-side bytes for the whole region, per tile *)
   miss_frac : float;
   waste : float;      (* line-granularity inflation on the shared path *)
-  latency : int;
+  ahead : float;      (* how far issue may run ahead of consumption: port
+                         buffering, plus the engine's reorder buffer on the
+                         shared path *)
   mutable issued : float;
   mutable done_ : float;
   mutable write_buf : float;
-  pending : (int * float) Queue.t;
 }
 
-type engine_state = { bw : float; mutable rr : int; members : sstate array }
+(* Responses in flight sit in a ring of (ready cycle, bytes). A stream
+   issues at most once per cycle, always with the same latency, so at most
+   that many are outstanding; [ring_size] covers the config's largest. *)
+type sstate = {
+  role : role;
+  path : path;
+  engine : Adg.id;
+  f : flow;
+  ready : int array;
+  bytes : float array;
+  mutable head : int;
+  mutable len : int;
+}
+
+type engine_state = {
+  bw : float;
+  mutable rr : int;
+  members : sstate array;
+  active : int array;  (* scratch: this cycle's issuing members *)
+}
 
 type tile_state = {
   streams : sstate array;
   engines : engine_state array;
   ii : int;
   target : int;
+  dispatches : int;  (* stream dispatch events *)
   mutable fired : int;
   mutable cooldown : int;
   mutable dispatch_left : int;
+  wants : sstate array;  (* this cycle's shared-path requests, issue order *)
+  want_bytes : float array;
+  mutable n_wants : int;
 }
 
-let fnear a b = a >= b -. 1e-6
+let[@inline] fnear a b = a >= b -. 1e-6
+
+let ring_size cfg =
+  let need = 1 + max cfg.spad_latency (max cfg.l2_hit_latency cfg.dram_latency) in
+  let rec grow n = if n >= need then n else grow (2 * n) in
+  grow 1
+
+let[@inline] push s ready bytes =
+  let i = (s.head + s.len) land (Array.length s.ready - 1) in
+  s.ready.(i) <- ready;
+  s.bytes.(i) <- bytes;
+  s.len <- s.len + 1
 
 (* ------------------------------------------------------------------ *)
 (* Region setup                                                        *)
@@ -109,20 +143,24 @@ let dispatches_of_region (v : Compile.variant) =
   (* loops deeper than the engines' 3D affine patterns force per-chunk
      stream re-dispatch *)
   let loops = v.region.Overgen_workload.Ir.loops in
-  let extra = max 0 (List.length loops - 3) in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  let outer = take extra loops in
+  let outer = List.filteri (fun i _ -> i < List.length loops - 3) loops in
   int_of_float
     (List.fold_left
        (fun acc (l : Overgen_workload.Ir.loop) ->
          acc *. Overgen_workload.Ir.trip_avg l.trip)
        1.0 outer)
 
-let setup_tile cfg (sys : Sys_adg.t) ~share (sched : Schedule.t) =
+let stream cfg ~ring role path engine ~port_cap ~mpf ~total ~miss_frac ~waste =
+  let ahead =
+    Float.max port_cap (2.0 *. mpf) +. if path = Shared then cfg.rob_bytes else 0.0
+  in
+  { role; path; engine;
+    f = { port_cap; mpf; total; miss_frac; waste; ahead;
+          issued = 0.0; done_ = 0.0; write_buf = 0.0 };
+    ready = Array.make ring 0; bytes = Array.make ring 0.0; head = 0; len = 0 }
+
+(* One tile's state for a region run on [share] tiles. *)
+let setup_tile cfg (sys : Sys_adg.t) ~share ~ring (sched : Schedule.t) =
   let adg = sys.adg in
   let tiles = share in
   let v = sched.variant in
@@ -162,30 +200,15 @@ let setup_tile cfg (sys : Sys_adg.t) ~share (sched : Schedule.t) =
   let mk_stream (s : Stream.t) =
     let use_rec = Schedule.is_rec sched s in
     let total = Stream.mem_bytes s ~use_rec /. float_of_int tiles in
-    let mpf = total /. float_of_int firings_tile in
-    let on_spad = List.mem_assoc s.array spad_arrays in
-    let path = if on_spad then Local else Shared in
-    let engine =
-      match Schedule.engine_of_stream sched s with
-      | Some e -> e
-      | None -> -1
-    in
-    let latency = if path = Local then cfg.spad_latency else cfg.l2_hit_latency in
-    {
-      role = (match s.dir with Stream.Read -> Read | Stream.Write -> Write);
-      path;
-      engine;
-      port_cap = port_cap_of s.port 128.0;
-      mpf;
-      total;
-      miss_frac = (if path = Local then 0.0 else miss_of s);
-      waste = (if path = Local then 1.0 else Overgen_perf.Perf.stride_waste s);
-      latency;
-      issued = 0.0;
-      done_ = 0.0;
-      write_buf = 0.0;
-      pending = Queue.create ();
-    }
+    let path = if List.mem_assoc s.array spad_arrays then Local else Shared in
+    let engine = Option.value (Schedule.engine_of_stream sched s) ~default:(-1) in
+    stream cfg ~ring
+      (match s.dir with Stream.Read -> Read | Stream.Write -> Write)
+      path engine ~port_cap:(port_cap_of s.port 128.0)
+      ~mpf:(total /. float_of_int firings_tile)
+      ~total
+      ~miss_frac:(if path = Local then 0.0 else miss_of s)
+      ~waste:(if path = Local then 1.0 else Overgen_perf.Perf.stride_waste s)
   in
   let data_streams = List.map mk_stream v.streams in
   (* scratchpad fill (before compute) and drain (after) on the shared path *)
@@ -203,36 +226,20 @@ let setup_tile cfg (sys : Sys_adg.t) ~share (sched : Schedule.t) =
             if array_partitioned a.name then bytes /. float_of_int tiles else bytes
           in
           let dma =
-            match
-              List.find_opt
-                (fun (_, e) ->
-                  match Adg.comp adg e with
-                  | Some (Comp.Engine { kind = Comp.Dma; _ }) -> true
-                  | Some _ | None -> false)
-                sched.array_engine
-            with
-            | Some (_, e) -> e
-            | None -> -1
+            List.find_map
+              (fun (_, e) ->
+                match Adg.comp adg e with
+                | Some (Comp.Engine { kind = Comp.Dma; _ }) -> Some e
+                | Some _ | None -> None)
+              sched.array_engine
+            |> Option.value ~default:(-1)
           in
-          let base =
-            {
-              role = Fill;
-              path = Shared;
-              engine = dma;
-              port_cap = infinity;
-              mpf = 0.0;
-              total = per_tile;
-              miss_frac = 1.0;
-              waste = 1.0;
-              latency = cfg.dram_latency;
-              issued = 0.0;
-              done_ = 0.0;
-              write_buf = 0.0;
-              pending = Queue.create ();
-            }
+          let dma_stream role =
+            stream cfg ~ring role Shared dma ~port_cap:infinity ~mpf:0.0
+              ~total:per_tile ~miss_frac:1.0 ~waste:1.0
           in
-          if a.read_only then [ base ]
-          else [ base; { base with role = Drain; pending = Queue.create () } ])
+          if a.read_only then [ dma_stream Fill ]
+          else [ dma_stream Fill; dma_stream Drain ])
       v.arrays
   in
   let streams = Array.of_list (data_streams @ fills_drains) in
@@ -251,32 +258,39 @@ let setup_tile cfg (sys : Sys_adg.t) ~share (sched : Schedule.t) =
           | Some (Comp.Pe _ | Comp.Switch _ | Comp.In_port _ | Comp.Out_port _)
           | None -> 8.0
         in
-        {
-          bw;
-          rr = 0;
-          members =
-            Array.of_list
-              (List.filter (fun s -> s.engine = eid) (Array.to_list streams));
-        })
+        let members =
+          Array.of_list (List.filter (fun s -> s.engine = eid) (Array.to_list streams))
+        in
+        { bw; rr = 0; members; active = Array.make (Array.length members) 0 })
       engine_ids
     |> Array.of_list
   in
   let n_streams = Array.length streams in
-  let dispatch_events = dispatches_of_region v in
-  let dispatch_cost = 2 + (2 * n_streams) + (dispatch_events * 2) in
-  ( {
-      streams;
-      engines;
-      ii = max 1 sched.ii;
-      target = firings_tile;
-      fired = 0;
-      cooldown = 0;
-      dispatch_left = dispatch_cost;
-    },
-    dispatch_events )
+  let dispatches = dispatches_of_region v in
+  { streams; engines; ii = max 1 sched.ii; target = firings_tile; dispatches;
+    fired = 0; cooldown = 0;
+    dispatch_left = 2 + (2 * n_streams) + (dispatches * 2);
+    wants = Array.copy streams; want_bytes = Array.make n_streams 0.0; n_wants = 0 }
+
+(* Shared-path bandwidths in bytes per cycle; all floats, so stored flat
+   and passed to the cycle loop without boxing. *)
+type limits = { noc_bw : float; l2_bw : float; dram_bw : float }
+
+let limits cfg (sysp : System.t) =
+  let line = float_of_int Overgen_perf.Perf.line_bytes in
+  let mshr_bw =
+    float_of_int (cfg.mshr_per_bank * sysp.System.l2_banks)
+    *. line /. float_of_int cfg.dram_latency
+  in
+  {
+    noc_bw = float_of_int sysp.System.noc_bytes;
+    l2_bw =
+      float_of_int (min (System.l2_bytes_per_cycle sysp) (System.shared_bandwidth sysp));
+    dram_bw = Float.min (float_of_int (System.dram_bytes_per_cycle sysp)) mshr_bw;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Cycle loop for one region across all tiles                          *)
+(* One cycle of one tile                                               *)
 (* ------------------------------------------------------------------ *)
 
 let tile_done t =
@@ -285,242 +299,282 @@ let tile_done t =
        (fun s ->
          match s.role with
          | Read -> true
-         | Write -> s.write_buf <= 1e-6
-         | Fill -> fnear s.done_ s.total
-         | Drain -> fnear s.done_ s.total)
+         | Write -> s.f.write_buf <= 1e-6
+         | Fill | Drain -> fnear s.f.done_ s.f.total)
        t.streams
 
 (* Phase 1: deliver memory responses whose latency has elapsed. *)
-let deliver_pending tiles c =
-  Array.iter
-    (fun t ->
-      Array.iter
-        (fun s ->
-          let continue_ = ref true in
-          while !continue_ && not (Queue.is_empty s.pending) do
-            let ready, bytes = Queue.peek s.pending in
-            if ready <= c then begin
-              ignore (Queue.pop s.pending);
-              s.done_ <- s.done_ +. bytes
-            end
-            else continue_ := false
-          done)
-        t.streams)
-    tiles
+let deliver t c =
+  for i = 0 to Array.length t.streams - 1 do
+    let s = t.streams.(i) in
+    while s.len > 0 && s.ready.(s.head) <= c do
+      s.f.done_ <- s.f.done_ +. s.bytes.(s.head);
+      s.head <- (s.head + 1) land (Array.length s.ready - 1);
+      s.len <- s.len - 1
+    done
+  done
 
-(* Phase 2: stream engines issue; local requests complete against the
-   spad/recurrence path, shared ones are returned for global arbitration
-   after the per-tile NoC clamp. *)
-let collect_wants cfg ~noc_bw tiles c =
-  let shared_wants = ref [] in
-  Array.iter
-    (fun t ->
-      if t.dispatch_left > 0 then t.dispatch_left <- t.dispatch_left - 1
-      else begin
-        let tile_shared = ref [] in
-        Array.iter
-          (fun e ->
-            let active =
-              Array.to_list e.members
-              |> List.filter (fun s ->
-                     match s.role with
-                     | Read | Fill ->
-                       s.issued < s.total -. 1e-9
-                       && (s.role = Fill
-                          || s.issued -. (float_of_int t.fired *. s.mpf)
-                             < Float.max s.port_cap (2.0 *. s.mpf)
-                               +. (if s.path = Shared then cfg.rob_bytes else 0.0))
-                     | Write -> s.write_buf > 1e-9
-                     | Drain -> t.fired >= t.target && s.issued < s.total -. 1e-9)
-            in
-            let bw =
-              if List.length active = 1 && not cfg.one_hot_bypass then
-                e.bw /. 2.0
-              else e.bw
-            in
-            let budget = ref bw in
-            let n = List.length active in
-            if n > 0 then begin
-              e.rr <- (e.rr + 1) mod n;
-              let ordered =
-                (* rotate for round-robin fairness *)
-                let arr = Array.of_list active in
-                Array.to_list (Array.init n (fun i -> arr.((i + e.rr) mod n)))
-              in
-              List.iter
-                (fun s ->
-                  if !budget > 1e-9 then begin
-                    let want =
-                      match s.role with
-                      | Read | Fill ->
-                        let window =
-                          match s.role with
-                          | Fill -> s.total -. s.issued
-                          | _ ->
-                            Float.min (s.total -. s.issued)
-                              (Float.max s.port_cap (2.0 *. s.mpf)
-                              +. (if s.path = Shared then cfg.rob_bytes else 0.0)
-                              +. (float_of_int t.fired *. s.mpf)
-                              -. s.issued)
-                        in
-                        Float.max 0.0 (Float.min !budget window)
-                      | Write -> Float.min !budget s.write_buf
-                      | Drain -> Float.min !budget (s.total -. s.issued)
-                    in
-                    if want > 1e-9 then begin
-                      budget := !budget -. want;
-                      match s.path with
-                      | Local -> (
-                        match s.role with
-                        | Read | Fill ->
-                          s.issued <- s.issued +. want;
-                          Queue.add (c + s.latency, want) s.pending
-                        | Write -> s.write_buf <- s.write_buf -. want
-                        | Drain ->
-                          s.issued <- s.issued +. want;
-                          s.done_ <- s.done_ +. want)
-                      | Shared -> tile_shared := (s, want) :: !tile_shared
-                    end
-                  end)
-                ordered
-            end)
-          t.engines;
-        (* per-tile NoC clamp *)
-        let tot =
-          List.fold_left (fun acc (s, w) -> acc +. (w *. s.waste)) 0.0 !tile_shared
+(* Phase 2: stream engines issue round-robin within their bandwidth; local
+   requests complete against the spad/recurrence path, shared ones are
+   left in [t.wants] for global arbitration after the per-tile NoC clamp. *)
+let collect cfg lim t c =
+  t.n_wants <- 0;
+  if t.dispatch_left > 0 then t.dispatch_left <- t.dispatch_left - 1
+  else begin
+    let consumed = float_of_int t.fired in
+    for e = 0 to Array.length t.engines - 1 do
+      let e = t.engines.(e) in
+      let n = ref 0 in
+      for m = 0 to Array.length e.members - 1 do
+        let s = e.members.(m) in
+        let f = s.f in
+        let issuing =
+          match s.role with
+          | Read -> f.issued < f.total -. 1e-9 && f.issued -. (consumed *. f.mpf) < f.ahead
+          | Fill -> f.issued < f.total -. 1e-9
+          | Write -> f.write_buf > 1e-9
+          | Drain -> t.fired >= t.target && f.issued < f.total -. 1e-9
         in
-        let scale = if tot > noc_bw then noc_bw /. tot else 1.0 in
-        List.iter
-          (fun (s, w) -> shared_wants := (s, w *. scale) :: !shared_wants)
-          !tile_shared
-      end)
-    tiles;
-  !shared_wants
-
-(* Phase 3: global L2 / DRAM arbitration over every tile's shared wants. *)
-let arbitrate cfg ~l2_bw ~dram_bw (l2_count, dram_count) shared_wants c =
-  let l2_demand =
-    List.fold_left (fun acc (s, w) -> acc +. (w *. s.waste)) 0.0 shared_wants
-  in
-  let l2_scale = if l2_demand > l2_bw then l2_bw /. l2_demand else 1.0 in
-  let miss_demand =
-    List.fold_left
-      (fun acc (s, w) -> acc +. (w *. s.waste *. l2_scale *. s.miss_frac))
-      0.0 shared_wants
-  in
-  let dram_scale = if miss_demand > dram_bw then dram_bw /. miss_demand else 1.0 in
-  List.iter
-    (fun (s, w) ->
-      let g = w *. l2_scale in
-      let hit = g *. (1.0 -. s.miss_frac) in
-      let miss = g *. s.miss_frac *. dram_scale in
-      let granted = hit +. miss in
-      l2_count := !l2_count +. (granted *. s.waste);
-      dram_count := !dram_count +. (miss *. s.waste);
-      if granted > 1e-9 then begin
-        let lat =
-          if s.miss_frac > 0.5 then cfg.dram_latency else cfg.l2_hit_latency
-        in
-        match s.role with
-        | Read | Fill ->
-          s.issued <- s.issued +. granted;
-          Queue.add (c + lat, granted) s.pending
-        | Write -> s.write_buf <- s.write_buf -. granted
-        | Drain ->
-          s.issued <- s.issued +. granted;
-          s.done_ <- s.done_ +. granted
-      end)
-    shared_wants
-
-(* Phase 4: the spatial fabric fires one DFG instance per II when ready. *)
-let fire_tiles tiles =
-  Array.iter
-    (fun t ->
-      if t.cooldown > 0 then t.cooldown <- t.cooldown - 1
-      else if t.dispatch_left = 0 && t.fired < t.target then begin
-        let ready =
-          Array.for_all
-            (fun s ->
+        if issuing then begin
+          e.active.(!n) <- m;
+          incr n
+        end
+      done;
+      let n = !n in
+      if n > 0 then begin
+        let budget = ref (if n = 1 && not cfg.one_hot_bypass then e.bw /. 2.0 else e.bw) in
+        e.rr <- (e.rr + 1) mod n;
+        for k = 0 to n - 1 do
+          let s = e.members.(e.active.((k + e.rr) mod n)) in
+          let f = s.f in
+          if !budget > 1e-9 then begin
+            let want =
               match s.role with
               | Read ->
-                fnear s.done_ (Float.min s.total (float_of_int (t.fired + 1) *. s.mpf))
-              | Write -> s.write_buf +. s.mpf <= s.port_cap +. 1e-6
-              | Fill -> fnear s.done_ s.total
-              | Drain -> true)
-            t.streams
-        in
-        if ready then begin
-          t.fired <- t.fired + 1;
-          t.cooldown <- t.ii - 1;
-          Array.iter
-            (fun s -> if s.role = Write then s.write_buf <- s.write_buf +. s.mpf)
-            t.streams
-        end
-      end)
-    tiles
+                Float.max 0.0
+                  (Float.min !budget
+                     (Float.min (f.total -. f.issued)
+                        (f.ahead +. (consumed *. f.mpf) -. f.issued)))
+              | Fill -> Float.max 0.0 (Float.min !budget (f.total -. f.issued))
+              | Write -> Float.min !budget f.write_buf
+              | Drain -> Float.min !budget (f.total -. f.issued)
+            in
+            if want > 1e-9 then begin
+              budget := !budget -. want;
+              match s.path, s.role with
+              | Shared, _ ->
+                t.wants.(t.n_wants) <- s;
+                t.want_bytes.(t.n_wants) <- want;
+                t.n_wants <- t.n_wants + 1
+              | Local, (Read | Fill) ->
+                f.issued <- f.issued +. want;
+                push s (c + cfg.spad_latency) want
+              | Local, Write -> f.write_buf <- f.write_buf -. want
+              | Local, Drain ->
+                f.issued <- f.issued +. want;
+                f.done_ <- f.done_ +. want
+            end
+          end
+        done
+      end
+    done;
+    (* per-tile NoC clamp, summed latest request first *)
+    let tot = ref 0.0 in
+    for k = t.n_wants - 1 downto 0 do
+      tot := !tot +. (t.want_bytes.(k) *. t.wants.(k).f.waste)
+    done;
+    if !tot > lim.noc_bw then begin
+      let scale = lim.noc_bw /. !tot in
+      for k = 0 to t.n_wants - 1 do
+        t.want_bytes.(k) <- t.want_bytes.(k) *. scale
+      done
+    end
+  end
 
-let shared_limits cfg (sysp : System.t) =
-  let l2_bw =
-    float_of_int
-      (min (System.l2_bytes_per_cycle sysp) (System.shared_bandwidth sysp))
-  in
-  let line = float_of_int Overgen_perf.Perf.line_bytes in
-  let mshr_bw =
-    float_of_int (cfg.mshr_per_bank * sysp.System.l2_banks)
-    *. line /. float_of_int cfg.dram_latency
-  in
-  let dram_bw =
-    Float.min (float_of_int (System.dram_bytes_per_cycle sysp)) mshr_bw
-  in
-  (l2_bw, dram_bw)
+(* Phase 4: the spatial fabric fires one DFG instance per II when ready. *)
+let fire t =
+  if t.cooldown > 0 then t.cooldown <- t.cooldown - 1
+  else if t.dispatch_left = 0 && t.fired < t.target then begin
+    let next = float_of_int (t.fired + 1) in
+    let ready = ref true and i = ref 0 in
+    while !ready && !i < Array.length t.streams do
+      let s = t.streams.(!i) in
+      let f = s.f in
+      (ready :=
+         match s.role with
+         | Read -> fnear f.done_ (Float.min f.total (next *. f.mpf))
+         | Write -> f.write_buf +. f.mpf <= f.port_cap +. 1e-6
+         | Fill -> fnear f.done_ f.total
+         | Drain -> true);
+      incr i
+    done;
+    if !ready then begin
+      t.fired <- t.fired + 1;
+      t.cooldown <- t.ii - 1;
+      Array.iter
+        (fun s -> if s.role = Write then s.f.write_buf <- s.f.write_buf +. s.f.mpf)
+        t.streams
+    end
+  end
 
-let run_region cfg (sys : Sys_adg.t) (sched : Schedule.t) counters =
-  Obs.Span.with_span "sim_region"
-    ~attrs:[ ("region", sched.variant.region.Overgen_workload.Ir.rname) ]
-  @@ fun () ->
-  let sysp = sys.system in
-  let tiles_n = sysp.System.tiles in
-  let tiles =
-    Array.init tiles_n (fun _ -> fst (setup_tile cfg sys ~share:tiles_n sched))
+(* ------------------------------------------------------------------ *)
+(* The stepping loop                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The tiles of one share start from the same state, see the same global
+   L2/DRAM scales and so stay identical: one representative tile is
+   stepped and stands for [copies] of them. *)
+type tenant = {
+  copies : int;
+  mutable todo : Schedule.t list;  (* the region being simulated, then the rest *)
+  mutable tile : tile_state;
+  mutable start : int;          (* cycle the region began *)
+  mutable regions : region_result list;  (* finished, latest first *)
+  mutable finished_at : int;    (* -1 while running *)
+}
+
+type totals = { mutable l2 : float; mutable dram : float }
+
+(* Sum of want x waste x [scale] (x miss fraction when [misses]) over every
+   live tile's shared wants. Each representative's wants are summed
+   [copies] times in issue order, so the total rounds exactly as a
+   tile-by-tile sum would; multiplying by 1.0 is exact. *)
+let[@inline] demand tenants ~scale ~misses =
+  let sum = ref 0.0 in
+  for i = 0 to Array.length tenants - 1 do
+    let tn = tenants.(i) and t = tenants.(i).tile in
+    if tn.finished_at < 0 then
+      for _ = 1 to tn.copies do
+        for k = 0 to t.n_wants - 1 do
+          let f = t.wants.(k).f in
+          sum :=
+            !sum
+            +. (t.want_bytes.(k) *. f.waste *. scale
+               *. if misses then f.miss_frac else 1.0)
+        done
+      done
+  done;
+  !sum
+
+(* Phase 3: global L2 / DRAM arbitration over every live tile's shared
+   wants. Byte totals replay each grant [copies] times, like [demand]; the
+   grant itself is applied to the representative once. *)
+let arbitrate cfg lim totals tenants c =
+  let l2_demand = demand tenants ~scale:1.0 ~misses:false in
+  let l2_scale = if l2_demand > lim.l2_bw then lim.l2_bw /. l2_demand else 1.0 in
+  let miss_demand = demand tenants ~scale:l2_scale ~misses:true in
+  let dram_scale = if miss_demand > lim.dram_bw then lim.dram_bw /. miss_demand else 1.0 in
+  for i = 0 to Array.length tenants - 1 do
+    let tn = tenants.(i) and t = tenants.(i).tile in
+    if tn.finished_at < 0 then
+      for copy = 1 to tn.copies do
+        for k = 0 to t.n_wants - 1 do
+          let s = t.wants.(k) in
+          let f = s.f in
+          let g = t.want_bytes.(k) *. l2_scale in
+          let hit = g *. (1.0 -. f.miss_frac) in
+          let miss = g *. f.miss_frac *. dram_scale in
+          let granted = hit +. miss in
+          totals.l2 <- totals.l2 +. (granted *. f.waste);
+          totals.dram <- totals.dram +. (miss *. f.waste);
+          if copy = 1 && granted > 1e-9 then
+            match s.role with
+            | Read | Fill ->
+              f.issued <- f.issued +. granted;
+              push s
+                (c + if f.miss_frac > 0.5 then cfg.dram_latency else cfg.l2_hit_latency)
+                granted
+            | Write -> f.write_buf <- f.write_buf -. granted
+            | Drain ->
+              f.issued <- f.issued +. granted;
+              f.done_ <- f.done_ +. granted
+        done
+      done
+  done
+
+(* Counters and result for a region that finished after [steps] cycles. *)
+let finish_region cfg tn steps =
+  let t = tn.tile in
+  if Obs.on () then begin
+    Obs.incr (Lazy.force m_regions);
+    Obs.incr (Lazy.force m_cycles) ~by:steps;
+    Obs.incr (Lazy.force m_firings) ~by:(tn.copies * t.fired);
+    Obs.incr (Lazy.force m_stalls)
+      ~by:(max 0 ((steps * tn.copies) - (tn.copies * t.fired * t.ii)))
+  end;
+  let v = (List.hd tn.todo : Schedule.t).variant in
+  { rname = v.region.Overgen_workload.Ir.rname;
+    cycles = steps + Dfg.depth v.dfg + cfg.l2_hit_latency (* pipeline drain *);
+    firings = t.target; dispatches = t.dispatches }
+
+(* Step every tenant's regions back to back, all tenants concurrently, until
+   the last finishes; [stuck] is called with the schedule of a region that
+   reaches [cfg.max_cycles]. Returns the makespan, the tenants and the
+   L2/DRAM byte totals. *)
+let simulate cfg (sys : Sys_adg.t) assignments ~stuck =
+  let lim = limits cfg sys.system in
+  let ring = ring_size cfg in
+  let tenants =
+    Array.of_list
+      (List.map
+         (fun (schedules, copies) ->
+           match schedules with
+           | [] -> invalid_arg "Sim.run_multi: tenant with no schedules"
+           | _ when copies <= 0 -> invalid_arg "Sim.run_multi: tenant with no tiles"
+           | first :: _ ->
+             { copies; todo = schedules; tile = setup_tile cfg sys ~share:copies ~ring first;
+               start = 0; regions = []; finished_at = -1 })
+         assignments)
   in
-  let _, dispatch_events = setup_tile cfg sys ~share:tiles_n sched in
-  let l2_bw, dram_bw = shared_limits cfg sysp in
-  let noc_bw = float_of_int sysp.System.noc_bytes in
-  let cycle = ref 0 in
-  let all_done () = Array.for_all tile_done tiles in
-  while (not (all_done ())) && !cycle < cfg.max_cycles do
+  let totals = { l2 = 0.0; dram = 0.0 } in
+  let live = ref (Array.length tenants) and cycle = ref 0 in
+  while !live > 0 do
     let c = !cycle in
-    deliver_pending tiles c;
-    let wants = collect_wants cfg ~noc_bw tiles c in
-    arbitrate cfg ~l2_bw ~dram_bw counters wants c;
-    fire_tiles tiles;
+    for i = 0 to Array.length tenants - 1 do
+      let tn = tenants.(i) in
+      if tn.finished_at < 0 then begin
+        deliver tn.tile c;
+        collect cfg lim tn.tile c
+      end
+    done;
+    arbitrate cfg lim totals tenants c;
+    for i = 0 to Array.length tenants - 1 do
+      let tn = tenants.(i) in
+      if tn.finished_at < 0 then begin
+        fire tn.tile;
+        let steps = c + 1 - tn.start in
+        if steps >= cfg.max_cycles then stuck (List.hd tn.todo);
+        if tile_done tn.tile then begin
+          tn.regions <- finish_region cfg tn steps :: tn.regions;
+          match List.tl tn.todo with
+          | next :: _ as rest ->
+            tn.todo <- rest;
+            tn.tile <- setup_tile cfg sys ~share:tn.copies ~ring next;
+            tn.start <- c + 1
+          | [] ->
+            tn.finished_at <- c + 1;
+            decr live
+        end
+      end
+    done;
     incr cycle
   done;
-  if !cycle >= cfg.max_cycles then
-    failwith
-      (Printf.sprintf "Sim.run: region %s exceeded %d cycles (deadlock?)"
-         sched.variant.region.Overgen_workload.Ir.rname cfg.max_cycles);
-  if Obs.on () then begin
-    let busy = Array.fold_left (fun acc t -> acc + (t.fired * t.ii)) 0 tiles in
-    Obs.incr (Lazy.force m_regions);
-    Obs.incr (Lazy.force m_cycles) ~by:!cycle;
-    Obs.incr (Lazy.force m_firings)
-      ~by:(Array.fold_left (fun acc t -> acc + t.fired) 0 tiles);
-    Obs.incr (Lazy.force m_stalls) ~by:(max 0 ((!cycle * tiles_n) - busy))
-  end;
-  (* pipeline drain *)
-  let drain = Dfg.depth sched.variant.dfg + cfg.l2_hit_latency in
-  {
-    rname = sched.variant.region.Overgen_workload.Ir.rname;
-    cycles = !cycle + drain;
-    firings = (Array.get tiles 0).target;
-    dispatches = dispatch_events;
-  }
+  (!cycle, tenants, totals)
 
-let run ?(config = default_config) sys schedules =
-  let l2_count = ref 0.0 and dram_count = ref 0.0 in
-  let per_region =
-    List.map (fun s -> run_region config sys s (l2_count, dram_count)) schedules
+let run ?(config = default_config) (sys : Sys_adg.t) schedules =
+  let per_region, totals =
+    match schedules with
+    | [] -> ([], { l2 = 0.0; dram = 0.0 })
+    | _ ->
+      let _, tenants, totals =
+        simulate config sys
+          [ (schedules, sys.system.System.tiles) ]
+          ~stuck:(fun (s : Schedule.t) ->
+            failwith
+              (Printf.sprintf "Sim.run: region %s exceeded %d cycles (deadlock?)"
+                 s.variant.region.Overgen_workload.Ir.rname config.max_cycles))
+      in
+      (List.rev tenants.(0).regions, totals)
   in
   let total_cycles = List.fold_left (fun acc r -> acc + r.cycles) 0 per_region in
   let work =
@@ -531,13 +585,8 @@ let run ?(config = default_config) sys schedules =
            *. sched.variant.firings))
       0.0 schedules
   in
-  {
-    total_cycles;
-    per_region;
-    l2_bytes = !l2_count;
-    dram_bytes = !dram_count;
-    sim_ipc = work /. float_of_int (max 1 total_cycles);
-  }
+  { total_cycles; per_region; l2_bytes = totals.l2; dram_bytes = totals.dram;
+    sim_ipc = work /. float_of_int (max 1 total_cycles) }
 
 let wall_time_ms (_sys : Sys_adg.t) ~freq_mhz t =
   float_of_int t.total_cycles /. (freq_mhz *. 1000.0)
@@ -562,74 +611,22 @@ type multi_result = {
   m_dram_bytes : float;
 }
 
-type tenant_state = {
-  share : int;
-  mutable remaining : Schedule.t list;
-  mutable cur : tile_state array;  (* empty when finished *)
-  mutable finished_at : int;
-  name : string;
-}
-
 let run_multi ?(config = default_config) (sys : Sys_adg.t) assignments =
-  let cfg = config in
-  let sysp = sys.system in
   let total_share = List.fold_left (fun acc (_, s) -> acc + s) 0 assignments in
-  if total_share > sysp.System.tiles then
+  if total_share > sys.system.System.tiles then
     invalid_arg "Sim.run_multi: tile shares exceed the system's tiles";
-  let counters = (ref 0.0, ref 0.0) in
-  let l2_bw, dram_bw = shared_limits cfg sysp in
-  let noc_bw = float_of_int sysp.System.noc_bytes in
-  let setup share sched =
-    Array.init share (fun _ -> fst (setup_tile cfg sys ~share sched))
+  let m_cycles, tenants, totals =
+    simulate config sys assignments ~stuck:(fun _ ->
+        failwith "Sim.run_multi: exceeded max_cycles (deadlock?)")
   in
-  let tenants =
-    List.map
-      (fun (schedules, share) ->
-        match schedules with
-        | [] -> invalid_arg "Sim.run_multi: tenant with no schedules"
-        | (first : Schedule.t) :: rest ->
-          {
-            share;
-            remaining = rest;
-            cur = setup share first;
-            finished_at = -1;
-            name = first.variant.kernel;
-          })
-      assignments
-  in
-  let cycle = ref 0 in
-  let active () = List.filter (fun t -> t.finished_at < 0) tenants in
-  while active () <> [] && !cycle < cfg.max_cycles do
-    let c = !cycle in
-    let live = active () in
-    List.iter (fun t -> deliver_pending t.cur c) live;
-    let wants =
-      List.concat_map (fun t -> collect_wants cfg ~noc_bw t.cur c) live
-    in
-    arbitrate cfg ~l2_bw ~dram_bw counters wants c;
-    List.iter (fun t -> fire_tiles t.cur) live;
-    (* region transitions and completion *)
-    List.iter
-      (fun t ->
-        if Array.for_all tile_done t.cur then
-          match t.remaining with
-          | next :: rest ->
-            t.remaining <- rest;
-            t.cur <- setup t.share next
-          | [] -> t.finished_at <- c + 1)
-      live;
-    incr cycle
-  done;
-  if !cycle >= cfg.max_cycles then
-    failwith "Sim.run_multi: exceeded max_cycles (deadlock?)";
-  let l2_count, dram_count = counters in
   {
-    m_cycles = !cycle;
+    m_cycles;
     tenants =
-      List.map
-        (fun t ->
-          { t_kernel = t.name; t_tiles = t.share; t_cycles = t.finished_at })
-        tenants;
-    m_l2_bytes = !l2_count;
-    m_dram_bytes = !dram_count;
+      List.mapi
+        (fun i (schedules, share) ->
+          { t_kernel = (List.hd schedules : Schedule.t).variant.kernel;
+            t_tiles = share; t_cycles = tenants.(i).finished_at })
+        assignments;
+    m_l2_bytes = totals.l2;
+    m_dram_bytes = totals.dram;
   }

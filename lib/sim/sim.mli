@@ -1,15 +1,24 @@
 (** Cycle-level simulator of a generated overlay SoC (paper Section VI).
 
-    Executes an application's schedules on a sysADG, stepping every tile
-    cycle by cycle: the control core configures and dispatches streams
-    through the stream dispatcher (2-cycle minimum dispatch, re-dispatch for
-    loop nests deeper than the engines' 3D patterns); stream engines move
-    data between port FIFOs and the memory system at their bandwidth, with
-    the stream-table one-hot bypass halving single-stream issue when
-    disabled (Figure 11); the spatial fabric fires one DFG instance per II
-    when all input ports have data and output ports have space; DMA traffic
-    crosses the per-tile NoC link into the banked shared L2, and misses go
-    to DRAM, both with latency and bandwidth contention across tiles.
+    Executes an application's schedules on a sysADG cycle by cycle: the
+    control core configures and dispatches streams through the stream
+    dispatcher (2-cycle minimum dispatch, re-dispatch for loop nests deeper
+    than the engines' 3D patterns); stream engines move data between port
+    FIFOs and the memory system at their bandwidth, with the stream-table
+    one-hot bypass halving single-stream issue when disabled (Figure 11);
+    the spatial fabric fires one DFG instance per II when all input ports
+    have data and output ports have space; DMA traffic crosses the per-tile
+    NoC link into the banked shared L2, and misses go to DRAM, both with
+    latency and bandwidth contention across tiles.
+
+    The tiles of one share run the same schedule from the same state and
+    see the same L2/DRAM contention, so they stay identical: one
+    representative tile is stepped per share and its shared-path demand is
+    counted once per tile it stands for, in the order a tile-by-tile sum
+    would take, so cycle counts and byte totals are exactly those of
+    stepping every tile.  Responses in flight wait in a per-stream ring
+    sized to the config's largest latency; the cycle loop allocates
+    nothing.  {!run} is {!run_multi} with one tenant on every tile.
 
     Data values are not computed — the simulator tracks byte flows and
     occupancy, which is what determines cycles on this class of machine;
@@ -27,7 +36,7 @@ type config = {
   mshr_per_bank : int;    (** outstanding-miss limit per L2 bank *)
   rob_bytes : float;      (** per-stream run-ahead allowed by the engine's
                               reorder buffer; hides memory latency *)
-  max_cycles : int;       (** safety stop *)
+  max_cycles : int;       (** safety stop: the most cycles one region may take *)
 }
 
 val default_config : config
@@ -81,4 +90,6 @@ val run_multi :
   ?config:config -> Sys_adg.t -> (Schedule.t list * int) list -> multi_result
 (** [run_multi sys [(app1, tiles1); (app2, tiles2); ...]] runs every
     application concurrently on its tile share.
-    @raise Invalid_argument if the shares exceed the system's tiles. *)
+    @raise Invalid_argument if the shares exceed the system's tiles, a
+    share is not positive, or a tenant has no schedules.
+    @raise Failure if a region exceeds [max_cycles]. *)

@@ -211,6 +211,145 @@ let prop_sim_cycles_bounded_below =
           float_of_int r.total_cycles >= ideal *. 0.99)
         [ "fir"; "mm"; "accumulate"; "vecmax" ])
 
+(* ---------------- simulator golden table and single-loop invariants ---------------- *)
+
+let data_dir name =
+  if Sys.file_exists name then name else Filename.concat "test" name
+
+let bits = Printf.sprintf "%.17g"
+
+(* label, total cycles, per-region (or per-tenant) cycles, L2 bytes, DRAM
+   bytes; %.17g round-trips a double, so equal strings mean equal bits *)
+let sim_row label (r : Sim.t) =
+  Printf.sprintf "%s\t%d\t%s\t%s\t%s" label r.total_cycles
+    (String.concat ","
+       (List.map (fun (p : Sim.region_result) -> string_of_int p.cycles) r.per_region))
+    (bits r.l2_bytes) (bits r.dram_bytes)
+
+let multi_row label (m : Sim.multi_result) =
+  Printf.sprintf "%s\t%d\t%s\t%s\t%s" label m.m_cycles
+    (String.concat ","
+       (List.map
+          (fun (t : Sim.tenant_result) -> Printf.sprintf "%s:%d" t.t_kernel t.t_cycles)
+          m.tenants))
+    (bits m.m_l2_bytes) (bits m.m_dram_bytes)
+
+let all_schedules =
+  lazy (List.map (fun (k : Ir.kernel) -> (k.name, schedules k.name)) Kernels.all)
+
+(* Every kernel on the general overlay under each setup, then two
+   multi-tenant mixes. Odd tile counts give odd copy counts per share; a
+   400-cycle DRAM latency outgrows the default pending-queue size. *)
+let golden_rows () =
+  let sys = Lazy.force general in
+  let scheds = Lazy.force all_schedules in
+  let resize f = Sys_adg.with_system sys (f sys.system) in
+  let setups =
+    [
+      ("default", sys, Sim.default_config);
+      ("tiles1", resize (fun p -> { p with System.tiles = 1 }), Sim.default_config);
+      ("tiles3", resize (fun p -> { p with System.tiles = 3 }), Sim.default_config);
+      ("dram400", sys, { Sim.default_config with dram_latency = 400 });
+      ("nobypass", sys, { Sim.default_config with one_hot_bypass = false });
+      ("dram4ch", resize (fun p -> { p with System.dram_channels = 4 }), Sim.default_config);
+    ]
+  in
+  List.concat_map
+    (fun (tag, sys, config) ->
+      List.map (fun (name, s) -> sim_row (tag ^ "/" ^ name) (Sim.run ~config sys s)) scheds)
+    setups
+  @ List.map
+      (fun mix ->
+        let label =
+          String.concat "+" (List.map (fun (n, k) -> Printf.sprintf "%s:%d" n k) mix)
+        in
+        multi_row ("multi/" ^ label)
+          (Sim.run_multi sys (List.map (fun (n, k) -> (List.assoc n scheds, k)) mix)))
+      [ [ ("fir", 3); ("accumulate", 1) ]; [ ("fir", 2); ("accumulate", 2) ] ]
+
+(* Regenerate with OVERGEN_SIM_GOLDEN_OUT=<file> dune test, then copy the
+   file over test/sim-golden.tsv — only when a change to simulated timing
+   is intended. *)
+let test_sim_golden_table () =
+  let rows = golden_rows () in
+  (match Sys.getenv_opt "OVERGEN_SIM_GOLDEN_OUT" with
+  | Some path ->
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc
+          "# label\ttotal_cycles\tregion_cycles\tl2_bytes\tdram_bytes (general overlay)\n";
+        List.iter (fun r -> output_string oc (r ^ "\n")) rows)
+  | None -> ());
+  let golden =
+    In_channel.with_open_bin (data_dir "sim-golden.tsv") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "row count" (List.length golden) (List.length rows);
+  List.iter2
+    (fun g r -> Alcotest.(check string) (List.hd (String.split_on_char '\t' g)) g r)
+    golden rows
+
+let drain_of (s : Schedule.t) = Dfg.depth s.variant.dfg + Sim.default_config.l2_hit_latency
+
+let test_run_is_one_tenant_run_multi () =
+  let sys = Lazy.force general in
+  let tiles = sys.system.System.tiles in
+  List.iter
+    (fun (name, s) ->
+      let r = Sim.run sys s in
+      let m = Sim.run_multi sys [ (s, tiles) ] in
+      let drains = List.fold_left (fun acc d -> acc + drain_of d) 0 s in
+      Alcotest.(check int) (name ^ " cycles") r.total_cycles (m.m_cycles + drains);
+      Alcotest.(check string) (name ^ " l2 bytes") (bits r.l2_bytes) (bits m.m_l2_bytes);
+      Alcotest.(check string) (name ^ " dram bytes") (bits r.dram_bytes)
+        (bits m.m_dram_bytes))
+    (Lazy.force all_schedules)
+
+let test_deadlock_guard () =
+  let sys = Lazy.force general in
+  let s = schedules "fir" in
+  let config = { Sim.default_config with max_cycles = 10 } in
+  let region = (List.hd s).variant.region.Ir.rname in
+  Alcotest.check_raises "run names the region"
+    (Failure (Printf.sprintf "Sim.run: region %s exceeded 10 cycles (deadlock?)" region))
+    (fun () -> ignore (Sim.run ~config sys s));
+  Alcotest.check_raises "run_multi has its own message"
+    (Failure "Sim.run_multi: exceeded max_cycles (deadlock?)")
+    (fun () -> ignore (Sim.run_multi ~config sys [ (s, 2); (schedules "accumulate", 2) ]))
+
+let test_sim_counters () =
+  let module Obs = Overgen_obs.Obs in
+  let sys = Lazy.force general in
+  let tiles = sys.system.System.tiles in
+  let s = schedules "stencil-2d" in
+  let value name =
+    Obs.Metrics.counter_value (Obs.Metrics.counter Obs.Metrics.default name)
+  in
+  let names =
+    [ "overgen_sim_cycles_total"; "overgen_sim_firings_total";
+      "overgen_sim_stall_cycles_total"; "overgen_sim_regions_total" ]
+  in
+  Obs.enable ();
+  let before = List.map value names in
+  let r = Fun.protect ~finally:Obs.disable (fun () -> Sim.run sys s) in
+  let rise = List.map2 (fun n b -> value n - b) names before in
+  (* stepped cycles, per-tile firings and II of each region *)
+  let regions =
+    List.map2
+      (fun (p : Sim.region_result) (d : Schedule.t) ->
+        (p.cycles - drain_of d, p.firings, max 1 d.ii))
+      r.per_region s
+  in
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 regions in
+  Alcotest.(check (list int)) "cycles, firings, stalls, regions"
+    [
+      sum (fun (steps, _, _) -> steps);
+      tiles * sum (fun (_, fired, _) -> fired);
+      sum (fun (steps, fired, ii) -> max 0 ((steps * tiles) - (tiles * fired * ii)));
+      List.length s;
+    ]
+    rise
+
 let tests =
   [
     Alcotest.test_case "factors in (0,1]" `Quick test_factors_in_unit_range;
@@ -232,4 +371,8 @@ let tests =
     Alcotest.test_case "multi-tenant oversubscription" `Quick
       test_multi_tenant_rejects_oversubscription;
     QCheck_alcotest.to_alcotest prop_sim_cycles_bounded_below;
+    Alcotest.test_case "sim golden table" `Quick test_sim_golden_table;
+    Alcotest.test_case "run = one-tenant run_multi" `Quick test_run_is_one_tenant_run_multi;
+    Alcotest.test_case "sim deadlock guard" `Quick test_deadlock_guard;
+    Alcotest.test_case "sim counters" `Quick test_sim_counters;
   ]
