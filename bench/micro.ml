@@ -11,6 +11,7 @@ module Sim = Overgen_sim.Sim
 module Hls = Overgen_hls.Hls
 module Predict = Overgen_mlp.Predict
 module Oracle = Overgen_fpga.Oracle
+module Dse = Overgen_dse.Dse
 
 let tests () =
   let fir = Kernels.find "fir" in
@@ -22,6 +23,7 @@ let tests () =
     | Error e -> failwith e
   in
   let model = Exp_common.model () in
+  let dsp = Dse.compile_apps ~tuned:false (Kernels.of_suite Suite.Dsp) in
   [
     (* Table I/II substrate *)
     Test.make ~name:"table2/compile-fir"
@@ -45,6 +47,14 @@ let tests () =
     Test.make ~name:"fig20/perf-model"
       (Staged.stage (fun () ->
            ignore (Overgen_perf.Perf.objective sys [ scheds ])));
+    (* Figure 20: a short annealing run — seed-design selection plus
+       five iterations of reschedule, system sweep and MLP pricing *)
+    Test.make ~name:"fig20/dse-5iter-dsp"
+      (Staged.stage (fun () ->
+           ignore
+             (Dse.explore
+                ~config:{ Dse.default_config with iterations = 5; islands = 1 }
+                ~model dsp)));
     (* Figure 19 substrate *)
     Test.make ~name:"fig19/sim-4ch"
       (Staged.stage (fun () ->

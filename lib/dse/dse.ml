@@ -170,9 +170,12 @@ let caps_pool apps =
 (* Nested exhaustive system DSE (Section V-A)                          *)
 (* ------------------------------------------------------------------ *)
 
-let system_dse ?(topologies = [ System.Crossbar ]) ~device ~model adg per_app =
+(* The perf model's system-independent half is prepared once per call; each
+   candidate then costs only the per-system arithmetic. *)
+let system_dse ?(topologies = [ System.Crossbar ]) ?memo ~device ~model adg per_app =
   let usable = Device.usable device in
-  let tile_res = Predict.predict_accel model adg in
+  let tile_res = Predict.predict_accel ?memo model adg in
+  let profiles = List.map (Perf.profile adg) per_app in
   let best = ref None in
   List.iter
     (fun (sysp : System.t) ->
@@ -180,8 +183,7 @@ let system_dse ?(topologies = [ System.Crossbar ]) ~device ~model adg per_app =
         Res.add (Res.scale sysp.tiles tile_res) (Oracle.system_overhead sysp)
       in
       if Res.fits predicted ~within:usable then begin
-        let sys = Sys_adg.make adg sysp in
-        let obj = Perf.objective sys per_app in
+        let obj = Perf.objective_of sysp profiles in
         (* secondary objectives: prune resources-per-accelerator (and uncore
            overheads such as the NoC), but spend the freed budget on more
            tiles — the paper's DSE greedily consumes the FPGA for
@@ -305,11 +307,15 @@ type island = {
   mutable repaired : int;
   mutable incremental : int;
   mutable rescheduled : int;
+  memo : Predict.memo;
+      (* MLP predictions: island-private (islands run on separate domains),
+         never checkpointed; a resumed island starts an empty one *)
 }
 
 (* An island's complete state is plain data plus one Rng word, so a
    snapshot taken at a migration barrier (when no worker owns the island)
-   captures everything a bit-identical continuation needs. *)
+   captures everything a bit-identical continuation needs; the memo only
+   saves time. *)
 let snap_island (isl : island) =
   {
     s_idx = isl.idx; s_rng = Rng.state isl.rng; s_iters = isl.iters;
@@ -329,7 +335,7 @@ let restore_island s =
     trace_rev = s.s_trace_rev; modeled_s = s.s_modeled_s;
     accepted = s.s_accepted; invalid = s.s_invalid;
     repaired = s.s_repaired; incremental = s.s_incremental;
-    rescheduled = s.s_rescheduled;
+    rescheduled = s.s_rescheduled; memo = Predict.memo ();
   }
 
 (* One annealing iteration; draw-for-draw identical to the historical
@@ -368,8 +374,8 @@ let step ~config ~device ~model ~caps apps isl =
          +. (Time.incremental_per_app_s *. float_of_int outcome.n_incremental)
          +. (Time.reschedule_per_app_s *. float_of_int outcome.n_rescheduled);
        match
-         system_dse ~topologies:config.topologies ~device ~model adg'
-           outcome.per_app
+         system_dse ~topologies:config.topologies ~memo:isl.memo ~device ~model
+           adg' outcome.per_app
        with
        | None -> isl.invalid <- isl.invalid + 1
        | Some (score', sysp', obj', pred') ->
@@ -481,21 +487,18 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
      every step, which anneals far better than growing across the reward
      plateau between unroll levels. *)
   let fresh_islands () =
-    let seed_adg, prior0 =
+    let seed_adg, prior0, (score0, sysp0, obj0, pred0) =
       let rec pick = function
         | [] -> failwith "Dse.explore: no seed design can host the workloads"
         | adg :: rest -> (
           match initial (Sys_adg.make adg System.default) with
-          | Some p when system_dse ~topologies:config.topologies ~device ~model adg p <> None ->
-            (adg, p)
-          | Some _ | None -> pick rest)
+          | Some p -> (
+            match system_dse ~topologies:config.topologies ~device ~model adg p with
+            | Some r -> (adg, p, r)
+            | None -> pick rest)
+          | None -> pick rest)
       in
       pick (List.rev seed_candidates)
-    in
-    let score0, sysp0, obj0, pred0 =
-      match system_dse ~topologies:config.topologies ~device ~model seed_adg prior0 with
-      | Some r -> r
-      | None -> failwith "Dse.explore: seed design does not fit the device"
     in
     let init_design =
       { sys = Sys_adg.make seed_adg sysp0; per_app = prior0; objective = obj0;
@@ -506,7 +509,7 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
         { idx = i; rng; iters = share i; iter = 0; cur_score = score0;
           cur = init_design; best_score = score0; best = init_design;
           trace_rev = []; modeled_s = pregen_s; accepted = 0; invalid = 0;
-          repaired = 0; incremental = 0; rescheduled = 0 })
+          repaired = 0; incremental = 0; rescheduled = 0; memo = Predict.memo () })
       (Rng.streams config.seed n)
   in
   (* Resume skips the seed-design selection entirely: the snapshot holds

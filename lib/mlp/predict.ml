@@ -198,19 +198,45 @@ let train ?(counts = default_counts) ~seed () =
 let run_model m feats =
   targets_to_res (Mlp.Scaler.unapply m.out_scaler (Mlp.forward m.net (Mlp.Scaler.apply m.in_scaler feats)))
 
-let predict_comp t comp ~fan_in ~fan_out =
+(* Predictions keyed on the exact model input: the kind and its feature
+   vector.  The MLP is a pure function of that pair, so a hit returns the
+   bits a fresh forward pass would. *)
+type memo = (kind * float array, Res.t) Hashtbl.t
+
+let memo () = Hashtbl.create 256
+
+let model_of t = function
+  | Pe_k -> t.pe_m
+  | Switch_k -> t.sw_m
+  | In_port_k -> t.ip_m
+  | Out_port_k -> t.op_m
+
+let run_kind ?memo t kind feats =
+  let m = model_of t kind in
+  match memo with
+  | None -> run_model m feats
+  | Some tbl -> (
+    match Hashtbl.find_opt tbl (kind, feats) with
+    | Some r -> r
+    | None ->
+      let r = run_model m feats in
+      Hashtbl.add tbl (kind, feats) r;
+      r)
+
+let predict_comp ?memo t comp ~fan_in ~fan_out =
   match comp with
-  | Comp.Pe p -> run_model t.pe_m (pe_features p ~fan_in ~fan_out)
-  | Comp.Switch { width_bits } -> run_model t.sw_m (sw_features ~width_bits ~fan_in ~fan_out)
-  | Comp.In_port p -> run_model t.ip_m (port_features p)
-  | Comp.Out_port p -> run_model t.op_m (port_features p)
+  | Comp.Pe p -> run_kind ?memo t Pe_k (pe_features p ~fan_in ~fan_out)
+  | Comp.Switch { width_bits } ->
+    run_kind ?memo t Switch_k (sw_features ~width_bits ~fan_in ~fan_out)
+  | Comp.In_port p -> run_kind ?memo t In_port_k (port_features p)
+  | Comp.Out_port p -> run_kind ?memo t Out_port_k (port_features p)
   | Comp.Engine e -> Oracle.engine e
 
-let predict_accel t adg =
+let predict_accel ?memo t adg =
   let comps =
     List.map
       (fun (id, c) ->
-        predict_comp t c
+        predict_comp ?memo t c
           ~fan_in:(List.length (Adg.preds adg id))
           ~fan_out:(List.length (Adg.succs adg id)))
       (Adg.nodes adg)
@@ -222,12 +248,6 @@ let predict_accel t adg =
 let predict_full t (s : Sys_adg.t) =
   let tile = predict_accel t s.adg in
   Res.add (Res.scale s.system.System.tiles tile) (Oracle.system_overhead s.system)
-
-let model_of t = function
-  | Pe_k -> t.pe_m
-  | Switch_k -> t.sw_m
-  | In_port_k -> t.ip_m
-  | Out_port_k -> t.op_m
 
 let test_error t kind = (model_of t kind).test_err
 let samples_trained t kind = (model_of t kind).n_samples

@@ -28,12 +28,25 @@ val default_counts : (kind * int) list
 val train : ?counts:(kind * int) list -> seed:int -> unit -> t
 (** Generate the dataset with the oracle and train all four models. *)
 
-val predict_comp : t -> Comp.t -> fan_in:int -> fan_out:int -> Res.t
-(** Resource prediction for one component. *)
+type memo
+(** Component predictions already computed, keyed on the exact input each
+    MLP sees (its kind and feature vector).  Mutable and unsynchronized:
+    one memo per domain, never shared. *)
 
-val predict_accel : t -> Adg.t -> Res.t
+val memo : unit -> memo
+(** An empty memo. *)
+
+val predict_comp : ?memo:memo -> t -> Comp.t -> fan_in:int -> fan_out:int -> Res.t
+(** Resource prediction for one component, looked up in [memo] first (and
+    stored there on a miss) when one is given. *)
+
+val predict_accel : ?memo:memo -> t -> Adg.t -> Res.t
 (** Predicted resources of one accelerator tile (MLP for datapath units,
-    analytic for engines and the dispatcher). *)
+    analytic for engines and the dispatcher).  With [memo], each
+    component's prediction is looked up first and stored on a miss; the
+    result is bit-identical either way, since a prediction depends only on
+    its key.  The DSE keeps one memo per island: successive designs share
+    almost every component. *)
 
 val predict_full : t -> Sys_adg.t -> Res.t
 (** Predicted whole-SoC resources: tiles + cores + NoC + L2 + shell.  Used

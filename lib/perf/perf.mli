@@ -4,7 +4,21 @@
     bandwidth of its scheduled mDFGs, scaled by tile count, derated by the
     most-bottlenecked memory level: scratchpad, L2 (and its NoC links), or
     DRAM — each computed as production rate / consumption rate with the
-    streams' reuse factors (Equations 1 and 2). *)
+    streams' reuse factors (Equations 1 and 2).
+
+    The model is split in two.  A {!profile}, built once per (ADG,
+    schedules), holds everything that does not depend on the system
+    parameters: each region's single-tile IPC, II and firings, the bytes
+    of every scratchpad stream grouped by engine (in stream order, with
+    the engine's bandwidth), every DMA stream's bytes and stride waste,
+    every scratchpad array's fill bytes and partitioning, the recurrence
+    bytes, the working set, the DFG ramp-up, and the application's total
+    work.  {!evaluate} then does only the arithmetic that depends on the
+    {!System.t} (tile count, NoC, L2, DRAM), in the same operation order
+    as the per-stream formulas, so its results are bit-identical to them.
+    The nested system DSE prepares the profiles once per iteration and
+    evaluates every candidate system against them; {!region}, {!app} and
+    {!objective} are that same path on one sysADG. *)
 
 
 open Overgen_adg
@@ -27,6 +41,18 @@ type app_perf = {
   total_cycles : float;
   app_ipc : float;      (** work-weighted aggregate IPC for the app *)
 }
+
+type profile
+(** The system-independent part of one application's model. *)
+
+val profile : Adg.t -> Schedule.t list -> profile
+(** Profile an application's schedules (one per region) on an ADG. *)
+
+val evaluate : System.t -> profile -> app_perf
+(** The model of a profiled application under one system configuration. *)
+
+val objective_of : System.t -> profile list -> float
+(** {!objective} over profiled applications. *)
 
 val region : Sys_adg.t -> Schedule.t -> region_perf
 val app : Sys_adg.t -> Schedule.t list -> app_perf

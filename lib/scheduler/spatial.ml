@@ -932,46 +932,86 @@ let schedule_variant ctx (v : Compile.variant) =
     restore ctx saved;
     Error msg
 
+(* The final value of every usage cell one scheduled variant touched, plus
+   the route-tag counter.  Captured before rolling the variant back,
+   replaying it onto the pre-variant state rebuilds the post-variant state
+   without scheduling the variant again. *)
+type cell =
+  | R_pe of Adg.id
+  | R_port of Adg.id
+  | R_spad of Adg.id * int
+  | R_demand of Adg.id * float
+  | R_link of (Adg.id * Adg.id) * int list
+
+type redo = { cells : cell array; tag : int }
+
+let capture c m =
+  {
+    cells =
+      Array.init (c.log_len - m.m_len) (fun i ->
+          match c.log.(m.m_len + i) with
+          | U_pe id -> R_pe id
+          | U_port id -> R_port id
+          | U_spad (id, _) -> R_spad (id, c.spad_used.(id))
+          | U_demand (id, _) -> R_demand (id, c.engine_demand.(id))
+          | U_link (key, _) -> R_link (key, Hashtbl.find c.link_owner key));
+    tag = c.next_tag;
+  }
+
+let replay c r =
+  Array.iter
+    (function
+      | R_pe id -> use_pe c id
+      | R_port id -> use_port c id
+      | R_spad (id, v) -> set_spad c id v
+      | R_demand (id, v) -> set_demand c id v
+      | R_link (key, owners) -> set_link c key owners)
+    r.cells;
+  c.next_tag <- r.tag
+
 let schedule_app sys (c : Compile.compiled) =
   Overgen_fault.Fault.(point Points.scheduler_schedule_app);
   let ctx = fresh_ctx sys in
+  (* Score variants against the current context and keep the one with the
+     best single-tile IPC: a narrower DFG at II=1 often beats a wide one
+     strangled by link sharing or operand skew.  Variants go widest first,
+     and a score (iterations per cycle, unroll / II) never exceeds its
+     unroll, so once the best score reaches the next variant's unroll no
+     later variant can beat it strictly: scoring stops there.  The winner
+     is rebuilt from its redo record, not scheduled a second time. *)
   let try_variants region_variants =
-    (* Evaluate every variant against the current context and keep the one
-       with the best single-tile IPC: a narrower DFG at II=1 often beats a
-       wide one strangled by link sharing or operand skew. *)
-    match region_variants with
-    | [] -> Error "region has no variants"
-    | _ ->
-      let sorted =
-        List.sort
-          (fun (a : Compile.variant) b -> compare b.unroll a.unroll)
-          region_variants
-      in
-      let scored =
-        List.filter_map
-          (fun v ->
-            let saved = snapshot ctx in
-            match schedule_variant ctx v with
-            | Ok s ->
-              restore ctx saved;
-              (* throughput in loop iterations per cycle *)
-              Some (float_of_int s.variant.unroll /. float_of_int (max 1 s.ii), v)
-            | Error _ -> None)
-          sorted
-      in
-      match scored with
-      | [] -> (
-        (* re-run the widest for its error message *)
-        match schedule_variant ctx (List.hd sorted) with
-        | Ok s -> Ok s (* cannot happen, but keep it if it does *)
-        | Error e -> Error e)
-      | _ ->
-        let _, best_v =
-          List.fold_left
-            (fun (bi, bv) (i, v) -> if i > bi then (i, v) else (bi, bv))
-            (List.hd scored) (List.tl scored)
-        in
-        schedule_variant ctx best_v
+    let saved = snapshot ctx in
+    let can_win best (v : Compile.variant) =
+      match best with
+      | Some (score, _, _) -> score < float_of_int v.unroll
+      | None -> true
+    in
+    let rec go best first_err = function
+      | (v : Compile.variant) :: rest when can_win best v -> (
+        match schedule_variant ctx v with
+        | Ok s ->
+          let score = float_of_int v.unroll /. float_of_int (max 1 s.ii) in
+          let best =
+            match best with
+            | Some (bs, _, _) when not (score > bs) -> best
+            | _ -> Some (score, s, capture ctx saved)
+          in
+          restore ctx saved;
+          go best first_err rest
+        | Error e ->
+          go best (if first_err = None then Some e else first_err) rest)
+      | _ -> (
+        match (best, first_err) with
+        | Some (_, s, redo), _ ->
+          replay ctx redo;
+          Ok s
+        | None, Some e -> Error e (* the widest variant's error *)
+        | None, None -> Error "region has no variants")
+    in
+    go None None
+      (List.sort
+         (fun (a : Compile.variant) b -> compare b.unroll a.unroll)
+         region_variants)
   in
   let rec all acc = function
     | [] -> Ok (List.rev acc)
@@ -1114,6 +1154,16 @@ let repair sys schedules =
     t.repair_memo <- Some (schedules, result);
     Ok result
   end
+  else if
+    (* a mutation can prune a placed node beyond the new id range; that
+       placement is broken, and the usage tables cannot even record it *)
+    not
+      (List.for_all
+         (fun (s : Schedule.t) ->
+           let in_range _ id = id >= 0 && id < t.n_ids in
+           Imap.for_all in_range s.inst_pe && Imap.for_all in_range s.port_map)
+         schedules)
+  then Error "placement on a node beyond the graph"
   else begin
     (* Re-route everything with placements pinned; fail if a placement
        itself is broken. *)

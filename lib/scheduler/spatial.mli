@@ -41,6 +41,19 @@ val debug_state : ctx -> string
     bytes, engine demand, link owners, next route tag); two contexts with
     equal dumps are observably identical to the scheduler.  For tests. *)
 
+type redo
+(** The final value of every usage cell changed since a mark, plus the
+    route-tag counter. *)
+
+val capture : ctx -> snap -> redo
+(** Record the state the mutations since the mark produced, so a later
+    {!restore} to that mark can be undone by {!replay}. *)
+
+val replay : ctx -> redo -> unit
+(** Re-apply a captured state on top of the state at its mark (through the
+    logged setters, so it can be restored again): the context ends exactly
+    as it was at {!capture} time. *)
+
 val schedule_variant : ctx -> Compile.variant -> (Schedule.t, string) result
 (** Map one region variant onto the hardware, consuming context resources.
     On failure the context is left unchanged. *)
@@ -49,7 +62,20 @@ val schedule_app :
   Sys_adg.t -> Compile.compiled -> (Schedule.t list, string) result
 (** Schedule every region of an application concurrently onto the fabric,
     choosing for each region the most aggressive variant that fits ("relax
-    DFG complexity" fallback).  Returns one schedule per region. *)
+    DFG complexity" fallback).  Returns one schedule per region.
+
+    A region's variants are scored widest first by iterations per cycle
+    (unroll / II, ties to the wider).  A score never exceeds its variant's
+    unroll, so scoring stops as soon as the best score reaches the next
+    variant's unroll: no later variant could beat it.  Each scored variant
+    is rolled back; the winner's state is then rebuilt by {!replay}ing the
+    record {!capture}d before its rollback, not by scheduling it again.
+    Both cut work the obs counters see:
+    [overgen_scheduler_variants_tried_total] (and accepted) no longer
+    count pruned variants or a second run of the winner, and
+    [overgen_scheduler_rollback_entries_total] no longer counts the
+    pruned variants' rollbacks.  When no variant fits, the error is the
+    widest variant's. *)
 
 val repair :
   Sys_adg.t -> Schedule.t list -> (Schedule.t list, string) result

@@ -12,6 +12,7 @@ let () =
       ("fpga+mlp", Test_fpga_mlp.tests);
       ("dse+hls", Test_dse_hls.tests);
       ("dse islands", Test_dse_islands.tests);
+      ("dse golden", Test_dse_golden.tests);
       ("isa+rtl+exec", Test_isa_rtl_exec.tests);
       ("obs", Test_obs.tests);
       ("core", Test_core.tests);

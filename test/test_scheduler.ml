@@ -205,6 +205,39 @@ let test_repair_fails_when_pe_capability_lost () =
   | Ok _ -> Alcotest.fail "repair cannot fix placements"
   | Error _ -> ()
 
+(* A mutation can delete the highest-numbered node a prior schedule sits
+   on, leaving a placement beyond the new graph's id range: repair must
+   report that as a failed repair (so reschedule moves on to its next
+   tier), not index past its usage tables. *)
+let test_repair_fails_when_placed_pe_removed () =
+  let sys = general () in
+  let c = Compile.compile (Kernels.find "mm") in
+  let scheds =
+    match Spatial.schedule_app sys c with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "mm: %s" e
+  in
+  let top =
+    List.fold_left
+      (fun acc (s : Schedule.t) ->
+        Schedule.Imap.fold (fun _ pe acc -> max acc pe) s.inst_pe acc)
+      (-1) scheds
+  in
+  let adg =
+    List.fold_left
+      (fun adg (id, _) -> if id >= top then Adg.remove_node adg id else adg)
+      sys.adg (Adg.nodes sys.adg)
+  in
+  Alcotest.(check bool) "placed PE is out of the graph's id range" true
+    (Adg.max_id adg < top);
+  let sys' = Sys_adg.with_adg sys adg in
+  (match Spatial.repair sys' scheds with
+  | Ok _ -> Alcotest.fail "repair cannot keep a placement on a removed PE"
+  | Error _ -> ());
+  match Spatial.reschedule sys' c ~prior:scheds with
+  | Ok (_, Spatial.Repaired) -> Alcotest.fail "reschedule must not report a repair"
+  | Ok ((_ : Schedule.t list), (Spatial.Incremental | Spatial.Full)) | Error _ -> ()
+
 let test_relaxation_on_small_fabric () =
   (* a tiny fabric forces fallback to a narrow variant, not failure *)
   let caps = Op.Cap.of_ops [ Op.Add; Op.Mul; Op.Acc ] [ Dtype.I16 ] in
@@ -352,6 +385,41 @@ let prop_undo_log_matches_oracle =
       done;
       (* unwind the remaining marks in LIFO order *)
       List.iter check_restore !stack;
+      true)
+
+(* schedule_app's redo record: capturing after a variant, restoring to the
+   pre-variant mark and replaying must land on exactly the state the
+   variant produced; the replayed state is logged, so it rolls back too. *)
+let prop_capture_replay_matches_schedule =
+  QCheck.Test.make ~name:"capture, restore, replay = state after schedule_variant"
+    ~count:12
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let sys = general () in
+      let variants = variant_pool () in
+      let nv = List.length variants in
+      let rng = Rng.create seed in
+      let ctx = Spatial.fresh_ctx sys in
+      let expect what want =
+        if Spatial.debug_state ctx <> want then QCheck.Test.fail_report what
+      in
+      for _ = 1 to 20 do
+        let before = Spatial.debug_state ctx in
+        let mark = Spatial.snapshot ctx in
+        match Spatial.schedule_variant ctx (List.nth variants (Rng.int rng nv)) with
+        | Error _ -> expect "a failed variant changed the state" before
+        | Ok _ ->
+          let after = Spatial.debug_state ctx in
+          let redo = Spatial.capture ctx mark in
+          Spatial.restore ctx mark;
+          expect "restore diverged from the pre-variant state" before;
+          Spatial.replay ctx redo;
+          expect "replay diverged from the post-variant state" after;
+          if Rng.int rng 3 = 0 then begin
+            Spatial.restore ctx mark;
+            expect "restoring a replay diverged from the pre-variant state" before
+          end
+      done;
       true)
 
 let test_stale_snapshot_raises () =
@@ -530,10 +598,13 @@ let tests =
     Alcotest.test_case "repair fast path" `Quick test_repair_after_harmless_change;
     Alcotest.test_case "repair reroutes" `Quick test_repair_reroutes_after_switch_removal;
     Alcotest.test_case "repair detects lost caps" `Quick test_repair_fails_when_pe_capability_lost;
+    Alcotest.test_case "repair fails on a removed placed PE" `Quick
+      test_repair_fails_when_placed_pe_removed;
     Alcotest.test_case "relax on small fabric" `Quick test_relaxation_on_small_fabric;
     Alcotest.test_case "ii covers port width" `Quick test_compute_ii_respects_port_width;
     QCheck_alcotest.to_alcotest prop_schedule_deterministic;
     QCheck_alcotest.to_alcotest prop_undo_log_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_capture_replay_matches_schedule;
     Alcotest.test_case "stale snapshot raises" `Quick test_stale_snapshot_raises;
     Alcotest.test_case "rollback counter / free no-op restore" `Quick
       test_rollback_counter_and_free_noop;
