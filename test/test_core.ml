@@ -1,13 +1,13 @@
 open Overgen_workload
 module Dse = Overgen_dse.Dse
 
-let model = lazy (Overgen.train_model ~seed:21 ())
+let model () = Models.trained 21
 
 let small_overlay =
   lazy
     (Overgen.generate
        ~config:{ Dse.default_config with iterations = 80; seed = 33 }
-       ~model:(Lazy.force model)
+       ~model:(model ())
        [ Kernels.find "vecmax"; Kernels.find "accumulate" ])
 
 let test_generate_and_run () =
@@ -31,7 +31,7 @@ let test_in_domain_kernels_always_run () =
     [ "vecmax"; "accumulate" ]
 
 let test_general_hosts_all () =
-  match Overgen.general ~model:(Lazy.force model) Kernels.all with
+  match Overgen.general ~model:(model ()) Kernels.all with
   | Ok o ->
     List.iter
       (fun (k : Ir.kernel) ->

@@ -7,7 +7,7 @@ module Hls = Overgen_hls.Hls
 module Predict = Overgen_mlp.Predict
 module Res = Overgen_fpga.Res
 
-let model = lazy (Predict.train ~seed:11 ())
+let model () = Models.trained 11
 
 let small_cfg seed = { Dse.default_config with iterations = 60; seed }
 
@@ -86,7 +86,7 @@ let test_preserving_remove_switch_collapses () =
 (* ---------------- DSE ---------------- *)
 
 let test_dse_improves_over_seed () =
-  let model = Lazy.force model in
+  let model = model () in
   let r = Dse.explore ~config:(small_cfg 5) ~model (Dse.compile_apps ~tuned:false [ Kernels.find "vecmax" ]) in
   (match r.trace with
   | first :: _ ->
@@ -97,14 +97,14 @@ let test_dse_improves_over_seed () =
     (r.stats.accepted <= 60 && r.stats.invalid <= 60)
 
 let test_dse_fits_device () =
-  let model = Lazy.force model in
+  let model = model () in
   let r = Dse.explore ~config:(small_cfg 6) ~model (Dse.compile_apps ~tuned:false [ Kernels.find "accumulate" ]) in
   let usable = Overgen_fpga.Device.(usable default) in
   Alcotest.(check bool) "predicted resources fit" true
     (Res.fits r.best.predicted ~within:usable)
 
 let test_dse_schedules_valid () =
-  let model = Lazy.force model in
+  let model = model () in
   let r = Dse.explore ~config:(small_cfg 7) ~model (Dse.compile_apps ~tuned:false [ Kernels.find "acc-sqr" ]) in
   List.iter
     (List.iter (fun s ->
@@ -114,14 +114,14 @@ let test_dse_schedules_valid () =
     r.best.per_app
 
 let test_dse_deterministic () =
-  let model = Lazy.force model in
+  let model = model () in
   let apps = Dse.compile_apps ~tuned:false [ Kernels.find "convert-bit" ] in
   let a = Dse.explore ~config:(small_cfg 8) ~model apps in
   let b = Dse.explore ~config:(small_cfg 8) ~model apps in
   Alcotest.(check (float 1e-9)) "same objective" a.best.objective b.best.objective
 
 let test_dse_trace_monotone_time () =
-  let model = Lazy.force model in
+  let model = model () in
   let r = Dse.explore ~config:(small_cfg 9) ~model (Dse.compile_apps ~tuned:false [ Kernels.find "vecmax" ]) in
   let rec mono = function
     | (a : Dse.trace_point) :: (b :: _ as rest) ->
@@ -131,7 +131,7 @@ let test_dse_trace_monotone_time () =
   Alcotest.(check bool) "modeled time increases" true (mono r.trace)
 
 let test_evaluate_fixed_design () =
-  let model = Lazy.force model in
+  let model = model () in
   let sys = Builder.general_overlay () in
   match Dse.evaluate ~model sys (Dse.compile_apps ~tuned:false (Kernels.of_suite Suite.Vision)) with
   | Ok d -> Alcotest.(check bool) "objective positive" true (d.objective > 0.0)

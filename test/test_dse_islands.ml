@@ -6,14 +6,14 @@ module Dse = Overgen_dse.Dse
 module Predict = Overgen_mlp.Predict
 module Serial = Overgen_adg.Serial
 
-let model = lazy (Predict.train ~seed:11 ())
+let model () = Models.trained 11
 
 let apps = lazy (Dse.compile_apps ~tuned:false [ Kernels.find "vecmax" ])
 
 let cfg ?(iterations = 40) ?(islands = 1) ?(migration_interval = 10) seed =
   { Dse.default_config with seed; iterations; islands; migration_interval }
 
-let explore config = Dse.explore ~config ~model:(Lazy.force model) (Lazy.force apps)
+let explore config = Dse.explore ~config ~model:(model ()) (Lazy.force apps)
 
 let same_result (a : Dse.result) (b : Dse.result) =
   Alcotest.(check (float 1e-12)) "same objective" a.best.objective b.best.objective;
@@ -104,7 +104,7 @@ let test_config_validation () =
     (Invalid_argument "Dse.explore: resume requested without a checkpoint")
     (fun () ->
       ignore
-        (Dse.explore ~config:(cfg 1) ~resume:true ~model:(Lazy.force model)
+        (Dse.explore ~config:(cfg 1) ~resume:true ~model:(model ())
            (Lazy.force apps)))
 
 (* ---------------- checkpoint / resume ---------------- *)
@@ -131,12 +131,12 @@ let resume_matches_uninterrupted ~islands ~stop_after =
   let checkpoint = { Dse.store; key = "run"; interval = 1 } in
   let partial =
     Dse.explore ~config ~checkpoint ~stop_after_rounds:stop_after
-      ~model:(Lazy.force model) (Lazy.force apps)
+      ~model:(model ()) (Lazy.force apps)
   in
   Alcotest.(check bool) "interrupted run did less work" true
     (List.length partial.trace < List.length full.trace);
   let resumed =
-    Dse.explore ~config ~checkpoint ~resume:true ~model:(Lazy.force model)
+    Dse.explore ~config ~checkpoint ~resume:true ~model:(model ())
       (Lazy.force apps)
   in
   same_result full resumed
@@ -154,7 +154,7 @@ let test_resume_refuses_other_config () =
   let checkpoint = { Dse.store; key = "run"; interval = 1 } in
   ignore
     (Dse.explore ~config:(cfg 27) ~checkpoint ~stop_after_rounds:1
-       ~model:(Lazy.force model) (Lazy.force apps));
+       ~model:(model ()) (Lazy.force apps));
   (* same key, different seed: the signature stamp must refuse it *)
   Alcotest.check_raises "signature mismatch refused"
     (Failure
@@ -163,7 +163,7 @@ let test_resume_refuses_other_config () =
     (fun () ->
       ignore
         (Dse.explore ~config:(cfg 28) ~checkpoint ~resume:true
-           ~model:(Lazy.force model) (Lazy.force apps)))
+           ~model:(model ()) (Lazy.force apps)))
 
 let test_resume_requires_checkpoint_record () =
   with_store @@ fun store ->
@@ -172,7 +172,7 @@ let test_resume_requires_checkpoint_record () =
     (Failure "Dse.explore: no checkpoint to resume from") (fun () ->
       ignore
         (Dse.explore ~config:(cfg 27) ~checkpoint ~resume:true
-           ~model:(Lazy.force model) (Lazy.force apps)))
+           ~model:(model ()) (Lazy.force apps)))
 
 let test_completed_run_resumes_to_itself () =
   (* resuming a finished run replays nothing and returns the same result *)
@@ -180,10 +180,10 @@ let test_completed_run_resumes_to_itself () =
   let config = cfg ~iterations:40 29 in
   let checkpoint = { Dse.store; key = "run"; interval = 2 } in
   let done_ =
-    Dse.explore ~config ~checkpoint ~model:(Lazy.force model) (Lazy.force apps)
+    Dse.explore ~config ~checkpoint ~model:(model ()) (Lazy.force apps)
   in
   let again =
-    Dse.explore ~config ~checkpoint ~resume:true ~model:(Lazy.force model)
+    Dse.explore ~config ~checkpoint ~resume:true ~model:(model ())
       (Lazy.force apps)
   in
   same_result done_ again

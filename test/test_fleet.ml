@@ -16,11 +16,11 @@ module Admission = Overgen_fleet.Admission
 module Manager = Overgen_fleet.Manager
 module Share = Overgen_fleet.Share
 
-let model = lazy (Overgen.train_model ~seed:21 ())
+let model () = Models.trained 21
 
 let general =
   lazy
-    (match Overgen.general ~model:(Lazy.force model) Kernels.all with
+    (match Overgen.general ~model:(model ()) Kernels.all with
     | Ok o -> o
     | Error e -> failwith ("general overlay: " ^ e))
 
@@ -29,7 +29,7 @@ let decoy =
   lazy
     (Overgen.generate
        ~config:{ Overgen_dse.Dse.default_config with iterations = 40; seed = 5 }
-       ~model:(Lazy.force model)
+       ~model:(model ())
        [ Kernels.find "fir" ])
 
 (* ---------------- DRR properties ---------------- *)
@@ -385,7 +385,7 @@ let test_retire_restart_verify () =
       (Store.bindings s ~ns:"schedule-cache")
   in
   Alcotest.(check bool) "decoy schedule persisted" true (has_decoy_record store);
-  let manager = Manager.create ~cache ~store ~model:(Lazy.force model) registry in
+  let manager = Manager.create ~cache ~store ~model:(model ()) registry in
   (match Manager.retire manager "decoy" with
   | Ok purged -> Alcotest.(check bool) "purged at least one" true (purged >= 1)
   | Error e -> Alcotest.failf "retire: %s" e);
@@ -482,7 +482,7 @@ let test_scan_and_promote () =
           dse_top_kernels = 2;
         }
       ~clock:(fun () -> !now)
-      ~model:(Lazy.force model) registry
+      ~model:(model ()) registry
   in
   (* protected names refuse to retire even when idle *)
   (match Manager.retire manager "general" with

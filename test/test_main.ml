@@ -10,6 +10,7 @@ let () =
       ("scheduler", Test_scheduler.tests);
       ("perf+sim", Test_perf_sim.tests);
       ("fpga+mlp", Test_fpga_mlp.tests);
+      ("mlp golden", Test_mlp_golden.tests);
       ("dse+hls", Test_dse_hls.tests);
       ("dse islands", Test_dse_islands.tests);
       ("dse golden", Test_dse_golden.tests);

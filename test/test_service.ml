@@ -18,11 +18,11 @@ module Rng = Overgen_util.Rng
 module Fault = Overgen_fault.Fault
 module Pool = Overgen_par.Pool
 
-let model = lazy (Overgen.train_model ~seed:21 ())
+let model () = Models.trained 21
 
 let general =
   lazy
-    (match Overgen.general ~model:(Lazy.force model) Kernels.all with
+    (match Overgen.general ~model:(model ()) Kernels.all with
     | Ok o -> o
     | Error e -> failwith ("general overlay: " ^ e))
 
@@ -581,7 +581,7 @@ let tiny_overlay () =
   let design =
     { Overgen_dse.Dse.sys; per_app = []; objective = 0.0; predicted = synth.res }
   in
-  { Overgen.design; synth; model = Lazy.force model; dse = None }
+  { Overgen.design; synth; model = model (); dse = None }
 
 let test_negative_caching () =
   let o = tiny_overlay () in

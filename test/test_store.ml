@@ -16,11 +16,11 @@ module Trace = Overgen_service.Trace
 module Fault = Overgen_fault.Fault
 module Serial = Overgen_adg.Serial
 
-let model = lazy (Overgen.train_model ~seed:21 ())
+let model () = Models.trained 21
 
 let general =
   lazy
-    (match Overgen.general ~model:(Lazy.force model) Kernels.all with
+    (match Overgen.general ~model:(model ()) Kernels.all with
     | Ok o -> o
     | Error e -> failwith ("general overlay: " ^ e))
 
