@@ -30,6 +30,13 @@ let tests () =
       (Staged.stage (fun () -> ignore (Compile.compile fir)));
     Test.make ~name:"table1/mlp-predict-tile"
       (Staged.stage (fun () -> ignore (Predict.predict_accel model sys.adg)));
+    (* Table I substrate: the largest of the four models [Predict.train]
+       fits, the PE one (dataset generation, scaling, 200 epochs) *)
+    Test.make ~name:"table1/mlp-train-pe"
+      (Staged.stage (fun () ->
+           ignore
+             (Predict.train_kind ~seed:7 Predict.Pe_k
+                (List.assoc Predict.Pe_k Predict.default_counts))));
     (* Figure 13 substrate *)
     Test.make ~name:"fig13/schedule-fir"
       (Staged.stage (fun () -> ignore (Spatial.schedule_app sys compiled)));

@@ -37,71 +37,125 @@ let n_outputs t = List.nth t.sizes (List.length t.sizes - 1)
 
 let relu x = if x > 0.0 then x else 0.0
 
-(* Forward pass returning all activations (pre-output layers ReLU'd). *)
-let forward_all t x =
+let check_width fn what ~expected a =
+  if Array.length a <> expected then
+    invalid_arg
+      (Printf.sprintf "%s: %s has width %d, expected %d" fn what (Array.length a)
+         expected)
+
+(* The hot loops below index floats without bounds checks: [create] sizes
+   every row, the scratch buffers are sized from the layers, and [forward]
+   and [train] check every input and target width on entry. *)
+external ( .!() ) : float array -> int -> float = "%array_unsafe_get"
+external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
+
+(* One layer's forward pass into [out]: bias plus the weighted inputs summed
+   in input order, ReLU'd unless [last].  Plain loops over unboxed floats,
+   so nothing is allocated. *)
+let layer_forward l ~last inp out =
+  for j = 0 to Array.length l.weights - 1 do
+    let row = l.weights.(j) in
+    let s = ref l.bias.!(j) in
+    for k = 0 to Array.length row - 1 do
+      s := !s +. (row.!(k) *. inp.!(k))
+    done;
+    out.!(j) <- (if last then !s else relu !s)
+  done
+
+let forward t x =
+  check_width "Mlp.forward" "input" ~expected:(n_inputs t) x;
   let n = Array.length t.layers in
-  let acts = Array.make (n + 1) x in
+  let inp = ref x in
   for i = 0 to n - 1 do
     let l = t.layers.(i) in
-    let last = i = n - 1 in
-    let inp = acts.(i) in
-    let out =
-      Array.mapi
-        (fun j row ->
-          let s = ref l.bias.(j) in
-          Array.iteri (fun k w -> s := !s +. (w *. inp.(k))) row;
-          if last then !s else relu !s)
-        l.weights
-    in
-    acts.(i + 1) <- out
+    let out = Array.make (Array.length l.bias) 0.0 in
+    layer_forward l ~last:(i = n - 1) !inp out;
+    inp := out
   done;
-  acts
+  !inp
 
-let forward t x = (forward_all t x).(Array.length t.layers)
+(* Scratch space for one [train] call: [acts.(i)] is the input of layer
+   [i] for [i >= 1] (the sample's own input stands in for layer 0), and
+   [acts.(n)] the network's output; [deltas.(i)] is dL/d(output of layer
+   [i]). *)
+type scratch = { acts : float array array; deltas : float array array }
 
-let backprop t ~rate ~momentum x y =
+let scratch t =
+  let outs = Array.map (fun l -> Array.length l.bias) t.layers in
+  {
+    acts =
+      Array.init
+        (Array.length t.layers + 1)
+        (fun i -> Array.make (if i = 0 then 0 else outs.(i - 1)) 0.0);
+    deltas = Array.map (fun n -> Array.make n 0.0) outs;
+  }
+
+(* One SGD step on sample [(x, y)].  Every float operation happens in the
+   order of the textbook pass (forward; output delta; per layer from the
+   top: propagate the delta through the old weights, mask it with the ReLU
+   derivative, then update), so the weights come out bit for bit the same.
+   Propagation is fused into the update loop: each weight is read before
+   it is written, and [prev.(k)] still accumulates over [j] in order. *)
+let step t s ~rate ~momentum x y =
   let n = Array.length t.layers in
-  let acts = forward_all t x in
-  let out = acts.(n) in
+  for i = 0 to n - 1 do
+    layer_forward t.layers.(i) ~last:(i = n - 1)
+      (if i = 0 then x else s.acts.(i))
+      s.acts.(i + 1)
+  done;
   (* dL/dout for MSE (factor 2 folded into the rate) *)
-  let delta = ref (Array.mapi (fun i o -> o -. y.(i)) out) in
+  let out = s.acts.(n) and d_out = s.deltas.(n - 1) in
+  for j = 0 to Array.length out - 1 do
+    d_out.!(j) <- out.!(j) -. y.!(j)
+  done;
   for i = n - 1 downto 0 do
     let l = t.layers.(i) in
-    let inp = acts.(i) in
-    let d = !delta in
-    (* propagate before updating weights *)
-    let prev_delta = Array.make (Array.length inp) 0.0 in
-    Array.iteri
-      (fun j row ->
-        Array.iteri
-          (fun k w -> prev_delta.(k) <- prev_delta.(k) +. (w *. d.(j)))
-          row)
-      l.weights;
-    (* ReLU derivative on the previous activation (skip for the input) *)
-    if i > 0 then
-      Array.iteri
-        (fun k a -> if a <= 0.0 then prev_delta.(k) <- 0.0)
-        acts.(i);
-    (* update *)
-    Array.iteri
-      (fun j row ->
-        let dj = d.(j) in
-        Array.iteri
-          (fun k _ ->
-            let g = dj *. inp.(k) in
-            l.w_vel.(j).(k) <- (momentum *. l.w_vel.(j).(k)) -. (rate *. g);
-            row.(k) <- row.(k) +. l.w_vel.(j).(k))
-          row;
-        l.b_vel.(j) <- (momentum *. l.b_vel.(j)) -. (rate *. dj);
-        l.bias.(j) <- l.bias.(j) +. l.b_vel.(j))
-      l.weights;
-    delta := prev_delta
+    let inp = if i = 0 then x else s.acts.(i) in
+    let d = s.deltas.(i) in
+    (* the input layer's delta is never used, so it is not computed *)
+    let propagate = i > 0 in
+    let prev = if propagate then s.deltas.(i - 1) else d in
+    if propagate then Array.fill prev 0 (Array.length prev) 0.0;
+    for j = 0 to Array.length l.weights - 1 do
+      let row = l.weights.(j) and vel = l.w_vel.(j) in
+      let dj = d.!(j) in
+      for k = 0 to Array.length row - 1 do
+        let w = row.!(k) in
+        if propagate then prev.!(k) <- prev.!(k) +. (w *. dj);
+        let g = dj *. inp.!(k) in
+        vel.!(k) <- (momentum *. vel.!(k)) -. (rate *. g);
+        row.!(k) <- w +. vel.!(k)
+      done;
+      l.b_vel.!(j) <- (momentum *. l.b_vel.!(j)) -. (rate *. dj);
+      l.bias.!(j) <- l.bias.!(j) +. l.b_vel.!(j)
+    done;
+    (* ReLU derivative on the layer's input *)
+    if propagate then
+      for k = 0 to Array.length inp - 1 do
+        if inp.!(k) <= 0.0 then prev.!(k) <- 0.0
+      done
   done
 
 let train t ~rng ~rate ?(momentum = 0.9) ~epochs samples =
+  let samples = Array.of_list samples in
+  Array.iter
+    (fun (x, y) ->
+      check_width "Mlp.train" "sample input" ~expected:(n_inputs t) x;
+      check_width "Mlp.train" "sample target" ~expected:(n_outputs t) y)
+    samples;
+  let s = scratch t in
+  let n = Array.length samples in
+  let order = Array.make n 0 in
   for _ = 1 to epochs do
-    let shuffled = Rng.shuffle rng samples in
-    List.iter (fun (x, y) -> backprop t ~rate ~momentum x y) shuffled
+    (* each epoch permutes the original order, as [Rng.shuffle] would *)
+    for i = 0 to n - 1 do
+      order.(i) <- i
+    done;
+    Rng.shuffle_in_place rng order;
+    for i = 0 to n - 1 do
+      let x, y = samples.(order.(i)) in
+      step t s ~rate ~momentum x y
+    done
   done
 
 let loss t samples =
@@ -127,6 +181,13 @@ module Scaler = struct
     | [] -> invalid_arg "Scaler.fit: empty"
     | first :: _ ->
       let n = Array.length first in
+      List.iter
+        (fun row ->
+          if Array.length row <> n then
+            invalid_arg
+              (Printf.sprintf "Scaler.fit: ragged rows (width %d, expected %d)"
+                 (Array.length row) n))
+        rows;
       let mins = Array.make n infinity and maxs = Array.make n neg_infinity in
       List.iter
         (fun row ->

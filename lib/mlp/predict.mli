@@ -26,7 +26,16 @@ val default_counts : (kind * int) list
     training completes in seconds; recorded in EXPERIMENTS.md. *)
 
 val train : ?counts:(kind * int) list -> seed:int -> unit -> t
-(** Generate the dataset with the oracle and train all four models. *)
+(** Generate the dataset with the oracle and train all four models, the
+    kinds concurrently on two domains.  The result does not depend on
+    scheduling: each kind draws from its own seeded RNG. *)
+
+type model
+(** One kind's trained network, with its scalers and test error. *)
+
+val train_kind : seed:int -> kind -> int -> model
+(** [train_kind ~seed kind n]: the model {!train} builds for [kind] from
+    [n] samples (what the micro-benchmark times). *)
 
 type memo
 (** Component predictions already computed, keyed on the exact input each

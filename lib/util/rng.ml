@@ -2,8 +2,9 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-(* SplitMix64 finalizer: the standard mix of Steele, Lea and Flood. *)
-let mix64 z =
+(* SplitMix64 finalizer: the standard mix of Steele, Lea and Flood.
+   Inlined so callers keep the state unboxed. *)
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -45,11 +46,12 @@ let streams seed n =
   in
   create seed :: rest 1
 
+(* Keep 62 bits so the value fits OCaml's 63-bit native int positively. *)
+let[@inline] bounded z bound = Int64.to_int (Int64.shift_right_logical z 2) mod bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Keep 62 bits so the value fits OCaml's 63-bit native int positively. *)
-  let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
-  v mod bound
+  bounded (next_int64 t) bound
 
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
@@ -85,12 +87,20 @@ let choose_weighted t weighted =
   in
   pick 0.0 weighted
 
-let shuffle t l =
-  let arr = Array.of_list l in
+(* Fisher-Yates drawing [int t (i + 1)] for i from the top down, with the
+   state held in a local so the loop allocates nothing. *)
+let shuffle_in_place t arr =
+  let s = ref t.state in
   for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
+    s := Int64.add !s golden_gamma;
+    let j = bounded (mix64 !s) (i + 1) in
     let tmp = arr.(i) in
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done;
+  t.state <- !s
+
+let shuffle t l =
+  let arr = Array.of_list l in
+  shuffle_in_place t arr;
   Array.to_list arr

@@ -56,3 +56,7 @@ val choose_weighted : t -> (float * 'a) list -> 'a
 
 val shuffle : t -> 'a list -> 'a list
 (** Uniform random permutation. *)
+
+val shuffle_in_place : t -> 'a array -> unit
+(** Permute the array in place with exactly the draws {!shuffle} makes on
+    a list of the same length, allocating nothing per element. *)

@@ -122,12 +122,71 @@ let test_scaler_roundtrip () =
   let scaled = Mlp.Scaler.apply s [| 10.0; 40.0 |] in
   Array.iter (fun v -> Alcotest.(check (float 1e-9)) "max scales to 1" 1.0 v) scaled
 
+(* Training steps over scratch buffers: the minor heap sees a few words
+   per call and per epoch, none per sample-step. *)
+let test_mlp_train_allocation () =
+  let rng = Rng.create 8 in
+  let net = Mlp.create ~rng ~layers:[ 4; 16; 8; 2 ] in
+  let data =
+    List.init 200 (fun _ ->
+        (Array.init 4 (fun _ -> Rng.float rng 1.0), Array.init 2 (fun _ -> Rng.float rng 1.0)))
+  in
+  let epochs = 200 in
+  let w0 = Gc.minor_words () in
+  Mlp.train net ~rng ~rate:0.002 ~epochs data;
+  let words = Gc.minor_words () -. w0 in
+  let steps = float_of_int (epochs * List.length data) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words under one per sample-step (%.0f)" words steps)
+    true (words < steps)
+
+let fresh_net () = Mlp.create ~rng:(Rng.create 9) ~layers:[ 3; 4; 2 ]
+
+let is_invalid_arg f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* A bad sample is rejected before any weight moves, wherever it sits in
+   the list. *)
+let test_mlp_train_rejects_widths () =
+  let good = ([| 0.1; 0.2; 0.3 |], [| 0.5; 0.5 |]) in
+  let probe = [| 0.3; 0.7; 0.1 |] in
+  List.iter
+    (fun (label, bad) ->
+      let net = fresh_net () in
+      let before = Mlp.forward net probe in
+      Alcotest.(check bool) label true
+        (is_invalid_arg (fun () ->
+             Mlp.train net ~rng:(Rng.create 1) ~rate:0.1 ~epochs:3
+               (List.init 20 (fun _ -> good) @ [ bad ])));
+      Alcotest.(check bool) (label ^ ": weights untouched") true
+        (Mlp.forward net probe = before))
+    [
+      ("short x", ([| 0.1; 0.2 |], [| 0.5; 0.5 |]));
+      ("long x", ([| 0.1; 0.2; 0.3; 0.4 |], [| 0.5; 0.5 |]));
+      ("short y", ([| 0.1; 0.2; 0.3 |], [| 0.5 |]));
+      ("long y", ([| 0.1; 0.2; 0.3 |], [| 0.5; 0.5; 0.5 |]));
+    ]
+
+let test_mlp_forward_rejects_widths () =
+  let net = fresh_net () in
+  Alcotest.(check bool) "short input" true
+    (is_invalid_arg (fun () -> Mlp.forward net [| 0.1; 0.2 |]));
+  Alcotest.(check bool) "long input" true
+    (is_invalid_arg (fun () -> Mlp.forward net [| 0.1; 0.2; 0.3; 0.4 |]));
+  Alcotest.(check int) "right width" 2 (Array.length (Mlp.forward net [| 0.1; 0.2; 0.3 |]))
+
+let test_scaler_rejects_ragged () =
+  Alcotest.(check bool) "longer later row" true
+    (is_invalid_arg (fun () -> Mlp.Scaler.fit [ [| 0.0; 1.0 |]; [| 2.0; 3.0; 4.0 |] ]));
+  Alcotest.(check bool) "shorter later row" true
+    (is_invalid_arg (fun () -> Mlp.Scaler.fit [ [| 0.0; 1.0 |]; [| 2.0 |] ]))
+
 (* ---------------- predictor ---------------- *)
 
-let model = lazy (Predict.train ~seed:3 ())
+let model () = Models.trained 3
 
 let test_predictor_accuracy () =
-  let m = Lazy.force model in
+  let m = model () in
   List.iter
     (fun (k, _) ->
       let e = Predict.test_error m k in
@@ -137,7 +196,7 @@ let test_predictor_accuracy () =
     Predict.default_counts
 
 let test_predictor_pessimism () =
-  let m = Lazy.force model in
+  let m = model () in
   let sys = Builder.general_overlay () in
   let pred = Predict.predict_full m sys in
   let act = (Oracle.synth_full sys).res in
@@ -148,7 +207,7 @@ let test_predictor_pessimism () =
     (ratio >= 1.0 && ratio <= 1.8)
 
 let test_predictor_monotone_in_tiles () =
-  let m = Lazy.force model in
+  let m = model () in
   let sys = Builder.general_overlay () in
   let p tiles =
     (Predict.predict_full m (Sys_adg.with_system sys { sys.system with System.tiles })).Res.lut
@@ -168,7 +227,7 @@ let prop_predictions_nonnegative =
   QCheck.Test.make ~name:"predictions are non-negative" ~count:50
     QCheck.(pair (int_range 1 6) (int_range 1 6))
     (fun (fan_in, fan_out) ->
-      let m = Lazy.force model in
+      let m = model () in
       let r =
         Predict.predict_comp m (Comp.Switch { width_bits = 64 }) ~fan_in ~fan_out
       in
@@ -190,6 +249,10 @@ let tests =
     Alcotest.test_case "mlp linear" `Slow test_mlp_learns_linear;
     Alcotest.test_case "mlp product" `Slow test_mlp_learns_product;
     Alcotest.test_case "scaler roundtrip" `Quick test_scaler_roundtrip;
+    Alcotest.test_case "mlp train allocation" `Quick test_mlp_train_allocation;
+    Alcotest.test_case "mlp train rejects widths" `Quick test_mlp_train_rejects_widths;
+    Alcotest.test_case "mlp forward rejects widths" `Quick test_mlp_forward_rejects_widths;
+    Alcotest.test_case "scaler rejects ragged rows" `Quick test_scaler_rejects_ragged;
     Alcotest.test_case "predictor accuracy" `Slow test_predictor_accuracy;
     Alcotest.test_case "predictor pessimism" `Slow test_predictor_pessimism;
     Alcotest.test_case "predictor monotone" `Slow test_predictor_monotone_in_tiles;

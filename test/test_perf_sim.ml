@@ -213,9 +213,6 @@ let prop_sim_cycles_bounded_below =
 
 (* ---------------- simulator golden table and single-loop invariants ---------------- *)
 
-let data_dir name =
-  if Sys.file_exists name then name else Filename.concat "test" name
-
 let bits = Printf.sprintf "%.17g"
 
 (* label, total cycles, per-region (or per-tenant) cycles, L2 bytes, DRAM
@@ -271,23 +268,9 @@ let golden_rows () =
    file over test/sim-golden.tsv — only when a change to simulated timing
    is intended. *)
 let test_sim_golden_table () =
-  let rows = golden_rows () in
-  (match Sys.getenv_opt "OVERGEN_SIM_GOLDEN_OUT" with
-  | Some path ->
-    Out_channel.with_open_bin path (fun oc ->
-        output_string oc
-          "# label\ttotal_cycles\tregion_cycles\tl2_bytes\tdram_bytes (general overlay)\n";
-        List.iter (fun r -> output_string oc (r ^ "\n")) rows)
-  | None -> ());
-  let golden =
-    In_channel.with_open_bin (data_dir "sim-golden.tsv") In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
-  Alcotest.(check int) "row count" (List.length golden) (List.length rows);
-  List.iter2
-    (fun g r -> Alcotest.(check string) (List.hd (String.split_on_char '\t' g)) g r)
-    golden rows
+  Golden.check ~file:"sim-golden.tsv" ~regen_var:"OVERGEN_SIM_GOLDEN_OUT"
+    ~header:"# label\ttotal_cycles\tregion_cycles\tl2_bytes\tdram_bytes (general overlay)\n"
+    (golden_rows ())
 
 let drain_of (s : Schedule.t) = Dfg.depth s.variant.dfg + Sim.default_config.l2_hit_latency
 

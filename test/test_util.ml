@@ -88,6 +88,34 @@ let test_rng_shuffle_permutation () =
   let s = Rng.shuffle r l in
   Alcotest.(check (list int)) "same multiset" l (List.sort compare s)
 
+(* [shuffle] and [shuffle_in_place] keep the original Fisher-Yates draws,
+   [int t (i + 1)] for i from the top down: the MLP's training order, and
+   so its trained weights, depend on it. *)
+let test_rng_shuffle_reference_draws () =
+  let reference t l =
+    let arr = Array.of_list l in
+    for i = Array.length arr - 1 downto 1 do
+      let j = Rng.int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done;
+    Array.to_list arr
+  in
+  List.iter
+    (fun n ->
+      let l = List.init n Fun.id in
+      let a = Rng.create n and b = Rng.create n and c = Rng.create n in
+      let expected = reference a l in
+      Alcotest.(check (list int)) "shuffle" expected (Rng.shuffle b l);
+      let arr = Array.of_list l in
+      Rng.shuffle_in_place c arr;
+      Alcotest.(check (list int)) "shuffle_in_place" expected (Array.to_list arr);
+      let next = Rng.int a 1_000_000 in
+      Alcotest.(check int) "shuffle leaves the same state" next (Rng.int b 1_000_000);
+      Alcotest.(check int) "in place leaves the same state" next (Rng.int c 1_000_000))
+    [ 0; 1; 2; 7; 50; 800 ]
+
 let test_geomean () =
   check_float "geomean" 2.0 (Stats.geomean [ 1.0; 2.0; 4.0 ]);
   check_float "singleton" 5.0 (Stats.geomean [ 5.0 ]);
@@ -238,6 +266,8 @@ let tests =
     Alcotest.test_case "rng weighted choice" `Quick test_rng_choose_weighted;
     Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutation;
+    Alcotest.test_case "rng shuffle reference draws" `Quick
+      test_rng_shuffle_reference_draws;
     Alcotest.test_case "geomean" `Quick test_geomean;
     Alcotest.test_case "geomean rejects <=0" `Quick test_geomean_rejects_nonpositive;
     Alcotest.test_case "weighted geomean" `Quick test_weighted_geomean;
