@@ -14,6 +14,7 @@ module Trace = Overgen_service.Trace
 module Telemetry = Overgen_service.Telemetry
 module Fault = Overgen_fault.Fault
 module Log = Overgen_obs.Obs.Log
+module Admission = Overgen_fleet.Admission
 
 let requests = 120
 let fault_seed = 9
@@ -42,10 +43,11 @@ let replay registry trace ~mode ~policy ~faults =
       registry
   in
   let t0 = Unix.gettimeofday () in
+  let run () = Admission.run (Admission.create svc) trace in
   let responses =
     match faults with
-    | None -> Service.run svc trace
-    | Some cfg -> Fault.with_faults cfg (fun () -> Service.run svc trace)
+    | None -> run ()
+    | Some cfg -> Fault.with_faults cfg run
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   Service.shutdown svc;
@@ -69,8 +71,8 @@ let run () =
   Printf.printf
     "fault injection: %d requests, seed %d, rate %.0f%%, all faults transient\n\n"
     requests fault_seed (100.0 *. rate);
-  Printf.printf "%-30s %8s %8s %8s %8s %8s %8s\n" "configuration" "ok" "error"
-    "faults" "retries" "shed" "deadline";
+  Printf.printf "%-30s %8s %8s %8s %8s %8s\n" "configuration" "ok" "error"
+    "faults" "retries" "deadline";
   let metrics = ref [] in
   let row ?slug label (responses, _wall_s, (snap : Telemetry.snapshot)) =
     check_responses ~label trace responses;
@@ -80,8 +82,8 @@ let run () =
           if Result.is_ok r.result then (ok + 1, err) else (ok, err + 1))
         (0, 0) responses
     in
-    Printf.printf "%-30s %8d %8d %8d %8d %8d %8d\n" label ok err snap.faults
-      snap.retries snap.shed snap.deadlines;
+    Printf.printf "%-30s %8d %8d %8d %8d %8d\n" label ok err snap.faults
+      snap.retries snap.deadlines;
     (match slug with
     | None -> ()
     | Some s ->

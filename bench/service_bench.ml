@@ -10,6 +10,7 @@ module Registry = Overgen_service.Registry
 module Cache = Overgen_service.Cache
 module Trace = Overgen_service.Trace
 module Telemetry = Overgen_service.Telemetry
+module Admission = Overgen_fleet.Admission
 
 let requests = 400
 
@@ -18,7 +19,7 @@ let replay registry trace ~mode ~caching ~capacity =
     Service.create ~mode ~caching ~cache:(Cache.create ~capacity ()) registry
   in
   let t0 = Unix.gettimeofday () in
-  let responses = Service.run svc trace in
+  let responses = Admission.run (Admission.create svc) trace in
   let wall_s = Unix.gettimeofday () -. t0 in
   Service.shutdown svc;
   let telemetry = Service.telemetry svc in

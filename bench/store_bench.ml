@@ -21,6 +21,7 @@ module Service = Overgen_service.Service
 module Registry = Overgen_service.Registry
 module Cache = Overgen_service.Cache
 module Trace = Overgen_service.Trace
+module Admission = Overgen_fleet.Admission
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -99,7 +100,9 @@ let restart () =
   let replay slug label store =
     let cache = Cache.create ~store () in
     let svc = Service.create ~caching:true ~cache registry in
-    let responses, wall_s = time (fun () -> Service.run svc trace) in
+    let responses, wall_s =
+      time (fun () -> Admission.run (Admission.create svc) trace)
+    in
     Service.shutdown svc;
     let failures =
       List.length

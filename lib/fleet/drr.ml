@@ -41,16 +41,7 @@ let add_tenant t ~id ~weight =
     Hashtbl.add t.tbl id
       { id; weight; q = Queue.create (); deficit = 0; active = false }
 
-let tenants t =
-  Hashtbl.fold (fun id tq acc -> (id, tq.weight) :: acc) t.tbl []
-  |> List.sort compare
-
 let length t = t.size
-
-let tenant_length t ~id =
-  match Hashtbl.find_opt t.tbl id with
-  | None -> 0
-  | Some tq -> Queue.length tq.q
 
 let enqueue t ~id x =
   match Hashtbl.find_opt t.tbl id with

@@ -20,18 +20,12 @@ val add_tenant : 'a t -> id:string -> weight:int -> unit
     @raise Invalid_argument on weight < 1 or a conflicting
     re-registration. *)
 
-val tenants : 'a t -> (string * int) list
-(** Registered (id, weight), sorted by id. *)
-
 val enqueue : 'a t -> id:string -> 'a -> unit
-(** Append to the tenant's FIFO.  Unbounded — admission quotas and the
-    service queue bound memory, not this structure.
+(** Append to the tenant's FIFO.
     @raise Invalid_argument on an unregistered tenant. *)
 
 val length : 'a t -> int
 (** Total queued items across tenants. *)
-
-val tenant_length : 'a t -> id:string -> int
 
 val dequeue : 'a t -> (string * 'a) option
 (** The next item under DRR order, with the tenant that owned it. *)

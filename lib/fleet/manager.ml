@@ -6,15 +6,7 @@ module Dse = Overgen_dse.Dse
 module Oracle = Overgen_fpga.Oracle
 module Predict = Overgen_mlp.Predict
 module Ir = Overgen_workload.Ir
-module Metrics = Overgen_obs.Metrics
 module Log = Overgen_obs.Obs.Log
-
-(* Per-overlay live stats, fed by completions. *)
-type ostat = {
-  mutable requests : int;
-  mutable hits : int;
-  mutable last_use : float;
-}
 
 (* Per-kernel demand, the workload mix the background DSE optimizes for.
    [missed] counts completions that actually ran the scheduler (or
@@ -43,17 +35,6 @@ let default_config =
     gc_on_retire = true;
   }
 
-type view = {
-  name : string;
-  fingerprint : string;
-  requests : int;
-  hits : int;
-  hit_rate : float;
-  idle_s : float;
-  res : Overgen_fpga.Res.t;  (** synthesized resource profile *)
-  freq_mhz : float;
-}
-
 type t = {
   registry : Registry.t;
   cache : Cache.t option;
@@ -63,76 +44,32 @@ type t = {
   cfg : config;
   started : float;
   m : Mutex.t;
-  overlays : (string, ostat) Hashtbl.t;
+  last_use : (string, float) Hashtbl.t;  (* overlay -> last completion *)
   kernels : (string, kstat) Hashtbl.t;
   mutable observed : int;  (* completions since the last promote *)
   mutable promotes : int;
-  mutable retires : int;
-  mutable thread : Thread.t option;
-  mutable stop_flag : bool;
-  (* fleet gauges/counters on their own registry so any metrics scrape
-     can pick them up alongside the service telemetry *)
-  reg : Metrics.registry;
-  g_overlays : Metrics.gauge;
-  c_retired : Metrics.counter;
-  c_promoted : Metrics.counter;
-  g_observed : Metrics.gauge;
 }
 
 let create ?(config = default_config) ?cache ?store ?clock ~model registry =
   let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
-  let reg = Metrics.create_registry ~label:"overlay fleet" () in
-  let t =
-    {
-      registry;
-      cache;
-      store;
-      model;
-      clock;
-      cfg = config;
-      started = clock ();
-      m = Mutex.create ();
-      overlays = Hashtbl.create 8;
-      kernels = Hashtbl.create 16;
-      observed = 0;
-      promotes = 0;
-      retires = 0;
-      thread = None;
-      stop_flag = false;
-      reg;
-      g_overlays =
-        Metrics.gauge reg "overgen_fleet_overlays"
-          ~help:"overlays currently registered";
-      c_retired =
-        Metrics.counter reg "overgen_fleet_retired_total"
-          ~help:"overlays retired by the fleet manager";
-      c_promoted =
-        Metrics.counter reg "overgen_fleet_promoted_total"
-          ~help:"overlays promoted by background DSE";
-      g_observed =
-        Metrics.gauge reg "overgen_fleet_observed_requests"
-          ~help:"completions observed since the last promote";
-    }
-  in
-  Metrics.set t.g_overlays (float_of_int (Registry.length registry));
-  t
-
-let metrics t = t.reg
+  {
+    registry;
+    cache;
+    store;
+    model;
+    clock;
+    cfg = config;
+    started = clock ();
+    m = Mutex.create ();
+    last_use = Hashtbl.create 8;
+    kernels = Hashtbl.create 16;
+    observed = 0;
+    promotes = 0;
+  }
 
 let observe t (resp : Service.response) =
   Mutex.lock t.m;
-  let name = resp.Service.request.Service.overlay in
-  let os =
-    match Hashtbl.find_opt t.overlays name with
-    | Some os -> os
-    | None ->
-      let os = { requests = 0; hits = 0; last_use = 0.0 } in
-      Hashtbl.add t.overlays name os;
-      os
-  in
-  os.requests <- os.requests + 1;
-  if resp.Service.cache_hit then os.hits <- os.hits + 1;
-  os.last_use <- t.clock ();
+  Hashtbl.replace t.last_use resp.Service.request.Service.overlay (t.clock ());
   (match resp.Service.request.Service.payload with
   | Service.Kernel k ->
     let ks =
@@ -147,43 +84,9 @@ let observe t (resp : Service.response) =
     if not resp.Service.cache_hit then ks.missed <- ks.missed + 1
   | Service.Source _ -> ());
   t.observed <- t.observed + 1;
-  Metrics.set t.g_observed (float_of_int t.observed);
   Mutex.unlock t.m
 
 let attach t admission = Admission.on_complete admission (observe t)
-
-let views t =
-  let names = Registry.names t.registry in
-  let now = t.clock () in
-  Mutex.lock t.m;
-  let vs =
-    List.filter_map
-      (fun name ->
-        match Registry.find t.registry name with
-        | None -> None
-        | Some entry ->
-          let requests, hits, last_use =
-            match Hashtbl.find_opt t.overlays name with
-            | Some os -> (os.requests, os.hits, os.last_use)
-            | None -> (0, 0, t.started)
-          in
-          Some
-            {
-              name;
-              fingerprint = entry.Registry.fingerprint;
-              requests;
-              hits;
-              hit_rate =
-                (if requests = 0 then 0.0
-                 else float_of_int hits /. float_of_int requests);
-              idle_s = Float.max 0.0 (now -. last_use);
-              res = entry.Registry.overlay.Overgen.synth.Oracle.res;
-              freq_mhz = entry.Registry.overlay.Overgen.synth.Oracle.freq_mhz;
-            })
-      names
-  in
-  Mutex.unlock t.m;
-  vs
 
 let short fp = String.sub fp 0 (min 12 (String.length fp))
 
@@ -213,11 +116,8 @@ let retire t name =
       if t.cfg.gc_on_retire then
         Option.iter (fun s -> Store.compact s) t.store;
       Mutex.lock t.m;
-      t.retires <- t.retires + 1;
-      Hashtbl.remove t.overlays name;
+      Hashtbl.remove t.last_use name;
       Mutex.unlock t.m;
-      Metrics.incr t.c_retired;
-      Metrics.set t.g_overlays (float_of_int (Registry.length t.registry));
       Log.record ~pin:true Log.default "retire"
         ~attrs:
           [
@@ -241,9 +141,7 @@ let scan t =
         let last =
           Mutex.lock t.m;
           let l =
-            match Hashtbl.find_opt t.overlays name with
-            | Some os -> os.last_use
-            | None -> t.started
+            Option.value ~default:t.started (Hashtbl.find_opt t.last_use name)
           in
           Mutex.unlock t.m;
           l
@@ -292,9 +190,6 @@ let promote_now t ~kernels ~name =
       t.observed <- 0;
       Hashtbl.reset t.kernels;
       Mutex.unlock t.m;
-      Metrics.incr t.c_promoted;
-      Metrics.set t.g_observed 0.0;
-      Metrics.set t.g_overlays (float_of_int (Registry.length t.registry));
       Log.record ~pin:true Log.default "promote"
         ~attrs:
           [
@@ -342,54 +237,3 @@ let promotes t =
   let n = t.promotes in
   Mutex.unlock t.m;
   n
-
-let retires t =
-  Mutex.lock t.m;
-  let n = t.retires in
-  Mutex.unlock t.m;
-  n
-
-(* The continuous loop the production deployment runs: a plain thread
-   (DSE itself fans out onto domains) alternating retire scans and the
-   promote trigger. *)
-let start t ~period_s =
-  Mutex.lock t.m;
-  let already = t.thread <> None in
-  if not already then t.stop_flag <- false;
-  Mutex.unlock t.m;
-  if not already then
-    let th =
-      Thread.create
-        (fun () ->
-          let stopped () =
-            Mutex.lock t.m;
-            let s = t.stop_flag in
-            Mutex.unlock t.m;
-            s
-          in
-          while not (stopped ()) do
-            ignore (scan t);
-            ignore (maybe_promote t);
-            (* sleep in slices so [stop] is prompt *)
-            let slices = max 1 (int_of_float (period_s /. 0.01)) in
-            let rec nap i =
-              if i > 0 && not (stopped ()) then begin
-                Thread.delay (Float.min period_s 0.01);
-                nap (i - 1)
-              end
-            in
-            nap slices
-          done)
-        ()
-    in
-    Mutex.lock t.m;
-    t.thread <- Some th;
-    Mutex.unlock t.m
-
-let stop t =
-  Mutex.lock t.m;
-  t.stop_flag <- true;
-  let th = t.thread in
-  t.thread <- None;
-  Mutex.unlock t.m;
-  Option.iter Thread.join th

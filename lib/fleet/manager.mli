@@ -1,9 +1,9 @@
 (** The fleet manager: supervision of the overlay registry as a
     continuous generate→compile loop.
 
-    Watches live completions (via {!attach} or {!observe}) to maintain a
-    fleet view — per-overlay request and hit counts, last use and the
-    synthesized resource profile — and acts on it in two directions:
+    Watches live completions (via {!attach} or {!observe}) — each
+    overlay's last use and each kernel's demand — and acts on them in two
+    directions:
 
     - {e retire}: {!scan} unregisters overlays idle past the threshold,
       purges every schedule-cache record keyed by their (now
@@ -18,9 +18,7 @@
       the winner under a fresh [fleet-N] name.
 
     Both transitions are flight-recorded as pinned ["retire"] /
-    ["promote"] events and counted on the fleet metrics registry
-    ([overgen_fleet_overlays], [overgen_fleet_retired_total],
-    [overgen_fleet_promoted_total], [overgen_fleet_observed_requests]). *)
+    ["promote"] events. *)
 
 module Service := Overgen_service.Service
 module Registry := Overgen_service.Registry
@@ -40,17 +38,6 @@ type config = {
 }
 
 val default_config : config
-
-type view = {
-  name : string;
-  fingerprint : string;
-  requests : int;  (** completions observed for this overlay *)
-  hits : int;
-  hit_rate : float;
-  idle_s : float;  (** since the last observed completion *)
-  res : Overgen_fpga.Res.t;
-  freq_mhz : float;
-}
 
 type t
 
@@ -73,12 +60,6 @@ val observe : t -> Service.response -> unit
 val attach : t -> Admission.t -> unit
 (** Subscribe {!observe} to an admission layer's completions. *)
 
-val views : t -> view list
-(** Current fleet view, registry registration order. *)
-
-val metrics : t -> Overgen_obs.Metrics.registry
-(** The fleet gauge/counter registry, for Prometheus scrapes. *)
-
 val retire : t -> string -> (int, string) result
 (** Retire one overlay by name: unregister (delete-through to the
     registry's store), purge its fingerprint's schedule-cache records
@@ -90,28 +71,10 @@ val scan : t -> string list
 (** One retire pass over every registered overlay; returns the names
     retired. *)
 
-val promote_now :
-  t -> kernels:Overgen_workload.Ir.kernel list -> name:string ->
-  (Registry.entry, string) result
-(** Run the checkpointed background DSE for an explicit workload mix and
-    register the winner — the deterministic entry point the tests and
-    bench drive directly. *)
-
 val maybe_promote : t -> Registry.entry option
 (** The trigger: if at least [promote_min_requests] completions
     accumulated since the last promote and some kernel demand was seen,
     explore for the top under-served kernels and promote as [fleet-N].
     Resets the observation window on success. *)
 
-val hot_kernels : t -> Overgen_workload.Ir.kernel list
-(** The current top under-served mix (miss count, then volume). *)
-
 val promotes : t -> int
-val retires : t -> int
-
-val start : t -> period_s:float -> unit
-(** Spawn the background supervision thread: every [period_s], one
-    {!scan} then one {!maybe_promote}.  Idempotent while running. *)
-
-val stop : t -> unit
-(** Signal and join the background thread.  Idempotent. *)

@@ -15,19 +15,20 @@
     re-sends — never computed here, keeping each key's cache entries
     (and their durable records) on exactly one shard.
 
+    Every compile the node owns waits in one {!Overgen_fleet.Admission}
+    queue in front of its service; untenanted requests are the weight-1
+    tenant [""], plain FIFO.
+
     The node is transport-agnostic: it never touches a socket.  The
     server layer feeds it decoded {!Wire.req_msg}s and gets actions and
     asynchronous responses back through the [respond] callback. *)
 
 type peer = { host : string; port : int }
 
-val parse_peer : string -> (peer, string) result
-(** ["host:port"].  The last [':'] splits, so bracketless IPv6 literals
-    still parse. *)
-
 val parse_cluster : string -> (peer array, string) result
-(** Comma-separated ["host:port,host:port,..."]; index = shard id.
-    Rejects empty clusters and malformed endpoints. *)
+(** Comma-separated ["host:port,host:port,..."]; index = shard id.  The
+    last [':'] of each endpoint splits, so bracketless IPv6 literals
+    parse.  Rejects empty clusters and malformed endpoints. *)
 
 type config = {
   me : int;                  (** this node's index in [cluster] *)
@@ -37,14 +38,12 @@ type config = {
                                  answer [Redirect] ([false]) *)
   store_path : string option;(** durable store; [None] = memory only *)
   workers : int;             (** service worker domains *)
-  queue_capacity : int;
+  queue_capacity : int;      (** admission queue capacity *)
   cache_capacity : int;
   policy : Overgen_service.Service.policy;
   tenants : Overgen_fleet.Tenant.t list;
-      (** non-empty: compiles are admitted through a per-tenant
-          weighted-fair queue with quotas and deadline classes
-          ({!Overgen_fleet.Admission}) instead of straight into the
-          service queue *)
+      (** weights, quotas and deadline classes for the admission
+          queue; unlisted tenants get weight 1, no quota *)
 }
 
 val default_config : cluster:peer array -> me:int -> config
@@ -70,8 +69,9 @@ val reboot : t -> (t, string) result
 (** What [handle_net] decided, beyond any [respond] calls it made:
     - [Done]: handled synchronously; any reply was already passed to
       [respond].
-    - [Async]: a compile was admitted; exactly one [respond] call will
-      follow from a worker domain.
+    - [Async]: a compile went to the admission queue; exactly one
+      [respond] call follows, from a worker domain — or already made
+      inline, for a rejection or a quota shed.
     - [Forward]: the request belongs to [owner] — the transport layer
       must relay it and route the answer back. *)
 type action = Done | Async | Forward of { owner : int; req : Wire.request }
@@ -93,46 +93,21 @@ val quiesce : t -> unit
 (** Stop admitting compiles; already-admitted requests still complete
     and their [respond] callbacks still run. *)
 
-val quiesced : t -> bool
-
 val shutdown : t -> unit
-(** Drain the service workers, close the store.  Idempotent. *)
+(** Drain the admission queue, stop the service workers, close the
+    store.  Idempotent. *)
 
 val me : t -> int
 val cluster : t -> peer array
-val served : t -> int
-(** Compile requests this node admitted (including ones still in
-    flight). *)
-
-val inflight : t -> int
-(** Admitted compiles whose response has not yet been handed to
-    [respond]. *)
-
 val warm_loaded : t -> int
 (** Cache entries replayed from the durable store at [init]. *)
 
-val service : t -> Overgen_service.Service.t
-
-val admission : t -> Overgen_fleet.Admission.t option
-(** The admission layer, when [config.tenants] was non-empty. *)
-
 val registry : t -> Overgen_service.Registry.t
 val cache : t -> Overgen_service.Cache.t
-val metrics : t -> Overgen_obs.Metrics.registry
 
 (** {2 Ops plane} *)
 
 val attach_metrics : t -> Overgen_obs.Metrics.registry -> unit
-(** Fold an extra registry (the transport server's) into this node's
-    {!metrics_text} dump, so one [Metrics_req] scrape covers transport,
+(** Fold an extra registry (the transport server's) into the Prometheus
+    dump a [Metrics_req] answers with, so one scrape covers transport,
     node and service telemetry. *)
-
-val registries : t -> Overgen_obs.Metrics.registry list
-(** Everything {!metrics_text} renders: the node's own registry, any
-    attached ones, and the service telemetry registry. *)
-
-val metrics_text : t -> string
-(** The full Prometheus text exposition a [Metrics_req] answers with. *)
-
-val health_msg : t -> Wire.resp_msg
-(** The [Health] snapshot a [Health_req] answers with. *)

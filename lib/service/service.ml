@@ -53,7 +53,6 @@ type policy = {
   retries : int;
   backoff_s : float;
   backoff_seed : int;
-  admission_timeout_s : float option;
   store : Overgen_store.Store.t option;
 }
 
@@ -63,7 +62,6 @@ let default_policy =
     retries = 2;
     backoff_s = 0.001;
     backoff_seed = 0;
-    admission_timeout_s = Some 30.0;
     store = None;
   }
 
@@ -83,8 +81,6 @@ type t = {
   mode : mode;
   policy : policy;
   pool : Pool.t;
-  resp_m : Mutex.t;
-  mutable responses : response list;
   (* kernel content hash -> (mDFG variant sets, their content hash); the
      second memoization level that lets cache hits skip the compiler *)
   memo : (string, Compile.compiled * string) Hashtbl.t;
@@ -126,7 +122,7 @@ let backoff_pause t req attempt =
   if d > 0.0 then Unix.sleepf d
 
 (* One request's processing lifecycle, traced as a "request" span with
-   the queue wait ([submitted_at] to now) and outcome as attributes, and
+   the queue wait ([admitted_at] to now) and outcome as attributes, and
    the compile itself as a nested "compile_schedule" span.
 
    Failure is a first-class code path here: an exception anywhere in the
@@ -134,9 +130,9 @@ let backoff_pause t req attempt =
    genuine — is confined to this request.  Transient failures are retried
    under the policy's budget with seeded exponential backoff; everything
    else becomes an [Error] response for this request alone. *)
-let process t ~submitted_at req =
+let process t ~admitted_at req =
   let t0 = Unix.gettimeofday () in
-  Overgen_obs.Metrics.observe t.queue_wait (t0 -. submitted_at);
+  Overgen_obs.Metrics.observe t.queue_wait (t0 -. admitted_at);
   (* Re-establish the request's trace context on the worker domain: the
      client set it at submission, but this code runs on whichever domain
      picked the job up. *)
@@ -148,7 +144,7 @@ let process t ~submitted_at req =
         ("user", req.user);
         ("overlay", req.overlay);
         ("kernel", payload_name req.payload);
-        ("queue_wait_ms", Printf.sprintf "%.3f" ((t0 -. submitted_at) *. 1000.0));
+        ("queue_wait_ms", Printf.sprintf "%.3f" ((t0 -. admitted_at) *. 1000.0));
       ]
   @@ fun () ->
   (* A per-request deadline (stamped by an admission layer from the
@@ -157,7 +153,7 @@ let process t ~submitted_at req =
     match req.deadline_s with Some _ as d -> d | None -> t.policy.deadline_s
   in
   let past_deadline now =
-    match deadline with Some d -> now -. submitted_at > d | None -> false
+    match deadline with Some d -> now -. admitted_at > d | None -> false
   in
   let resolve () =
     Fault.point Fault.Points.service_process;
@@ -265,18 +261,13 @@ let process t ~submitted_at req =
   Telemetry.record ~tenant:req.tenant t.telemetry_ outcome ~service_s;
   { request = req; result; cache_hit; service_s }
 
-let complete t resp =
-  Mutex.lock t.resp_m;
-  t.responses <- resp :: t.responses;
-  Mutex.unlock t.resp_m
+type job = { req : request; admitted_at : float; k : response -> unit }
 
-(* Last-resort isolation: even if [process] itself raises, the batch gets
-   its response and the other in-flight requests are untouched.  [k] is
-   the completion: batch submissions accumulate for {!drain}, streaming
-   submissions ({!submit_k}) hand the response straight to the caller. *)
-let job ?k t ~submitted_at req () =
+(* Last-resort isolation: even if [process] itself raises, the request
+   gets its response and the rest of its group is untouched. *)
+let run_job t { req; admitted_at; k } =
   let resp =
-    try process t ~submitted_at req
+    try process t ~admitted_at req
     with e ->
       Telemetry.record_fault t.telemetry_;
       Telemetry.record t.telemetry_ Telemetry.Failed ~service_s:0.0;
@@ -290,11 +281,10 @@ let job ?k t ~submitted_at req () =
         service_s = 0.0;
       }
   in
-  match k with None -> complete t resp | Some k -> k resp
+  k resp
 
-let create ?(mode = Deterministic) ?(queue_capacity = 1024) ?(caching = true)
-    ?cache ?(policy = default_policy) registry =
-  if queue_capacity < 1 then invalid_arg "Service.create: queue_capacity < 1";
+let create ?(mode = Deterministic) ?(caching = true) ?cache
+    ?(policy = default_policy) registry =
   if policy.retries < 0 then invalid_arg "Service.create: retries < 0";
   if policy.backoff_s < 0.0 then invalid_arg "Service.create: backoff_s < 0";
   let pool_mode =
@@ -324,135 +314,32 @@ let create ?(mode = Deterministic) ?(queue_capacity = 1024) ?(caching = true)
         ~help:"admission-to-processing wait";
     mode;
     policy;
-    pool = Pool.create ~queue_capacity pool_mode;
-    resp_m = Mutex.create ();
-    responses = [];
+    (* the admission layer's in-flight window bounds the jobs in here *)
+    pool = Pool.create ~queue_capacity:max_int pool_mode;
     memo = Hashtbl.create 32;
     memo_m = Mutex.create ();
   }
 
-let log_admission req = function
-  | Ok () ->
-    Obs.Log.record ~level:Obs.Log.Debug ~trace:req.trace Obs.Log.default
-      "admitted"
-      ~attrs:[ ("id", string_of_int req.id) ]
-  | Error Queue_full ->
-    Obs.Log.record ~level:Obs.Log.Warn ~trace:req.trace Obs.Log.default
-      "admission_rejected"
-      ~attrs:[ ("id", string_of_int req.id) ]
-  | Error _ -> ()
-
-let submit t req =
-  let submitted_at = Unix.gettimeofday () in
-  let r =
-    match Pool.submit t.pool (job t ~submitted_at req) with
-    | Ok () -> Ok ()
-    | Error Pool.Saturated ->
-      Telemetry.record_rejection t.telemetry_;
-      Error Queue_full
-    | Error Pool.Stopped -> Error Shutdown
-  in
-  log_admission req r;
-  r
-
-let submit_k t req ~k =
-  let submitted_at = Unix.gettimeofday () in
+let dispatch t jobs =
+  let run () = List.iter (run_job t) jobs in
   match t.mode with
-  | Deterministic ->
-    (* No worker will ever call [k] — the deterministic queue only runs on
-       {!drain} — so the streaming contract degenerates to inline
-       execution on the caller's thread. *)
-    job ~k t ~submitted_at req ();
-    Ok ()
-  | Workers _ ->
-    let r =
-      match Pool.submit t.pool (job ~k t ~submitted_at req) with
-      | Ok () -> Ok ()
-      | Error Pool.Saturated ->
-        Telemetry.record_rejection t.telemetry_;
-        Error Queue_full
-      | Error Pool.Stopped -> Error Shutdown
-    in
-    log_admission req r;
-    r
-
-(* Same-overlay batch submission: one pool job runs the whole batch
-   sequentially, so a group of compiles sharing an ADG fingerprint pays
-   one queue round-trip and resolves the registry entry / warms the
-   compile memo once.  Isolation stays per-request — each element goes
-   through [job], so one poisoned request cannot take down its batch
-   mates — and [k] fires exactly once per request, in batch order. *)
-let submit_batch_k t reqs ~k =
-  let submitted_at = Unix.gettimeofday () in
-  let run_batch () =
-    List.iter (fun req -> job ~k t ~submitted_at req ()) reqs
-  in
-  match reqs with
-  | [] -> Ok ()
-  | _ -> (
-    match t.mode with
-    | Deterministic ->
-      run_batch ();
-      Ok ()
-    | Workers _ -> (
-      match Pool.submit t.pool run_batch with
-      | Ok () -> Ok ()
-      | Error Pool.Saturated ->
-        Telemetry.record_rejection t.telemetry_;
-        Error Queue_full
-      | Error Pool.Stopped -> Error Shutdown))
+  | Deterministic -> run ()
+  | Workers _ -> (
+    match Pool.submit t.pool run with
+    | Ok () -> ()
+    | Error _ ->
+      (* only [Stopped]: the pool queue is unbounded *)
+      List.iter
+        (fun j ->
+          j.k
+            {
+              request = j.req;
+              result = Error Shutdown;
+              cache_hit = false;
+              service_s = 0.0;
+            })
+        jobs)
 
 let mode t = t.mode
 let policy t = t.policy
-
-let by_id a b = compare a.request.id b.request.id
-
-let drain t =
-  (* jobs never raise (isolation above), so any residue here is a bug in
-     the service itself — surface it rather than hide it *)
-  (match Pool.drain_all t.pool with [] -> () | e :: _ -> raise e);
-  Mutex.lock t.resp_m;
-  let rs = t.responses in
-  t.responses <- [];
-  Mutex.unlock t.resp_m;
-  List.sort by_id rs
-
-let run t reqs =
-  let collected = ref [] in
-  List.iter
-    (fun req ->
-      let give_up err =
-        collected :=
-          { request = req; result = Error err; cache_hit = false; service_s = 0.0 }
-          :: !collected
-      in
-      (* Admission control: [Deterministic] drains in place (single
-         thread, the queue can always be emptied); [Workers] waits with
-         escalating pauses up to the policy's admission timeout, then
-         sheds the request instead of spinning forever. *)
-      let rec admit waited pause =
-        match submit t req with
-        | Ok () -> ()
-        | Error Queue_full -> (
-          match t.mode with
-          | Deterministic ->
-            collected := drain t @ !collected;
-            admit waited pause
-          | Workers _ -> (
-            match t.policy.admission_timeout_s with
-            | Some limit when waited >= limit ->
-              Telemetry.record_shed t.telemetry_;
-              Obs.Log.record ~level:Obs.Log.Warn ~trace:req.trace
-                Obs.Log.default "admission_shed"
-                ~attrs:[ ("id", string_of_int req.id) ];
-              give_up Queue_full
-            | _ ->
-              Unix.sleepf pause;
-              admit (waited +. pause) (Float.min (pause *. 2.0) 0.005)))
-        | Error e -> give_up e
-      in
-      admit 0.0 0.0002)
-    reqs;
-  List.sort by_id (drain t @ !collected)
-
 let shutdown t = Pool.shutdown t.pool

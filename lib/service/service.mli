@@ -1,4 +1,4 @@
-(** The overlay compile service.
+(** The overlay compile service: a request processor.
 
     An in-process server for the paper's deployment model: overlays are
     generated once (hours of modeled DSE + synthesis), then kept warm in a
@@ -8,31 +8,27 @@
     it — unless the content-addressed {!Cache} already holds the schedules,
     in which case the request is served in microseconds.
 
-    Two execution modes, both running on the shared
-    {!Overgen_par.Pool} worker pool (the same one the island-model DSE
-    uses):
-    - [Deterministic]: requests are queued by {!submit} and processed in
-      FIFO order on the caller's thread by {!drain} — single-threaded and
-      exactly reproducible, the mode tests use.
-    - [Workers n]: [n] OCaml 5 domains process the queue concurrently.
-      Scheduling is deterministic and the cache coalesces concurrent
-      computations of one key, so the responses and the hit/miss totals
-      match the deterministic mode for the same request list.
+    The service holds no queue.  [Overgen_fleet.Admission] is the one
+    queue in front of it (weighted-fair order, capacity, quotas, deadline
+    classes) and hands admitted requests to {!dispatch}, which processes
+    them in one of two modes:
+    - [Deterministic]: inline on the caller's thread — single-threaded
+      and exactly reproducible, the mode tests use.
+    - [Workers n]: as one job on an {!Overgen_par.Pool} of [n] OCaml 5
+      domains (the pool the island-model DSE uses).  Scheduling is
+      deterministic and the cache coalesces concurrent computations of
+      one key, so the responses and the hit/miss totals match the
+      deterministic mode for the same request list.
 
     {b Fault tolerance.}  Failure is per-request, never per-batch: an
     exception anywhere in a request's processing (compiler, scheduler,
     cache store — injected by {!Overgen_fault.Fault} or genuine) becomes
-    an [Error] response for that request while every other in-flight
-    request completes normally, and {!run} always returns exactly one
-    response per request.  A {!policy} adds per-request deadlines
-    (expired requests are shed with {!Deadline_exceeded}), seeded
-    exponential-backoff retries for transient failures, and a bounded
-    admission wait in {!run} that sheds with {!Queue_full} instead of
-    spinning forever.  Transient failures are never cached.
-
-    Admission is bounded: {!submit} rejects with {!Queue_full} when
-    [queue_capacity] requests are already waiting (backpressure), and the
-    rejection is counted in {!Telemetry}. *)
+    an [Error] response for that request while every other request
+    completes normally, and each dispatched request gets exactly one
+    response.  A {!policy} adds per-request deadlines, measured from
+    admission (expired requests are shed with {!Deadline_exceeded}), and
+    seeded exponential-backoff retries for transient failures.  Transient
+    failures are never cached. *)
 
 open Overgen_workload
 
@@ -73,7 +69,8 @@ type request = {
 
 type error =
   | Unknown_overlay of string
-  | Queue_full            (** backpressure: admission rejected or shed *)
+  | Queue_full
+      (** backpressure: the admission queue was at capacity *)
   | Quota_exceeded
       (** the tenant's token-bucket quota is exhausted: a deterministic
           shed decided at admission, never queued, never retried *)
@@ -96,16 +93,13 @@ val error_to_string : error -> string
     exactly like a service without a policy. *)
 type policy = {
   deadline_s : float option;
-      (** per-request budget measured from submission, covering queue
+      (** per-request budget measured from admission, covering queue
           wait, compute and retries; [None] (default) disables it *)
   retries : int;  (** transient retry attempts after the first try; 2 *)
   backoff_s : float;
       (** base backoff before retry [n] of [backoff_s * 2^n] with seeded
           full jitter, capped at 50 ms; 1 ms *)
   backoff_seed : int;  (** jitter seed, for reproducible timing; 0 *)
-  admission_timeout_s : float option;
-      (** [Workers] mode: how long {!run} may wait for queue space before
-          shedding the request as {!Queue_full}; 30 s *)
   store : Overgen_store.Store.t option;
       (** durable artifact store backing the schedule cache: hits and
           stores write through, and a restarted service warm-starts its
@@ -128,55 +122,34 @@ type t
 
 val create :
   ?mode:mode ->
-  ?queue_capacity:int ->
   ?caching:bool ->
   ?cache:Cache.t ->
   ?policy:policy ->
   Registry.t ->
   t
-(** [mode] defaults to [Deterministic]; [queue_capacity] to 1024 pending
-    requests; [caching:false] disables the schedule cache entirely (every
-    request runs the scheduler — the cold baseline); [cache] supplies a
-    shared cache instance instead of the default fresh 1024-entry one;
-    [policy] defaults to {!default_policy}.  Under [Workers n] the
-    domains are spawned immediately. *)
+(** [mode] defaults to [Deterministic]; [caching:false] disables the
+    schedule cache entirely (every request runs the scheduler — the cold
+    baseline); [cache] supplies a shared cache instance instead of the
+    default fresh 1024-entry one; [policy] defaults to {!default_policy}.
+    Under [Workers n] the domains are spawned immediately. *)
 
-val submit : t -> request -> (unit, error) result
-(** Non-blocking admission; [Error Queue_full] when the queue is at
-    capacity. *)
+(** One admitted request on its way through {!dispatch}. *)
+type job = {
+  req : request;
+  admitted_at : float;
+      (** [Unix.gettimeofday] at admission: queue wait and deadlines
+          count from here *)
+  k : response -> unit;  (** the completion, called exactly once *)
+}
 
-val submit_k : t -> request -> k:(response -> unit) -> (unit, error) result
-(** Streaming admission, what a network server needs: instead of
-    accumulating for {!drain}, the request's response is handed to [k] as
-    soon as processing completes.  Under [Workers] [k] runs on a worker
-    domain (it must be thread-safe and quick — typically: frame the
-    response and write it to a socket); under [Deterministic] the request
-    is processed inline on the caller's thread before [submit_k] returns.
-    Responses delivered through [k] never appear in {!drain}.  The same
-    fault-tolerance contract applies: exactly one call to [k] per
-    accepted request, failures isolated into [Error] responses. *)
-
-val submit_batch_k : t -> request list -> k:(response -> unit) -> (unit, error) result
-(** Same-overlay batch submission, the amortization primitive behind
-    [Overgen_fleet.Admission]'s batching: the whole list runs as one pool
-    job, sequentially, paying one queue round-trip and touching the
-    registry entry / compile memo once for the shared ADG fingerprint.
-    Isolation stays per-request — each element runs under the same
-    exception confinement as {!submit_k}, so [k] fires exactly once per
-    request (in list order) even when some of them fail.  [Error] means
-    the whole batch was rejected at admission and [k] was never called. *)
-
-val drain : t -> response list
-(** Process ([Deterministic]) or await ([Workers]) everything accepted so
-    far; returns the completed responses sorted by request id and clears
-    them from the service.  Request failures never surface here — they
-    are isolated into [Error] responses. *)
-
-val run : t -> request list -> response list
-(** Replay a whole trace: submit every request — on [Queue_full],
-    draining ([Deterministic]) or waiting up to the policy's admission
-    timeout before shedding ([Workers]) — then drain.  Returns exactly
-    one response per request, sorted by request id. *)
+val dispatch : t -> job list -> unit
+(** Process a group of requests sequentially as one unit: inline on the
+    caller's thread under [Deterministic], as one pool job under
+    [Workers] (there [k] runs on a worker domain, so it must be
+    thread-safe and quick).  A same-overlay group pays one pool
+    round-trip and resolves the registry entry / compile memo once.
+    Each job's [k] fires exactly once, in list order, even when some
+    requests fail; after {!shutdown} every [k] answers {!Shutdown}. *)
 
 val telemetry : t -> Telemetry.t
 val cache : t -> Cache.t option
@@ -184,10 +157,10 @@ val registry : t -> Registry.t
 
 val mode : t -> mode
 val policy : t -> policy
-(** Introspection for admission layers wrapping the service: the mode
-    decides how an [Overgen_fleet.Admission] pump bounds its in-flight
-    window, and the policy's deadline anchors tenant deadline classes. *)
+(** Introspection for the admission layer: the mode decides how it
+    bounds its in-flight window, and the policy's deadline anchors
+    tenant deadline classes. *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains ([Workers] mode).  Idempotent; the
-    queue must be drained first. *)
+(** Stop and join the worker domains ([Workers] mode).  Idempotent; drain
+    the admission layer in front first. *)

@@ -7,7 +7,7 @@ type outcome = Hit | Miss | Uncached | Failed
    instance, so Prometheus dumps are per-service and agree with the
    snapshot exactly); raw latencies are additionally kept under a mutex so
    the snapshot's percentiles stay exact rather than bucket-approximated. *)
-(* The per-tenant dimension: the same request/shed/retry counters and the
+(* The per-tenant dimension: the same request/retry/deadline/quota counters and the
    latency histogram, labeled by tenant, alongside — never instead of —
    the unlabeled aggregates (so every pre-tenant consumer of the
    Prometheus dump and the snapshot sees exactly the numbers it always
@@ -19,7 +19,6 @@ type tenant_metrics = {
   tm_uncached : Metrics.counter;
   tm_failed : Metrics.counter;
   tm_retries : Metrics.counter;
-  tm_shed : Metrics.counter;
   tm_deadlines : Metrics.counter;
   tm_quota : Metrics.counter;
   tm_latency : Metrics.histogram;
@@ -34,7 +33,6 @@ type t = {
   rejections : Metrics.counter;
   faults : Metrics.counter;
   retries : Metrics.counter;
-  shed : Metrics.counter;
   deadlines : Metrics.counter;
   quota_shed : Metrics.counter;
   latency : Metrics.histogram;
@@ -67,9 +65,6 @@ let create () =
     retries =
       Metrics.counter reg "overgen_service_retries_total"
         ~help:"transient-failure retry attempts";
-    shed =
-      Metrics.counter reg "overgen_service_shed_total"
-        ~help:"requests load-shed after the bounded admission wait";
     deadlines =
       Metrics.counter reg "overgen_service_deadline_exceeded_total"
         ~help:"requests abandoned because their deadline expired";
@@ -110,10 +105,6 @@ let tenant_metrics t tenant =
           tm_retries =
             Metrics.counter t.reg "overgen_service_retries_total"
               ~help:"transient-failure retry attempts" ~labels;
-          tm_shed =
-            Metrics.counter t.reg "overgen_service_shed_total"
-              ~help:"requests load-shed after the bounded admission wait"
-              ~labels;
           tm_deadlines =
             Metrics.counter t.reg "overgen_service_deadline_exceeded_total"
               ~help:"requests abandoned because their deadline expired"
@@ -168,10 +159,6 @@ let record_retry ?tenant t =
   Metrics.incr t.retries;
   with_tenant t tenant (fun tm -> Metrics.incr tm.tm_retries)
 
-let record_shed ?tenant t =
-  Metrics.incr t.shed;
-  with_tenant t tenant (fun tm -> Metrics.incr tm.tm_shed)
-
 let record_deadline ?tenant t =
   Metrics.incr t.deadlines;
   with_tenant t tenant (fun tm -> Metrics.incr tm.tm_deadlines)
@@ -206,7 +193,6 @@ type snapshot = {
   rejections : int;
   faults : int;
   retries : int;
-  shed : int;
   deadlines : int;
   quota_shed : int;
   mean_ms : float;
@@ -241,7 +227,6 @@ let snapshot t =
     rejections = Metrics.counter_value t.rejections;
     faults = Metrics.counter_value t.faults;
     retries = Metrics.counter_value t.retries;
-    shed = Metrics.counter_value t.shed;
     deadlines = Metrics.counter_value t.deadlines;
     quota_shed = Metrics.counter_value t.quota_shed;
     mean_ms =
@@ -269,9 +254,9 @@ let report ?(label = "") ~wall_s s =
   line "rejections  %6d" s.rejections;
   (* the fault-tolerance line only appears once failure paths were hit, so
      fault-free reports render exactly as they always did *)
-  if s.faults + s.retries + s.shed + s.deadlines > 0 then
-    line "faults      %6d   (retries %d, shed %d, deadline-exceeded %d)"
-      s.faults s.retries s.shed s.deadlines;
+  if s.faults + s.retries + s.deadlines > 0 then
+    line "faults      %6d   (retries %d, deadline-exceeded %d)"
+      s.faults s.retries s.deadlines;
   if s.quota_shed > 0 then line "quota shed  %6d" s.quota_shed;
   line "latency      p50 %.3f ms   p90 %.3f ms   p99 %.3f ms   mean %.3f ms   max %.3f ms"
     s.p50_ms s.p90_ms s.p99_ms s.mean_ms s.max_ms;

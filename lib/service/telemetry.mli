@@ -33,7 +33,8 @@ val record : ?tenant:string -> t -> outcome -> service_s:float -> unit
     always bumped, so pre-tenant consumers see unchanged totals. *)
 
 val record_rejection : t -> unit
-(** Record one admission rejection (queue full). *)
+(** Record one admission rejection ([Overgen_fleet.Admission] at
+    capacity). *)
 
 val record_fault : t -> unit
 (** Record one exception observed while processing a request (isolated —
@@ -41,9 +42,6 @@ val record_fault : t -> unit
 
 val record_retry : ?tenant:string -> t -> unit
 (** Record one transient-failure retry attempt. *)
-
-val record_shed : ?tenant:string -> t -> unit
-(** Record one request load-shed after the bounded admission wait. *)
 
 val record_deadline : ?tenant:string -> t -> unit
 (** Record one request abandoned because its deadline expired. *)
@@ -66,7 +64,6 @@ type snapshot = {
   rejections : int;
   faults : int;  (** exceptions observed (each request still answered) *)
   retries : int;
-  shed : int;
   deadlines : int;
   quota_shed : int;  (** over-quota admission sheds (deterministic) *)
   mean_ms : float;

@@ -366,7 +366,7 @@ let test_retire_restart_verify () =
       trace = ""; deadline_s = None }
   in
   let responses =
-    Service.run svc
+    Admission.run (Admission.create svc)
       [ req 0 "decoy" "fir"; req 1 "general" "fir"; req 2 "general" "mm" ]
   in
   Alcotest.(check int) "traffic served" 3 (List.length responses);

@@ -15,6 +15,7 @@ module Load_gen = Overgen_net.Load_gen
 module Registry = Overgen_service.Registry
 module Cache = Overgen_service.Cache
 module Service = Overgen_service.Service
+module Admission = Overgen_fleet.Admission
 module Trace = Overgen_service.Trace
 module Fault = Overgen_fault.Fault
 
@@ -384,7 +385,7 @@ let test_two_clients_same_id () =
   let reference kernel =
     let svc = Service.create (Node.registry node) in
     let resps =
-      Service.run svc
+      Admission.run (Admission.create svc)
         [ { Service.id = 0; user = "r"; tenant = ""; overlay = "general";
             payload = Service.Kernel kernel; tuned = false; trace = "";
             deadline_s = None } ]

@@ -12,6 +12,7 @@ module Codec = Overgen_store.Codec
 module Cache = Overgen_service.Cache
 module Registry = Overgen_service.Registry
 module Service = Overgen_service.Service
+module Admission = Overgen_fleet.Admission
 module Trace = Overgen_service.Trace
 module Fault = Overgen_fault.Fault
 module Serial = Overgen_adg.Serial
@@ -459,7 +460,7 @@ let test_service_kill_and_restart () =
       | Error e -> Alcotest.failf "register: %s" e);
     let policy = { Service.default_policy with store = Some store } in
     let svc = Service.create ~policy registry in
-    let responses = Service.run svc trace in
+    let responses = Admission.run (Admission.create svc) trace in
     Service.shutdown svc;
     let stats = Cache.stats (Option.get (Service.cache svc)) in
     (responses, stats)
