@@ -108,6 +108,35 @@ let with_span ?(attrs = []) name f =
       f
   end
 
+(* Serializes the one buffer write of detached spans recorded by
+   threads that share a domain. *)
+let detached_m = Mutex.create ()
+
+let with_detached_span ~trace ?(attrs = []) name f =
+  if not (Control.on ()) then f 0
+  else begin
+    let b = Domain.DLS.get dls_key in
+    let id = Atomic.fetch_and_add next_id 1 in
+    let t0 = Unix.gettimeofday () in
+    Fun.protect
+      ~finally:(fun () ->
+        let t1 = Unix.gettimeofday () in
+        let s =
+          {
+            id;
+            parent = 0;
+            trace;
+            name;
+            attrs;
+            domain = b.dom;
+            start_s = t0 -. !epoch;
+            dur_s = t1 -. t0;
+          }
+        in
+        Mutex.protect detached_m (fun () -> b.acc <- s :: b.acc))
+      (fun () -> f id)
+  end
+
 let add_attr k v =
   if Control.on () then
     let b = Domain.DLS.get dls_key in

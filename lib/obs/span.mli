@@ -41,6 +41,15 @@ val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span.  The span is recorded even if the thunk
     raises.  When recording is disabled this is just [f ()]. *)
 
+val with_detached_span :
+  trace:string -> ?attrs:(string * string) list -> string -> (int -> 'a) -> 'a
+(** [with_detached_span ~trace name f] runs [f id] inside a root span of
+    trace [trace] whose id is [id] (0 when recording is disabled).  It
+    reads and writes neither this domain's trace context nor its
+    open-span stack, and appends the finished span under a lock, so
+    threads sharing one domain may each hold one open across a blocking
+    call. *)
+
 val add_attr : string -> string -> unit
 (** Attach an attribute to the innermost span open on this domain; no-op
     when recording is disabled or no span is open. *)

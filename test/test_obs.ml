@@ -247,6 +247,38 @@ let test_trace_context () =
       Alcotest.(check string) "span inherits trace" "eeee" (find "in").trace;
       Alcotest.(check string) "span outside has none" "" (find "out").trace)
 
+(* Threads sharing a domain each hold a detached span open across a
+   blocking call: every span keeps its own trace, and neither the
+   domain's trace context nor its open-span stack sees them. *)
+let test_detached_span_threads () =
+  with_recording (fun () ->
+      let ids = Array.make 4 0 in
+      let worker i () =
+        Span.with_detached_span ~trace:(Printf.sprintf "%04d" i) "send"
+          ~attrs:[ ("i", string_of_int i) ]
+          (fun id ->
+            ids.(i) <- id;
+            Thread.delay 0.01)
+      in
+      Span.with_trace "ambient" (fun () ->
+          Span.with_span "outer" (fun () ->
+              let outer = Span.current_id () in
+              List.iter Thread.join (List.init 4 (fun i -> Thread.create (worker i) ()));
+              Alcotest.(check string) "context untouched" "ambient"
+                (Span.current_trace ());
+              Alcotest.(check int) "stack untouched" outer (Span.current_id ())));
+      let sends = List.filter (fun (s : Span.span) -> s.name = "send") (Span.spans ()) in
+      Alcotest.(check int) "every span recorded" 4 (List.length sends);
+      List.iter
+        (fun (s : Span.span) ->
+          let i = int_of_string (List.assoc "i" s.attrs) in
+          Alcotest.(check string) "own trace" (Printf.sprintf "%04d" i) s.trace;
+          Alcotest.(check int) "id passed to the thunk" ids.(i) s.id;
+          Alcotest.(check int) "root span" 0 s.parent)
+        sends);
+  Alcotest.(check int) "id 0 when recording is off" 0
+    (Span.with_detached_span ~trace:"ffff" "off" Fun.id)
+
 let test_fresh_trace_deterministic () =
   let draw () =
     let rng = Rng.of_string "trace-id-stream" in
@@ -403,6 +435,8 @@ let tests =
     Alcotest.test_case "chrome + jsonl export" `Quick test_chrome_export;
     Alcotest.test_case "json validator" `Quick test_validate_json_rejects;
     Alcotest.test_case "trace context" `Quick test_trace_context;
+    Alcotest.test_case "detached spans across threads" `Quick
+      test_detached_span_threads;
     Alcotest.test_case "fresh_trace deterministic" `Quick
       test_fresh_trace_deterministic;
     Alcotest.test_case "flight recorder ring + pins" `Quick
