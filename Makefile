@@ -77,12 +77,22 @@ bench-baseline:
 # (`overgen list` + a small deterministic serve-bench trace), the
 # island-model DSE bench, the observability trace path, the fault
 # injection scenario, the durable-store scenario and the sharded network
-# tier, and fail if build artifacts ever got committed.
+# tier, and fail if build artifacts ever got committed or if `Marshal`
+# came back onto the request path (the only unmarshal in lib/net is the
+# response-schedules blob, which comes from the server).
 check:
 	dune build @check
 	@if [ -n "$$(git ls-files _build)" ]; then \
 	  echo "error: _build artifacts are tracked by git:"; \
 	  git ls-files _build; \
+	  exit 1; \
+	fi
+	@hits="$$(git grep -n -e 'Marshal\.' -e decode_marshal -e input_value -- lib/net)"; \
+	line="$$(printf '%s\n' "$$hits" | sed -n 's/^lib\/net\/wire\.ml:\([0-9]*\):.*/\1/p')"; \
+	inside="$$(awk -v l="$$line" '/^let /{f = ($$2 == "decode_resp")} NR == l {print f + 0}' lib/net/wire.ml)"; \
+	if [ "$$(printf '%s\n' "$$hits" | grep -c .)" != 1 ] || [ "$$inside" != 1 ]; then \
+	  echo "error: unmarshalling in lib/net outside Wire.decode_resp's schedules blob:"; \
+	  printf '%s\n' "$$hits"; \
 	  exit 1; \
 	fi
 

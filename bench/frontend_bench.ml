@@ -27,10 +27,7 @@ let run () =
   let total_lines =
     List.fold_left (fun n s -> n + count_lines s) 0 sources
   in
-  (* parse throughput: whole suite, repeated to get a stable wall time.
-     The cost is dominated by the frontend's exact subscript-bounds
-     enumeration over each kernel's full iteration space, not the lexer
-     or parser proper — a handful of reps is already stable. *)
+  (* parse throughput: whole suite, repeated to get a stable wall time *)
   let reps = 5 in
   let (), parse_s =
     time (fun () ->

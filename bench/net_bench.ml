@@ -295,22 +295,9 @@ let run extra =
      in
      let trace_rng = Rng.of_string (Printf.sprintf "net-bench-trace:%d" !seed) in
      let wire_requests =
-       Trace.generate spec
-       |> List.map (fun (r : Service.request) ->
-              {
-                Wire.id = r.id;
-                user = r.user;
-                tenant = r.tenant;
-                overlay = r.overlay;
-                payload =
-                  (match r.payload with
-                  | Service.Kernel k -> Wire.Kernel k
-                  | Service.Source src -> Wire.Source src);
-                tuned = r.tuned;
-                trace = Obs.Span.fresh_trace trace_rng;
-                parent_span = 0;
-              })
-       |> Array.of_list
+       Load_gen.of_trace
+         ~trace:(fun () -> Obs.Span.fresh_trace trace_rng)
+         (Trace.generate spec)
      in
      Printf.printf "  trace: %d requests, %d distinct (overlay, kernel) keys\n%!"
        n (Trace.distinct_keys spec);

@@ -144,24 +144,7 @@ let run () =
     Trace.spec ~seed:7 ~requests:m ~users:6 ~working_set:2
       ~overlays:[ ("general", Kernels.all) ] ()
   in
-  let untraced =
-    Trace.generate spec
-    |> List.map (fun (r : Service.request) ->
-           {
-             Net.Wire.id = r.id;
-             user = r.user;
-             tenant = r.tenant;
-             overlay = r.overlay;
-             payload =
-               (match r.payload with
-               | Service.Kernel k -> Net.Wire.Kernel k
-               | Service.Source src -> Net.Wire.Source src);
-             tuned = r.tuned;
-             trace = "";
-             parent_span = 0;
-           })
-    |> Array.of_list
-  in
+  let untraced = Net.Load_gen.of_trace (Trace.generate spec) in
   let trace_rng = Rng.of_string "obs-bench-net-trace" in
   let traced =
     Array.map

@@ -1144,22 +1144,9 @@ let net_requests ?(traced = false) ?(tenants = [||]) ~seed ~requests ~users
     Overgen_util.Rng.of_string (Printf.sprintf "net-trace-ids:%d" seed)
   in
   let reqs =
-    Trace.generate spec
-    |> List.map (fun (r : Service.request) ->
-           {
-             Net.Wire.id = r.id;
-             user = r.user;
-             tenant = r.tenant;
-             overlay = r.overlay;
-             payload =
-               (match r.payload with
-               | Service.Kernel k -> Net.Wire.Kernel k
-               | Service.Source src -> Net.Wire.Source src);
-             tuned = r.tuned;
-             trace = (if traced then Obs.Span.fresh_trace trace_rng else "");
-             parent_span = 0;
-           })
-    |> Array.of_list
+    Net.Load_gen.of_trace
+      ?trace:(if traced then Some (fun () -> Obs.Span.fresh_trace trace_rng) else None)
+      (Trace.generate spec)
   in
   (Trace.distinct_keys spec, reqs)
 

@@ -72,16 +72,3 @@ let default_engine kind =
   | Gen -> { kind; bandwidth = 16; capacity = 0; indirect = false; max_dims = 3 }
   | Reg -> { kind; bandwidth = 8; capacity = 0; indirect = false; max_dims = 1 }
 
-let is_memory_engine = function
-  | Engine { kind = Dma | Spad; _ } -> true
-  | Engine { kind = Rec | Gen | Reg; _ } | Pe _ | Switch _ | In_port _ | Out_port _
-    -> false
-
-let scale_of = function
-  | Pe pe -> float_of_int (Op.Cap.cardinal pe.caps * pe.width_bits) /. 64.0
-  | Switch s -> float_of_int s.width_bits /. 64.0
-  | In_port p | Out_port p -> float_of_int p.width_bytes /. 8.0
-  | Engine e ->
-    float_of_int e.bandwidth /. 8.0
-    +. (float_of_int e.capacity /. 8192.0)
-    +. (if e.indirect then 4.0 else 0.0)

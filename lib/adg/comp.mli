@@ -51,9 +51,3 @@ val default_pe : Op.Cap.t -> pe
 val default_port : width_bytes:int -> port
 val default_engine : engine_kind -> engine
 
-val is_memory_engine : t -> bool
-(** True for DMA and scratchpad engines (the ones array nodes map onto). *)
-
-val scale_of : t -> float
-(** Rough relative hardware size used as a tie-breaker weight by the DSE when
-    choosing what to mutate; the precise costs come from the FPGA model. *)

@@ -79,13 +79,6 @@ let edges t =
 let node_count t = Imap.cardinal t.payload
 let edge_count t = List.length (edges t)
 
-let fold_nodes t ~init ~f =
-  Imap.fold (fun id x acc -> f acc id x) t.payload init
-
-let filter_ids t ~f =
-  Imap.fold (fun id x acc -> if f id x then id :: acc else acc) t.payload []
-  |> List.rev
-
 let max_id t = Imap.fold (fun id _ acc -> max id acc) t.payload (-1)
 
 let topo_sort t =

@@ -29,12 +29,9 @@ val preds : 'a t -> int -> int list
 val nodes : 'a t -> (int * 'a) list
 (** All nodes in increasing id order. *)
 
-val node_ids : 'a t -> int list
 val edges : 'a t -> (int * int) list
 val node_count : 'a t -> int
 val edge_count : 'a t -> int
-val fold_nodes : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
-val filter_ids : 'a t -> f:(int -> 'a -> bool) -> int list
 val max_id : 'a t -> int
 (** Largest node id, or -1 when empty; used for fresh-id allocation. *)
 

@@ -25,9 +25,6 @@ val dram_bytes_per_cycle : t -> int
 val l2_bytes_per_cycle : t -> int
 (** Aggregate L2 bandwidth: banks x bank width. *)
 
-val l2_bank_bytes : int
-(** Bytes per cycle a single L2 bank can serve (256-bit TileLink slave). *)
-
 val shared_bandwidth : t -> int
 (** Aggregate tile<->L2 bandwidth the topology can sustain: all links for a
     crossbar, the bisection for a ring. *)

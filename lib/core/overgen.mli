@@ -70,7 +70,7 @@ val fingerprint : overlay -> string
     cache key. *)
 
 (** External schedule-cache hooks: keys are content addresses
-    ({!schedule_key}), values are scheduling outcomes so failures can be
+    ({!make_schedule_key}), values are scheduling outcomes so failures can be
     negatively cached.  {!Overgen_service.Cache} provides an LRU-bounded
     implementation. *)
 type cache_hooks = {
@@ -118,12 +118,6 @@ val make_schedule_key : fingerprint:string -> variant_hash:string -> string
     Both halves are length-prefixed ([<n>:<fingerprint><m>:<hash>]), so
     two distinct input pairs can never encode to the same key even if a
     hash scheme ever emits a delimiter character. *)
-
-val schedule_key : overlay -> Overgen_mdfg.Compile.compiled -> string
-(** [make_schedule_key] over [fingerprint overlay] and
-    [Compile.hash_compiled compiled].  Structurally identical overlays
-    share keys, so registry entries that alias the same design also share
-    cached schedules. *)
 
 val compile :
   ?opts:compile_opts -> overlay -> Ir.kernel -> (compiled, string) result

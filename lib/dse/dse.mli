@@ -121,9 +121,6 @@ type checkpoint = {
   interval : int;     (** migration rounds between snapshot writes; >= 1 *)
 }
 
-val run_signature : config -> Compile.compiled list -> string
-(** The compatibility stamp recorded in (and demanded of) a checkpoint. *)
-
 val explore :
   ?config:config ->
   ?device:Device.t ->

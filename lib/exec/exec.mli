@@ -13,7 +13,6 @@
     wrong accumulator initialization, mis-ordered output lanes. *)
 
 open Overgen_workload
-open Overgen_mdfg
 
 type env
 (** Concrete array storage: one float array per program array. *)
@@ -28,12 +27,6 @@ val get : env -> string -> float array
 val run_reference : env -> Ir.kernel -> Ir.region -> unit
 (** Execute the loop nest directly (the golden model).  Triangular trip
     counts run to their maximum bound, consistently with the analyses. *)
-
-val run_decoupled : env -> Compile.variant -> unit
-(** Replay the compiled variant: iterate the blocked iteration space, gather
-    each input-port lane through its stream, evaluate the DFG, commit output
-    lanes.  @raise Invalid_argument if the variant's unroll does not divide
-    the innermost trip count. *)
 
 val max_abs_diff : env -> env -> float
 (** Largest per-element difference across all arrays. *)

@@ -19,8 +19,6 @@ type kind = Transient | Deterministic
 
 exception Injected of { point : string; kind : kind }
 
-val kind_to_string : kind -> string
-
 type config = {
   seed : int;  (** plan seed; same seed, same injections *)
   rate : float;  (** injection probability per fault-point visit, in [0,1] *)

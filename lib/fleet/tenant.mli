@@ -36,9 +36,6 @@ val deadline_s : policy_deadline_s:float option -> t -> float option
     the policy has no deadline (the ladder is inert) or the class is
     [Batch]. *)
 
-val class_to_string : deadline_class -> string
-val class_of_string : string -> deadline_class option
-
 val parse : string -> (t list, string) result
 (** Parse a CLI fleet spec: comma-separated
     [NAME:WEIGHT[:CLASS][:BURST@RATE]] with the post-weight fields in

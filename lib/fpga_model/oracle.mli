@@ -16,8 +16,6 @@ val pe : Comp.pe -> fan_in:int -> fan_out:int -> Res.t
 val switch : width_bits:int -> fan_in:int -> fan_out:int -> Res.t
 val port : Comp.port -> dir:[ `In | `Out ] -> Res.t
 val engine : Comp.engine -> Res.t
-val control_core : Res.t
-(** The Rocket-style in-order control core with small private caches. *)
 
 val dispatcher : n_engines:int -> n_ports:int -> Res.t
 val noc :

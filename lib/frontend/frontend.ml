@@ -18,6 +18,18 @@ exception Parse_error of error
 let err line col fmt =
   Printf.ksprintf (fun msg -> raise (Parse_error { line; col; msg })) fmt
 
+(* arithmetic on client-supplied ints *)
+exception Overflow
+
+let checked_add a b =
+  let s = a + b in
+  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow else s
+
+(* [x >= 0] *)
+let checked_mul c x =
+  let p = c * x in
+  if x <> 0 && p / x <> c then raise Overflow else p
+
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -322,10 +334,14 @@ let parse_static_decl s decls =
 let parse_affine s ~loop_vars =
   let terms = Hashtbl.create 4 in
   let const = ref 0 in
+  let sum t a b =
+    try checked_add a b with Overflow -> err_at t "subscript overflows int"
+  in
   let add_term t v c =
     if not (List.mem v loop_vars) then
       err_at t "subscript variable %S is not an induction variable in scope" v;
-    Hashtbl.replace terms v (c + try Hashtbl.find terms v with Not_found -> 0)
+    Hashtbl.replace terms v
+      (sum t c (try Hashtbl.find terms v with Not_found -> 0))
   in
   let parse_term sign =
     let t = next s in
@@ -336,7 +352,7 @@ let parse_affine s ~loop_vars =
         let v, vt = expect_ident s in
         add_term vt v (sign * c)
       end
-      else const := !const + (sign * c)
+      else const := sum t !const (sign * c)
     | Ident v ->
       if at_punct s "*" then begin
         expect s "*";
@@ -766,91 +782,122 @@ let skip_toplevel s =
 (* Bounds checking                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Exact subscript range check by enumerating the region's iteration
-   space.  Interval arithmetic would be too conservative: a triangular
-   loop's variable is coupled to its enclosing variable (w <= u mod n),
-   and kernels like crs size their arrays to the coupled maximum, not
-   the independent one.  The enumeration honors the same coupling the
-   emitter encodes in OG_TRI (nearest enclosing loop, degenerate single
-   iteration when outermost) and is skipped past a work cap — it exists
-   to catch lowering mistakes and hostile input, not to be a prover. *)
+(* Exact subscript ranges without enumerating the iteration space
+   (interval arithmetic would reject crs, whose arrays are sized to the
+   coupled maximum of its triangular loop).  Coupling only links a loop
+   to its nearest enclosing one (an outermost triangular loop runs once),
+   so one pass over the chain, innermost out, is exact.  It summarizes
+   what the loops below a loop add, as a function of its value x: a
+   constant range under a [Fixed] child (or none), or, under a
+   [Triangular m] child, the child's prefix extremes over [0, x mod m],
+   read out one x at a time by a cursor.  A [Fixed n] loop over a
+   triangular child takes each residue r mod m once: the child adds the
+   same range at every such x, and the loop's own term is extreme at the
+   first and last one — min(m, n) steps.  Steps draw on one budget per
+   kernel, so huge triangular trips are rejected after bounded work, and
+   leaving the int range rejects instead of wrapping. *)
 let bounds_work_cap = 5_000_000
 
+(* what the loops below a loop add, as a function of its value x *)
+type below =
+  | Const of (int * int)
+  | Periodic of int * (unit -> unit -> int * int)  (* m, fresh cursor *)
+
+let subscript_range ~spend (loops : Ir.loop list) (a : Ir.affine) =
+  (* extremes of c*x + below(x) over x in [0, i] *)
+  let extremes c below i =
+    match below with
+    | Const (lo, hi) ->
+      let t = checked_mul c i in
+      (checked_add lo (min 0 t), checked_add hi (max 0 t))
+    | Periodic (m, fresh) ->
+      let next = fresh () in
+      let lo = ref max_int and hi = ref min_int in
+      for r = 0 to min m (i + 1) - 1 do
+        spend ();
+        let clo, chi = next () in
+        let t0 = checked_mul c r and t1 = checked_mul c (r + ((i - r) / m * m)) in
+        lo := min !lo (checked_add clo (min t0 t1));
+        hi := max !hi (checked_add chi (max t0 t1))
+      done;
+      (!lo, !hi)
+  in
+  (* yields the extremes of c*x + below(x) over [0, 0], [0, 1], ... *)
+  let cursor c below () =
+    let x = ref 0 and lo = ref max_int and hi = ref min_int in
+    let child = ref (fun () -> (0, 0)) in
+    fun () ->
+      spend ();
+      let blo, bhi =
+        match below with
+        | Const r -> r
+        | Periodic (m, fresh) ->
+          if !x mod m = 0 then child := fresh ();
+          !child ()
+      in
+      let t = checked_mul c !x in
+      lo := min !lo (checked_add blo t);
+      hi := max !hi (checked_add bhi t);
+      incr x;
+      (!lo, !hi)
+  in
+  let summarize below (l : Ir.loop) =
+    let c = Ir.affine_coeff a l.var in
+    match l.trip with
+    | Fixed n -> Const (extremes c below (n - 1))
+    | Triangular m -> Periodic (m, cursor c below)
+  in
+  let lo, hi =
+    match List.fold_left summarize (Const (0, 0)) (List.rev loops) with
+    | Const r -> r
+    | Periodic (_, fresh) -> fresh () ()
+  in
+  (checked_add a.const lo, checked_add a.const hi)
+
 let check_bounds (k : Ir.kernel) =
+  let budget = ref bounds_work_cap in
   List.iter
     (fun (r : Ir.region) ->
+      let spend () =
+        if !budget = 0 then
+          err 0 0 "bounds check exceeds %d steps (region %S)" bounds_work_cap
+            r.rname;
+        decr budget
+      in
       (* (array to size-check, affine subscript into it); an indirect
          target's subscript is a runtime value, so check the index-array
          access instead *)
-      let refs =
-        List.concat_map
-          (fun st ->
-            let all =
-              Ir.stmt_loads st
-              @ match Ir.stmt_store st with Some a -> [ a ] | None -> []
-            in
-            List.map
-              (fun (a : Ir.aref) ->
-                match a.index with
-                | Ir.Direct x -> (a.array, x)
-                | Ir.Indirect { idx_array; at } -> (idx_array, at))
-              all)
-          r.body
-        |> List.sort_uniq compare
-      in
-      let total =
-        List.fold_left
-          (fun acc (l : Ir.loop) ->
-            if acc > bounds_work_cap then acc else acc * Ir.trip_max l.trip)
-          1 r.loops
-      in
-      if refs <> [] && total <= bounds_work_cap then begin
-        let env = Hashtbl.create 4 in
-        let ranges = Array.make (List.length refs) (max_int, min_int) in
-        let eval (a : Ir.affine) =
-          List.fold_left
-            (fun acc (v, c) -> acc + (c * Hashtbl.find env v))
-            a.const a.terms
-        in
-        let rec go loops prev =
-          match loops with
-          | [] ->
-            List.iteri
-              (fun i (_, a) ->
-                let x = eval a in
-                let lo, hi = ranges.(i) in
-                ranges.(i) <- (min lo x, max hi x))
-              refs
-          | (l : Ir.loop) :: rest ->
-            let bound =
-              match l.trip with
-              | Ir.Fixed n -> n
-              | Ir.Triangular n -> (
-                match prev with Some u -> (u mod n) + 1 | None -> 1)
-            in
-            for x = 0 to bound - 1 do
-              Hashtbl.replace env l.var x;
-              go rest (Some x)
-            done
-        in
-        go r.loops None;
-        List.iteri
-          (fun i (arr, _) ->
-            let lo, hi = ranges.(i) in
-            if lo <= hi then begin
-              let elems =
-                match List.assoc_opt arr k.arrays with Some e -> e | None -> 0
-              in
-              if lo < 0 then
-                err 0 0 "subscript of %S can reach %d (negative) in region %S"
-                  arr lo r.rname;
-              if hi >= elems then
-                err 0 0
-                  "subscript of %S can reach %d but it has %d elements (region %S)"
-                  arr hi elems r.rname
-            end)
-          refs
-      end)
+      List.concat_map
+        (fun st ->
+          let all =
+            Ir.stmt_loads st
+            @ match Ir.stmt_store st with Some a -> [ a ] | None -> []
+          in
+          List.map
+            (fun (a : Ir.aref) ->
+              match a.index with
+              | Ir.Direct x -> (a.array, x)
+              | Ir.Indirect { idx_array; at } -> (idx_array, at))
+            all)
+        r.body
+      |> List.sort_uniq compare
+      |> List.iter (fun (arr, x) ->
+             let lo, hi =
+               try subscript_range ~spend r.loops x
+               with Overflow ->
+                 err 0 0 "subscript of %S overflows int in region %S" arr
+                   r.rname
+             in
+             let elems =
+               match List.assoc_opt arr k.arrays with Some e -> e | None -> 0
+             in
+             if lo < 0 then
+               err 0 0 "subscript of %S can reach %d (negative) in region %S" arr
+                 lo r.rname;
+             if hi >= elems then
+               err 0 0
+                 "subscript of %S can reach %d but it has %d elements (region %S)"
+                 arr hi elems r.rname))
     (k.regions @ match k.og_tuning with Some t -> t.regions | None -> [])
 
 (* ------------------------------------------------------------------ *)

@@ -46,5 +46,3 @@ val autodse : ?dram_channels:int -> ?device:Device.t -> tuned:bool -> Ir.kernel 
     finite-state explorer.  Kernels covered by AutoDSE's pre-built database
     (gemm) start from the stored configuration at no exploration cost. *)
 
-val hls_run_hours : float
-(** Modeled wall-clock of one Merlin/Vitis HLS evaluation. *)

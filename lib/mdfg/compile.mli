@@ -36,8 +36,6 @@ type compiled = {
       (** one inner list per region, unroll-ascending *)
 }
 
-val default_unrolls : int list
-
 val compile : ?unrolls:int list -> ?tuned:bool -> Ir.kernel -> compiled
 (** Compile all regions of a kernel into their variant sets.  [tuned]
     selects the manually tuned source variant when the kernel has one. *)

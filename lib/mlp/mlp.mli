@@ -32,9 +32,6 @@ val train :
 val loss : t -> (float array * float array) list -> float
 (** Mean squared error over a dataset. *)
 
-val n_inputs : t -> int
-val n_outputs : t -> int
-
 (** Per-dimension min-max feature/target scaling, fit on the training set. *)
 module Scaler : sig
   type s

@@ -11,9 +11,6 @@ val quiet_sigpipe : unit -> unit
     socket raises instead of killing the process.  Called by every
     transport entry point. *)
 
-val read_exact : Unix.file_descr -> int -> string
-(** Read exactly [n] bytes, blocking as needed.  @raise Closed on EOF. *)
-
 val write_all : Unix.file_descr -> string -> unit
 (** Write the whole string.  @raise Closed when the peer is gone. *)
 

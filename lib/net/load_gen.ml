@@ -30,6 +30,32 @@ type summary = {
   resend_p99_ms : float;
 }
 
+let of_trace ?(trace = fun () -> "") reqs =
+  let sources = Hashtbl.create 32 in
+  let source = function
+    | Overgen_service.Service.Source src -> src
+    | Kernel k -> (
+      match Hashtbl.find_opt sources k with
+      | Some src -> src
+      | None ->
+        let src = Overgen_workload.C_source.emit k in
+        Hashtbl.add sources k src;
+        src)
+  in
+  Array.map
+    (fun (r : Overgen_service.Service.request) ->
+      {
+        Wire.id = r.id;
+        user = r.user;
+        tenant = r.tenant;
+        overlay = r.overlay;
+        payload = Wire.Source (source r.payload);
+        tuned = r.tuned;
+        trace = trace ();
+        parent_span = 0;
+      })
+    (Array.of_list reqs)
+
 (* Shared completion ledger: one slot per request, settled exactly once
    no matter which shard thread hears the answer (a resent request can in
    principle be answered twice; the first answer wins). *)

@@ -64,6 +64,15 @@ type summary = {
       (** p99 over resent completions; 0 when nothing was resent *)
 }
 
+val of_trace :
+  ?trace:(unit -> string) ->
+  Overgen_service.Service.request list ->
+  Wire.request array
+(** A service trace as wire requests.  Each distinct kernel is emitted
+    as C source once, here, instead of on every encode and route of its
+    [Kernel] shorthand.  [trace] draws each request's trace id, in trace
+    order (default: untraced). *)
+
 val run : config -> summary
 
 val to_metrics : config -> summary -> (string * float) list

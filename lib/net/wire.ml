@@ -2,14 +2,14 @@ open Overgen_workload
 module Codec = Overgen_store.Codec
 module Crc32 = Overgen_store.Crc32
 
-(* v4: the compile request carries the tenant identity — the QoS key the
-   receiving shard's admission layer meters and weighted-fair-queues on —
-   and the error taxonomy gains [Quota_exceeded] (deterministic, never
-   retried).  (v3 added payloads + [Source_error]; v2 trace context and
-   the ops plane.)  The version byte and the schema tags bump together,
-   so an old peer rejects at the header and an old payload smuggled past
-   the header rejects at the schema check. *)
-let version = 4
+(* v5: a compile request carries its kernel only as C source text, so
+   every byte a client controls goes through a total decoder; the v4
+   marshalled-IR payload tag is rejected.  (v4 added the tenant identity
+   and [Quota_exceeded]; v3 payloads + [Source_error]; v2 trace context
+   and the ops plane.)  The version byte and the schema tags bump
+   together, so an old peer rejects at the header and an old payload
+   smuggled past the header rejects at the schema check. *)
+let version = 5
 let header_bytes = 12
 let max_payload_bytes = 16 * 1024 * 1024
 let magic0 = 'O'
@@ -77,10 +77,11 @@ let deframe ?(pos = 0) s =
 
 (* ---------------- messages ---------------- *)
 
-(* What a compile request carries: a pre-lowered IR kernel (marshalled
-   blob), or the pragma'd C source text itself — the shard parses it with
-   the frontend inside the request's fault isolation, so a rejected
-   source costs the submitting client nothing but a [Source_error]. *)
+(* What a compile request carries: the pragma'd C source text — the
+   shard parses it with the frontend inside the request's fault
+   isolation, so a rejected source costs the submitting client nothing
+   but a [Source_error].  [Kernel k] is encode-side shorthand for
+   [Source (C_source.emit k)]; a decoded request never carries it. *)
 type payload = Kernel of Ir.kernel | Source of string
 
 type request = {
@@ -158,9 +159,8 @@ type resp_msg =
     }
   | Events of { shard : int; events : string list }
 
-let req_schema = "net-req-v4"
-let resp_schema = "net-resp-v4"
-let kernel_schema = "net-kernel-v1"
+let req_schema = "net-req-v5"
+let resp_schema = "net-resp-v5"
 let schedules_schema = "net-schedules-v1"
 
 exception Bad of string
@@ -168,7 +168,13 @@ exception Bad of string
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
 let put_id b id = Codec.put_u64 b (Int64.of_int id)
-let get_id s pos = Int64.to_int (Codec.get_u64 s pos)
+
+(* only values [put_id] can write: re-encoding a decoded id is exact *)
+let get_id s pos =
+  let v = Codec.get_u64 s pos in
+  let id = Int64.to_int v in
+  if Int64.of_int id <> v then fail "id %Ld out of range" v;
+  id
 
 let put_bool b v = Codec.put_u8 b (if v then 1 else 0)
 
@@ -178,12 +184,7 @@ let get_bool s pos =
   | 1 -> true
   | n -> fail "bad boolean byte %d" n
 
-let encode_kernel (k : Ir.kernel) = Codec.encode_marshal ~schema:kernel_schema k
-
-let decode_kernel s : Ir.kernel =
-  match Codec.decode_marshal ~schema:kernel_schema s with
-  | Ok k -> k
-  | Error e -> fail "kernel blob: %s" e
+let source_text = function Kernel k -> C_source.emit k | Source src -> src
 
 let encode_req msg =
   let b = Buffer.create 256 in
@@ -198,13 +199,9 @@ let encode_req msg =
     put_bool b r.tuned;
     Codec.put_string b r.trace;
     put_id b r.parent_span;
-    (match r.payload with
-    | Kernel k ->
-      Codec.put_u8 b 0;
-      Codec.put_string b (encode_kernel k)
-    | Source src ->
-      Codec.put_u8 b 1;
-      Codec.put_string b src)
+    (* tag 1: tag 0 was the v4 marshalled-IR payload *)
+    Codec.put_u8 b 1;
+    Codec.put_string b (source_text r.payload)
   | Ping -> Codec.put_u8 b 1
   | Stats_req -> Codec.put_u8 b 2
   | Quiesce -> Codec.put_u8 b 3
@@ -232,7 +229,6 @@ let decode_req s =
         let parent_span = get_id s pos in
         let payload =
           match Codec.get_u8 s pos with
-          | 0 -> Kernel (decode_kernel (Codec.get_string s pos))
           | 1 -> Source (Codec.get_string s pos)
           | n -> fail "unknown payload tag %d" n
         in
@@ -408,17 +404,11 @@ let decode_resp s =
 (* The routing key deliberately avoids the registry fingerprint and the
    mDFG content hash: a client can compute it from the request alone, yet
    it determines both (the overlay name resolves to one fingerprint on
-   every shard, the kernel digest to one variant hash), so the cache
-   keyspace is partitioned consistently with the schedule-cache keys.
-   A [Source] payload routes on the raw source text — the client cannot
-   parse, so it cannot digest the lowered IR; the source form of a kernel
-   may therefore land on a different shard than its IR form, but within
-   each shard both resolve to the same schedule-cache key post-parse. *)
-let route_key ~overlay ~(payload : payload) ~tuned =
+   every shard, the source digest to one variant hash), so the cache
+   keyspace is partitioned consistently with the schedule-cache keys. *)
+let route_key ~overlay ~payload ~tuned =
   let b = Buffer.create 64 in
   Codec.put_string b overlay;
-  (match payload with
-  | Kernel k -> Codec.put_string b (Digest.string (Ir.pretty k))
-  | Source src -> Codec.put_string b (Digest.string ("src\x00" ^ src)));
+  Codec.put_string b (Digest.string (source_text payload));
   put_bool b tuned;
   Buffer.contents b

@@ -21,22 +21,23 @@
     counted error on any of them, mirroring the store's scan-on-open
     discipline (damage is detected and contained, not interpreted).
 
-    {b Messages.}  Payloads are schema-tagged ([net-req-v4] /
-    [net-resp-v4]) envelopes whose fields are Codec primitives; the two
-    structured blobs — the kernel in a compile request and the schedules
-    in a successful response — ride as {!Overgen_store.Codec}
-    marshal-encoded, schema-tagged strings, so a format bump of either
-    renames its schema and old peers reject rather than misparse.
+    {b Messages.}  Payloads are schema-tagged ([net-req-v5] /
+    [net-resp-v5]) envelopes whose fields are Codec primitives.  A
+    request is client-controlled bytes, so it decodes through total
+    readers only: the kernel travels as pragma'd C source text, parsed
+    on the shard by {!Overgen_frontend.Frontend.parse}, and a value
+    {!decode_req} accepts re-encodes to exactly the bytes it came from.
+    The schedules of a successful response come from the server the
+    client chose to trust and ride as one {!Overgen_store.Codec}
+    marshal-encoded, schema-tagged string.
 
-    v4 added the tenant identity to the compile request — the QoS key
-    the receiving shard's admission layer meters and weighted-fair-queues
-    on — and [Quota_exceeded] to the error taxonomy.  (v3 made the
-    payload a tagged union of marshalled IR kernel / raw pragma'd C
-    source and added [Source_error]; v2 added the trace context and the
-    ops-plane kinds.)  Each bump moves the
-    version byte and both envelope schemas together, so older frames
-    reject at the header and older payloads at the schema check — never a
-    silent misparse. *)
+    v5 dropped the marshalled-IR request payload: a compile request
+    carries only source text, and the old payload tag is rejected.  (v4
+    added the tenant identity and [Quota_exceeded]; v3 the source
+    payload and [Source_error]; v2 the trace context and the ops-plane
+    kinds.)  Each bump moves the version byte and both envelope schemas
+    together, so older frames reject at the header and older payloads at
+    the schema check — never a silent misparse. *)
 
 open Overgen_workload
 
@@ -78,11 +79,11 @@ val deframe : ?pos:int -> string -> (string * int, frame_error) result
 
 (** {2 Messages} *)
 
-(** What a compile request carries: a pre-lowered IR kernel, or pragma'd
-    C source text the shard parses with {!Overgen_frontend.Frontend}
-    inside the request's fault isolation.  A source that parses compiles
-    under exactly the same schedule-cache key as its [Kernel]
-    equivalent. *)
+(** What a compile request carries: pragma'd C source text the shard
+    parses with {!Overgen_frontend.Frontend} inside the request's fault
+    isolation.  [Kernel k] is encode-side shorthand for
+    [Source (C_source.emit k)]: it encodes and routes exactly as that
+    source does, and {!decode_req} never returns it. *)
 type payload = Kernel of Ir.kernel | Source of string
 
 type request = {
@@ -180,12 +181,9 @@ val decode_resp : string -> (resp_msg, string) result
 
 val route_key : overlay:string -> payload:payload -> tuned:bool -> string
 (** The consistent-hash routing key of a compile request: a
-    length-prefixed join of the overlay name, the payload's content
-    digest (lowered-IR pretty-print for [Kernel], raw text for [Source])
-    and the tuned flag.  Client and server compute it identically, so a
-    given (overlay, payload, tuned) triple always lands on one shard —
-    the shard whose schedule cache will hold its fingerprint+mDFG-hash
-    entry.  The source form of a kernel may route to a different shard
-    than its IR form (the client cannot digest IR it never parsed), but
-    on whichever shard serves them both resolve to the same
-    schedule-cache key post-parse. *)
+    length-prefixed join of the overlay name, the digest of the source
+    text and the tuned flag.  Client and server compute it identically,
+    and [Kernel k] keys exactly as [Source (C_source.emit k)], so a given
+    (overlay, kernel, tuned) triple always lands on one shard — the
+    shard whose schedule cache will hold its fingerprint+mDFG-hash
+    entry. *)

@@ -36,21 +36,6 @@ val validate_json : string -> (unit, string) result
 (** {2 JSON value parsing} — dependency-free reader for the JSONL span
     files shards write; sibling of {!validate_json}. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse_json : string -> (json, string) result
-(** Parse exactly one JSON value (full RFC 8259 grammar; [\uXXXX]
-    escapes decode to UTF-8). *)
-
-val member : string -> json -> json option
-(** Object member lookup; [None] on non-objects. *)
-
 val parse_jsonl : string -> ((int * Span.span) list, string) result
 (** Read back a {!to_jsonl} document: one [(pid, span)] per non-blank
     line.  Missing [pid]/[trace]/[domain] fields default (old files stay

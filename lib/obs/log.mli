@@ -12,8 +12,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
-
 type event = {
   seq : int;                      (** 0-based; total order of recording *)
   t_s : float;                    (** seconds since the recorder epoch *)

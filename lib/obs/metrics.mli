@@ -50,9 +50,6 @@ val gauge_value : gauge -> float
 
 type histogram
 
-val default_buckets : float array
-(** Latency-flavored bounds in seconds, 100 µs .. 5 s. *)
-
 val histogram :
   ?help:string ->
   ?labels:(string * string) list ->

@@ -36,13 +36,6 @@ let engine_of_stream t (s : Stream.t) =
     | Some e -> Some e
     | None -> List.assoc_opt s.array t.array_engine)
 
-let uses_node t id =
-  Imap.exists (fun _ v -> v = id) t.inst_pe
-  || Imap.exists (fun _ v -> v = id) t.port_map
-  || List.exists (fun (_, v) -> v = id) t.array_engine
-  || List.exists (fun (_, v) -> v = id) t.rec_streams
-  || List.exists (fun (_, v) -> v = id) t.reg_streams
-  || List.exists (fun (_, r) -> List.mem id r.hops) t.routes
 
 let used_edges t =
   let rec pairs = function

@@ -48,7 +48,6 @@ val engine_of_stream : t -> Stream.t -> Adg.id option
 
 val is_rec : t -> Stream.t -> bool
 
-val uses_node : t -> Adg.id -> bool
 val used_edges : t -> (Adg.id * Adg.id) list
 (** ADG edges traversed by any route, with duplicates removed. *)
 

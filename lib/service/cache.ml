@@ -37,7 +37,9 @@ let encode_outcome (o : outcome) = Codec.encode_marshal ~schema o
 let decode_outcome s : outcome option =
   match Codec.decode_marshal ~schema s with Ok o -> Some o | Error _ -> None
 
-let create ?(capacity = 1024) ?store () =
+let default_capacity = 1024
+
+let create ?(capacity = default_capacity) ?store () =
   let t =
     {
       lru = Lru.create ~capacity;

@@ -47,8 +47,11 @@ val cacheable : outcome -> bool
 
 type t
 
+val default_capacity : int
+(** 1024 entries. *)
+
 val create : ?capacity:int -> ?store:Overgen_store.Store.t -> unit -> t
-(** [capacity] defaults to 1024 entries.  With [store], the LRU is
+(** [capacity] defaults to {!default_capacity}.  With [store], the LRU is
     warm-started from the persisted bindings (most recently written =
     most recently used, capacity applies) and all later traffic writes
     and reads through.  Bindings persisted under an older codec schema
@@ -62,8 +65,8 @@ val store_reads : t -> int
 
 val key : fingerprint:string -> variant_hash:string -> string
 (** The cache key for one (overlay structure, compiled application) pair:
-    {!Overgen.make_schedule_key}'s length-prefixed join, equal to
-    {!Overgen.schedule_key} on the same inputs.  Length prefixes mean no
+    {!Overgen.make_schedule_key}'s length-prefixed join, the key the
+    compile path's {!Overgen.cache_hooks} see.  Length prefixes mean no
     two distinct input pairs share a key, whatever bytes the hashes
     contain. *)
 

@@ -81,9 +81,10 @@ type t = {
   mode : mode;
   policy : policy;
   pool : Pool.t;
-  (* kernel content hash -> (mDFG variant sets, their content hash); the
-     second memoization level that lets cache hits skip the compiler *)
-  memo : (string, Compile.compiled * string) Hashtbl.t;
+  (* payload text digest -> (mDFG variant sets, their content hash); the
+     second memoization level that lets cache hits skip the frontend and
+     the compiler, bounded like the schedule cache *)
+  memo : (string, Compile.compiled * string) Lru.t;
   memo_m : Mutex.t;
 }
 
@@ -91,20 +92,47 @@ let telemetry t = t.telemetry_
 let cache t = t.cache_
 let registry t = t.registry
 
-let memoized_compile t (k : Ir.kernel) tuned =
-  let khash = Digest.to_hex (Digest.string (Ir.pretty k)) ^ if tuned then "+t" else "" in
+let memo_entries t =
   Mutex.lock t.memo_m;
-  let found = Hashtbl.find_opt t.memo khash in
+  let n = Lru.length t.memo in
+  Mutex.unlock t.memo_m;
+  n
+
+(* Keyed on the payload's own text, so a hit costs one digest: a source
+   is parsed only on a miss, and a rejected one — deterministic, same
+   source, same error — is not memoized.  Source payloads are parsed
+   here, inside the per-request fault isolation.  A parsed kernel lands
+   on exactly the same schedule-cache key as its in-process [Kernel]
+   equivalent: the frontend is invisible to the cache. *)
+let memoized_compile t payload tuned =
+  let key =
+    (match payload with
+    | Kernel k -> "ir:" ^ Digest.string (Ir.pretty k)
+    | Source src -> "src:" ^ Digest.string src)
+    ^ if tuned then "+t" else ""
+  in
+  Mutex.lock t.memo_m;
+  let found = Lru.find t.memo key in
   Mutex.unlock t.memo_m;
   match found with
-  | Some cc -> cc
+  | Some cc -> Ok cc
   | None ->
-    let compiled = Compile.compile ~tuned k in
-    let cc = (compiled, Compile.hash_compiled compiled) in
-    Mutex.lock t.memo_m;
-    if not (Hashtbl.mem t.memo khash) then Hashtbl.add t.memo khash cc;
-    Mutex.unlock t.memo_m;
-    cc
+    let kernel =
+      match payload with
+      | Kernel k -> Ok k
+      | Source src ->
+        Result.map_error Overgen_frontend.Frontend.error_to_string
+          (Overgen_frontend.Frontend.parse src)
+    in
+    Result.map
+      (fun k ->
+        let compiled = Compile.compile ~tuned k in
+        let cc = (compiled, Compile.hash_compiled compiled) in
+        Mutex.lock t.memo_m;
+        Lru.add t.memo key cc;
+        Mutex.unlock t.memo_m;
+        cc)
+      kernel
 
 let fault_message = function
   | Fault.Injected _ as e -> Fault.describe e
@@ -160,24 +188,9 @@ let process t ~admitted_at req =
     match Registry.find t.registry req.overlay with
     | None -> (Error (Unknown_overlay req.overlay), false)
     | Some entry -> (
-      match
-        (* Source payloads are parsed here, inside the per-request fault
-           isolation; a rejection is deterministic (same source, same
-           error), so it answers immediately without touching the retry
-           machinery.  A parsed kernel is memoized and cached under
-           exactly the same content keys as its in-process [Kernel]
-           equivalent — the frontend is invisible to the cache. *)
-        match req.payload with
-        | Kernel k -> Ok k
-        | Source src -> (
-          match Overgen_frontend.Frontend.parse src with
-          | Ok k -> Ok k
-          | Error e ->
-            Error (Overgen_frontend.Frontend.error_to_string e))
-      with
+      match memoized_compile t req.payload req.tuned with
       | Error e -> (Error (Source_error e), false)
-      | Ok kernel -> (
-      let compiled, chash = memoized_compile t kernel req.tuned in
+      | Ok (compiled, chash) -> (
       let compute () =
         Obs.Span.with_span "compile_schedule" @@ fun () ->
         match
@@ -316,7 +329,12 @@ let create ?(mode = Deterministic) ?(caching = true) ?cache
     policy;
     (* the admission layer's in-flight window bounds the jobs in here *)
     pool = Pool.create ~queue_capacity:max_int pool_mode;
-    memo = Hashtbl.create 32;
+    memo =
+      Lru.create
+        ~capacity:
+          (match cache_ with
+          | Some c -> (Cache.stats c).capacity
+          | None -> Cache.default_capacity);
     memo_m = Mutex.create ();
   }
 

@@ -4,7 +4,7 @@
     generated once (hours of modeled DSE + synthesis), then kept warm in a
     {!Registry} while many users submit compile requests against them.
     Each request resolves a named overlay, compiles the kernel to its mDFG
-    variant set (memoized by kernel content hash), and spatially schedules
+    variant set (memoized by the payload's text), and spatially schedules
     it — unless the content-addressed {!Cache} already holds the schedules,
     in which case the request is served in microseconds.
 
@@ -36,9 +36,10 @@ type mode = Deterministic | Workers of int
 
 (** What a request asks to compile: a lowered IR kernel (the in-process
     path), or pragma'd C source parsed by {!Overgen_frontend.Frontend}
-    on the worker, inside the request's fault isolation.  A [Source]
-    payload that parses compiles under exactly the same memo and cache
-    keys as the equivalent [Kernel] payload. *)
+    on the worker, inside the request's fault isolation — and only when
+    the compile memo, keyed on the payload's text, misses.  A [Source]
+    payload that parses compiles under exactly the same schedule-cache
+    key as the equivalent [Kernel] payload. *)
 type payload = Kernel of Ir.kernel | Source of string
 
 val payload_name : payload -> string
@@ -154,6 +155,10 @@ val dispatch : t -> job list -> unit
 val telemetry : t -> Telemetry.t
 val cache : t -> Cache.t option
 val registry : t -> Registry.t
+
+val memo_entries : t -> int
+(** Kernels held compiled (mDFG variant sets) for reuse, keyed on the
+    payload's text; bounded by the schedule cache's capacity. *)
 
 val mode : t -> mode
 val policy : t -> policy

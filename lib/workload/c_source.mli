@@ -20,15 +20,6 @@ val emit : ?tuned:bool -> Ir.kernel -> string
     [~tuned:true] they replace the main function's regions (the legacy
     single-function rendering). *)
 
-val region_body : Ir.kernel -> Ir.region -> string
-(** Just one region's loop nest (with its decouple pragma). *)
-
-val ctype : Ir.kernel -> string
-(** The C element type, e.g. "double", "int16_t". *)
-
 val fn_name : Ir.kernel -> string
 (** The C identifier of the kernel function ('-' mapped to '_'). *)
 
-val mangle : string -> string
-(** The [og_] global-name prefix applied to every emitted array, scalar
-    parameter and reduction target. *)

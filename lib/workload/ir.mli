@@ -107,15 +107,10 @@ type kernel = {
 val loads_of_expr : expr -> aref list
 (** All loads, left-to-right, duplicates preserved. *)
 
-val ops_of_expr : expr -> (Op.t * int) list
-(** Operation histogram of an expression. *)
-
 val stmt_loads : stmt -> aref list
 (** Loads including the implicit read of an [Accum] target. *)
 
 val stmt_store : stmt -> aref option
-val stmt_ops : stmt -> (Op.t * int) list
-(** Includes the reduction op of [Accum]/[Reduce]. *)
 
 val region_op_histogram : region -> (Op.t * int) list
 val region_iterations : region -> float

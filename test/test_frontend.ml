@@ -15,6 +15,11 @@ let parse_ok src =
   | Ok k -> k
   | Error e -> Alcotest.failf "parse failed: %s" (Frontend.error_to_string e)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* structural equality is meaningful here: [Ir.kernel] is pure data and
    both sides build affines through the normalizing constructor *)
 let test_round_trip_suite () =
@@ -102,16 +107,11 @@ let test_affine_negative_round_trip () =
     }
   in
   let src = C_source.emit k in
-  let contains_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   (* the satellite bug: subscripts used to render as [7 + -1*i]; the
      canonical forms lead with the negative term and join with minus *)
-  if not (contains_sub src "og_c[-i + 7]" && contains_sub src "og_a[-2*i + 14]")
+  if not (contains src "og_c[-i + 7]" && contains src "og_a[-2*i + 14]")
   then Alcotest.failf "negative subscripts not rendered canonically:\n%s" src;
-  if contains_sub src "+ -1*" || contains_sub src "+-" then
+  if contains src "+ -1*" || contains src "+-" then
     Alcotest.failf "emitted subscript still joins negatives with '+':\n%s" src;
   let k' = parse_ok src in
   if k' <> k then Alcotest.fail "negative affine kernel does not round-trip"
@@ -143,12 +143,7 @@ let test_const_literals_dtype_correct () =
   in
   let src = C_source.emit k in
   (* a float-dtype kernel must never emit bare C int literals *)
-  let contains_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  if not (contains_sub src "(1.0 / 2.0)") then
+  if not (contains src "(1.0 / 2.0)") then
     Alcotest.failf "float consts emitted wrong:\n%s" src;
   let k' = parse_ok src in
   if k' <> k then Alcotest.fail "float const kernel does not round-trip";
@@ -166,14 +161,9 @@ let test_const_literals_dtype_correct () =
 let test_triangular_bound_emitted () =
   let cholesky = Kernels.find "cholesky" in
   let src = C_source.emit cholesky in
-  let contains_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  if not (contains_sub src "OG_TRI(j, 48)") then
+  if not (contains src "OG_TRI(j, 48)") then
     Alcotest.failf "triangular loop lost its dependent bound:\n%s" src;
-  if not (contains_sub src "OG_TRI(i, 48)") then
+  if not (contains src "OG_TRI(i, 48)") then
     Alcotest.fail "inner triangular loop should ride the enclosing variable"
 
 (* ---------------- located errors, no exceptions ---------------- *)
@@ -183,12 +173,7 @@ let located_error ?(min_line = 1) src expect_sub =
   | Ok _ -> Alcotest.failf "expected a parse error (%s)" expect_sub
   | Error e ->
     let msg = Frontend.error_to_string e in
-    let contains_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    if not (contains_sub msg expect_sub) then
+    if not (contains msg expect_sub) then
       Alcotest.failf "error %S does not mention %S" msg expect_sub;
     Alcotest.(check bool) "error is located" true (e.Frontend.line >= min_line)
 
@@ -288,6 +273,263 @@ let test_gen_round_trips () =
     Alcotest.failf "uncovered productions after 200 kernels: %s"
       (String.concat ", " missing)
 
+(* ---------------- bounds check: differential oracle ---------------- *)
+
+(* The enumerating bounds check the frontend ran before its closed-form
+   pass, kept as the reference: visit every iteration point (a
+   triangular loop runs [0, u mod n] under its nearest enclosing loop u,
+   one iteration when outermost) and record each subscript's reach, in
+   the order the frontend checks them. *)
+let enumerated_ranges (k : Ir.kernel) =
+  List.concat_map
+    (fun (r : Ir.region) ->
+      let refs =
+        List.concat_map
+          (fun st ->
+            let all =
+              Ir.stmt_loads st
+              @ match Ir.stmt_store st with Some a -> [ a ] | None -> []
+            in
+            List.map
+              (fun (a : Ir.aref) ->
+                match a.index with
+                | Ir.Direct x -> (a.array, x)
+                | Ir.Indirect { idx_array; at } -> (idx_array, at))
+              all)
+          r.body
+        |> List.sort_uniq compare
+      in
+      let env = Hashtbl.create 4 in
+      let ranges = Array.make (List.length refs) (max_int, min_int) in
+      let eval (a : Ir.affine) =
+        List.fold_left (fun acc (v, c) -> acc + (c * Hashtbl.find env v)) a.const a.terms
+      in
+      let rec go loops prev =
+        match loops with
+        | [] ->
+          List.iteri
+            (fun i (_, a) ->
+              let x = eval a in
+              let lo, hi = ranges.(i) in
+              ranges.(i) <- (min lo x, max hi x))
+            refs
+        | (l : Ir.loop) :: rest ->
+          let bound =
+            match l.trip with
+            | Ir.Fixed n -> n
+            | Ir.Triangular n -> ( match prev with Some u -> (u mod n) + 1 | None -> 1)
+          in
+          for x = 0 to bound - 1 do
+            Hashtbl.replace env l.var x;
+            go rest (Some x)
+          done
+      in
+      go r.loops None;
+      List.mapi (fun i (arr, _) -> (r.rname, arr, ranges.(i))) refs)
+    (k.regions @ match k.og_tuning with Some t -> t.regions | None -> [])
+
+(* the reference verdict for [k]'s array sizes, worded as the frontend
+   words its located error *)
+let reference_verdict (k : Ir.kernel) ranges =
+  List.find_map
+    (fun (rname, arr, (lo, hi)) ->
+      let elems = match List.assoc_opt arr k.arrays with Some e -> e | None -> 0 in
+      if lo > hi then None
+      else if lo < 0 then
+        Some (Printf.sprintf "subscript of %S can reach %d (negative) in region %S" arr lo rname)
+      else if hi >= elems then
+        Some
+          (Printf.sprintf "subscript of %S can reach %d but it has %d elements (region %S)" arr
+             hi elems rname)
+      else None)
+    ranges
+  |> Option.fold ~none:(Ok ()) ~some:(fun m -> Error ("0:0: " ^ m))
+
+(* every subscript of [r] moved by [d] elements *)
+let shift_subscripts d (r : Ir.region) =
+  let aref (a : Ir.aref) =
+    match a.index with
+    | Ir.Direct x -> { a with index = Ir.Direct (Ir.affine_shift x d) }
+    | Ir.Indirect i -> { a with index = Ir.Indirect { i with at = Ir.affine_shift i.at d } }
+  in
+  let rec expr = function
+    | Ir.Load a -> Ir.Load (aref a)
+    | Ir.Unop (op, e) -> Ir.Unop (op, expr e)
+    | Ir.Binop (op, a, b) -> Ir.Binop (op, expr a, expr b)
+    | (Ir.Const _ | Ir.Param _) as e -> e
+  in
+  let stmt = function
+    | Ir.Store (a, e) -> Ir.Store (aref a, expr e)
+    | Ir.Accum (a, op, e) -> Ir.Accum (aref a, op, expr e)
+    | Ir.Reduce (n, op, e) -> Ir.Reduce (n, op, expr e)
+  in
+  { r with body = List.map stmt r.body }
+
+(* The closed-form pass inside [Frontend.parse] against the enumeration:
+   the suite, 2,000 generated kernels, every variant of each with one
+   array shrunk by an element (so the upper check must fire wherever
+   that array was sized tight) and every variant with one region's
+   subscripts moved down by one (so the lower check must fire wherever a
+   subscript starts at 0) give the same verdict and the same text. *)
+let test_bounds_differential () =
+  let cov = Gen.Cov.create () in
+  let rng = Rng.of_string "bounds-differential" in
+  let kernels = Kernels.all @ List.init 2000 (fun _ -> Gen.kernel ~cov rng) in
+  let below = ref 0 and above = ref 0 in
+  let check label ranges (v : Ir.kernel) =
+    let want = reference_verdict v ranges in
+    let got =
+      Result.map (fun _ -> ()) (Frontend.parse (C_source.emit v))
+      |> Result.map_error Frontend.error_to_string
+    in
+    if got <> want then
+      Alcotest.failf "%s (%s): closed form says %s, enumeration says %s" v.name label
+        (match got with Ok () -> "in bounds" | Error e -> e)
+        (match want with Ok () -> "in bounds" | Error e -> e);
+    match got with
+    | Error e -> if contains e "(negative)" then incr below else incr above
+    | Ok () -> ()
+  in
+  List.iter
+    (fun (k : Ir.kernel) ->
+      let ranges = enumerated_ranges k in
+      check "as is" ranges k;
+      List.iter
+        (fun (a, n) ->
+          if n >= 2 then
+            check ("shrunk " ^ a) ranges
+              { k with arrays = List.map (fun (b, m) -> (b, if b = a then m - 1 else m)) k.arrays })
+        k.arrays;
+      List.iteri
+        (fun i (r : Ir.region) ->
+          let v =
+            {
+              k with
+              regions = List.mapi (fun j r -> if i = j then shift_subscripts (-1) r else r) k.regions;
+            }
+          in
+          check ("shifted " ^ r.rname) (enumerated_ranges v) v)
+        k.regions)
+    kernels;
+  Alcotest.(check bool) "the lower check fires" true (!below > 1000);
+  Alcotest.(check bool) "the upper check fires" true (!above > 1000)
+
+(* a one-region kernel storing to [a] at subscript [x] under [trips]
+   (loops i, j, k, ... outermost first) *)
+let nest_kernel ~elems trips x =
+  {
+    (Kernels.find "solver") with
+    Ir.name = "nest";
+    arrays = [ ("a", elems) ];
+    regions =
+      [
+        {
+          Ir.rname = "r";
+          loops = List.mapi (fun i trip -> { Ir.var = String.make 1 "ijkl".[i]; trip }) trips;
+          body = [ Ir.Store ({ Ir.array = "a"; index = Ir.Direct x }, Ir.Const 1.0) ];
+          hls = Ir.Clean;
+        };
+      ];
+    og_tuning = None;
+  }
+
+(* Trip counts are client-supplied and unbounded: the pass must neither
+   walk a huge fixed loop nor tabulate a huge triangular one.  A fixed
+   loop over a small triangular child costs the child's trip; a nest of
+   huge triangular trips is rejected once the step budget runs out. *)
+let test_bounds_huge_trips () =
+  let measure src =
+    let bytes = Gc.allocated_bytes () and top = (Gc.quick_stat ()).top_heap_words in
+    let t = Sys.time () in
+    let r = Frontend.parse src in
+    (r, Sys.time () -. t, Gc.allocated_bytes () -. bytes, (Gc.quick_stat ()).top_heap_words - top)
+  in
+  let ij = Ir.affine [ ("i", 1); ("j", 1) ] in
+  (* i + j over i < 5e8, j <= i mod 4 reaches 499,999,999 + 3 *)
+  let k = nest_kernel ~elems:500_000_003 [ Ir.Fixed 500_000_000; Ir.Triangular 4 ] ij in
+  let r, secs, bytes, _ = measure (C_source.emit k) in
+  (match r with
+  | Ok k' -> if k' <> k then Alcotest.fail "huge fixed nest does not round-trip"
+  | Error e -> Alcotest.failf "huge fixed nest rejected: %s" (Frontend.error_to_string e));
+  (match Frontend.parse (C_source.emit { k with arrays = [ ("a", 500_000_002) ] }) with
+  | Error e when contains e.msg "can reach 500000002 but it has 500000002" -> ()
+  | _ -> Alcotest.fail "huge fixed nest: tight array not caught");
+  Alcotest.(check bool) (Printf.sprintf "huge fixed nest took %.3f s" secs) true (secs < 1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "huge fixed nest allocated %.0f bytes" bytes)
+    true (bytes < 1e6);
+  let n = 500_000_000 in
+  let ijk = Ir.affine [ ("i", 1); ("j", 1); ("k", 1) ] in
+  let k = nest_kernel ~elems:(3 * n) [ Ir.Fixed n; Ir.Triangular n; Ir.Triangular n ] ijk in
+  let r, secs, _, heap = measure (C_source.emit k) in
+  (match r with
+  | Error e when contains e.msg "bounds check exceeds 5000000 steps (region \"r\")" -> ()
+  | Error e -> Alcotest.failf "huge triangular nest: %s" (Frontend.error_to_string e)
+  | Ok _ -> Alcotest.fail "huge triangular nest accepted without a check");
+  Alcotest.(check bool) (Printf.sprintf "huge triangular nest took %.3f s" secs) true (secs < 5.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "huge triangular nest grew the heap by %d words" heap)
+    true (heap < 1_000_000)
+
+(* The pass is exact up to the int range and rejects past it: big
+   coefficients whose products still fit agree with the enumeration,
+   one step further overflows and is refused instead of wrapping. *)
+let test_bounds_int_edge () =
+  let verdict k =
+    Result.map (fun _ -> ()) (Frontend.parse (C_source.emit k))
+    |> Result.map_error Frontend.error_to_string
+  in
+  let agree label k =
+    let ranges = enumerated_ranges k in
+    List.iter
+      (fun (_, _, (_, hi)) ->
+        List.iter
+          (fun elems ->
+            let v = { k with Ir.arrays = [ ("a", elems) ] } in
+            let want = reference_verdict v ranges and got = verdict v in
+            if got <> want then
+              Alcotest.failf "%s, %d elements: closed form says %s, enumeration says %s" label
+                elems
+                (match got with Ok () -> "in bounds" | Error e -> e)
+                (match want with Ok () -> "in bounds" | Error e -> e))
+          [ hi; hi + 1 ])
+      ranges
+  in
+  let overflows label k =
+    match verdict k with
+    | Error e when contains e "overflows int" -> ()
+    | Error e -> Alcotest.failf "%s: rejected for the wrong reason: %s" label e
+    | Ok () -> Alcotest.failf "%s: overflowing subscript accepted" label
+  in
+  let c = max_int / 1000 in
+  let fixed = [ Ir.Fixed 1001 ] and coupled = [ Ir.Fixed 1001; Ir.Triangular 7 ] in
+  agree "c*i" (nest_kernel ~elems:1 fixed (Ir.affine [ ("i", c) ]));
+  agree "-c*i + 1000c" (nest_kernel ~elems:1 fixed (Ir.affine ~const:(1000 * c) [ ("i", -c) ]));
+  agree "coupled" (nest_kernel ~elems:1 coupled (Ir.affine [ ("i", c - 7); ("j", 1) ]));
+  overflows "(c+1)*i" (nest_kernel ~elems:max_int fixed (Ir.affine [ ("i", c + 1) ]));
+  overflows "coupled" (nest_kernel ~elems:max_int coupled (Ir.affine [ ("i", c); ("j", max_int / 6) ]));
+  overflows "h*i + h*j"
+    (nest_kernel ~elems:max_int [ Ir.Fixed 2; Ir.Fixed 2 ]
+       (Ir.affine [ ("i", (max_int / 2) + 1); ("j", (max_int / 2) + 1) ]));
+  overflows "const + c*i" (nest_kernel ~elems:max_int fixed (Ir.affine ~const:max_int [ ("i", 1) ]));
+  (* the parser's own sums of repeated terms and constants *)
+  let h = (max_int / 2) + 1 in
+  let src = C_source.emit (nest_kernel ~elems:max_int fixed (Ir.affine [ ("i", h) ])) in
+  let term = Printf.sprintf "og_a[%d*i]" h in
+  if not (contains src term) then Alcotest.failf "expected %s in\n%s" term src;
+  let rec at i = if String.sub src i (String.length term) = term then i else at (i + 1) in
+  let idx = at 0 and len = String.length term in
+  List.iter
+    (fun sub ->
+      let src =
+        String.sub src 0 idx ^ sub ^ String.sub src (idx + len) (String.length src - idx - len)
+      in
+      match Frontend.parse src with
+      | Error e when contains e.msg "subscript overflows int" && e.line > 0 -> ()
+      | Error e -> Alcotest.failf "%s: %s" sub (Frontend.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s accepted" sub)
+    [ Printf.sprintf "og_a[%d*i + %d*i]" h h; Printf.sprintf "og_a[i + %d + %d]" h h ]
+
 let test_fuzz_smoke () =
   let s = Fuzz.run ~seeds:50 ~seed:11 () in
   Alcotest.(check int) "every seed ran" 50 s.Fuzz.runs;
@@ -379,6 +621,12 @@ let tests =
       test_gen_deterministic;
     Alcotest.test_case "gen: 200 kernels round-trip + full coverage" `Slow
       test_gen_round_trips;
+    Alcotest.test_case "bounds: closed form = enumeration" `Slow
+      test_bounds_differential;
+    Alcotest.test_case "bounds: huge trips stay cheap" `Quick
+      test_bounds_huge_trips;
+    Alcotest.test_case "bounds: exact to the int range" `Quick
+      test_bounds_int_edge;
     Alcotest.test_case "fuzz: clean pipeline smoke" `Slow test_fuzz_smoke;
     Alcotest.test_case "fuzz: under fault injection" `Slow
       test_fuzz_with_faults;

@@ -106,7 +106,7 @@ let gen_request =
     let* parent_span = int_range 0 1_000_000 in
     let* as_source = bool in
     let payload =
-      (* both payload forms ride the same Compile envelope *)
+      (* the IR shorthand encodes as the emitted source *)
       if as_source then Wire.Source (C_source.emit (Kernels.find name))
       else Wire.Kernel (Kernels.find name)
     in
@@ -143,11 +143,102 @@ let prop_req_roundtrip =
           && r.Wire.tuned = req.Wire.tuned
           && r.Wire.trace = req.Wire.trace
           && r.Wire.parent_span = req.Wire.parent_span
-          && (match (r.Wire.payload, req.Wire.payload) with
-             | Wire.Kernel a, Wire.Kernel b -> Ir.pretty a = Ir.pretty b
-             | Wire.Source a, Wire.Source b -> a = b
-             | _ -> false)
+          && r.Wire.payload
+             = Wire.Source
+                 (match req.Wire.payload with
+                 | Wire.Kernel k -> C_source.emit k
+                 | Wire.Source s -> s)
         | Ok _ -> false))
+
+(* Below the CRC: overwrite 1-3 bytes inside a compile request's
+   payload and re-frame it, so the checksum matches and only the decoder
+   stands between the bytes and the shard.  Every case either rejects,
+   or decodes to a request that re-encodes to exactly the mutated bytes
+   and that routing and the frontend take without raising. *)
+let suite_payloads =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun k ->
+            Wire.encode_req
+              (Wire.Compile
+                 {
+                   Wire.id = 17;
+                   user = "u";
+                   tenant = "acme";
+                   overlay = "general";
+                   payload = Wire.Kernel k;
+                   tuned = false;
+                   trace = "00ff00ff00ff00ff00ff00ff00ff00ff";
+                   parent_span = 42;
+                 }))
+          Kernels.all))
+
+let gen_mutation =
+  QCheck.Gen.(
+    let* i = int_bound (List.length Kernels.names - 1) in
+    let n = String.length (Lazy.force suite_payloads).(i) in
+    let* edits = list_size (int_range 1 3) (pair (int_bound (n - 1)) (int_bound 255)) in
+    return (i, edits))
+
+let prop_below_crc_mutations =
+  QCheck.Test.make ~name:"below-CRC request mutations decode totally" ~count:10_000
+    (QCheck.make
+       ~print:(fun (i, edits) ->
+         Printf.sprintf "kernel %d, edits [%s]" i
+           (String.concat "; " (List.map (fun (p, c) -> Printf.sprintf "%d:%d" p c) edits)))
+       gen_mutation)
+    (fun (i, edits) ->
+      let b = Bytes.of_string (Lazy.force suite_payloads).(i) in
+      List.iter (fun (p, c) -> Bytes.set b p (Char.chr c)) edits;
+      match Wire.deframe (Wire.frame (Bytes.to_string b)) with
+      | Error e -> QCheck.Test.fail_reportf "deframe: %s" (Wire.frame_error_to_string e)
+      | Ok (p, _) -> (
+        match Wire.decode_req p with
+        | Error _ -> true
+        | Ok msg -> (
+          Wire.encode_req msg = p
+          &&
+          match msg with
+          | Wire.Compile { payload = Wire.Source src; overlay; tuned; _ } ->
+            ignore (Wire.route_key ~overlay ~payload:(Wire.Source src) ~tuned);
+            ignore (Overgen_frontend.Frontend.parse src);
+            true
+          | Wire.Compile { payload = Wire.Kernel _; _ } -> false
+          | _ -> true)))
+
+(* The v4 payload tag 0 — a marshalled [Ir.kernel] — is refused before
+   any byte of the blob is interpreted. *)
+let test_marshalled_ir_payload_rejected () =
+  let module Codec = Overgen_store.Codec in
+  let b = Buffer.create 256 in
+  Codec.put_string b "net-req-v5";
+  Codec.put_u8 b 0;
+  Codec.put_u64 b 1L;
+  List.iter (Codec.put_string b) [ "u"; ""; "general" ];
+  Codec.put_u8 b 0;
+  Codec.put_string b "";
+  Codec.put_u64 b 0L;
+  Codec.put_u8 b 0;
+  Codec.put_string b
+    (Codec.encode_marshal ~schema:"net-kernel-v1" (List.hd Kernels.all));
+  match Wire.decode_req (Buffer.contents b) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "marshalled-IR payload accepted"
+
+(* [Kernel k] is shorthand for its emitted source all the way to the
+   shard ring: both forms of a kernel route to one owner. *)
+let test_route_key_kernel_is_source () =
+  List.iter
+    (fun (k : Ir.kernel) ->
+      List.iter
+        (fun tuned ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s tuned=%b" k.name tuned)
+            (Wire.route_key ~overlay:"general" ~payload:(Wire.Source (C_source.emit k)) ~tuned)
+            (Wire.route_key ~overlay:"general" ~payload:(Wire.Kernel k) ~tuned))
+        [ false; true ])
+    Kernels.all
 
 let gen_wire_error =
   QCheck.Gen.(
@@ -299,9 +390,9 @@ let source_req ~id ?(tuned = false) src =
     }
 
 (* A kernel submitted as pragma'd C source must come back compiled, and —
-   because the shard's schedule cache keys on the lowered IR, not the
-   payload form — the same kernel later submitted as IR must hit the
-   entry the source compile populated. *)
+   because the IR shorthand travels as that same emitted source — the
+   same kernel later submitted as IR must hit the entry the source
+   compile populated. *)
 let test_source_payload_over_socket () =
   let server, node, port = start_single_shard () in
   let c = Result.get_ok (Client.connect ~host:"127.0.0.1" ~port) in
@@ -409,24 +500,7 @@ let test_serve_under_faults () =
     Trace.spec ~seed:7 ~requests:150 ~users:4 ~working_set:2
       ~overlays:[ ("general", Kernels.all) ] ()
   in
-  let requests =
-    Trace.generate spec
-    |> List.map (fun (r : Service.request) ->
-           {
-             Wire.id = r.id;
-             user = r.user;
-             tenant = r.tenant;
-             overlay = r.overlay;
-             payload =
-               (match r.payload with
-               | Service.Kernel k -> Wire.Kernel k
-               | Service.Source src -> Wire.Source src);
-             tuned = r.tuned;
-             trace = "";
-             parent_span = 0;
-           })
-    |> Array.of_list
-  in
+  let requests = Load_gen.of_trace (Trace.generate spec) in
   let summary =
     Fault.with_faults
       {
@@ -478,23 +552,7 @@ let test_reboot_replays_store () =
     Trace.spec ~seed:11 ~requests:60 ~users:3 ~working_set:2
       ~overlays:[ ("general", Kernels.all) ] ()
   in
-  let trace =
-    Trace.generate spec
-    |> List.map (fun (r : Service.request) ->
-           {
-             Wire.id = r.id;
-             user = r.user;
-             tenant = r.tenant;
-             overlay = r.overlay;
-             payload =
-               (match r.payload with
-               | Service.Kernel k -> Wire.Kernel k
-               | Service.Source src -> Wire.Source src);
-             tuned = r.tuned;
-             trace = "";
-             parent_span = 0;
-           })
-  in
+  let trace = Array.to_list (Load_gen.of_trace (Trace.generate spec)) in
   let drive node =
     let m = Mutex.create () in
     let got = ref 0 and ok = ref 0 and hits = ref 0 in
@@ -625,19 +683,19 @@ let test_old_schema_payload_rejected () =
     in
     let i = find 0 in
     let b = Bytes.of_string payload in
-    (* "...-v4" -> "...-v3": same length, so the length prefix still
-       matches and only the schema comparison can reject it — a v3-era
-       frame body must decode-reject against the v4 node *)
-    Bytes.set b (i + lt - 1) '3';
+    (* "...-v5" -> "...-v4": same length, so the length prefix still
+       matches and only the schema comparison can reject it — a v4-era
+       frame body must decode-reject against the v5 node *)
+    Bytes.set b (i + lt - 1) '4';
     Bytes.to_string b
   in
   let req_payload = Wire.encode_req (compile_req ~id:3 (List.hd Kernels.all)) in
-  (match Wire.decode_req (patch_schema ~tag:"net-req-v4" req_payload) with
+  (match Wire.decode_req (patch_schema ~tag:"net-req-v5" req_payload) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v3 request schema accepted");
-  match Wire.decode_resp (patch_schema ~tag:"net-resp-v4" (Wire.encode_resp Wire.Bye)) with
+  | Ok _ -> Alcotest.fail "v4 request schema accepted");
+  match Wire.decode_resp (patch_schema ~tag:"net-resp-v5" (Wire.encode_resp Wire.Bye)) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v3 response schema accepted"
+  | Ok _ -> Alcotest.fail "v4 response schema accepted"
 
 (* ---------------- cross-process trace merge ---------------- *)
 
@@ -690,6 +748,9 @@ let tests =
     ("version/corruption rejected", `Quick, test_version_and_corruption_rejected);
     QCheck_alcotest.to_alcotest prop_req_roundtrip;
     QCheck_alcotest.to_alcotest prop_resp_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]) prop_below_crc_mutations;
+    ("marshalled-IR payload rejected", `Quick, test_marshalled_ir_payload_rejected);
+    ("route key: Kernel = emitted Source", `Quick, test_route_key_kernel_is_source);
     ("schema mismatch rejected", `Quick, test_schema_rejected);
     ("shard map", `Quick, test_shard_map);
     ("socket round trip", `Quick, test_socket_roundtrip);

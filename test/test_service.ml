@@ -504,8 +504,8 @@ let test_unknown_overlay () =
   | [ { result = Error (Service.Unknown_overlay "missing"); _ } ] -> ()
   | _ -> Alcotest.fail "expected Unknown_overlay failure"
 
-(* A [Source] payload parses on the worker and lands on the same memo and
-   cache keys as the equivalent [Kernel] payload: the second request —
+(* A [Source] payload parses on the worker and lands on the same cache
+   key as the equivalent [Kernel] payload: the second request —
    the IR form of the kernel the source lowered to — must be a cache
    hit.  A source the frontend rejects is a deterministic
    [Source_error], never an exception out of the service. *)
@@ -548,6 +548,37 @@ let test_source_payload () =
       Alcotest.failf "wrong error kind: %s" (Service.error_to_string e)
     | Ok _ -> Alcotest.fail "malformed source compiled")
   | _ -> Alcotest.fail "expected exactly three responses"
+
+(* Client-growable state stays bounded: more distinct sources than the
+   schedule cache holds keep the compile memo within that capacity, and
+   recomputing an evicted entry serves the same answer. *)
+let test_memo_bounded () =
+  let registry = Registry.create () in
+  (match Registry.register registry ~name:"general" (Lazy.force general) with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  let capacity = 4 in
+  let svc = Service.create ~cache:(Cache.create ~capacity ()) registry in
+  let adm = Admission.create svc in
+  let round r =
+    List.mapi
+      (fun i k ->
+        let req =
+          { Service.id = (100 * r) + i; user = "u"; tenant = ""; overlay = "general";
+            payload = Service.Source (C_source.emit k); tuned = false; trace = "";
+            deadline_s = None }
+        in
+        let resp = Admission.run adm [ req ] in
+        let held = Service.memo_entries svc in
+        if held > capacity then
+          Alcotest.failf "memo holds %d entries, capacity %d" held capacity;
+        List.map (fun (x : Service.response) -> x.result) resp)
+      Kernels.all
+  in
+  let first = round 0 in
+  Alcotest.(check bool) "every kernel answered" true
+    (List.for_all (function [ Ok _ ] -> true | _ -> false) first);
+  Alcotest.(check bool) "answers unchanged after eviction" true (round 1 = first)
 
 (* ---------------- telemetry ---------------- *)
 
@@ -738,6 +769,7 @@ let tests =
     Alcotest.test_case "backpressure" `Slow test_backpressure;
     Alcotest.test_case "unknown overlay" `Quick test_unknown_overlay;
     Alcotest.test_case "source payload" `Slow test_source_payload;
+    Alcotest.test_case "compile memo bounded" `Slow test_memo_bounded;
     Alcotest.test_case "telemetry empty snapshot" `Quick
       test_telemetry_empty_snapshot;
     Alcotest.test_case "telemetry registry parity" `Quick
