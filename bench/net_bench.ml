@@ -88,8 +88,7 @@ let shard args =
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true));
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));
   while not !stop do
-    (try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    Node.handle_timeout node
+    try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   Server.stop server;
   Node.shutdown node;

@@ -113,116 +113,36 @@ let direction name =
 (* Reading BENCH_<scenario>.json                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A scanner for exactly the document shape our own emitter produces
+(* The document shape our own emitter produces
    ({!Overgen_obs.Export.bench_json}): one object with a "scenario" string
-   and a flat "metrics" object of name -> number.  No dependency on a JSON
-   library; anything structurally surprising is an error, not a guess. *)
+   and a flat "metrics" object of name -> number.  Anything structurally
+   surprising is an error, not a guess. *)
 
 exception Bad of string
 
 let parse_metrics text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> raise (Bad (Printf.sprintf "expected %c at byte %d" c !pos))
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 32 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      match text.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        if !pos + 1 >= n then raise (Bad "dangling escape");
-        (match text.[!pos + 1] with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | c -> Buffer.add_char b c);
-        pos := !pos + 2;
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
+  let module E = Overgen_obs.Export in
+  match E.parse_json text with
+  | Error e -> raise (Bad e)
+  | Ok doc ->
+    let scenario =
+      match E.member "scenario" doc with
+      | Some (E.Str s) -> s
+      | _ -> raise (Bad "document has no \"scenario\"")
     in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match text.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = start then raise (Bad (Printf.sprintf "expected number at byte %d" start));
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some v -> v
-    | None -> raise (Bad "malformed number")
-  in
-  expect '{';
-  skip_ws ();
-  let scenario = ref None and metrics = ref [] in
-  let rec members () =
-    let key = string_lit () in
-    expect ':';
-    skip_ws ();
-    (match key with
-    | "scenario" -> scenario := Some (string_lit ())
-    | "metrics" ->
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then incr pos
-      else
-        let rec pairs () =
-          let name = string_lit () in
-          expect ':';
-          let v = number () in
-          metrics := (name, v) :: !metrics;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            skip_ws ();
-            pairs ()
-          | Some '}' -> incr pos
-          | _ -> raise (Bad "expected , or } in metrics")
-        in
-        pairs ()
-    | other -> raise (Bad ("unexpected key " ^ other)));
-    skip_ws ();
-    match peek () with
-    | Some ',' ->
-      incr pos;
-      skip_ws ();
-      members ()
-    | Some '}' -> incr pos
-    | _ -> raise (Bad "expected , or } in document")
-  in
-  members ();
-  match !scenario with
-  | None -> raise (Bad "document has no \"scenario\"")
-  | Some s -> (s, List.rev !metrics)
+    let metrics =
+      match E.member "metrics" doc with
+      | None -> []
+      | Some (E.Obj kvs) ->
+        List.map
+          (function
+            | name, E.Num v -> (name, v)
+            | name, _ ->
+              raise (Bad (Printf.sprintf "metric %S is not a number" name)))
+          kvs
+      | Some _ -> raise (Bad "\"metrics\" is not an object")
+    in
+    (scenario, metrics)
 
 let read_bench path =
   let ic = open_in_bin path in

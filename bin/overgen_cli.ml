@@ -1175,14 +1175,13 @@ let net_load ?(traced = false) ?(tenants = [||]) ?misroute_every ~cluster
   if summary.Net.Load_gen.failed <> 0 then
     net_die "FAILED: %d requests failed" summary.Net.Load_gen.failed
 
-let net_block_until_signal ~on_tick =
+let net_block_until_signal () =
   let stop = ref false in
   let handler = Sys.Signal_handle (fun _ -> stop := true) in
   Sys.set_signal Sys.sigterm handler;
   Sys.set_signal Sys.sigint handler;
   while not !stop do
-    (try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    on_tick ()
+    try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
 let net_contains hay needle =
@@ -1192,22 +1191,48 @@ let net_contains hay needle =
 
 (* ops-plane scrape against one shard: metrics text, health snapshot,
    recent flight-recorder events — used by net-serve --self-test to prove
-   the plane answers while traffic has just flowed *)
+   the plane answers while traffic has just flowed.  The metrics dump is
+   the shard's one registry, so it must carry a server, a node and a
+   service family, each family's TYPE header once, and the same served
+   count the health report gives. *)
 let net_scrape_check ~cluster =
   let peer : Net.Node.peer = cluster.(0) in
   match Net.Client.connect ~host:peer.host ~port:peer.port with
   | Error e -> net_die "ops scrape: %s" e
   | Ok c ->
-    (match Net.Client.rpc c Net.Wire.Metrics_req with
-    | Ok (Net.Wire.Metrics_dump { shard; text }) ->
-      if not (net_contains text "overgen_net_requests_total") then
-        net_die "ops scrape: shard %d metrics dump lacks request counter" shard;
-      Printf.printf "ops plane: shard %d metrics %d bytes\n%!" shard
-        (String.length text)
-    | Ok _ -> net_die "ops scrape: unexpected metrics reply"
-    | Error e -> net_die "ops scrape metrics: %s" e);
+    let scraped_served =
+      match Net.Client.rpc c Net.Wire.Metrics_req with
+      | Ok (Net.Wire.Metrics_dump { shard; text }) ->
+        List.iter
+          (fun family ->
+            if not (net_contains text ("# TYPE " ^ family ^ " ")) then
+              net_die "ops scrape: shard %d metrics dump lacks %s" shard family)
+          [
+            "overgen_net_frames_in_total";
+            "overgen_net_requests_total";
+            "overgen_net_served";
+            "overgen_service_latency_seconds";
+          ];
+        let lines = String.split_on_char '\n' text in
+        let types =
+          List.filter (fun l -> String.starts_with ~prefix:"# TYPE " l) lines
+        in
+        if List.length (List.sort_uniq compare types) <> List.length types then
+          net_die "ops scrape: shard %d metrics dump repeats a # TYPE line" shard;
+        Printf.printf "ops plane: shard %d metrics %d bytes, %d families\n%!"
+          shard (String.length text) (List.length types);
+        List.find_map
+          (fun l -> Scanf.sscanf_opt l "overgen_net_served %d%!" Fun.id)
+          lines
+      | Ok _ -> net_die "ops scrape: unexpected metrics reply"
+      | Error e -> net_die "ops scrape metrics: %s" e
+    in
     (match Net.Client.rpc c Net.Wire.Health_req with
     | Ok (Net.Wire.Health { shard; quiesced; served; inflight; _ }) ->
+      if scraped_served <> Some served then
+        net_die "ops scrape: shard %d health served %d, metrics say %s" shard
+          served
+          (match scraped_served with Some n -> string_of_int n | None -> "none");
       Printf.printf "ops plane: shard %d health ok (served %d, inflight %d%s)\n%!"
         shard served inflight
         (if quiesced then ", quiesced" else "")
@@ -1274,8 +1299,7 @@ let net_serve_cmd =
               Printf.printf
                 "shard %d/%d serving on 127.0.0.1:%d (^C for graceful stop)\n%!"
                 me (Array.length cluster) actual_port;
-              net_block_until_signal ~on_tick:(fun () ->
-                  Net.Node.handle_timeout node);
+              net_block_until_signal ();
               print_endline "draining...";
               Net.Server.stop server;
               Net.Node.shutdown node;
@@ -1344,8 +1368,7 @@ let net_serve_cmd =
           end
           else begin
             print_endline "(^C for graceful stop)";
-            net_block_until_signal ~on_tick:(fun () ->
-                Array.iter Net.Node.handle_timeout nodes);
+            net_block_until_signal ();
             print_endline "draining...";
             stop_all ()
           end;

@@ -1,5 +1,6 @@
 module Service = Overgen_service.Service
 module Telemetry = Overgen_service.Telemetry
+module Metrics = Overgen_obs.Metrics
 module Log = Overgen_obs.Obs.Log
 
 (* Token bucket, refilled lazily against the injected clock so quota
@@ -30,11 +31,10 @@ type t = {
   mutable inflight : int;
   mutable pumping : bool;
   mutable held : bool;
-  mutable admitted_ : int;
-  mutable quota_shed_ : int;
-  mutable batches_ : int;
-  mutable batched_requests_ : int;
-  mutable max_batch_ : int;
+  c_admitted : Metrics.counter;
+  h_group_size : Metrics.histogram;
+      (* requests per dispatch group; integer buckets 1..batch_max, so
+         the batching stats derive from it exactly *)
   observers : (Service.response -> unit) list Atomic.t;
 }
 
@@ -82,6 +82,7 @@ let tstate_locked t id =
 
 let create ?(capacity = 1024) ?clock ?(tenants = []) svc =
   if capacity < 1 then invalid_arg "Admission.create: capacity < 1";
+  let reg = Telemetry.registry (Service.telemetry svc) in
   let t =
     {
       svc;
@@ -102,11 +103,13 @@ let create ?(capacity = 1024) ?clock ?(tenants = []) svc =
       inflight = 0;
       pumping = false;
       held = false;
-      admitted_ = 0;
-      quota_shed_ = 0;
-      batches_ = 0;
-      batched_requests_ = 0;
-      max_batch_ = 0;
+      c_admitted =
+        Metrics.counter reg "overgen_admission_admitted_total"
+          ~help:"requests past the capacity and quota gates";
+      h_group_size =
+        Metrics.histogram reg "overgen_admission_group_size"
+          ~help:"requests per dispatch group"
+          ~buckets:(Array.init batch_max (fun i -> float_of_int (i + 1)));
       observers = Atomic.make [];
     }
   in
@@ -153,11 +156,7 @@ let rec pump ?(finished = 0) t =
         | batch ->
           let n = List.length batch in
           t.inflight <- t.inflight + n;
-          if n > 1 then begin
-            t.batches_ <- t.batches_ + 1;
-            t.batched_requests_ <- t.batched_requests_ + n;
-            if n > t.max_batch_ then t.max_batch_ <- n
-          end;
+          Metrics.observe t.h_group_size (float_of_int n);
           Mutex.unlock t.m;
           Service.dispatch t.svc batch;
           Mutex.lock t.m
@@ -206,7 +205,6 @@ let submit_k t (req : Service.request) ~k =
   else
     let ts = tstate_locked t req.tenant in
     if not (take_token t ts) then begin
-      t.quota_shed_ <- t.quota_shed_ + 1;
       Mutex.unlock t.m;
       Telemetry.record_quota ~tenant:req.tenant (Service.telemetry t.svc);
       (* deterministic shed: answered immediately, never queued, and
@@ -214,7 +212,7 @@ let submit_k t (req : Service.request) ~k =
       shed "quota_shed" Service.Quota_exceeded
     end
     else begin
-      t.admitted_ <- t.admitted_ + 1;
+      Metrics.incr t.c_admitted;
       let req =
         match req.deadline_s with
         | Some _ -> req
@@ -269,18 +267,26 @@ let run t reqs =
       compare a.request.Service.id b.request.Service.id)
     !out
 
+(* The bucket bounded by [n] holds exactly the groups of [n] requests;
+   groups of one are not batches. *)
 let stats t =
+  let g = Metrics.histogram_snapshot t.h_group_size in
+  let singles = snd g.h_buckets.(0) in
+  let max_batch = ref 0 in
+  Array.iteri
+    (fun i (le, cum) ->
+      if i > 0 && cum > snd g.h_buckets.(i - 1) then
+        max_batch := int_of_float le)
+    g.h_buckets;
   Mutex.lock t.m;
-  let s =
-    {
-      admitted = t.admitted_;
-      quota_shed = t.quota_shed_;
-      batches = t.batches_;
-      batched_requests = t.batched_requests_;
-      max_batch = t.max_batch_;
-      queued = Drr.length t.q;
-      inflight = t.inflight;
-    }
-  in
+  let queued = Drr.length t.q and inflight = t.inflight in
   Mutex.unlock t.m;
-  s
+  {
+    admitted = Metrics.counter_value t.c_admitted;
+    quota_shed = (Telemetry.snapshot (Service.telemetry t.svc)).quota_shed;
+    batches = g.h_count - singles;
+    batched_requests = int_of_float g.h_sum - singles;
+    max_batch = !max_batch;
+    queued;
+    inflight;
+  }

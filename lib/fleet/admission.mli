@@ -90,3 +90,12 @@ type stats = {
 }
 
 val stats : t -> stats
+(** The counts are read back from the service's telemetry registry
+    ({!Overgen_service.Telemetry.registry}), where they are stored once:
+    [admitted] from [overgen_admission_admitted_total]; [quota_shed]
+    from [overgen_service_quota_shed_total]; [batches],
+    [batched_requests] and [max_batch] exactly from the
+    [overgen_admission_group_size] histogram, whose buckets are the
+    integers [1..8].  They therefore cover every admission queue in
+    front of the same service (one, in every deployment here).  [queued]
+    and [inflight] are read under the queue's lock. *)

@@ -71,16 +71,8 @@ type t = {
   admission : Admission.t;
   m : Mutex.t;
   mutable quiesced_ : bool;
-  mutable served_ : int;
-  mutable completed_ : int;
   mutable closed : bool;
-  mutable attached : Metrics.registry list;
-      (* extra registries (the transport server's) folded into the
-         ops-plane Prometheus dump *)
-  obs : Metrics.registry;
-  g_cache_entries : Metrics.gauge;
-  g_served : Metrics.gauge;
-  g_quiesced : Metrics.gauge;
+  c_served : Metrics.counter;
 }
 
 let me t = t.config.me
@@ -89,31 +81,12 @@ let registry t = t.registry
 let cache t = t.cache
 let warm_loaded t = Cache.warm_loaded t.cache
 
-let served t =
-  Mutex.lock t.m;
-  let n = t.served_ in
-  Mutex.unlock t.m;
-  n
+let metrics t = Telemetry.registry (Service.telemetry t.service)
+let served t = Metrics.counter_value t.c_served
 
 let inflight t =
-  Mutex.lock t.m;
-  let n = t.served_ - t.completed_ in
-  Mutex.unlock t.m;
-  n
-
-let attach_metrics t r =
-  Mutex.lock t.m;
-  t.attached <- r :: t.attached;
-  Mutex.unlock t.m
-
-let registries t =
-  Mutex.lock t.m;
-  let extra = t.attached in
-  Mutex.unlock t.m;
-  (t.obs :: extra) @ [ Telemetry.registry (Service.telemetry t.service) ]
-
-let metrics_text t =
-  String.concat "" (List.map Metrics.render_prometheus (registries t))
+  let s = Admission.stats t.admission in
+  s.Admission.queued + s.Admission.inflight
 
 let quiesced t =
   Mutex.lock t.m;
@@ -154,11 +127,6 @@ let init ?setup config =
           Admission.create ~capacity:config.queue_capacity
             ~tenants:config.tenants service
         in
-        let obs =
-          Metrics.create_registry
-            ~label:(Printf.sprintf "net shard %d" config.me)
-            ()
-        in
         {
           config;
           setup;
@@ -171,20 +139,12 @@ let init ?setup config =
           admission;
           m = Mutex.create ();
           quiesced_ = false;
-          served_ = 0;
-          completed_ = 0;
           closed = false;
-          attached = [];
-          obs;
-          g_cache_entries =
-            Metrics.gauge obs "overgen_net_cache_entries"
-              ~help:"schedule cache entries held by this shard";
-          g_served =
-            Metrics.gauge obs "overgen_net_served"
+          c_served =
+            Metrics.counter
+              (Telemetry.registry (Service.telemetry service))
+              "overgen_net_served"
               ~help:"compile requests admitted by this shard";
-          g_quiesced =
-            Metrics.gauge obs "overgen_net_quiesced"
-              ~help:"1 while draining, 0 while admitting";
         }
       with
       | t ->
@@ -246,6 +206,17 @@ let stats_msg t =
       misses = s.Cache.misses;
       warm_loaded = Cache.warm_loaded t.cache;
     }
+
+(* The gauges are state, not events: set from the live values at scrape
+   time, so no timer has to keep copies fresh. *)
+let metrics_text t =
+  let reg = metrics t in
+  let gauge name help v = Metrics.set (Metrics.gauge reg name ~help) v in
+  gauge "overgen_net_cache_entries" "schedule cache entries held by this shard"
+    (float_of_int (Cache.stats t.cache).Cache.entries);
+  gauge "overgen_net_quiesced" "1 while draining, 0 while admitting"
+    (if quiesced t then 1.0 else 0.0);
+  Metrics.render_prometheus reg
 
 let quiesce t =
   Mutex.lock t.m;
@@ -343,26 +314,12 @@ let handle_net t (msg : Wire.req_msg) ~respond : action =
             deadline_s = None;
           }
         in
-        let k resp =
-          Mutex.lock t.m;
-          t.completed_ <- t.completed_ + 1;
-          Mutex.unlock t.m;
-          respond (result_of_response ~shard:t.config.me ~id:req.Wire.id resp)
-        in
-        (* count admission before submitting: [k] (and its completed_
-           bump) may fire on a worker domain before submit_k returns *)
-        Mutex.lock t.m;
-        t.served_ <- t.served_ + 1;
-        Mutex.unlock t.m;
+        Metrics.incr t.c_served;
         (* the admission queue answers every request through [k] —
            rejections and quota sheds included *)
-        Admission.submit_k t.admission sreq ~k;
+        Admission.submit_k t.admission sreq ~k:(fun resp ->
+            respond (result_of_response ~shard:t.config.me ~id:req.Wire.id resp));
         Async
-
-let handle_timeout t =
-  Metrics.set t.g_cache_entries (float_of_int (Cache.stats t.cache).Cache.entries);
-  Metrics.set t.g_served (float_of_int (served t));
-  Metrics.set t.g_quiesced (if quiesced t then 1.0 else 0.0)
 
 let shutdown t =
   Mutex.lock t.m;

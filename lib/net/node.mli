@@ -3,8 +3,7 @@
     Shaped like a verdi-runtime arrangement: a static cluster
     configuration names every peer up front, [init] builds the node's
     state, [handle_net] turns one incoming message into replies and
-    forwards, [handle_timeout] does periodic housekeeping, and [reboot]
-    models a crash-restart — tear the node down and rebuild it from the
+    forwards, and [reboot] models a crash-restart — tear the node down and rebuild it from the
     same configuration, replaying its durable store so the warm state
     (registered overlays, cached schedules) survives the crash.
 
@@ -82,10 +81,6 @@ val handle_net : t -> Wire.req_msg -> respond:(Wire.resp_msg -> unit) -> action
     quiesced node answers compiles with [Shutting_down] instead of
     admitting them. *)
 
-val handle_timeout : t -> unit
-(** Periodic housekeeping: refresh the node's gauges (cache entries,
-    served count, quiesced flag). *)
-
 val owner_of : t -> Wire.request -> int
 (** The ring owner of a request's {!Wire.route_key}. *)
 
@@ -107,7 +102,11 @@ val cache : t -> Overgen_service.Cache.t
 
 (** {2 Ops plane} *)
 
-val attach_metrics : t -> Overgen_obs.Metrics.registry -> unit
-(** Fold an extra registry (the transport server's) into the Prometheus
-    dump a [Metrics_req] answers with, so one scrape covers transport,
-    node and service telemetry. *)
+val metrics : t -> Overgen_obs.Metrics.registry
+(** The shard's one metrics registry: the service's
+    {!Overgen_service.Telemetry.registry}.  The node counts
+    [overgen_net_served] there, the admission queue and the transport
+    server register theirs, and a [Metrics_req] answers with one
+    Prometheus dump of it — after setting the
+    [overgen_net_cache_entries] and [overgen_net_quiesced] gauges from
+    the live values. *)

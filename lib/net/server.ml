@@ -15,7 +15,6 @@ type t = {
   port_ : int;
   stop_r : Unix.file_descr;  (* self-pipe waking the acceptor's select *)
   stop_w : Unix.file_descr;
-  obs : Metrics.registry;
   c_frames_in : Metrics.counter;
   c_frames_out : Metrics.counter;
   c_frames_corrupt : Metrics.counter;
@@ -47,7 +46,6 @@ type t = {
 
 let port t = t.port_
 let node t = t.node_
-let metrics t = t.obs
 
 exception Drop_conn
 
@@ -324,12 +322,10 @@ let start ?flight_out ~node ~fd () =
     | _ -> invalid_arg "Server.start: not an inet socket"
   in
   let stop_r, stop_w = Unix.pipe () in
-  let obs =
-    Metrics.create_registry
-      ~label:(Printf.sprintf "net server :%d (shard %d)" port_ (Node.me node))
-      ()
-  in
-  let c name help = Metrics.counter obs name ~help in
+  (* the node's registry: one Metrics_req scrape answers with transport,
+     node and service telemetry *)
+  let reg = Node.metrics node in
+  let c name help = Metrics.counter reg name ~help in
   let t =
     {
       node_ = node;
@@ -337,7 +333,6 @@ let start ?flight_out ~node ~fd () =
       port_;
       stop_r;
       stop_w;
-      obs;
       c_frames_in = c "overgen_net_frames_in_total" "frames received";
       c_frames_out = c "overgen_net_frames_out_total" "frames written";
       c_frames_corrupt =
@@ -352,7 +347,7 @@ let start ?flight_out ~node ~fd () =
       c_failures =
         c "overgen_net_requests_failed_total" "compile requests answered with an error";
       h_request_ms =
-        Metrics.histogram obs "overgen_net_request_ms"
+        Metrics.histogram reg "overgen_net_request_ms"
           ~help:"accept-to-answer latency of compile requests (ms)"
           ~buckets:request_ms_buckets;
       flight_out;
@@ -368,9 +363,6 @@ let start ?flight_out ~node ~fd () =
       acceptor = None;
     }
   in
-  (* one Metrics_req scrape answers with transport + node + service
-     telemetry: fold this server's registry into the node's dump *)
-  Node.attach_metrics node obs;
   t.acceptor <- Some (Thread.create (acceptor t) ());
   t
 

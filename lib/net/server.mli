@@ -35,8 +35,14 @@ val listen : ?backlog:int -> port:int -> unit -> (Unix.file_descr * int, string)
 
 val start : ?flight_out:string -> node:Node.t -> fd:Unix.file_descr -> unit -> t
 (** Start accepting on a socket from {!listen}.  Takes ownership of
-    [fd] and folds this server's registry into the node's ops-plane
-    metrics dump.  [flight_out] names a JSONL file the flight recorder is
+    [fd] and registers the server's instruments in the node's registry
+    ({!Node.metrics}): [overgen_net_frames_in/out_total],
+    [overgen_net_frames_corrupt_total], [overgen_net_conns_total],
+    [overgen_net_conn_drops_total], [overgen_net_forwards_total],
+    [overgen_net_redirects_total], [overgen_net_requests_total],
+    [overgen_net_requests_failed_total], and the
+    [overgen_net_request_ms] accept-to-answer latency histogram (fixed
+    millisecond buckets).  [flight_out] names a JSONL file the flight recorder is
     dumped to — automatically on the first failed request and again, with
     full history, on graceful {!stop}. *)
 
@@ -51,14 +57,6 @@ val serve :
 
 val port : t -> int
 val node : t -> Node.t
-val metrics : t -> Overgen_obs.Metrics.registry
-(** Per-server registry: [overgen_net_frames_in/out_total],
-    [overgen_net_frames_corrupt_total], [overgen_net_conns_total],
-    [overgen_net_conn_drops_total], [overgen_net_forwards_total],
-    [overgen_net_redirects_total], [overgen_net_requests_total],
-    [overgen_net_requests_failed_total], and the
-    [overgen_net_request_ms] accept-to-answer latency histogram
-    (fixed millisecond buckets). *)
 
 val stop : ?drain_timeout_s:float -> t -> unit
 (** Graceful stop as described above; [drain_timeout_s] (default 30)

@@ -34,7 +34,26 @@ val validate_json : string -> (unit, string) result
 (** [Ok ()] iff the whole string is exactly one valid JSON value. *)
 
 (** {2 JSON value parsing} — dependency-free reader for the JSONL span
-    files shards write; sibling of {!validate_json}. *)
+    files shards write and the [BENCH_*.json] documents [bench regress]
+    diffs; sibling of {!validate_json}, which stays the non-allocating
+    check for whole traces. *)
+
+type json =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+val parse_json : string -> (json, string) result
+(** Exactly one JSON value (RFC 8259; [\u] escapes decode to UTF-8),
+    surrounding whitespace allowed.  Object members keep document
+    order. *)
+
+val member : string -> json -> json option
+(** The first member named [k] of an object; [None] for a missing key
+    or a non-object. *)
 
 val parse_jsonl : string -> ((int * Span.span) list, string) result
 (** Read back a {!to_jsonl} document: one [(pid, span)] per non-blank

@@ -112,10 +112,16 @@ let histogram ?(help = "") ?(labels = []) ?(buckets = default_buckets) reg name 
       (h, Histogram h))
     (function Histogram h -> Some h | _ -> None)
 
+(* Binary search for the first bound >= v (n = the overflow bucket):
+   the same bucket a linear scan picks, NaN included. *)
 let observe h v =
-  let n = Array.length h.bounds in
-  let rec idx i = if i >= n || v <= h.bounds.(i) then i else idx (i + 1) in
-  ignore (Atomic.fetch_and_add h.buckets.(idx 0) 1);
+  let rec idx lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if v <= h.bounds.(mid) then idx lo mid else idx (mid + 1) hi
+  in
+  ignore (Atomic.fetch_and_add h.buckets.(idx 0 (Array.length h.bounds)) 1);
   ignore (Atomic.fetch_and_add h.count 1);
   atomic_add_float h.sum v
 
@@ -134,6 +140,24 @@ let histogram_snapshot h =
         ((if i < n then h.bounds.(i) else infinity), !cum))
   in
   { h_buckets = buckets; h_count = Atomic.get h.count; h_sum = Atomic.get h.sum }
+
+let quantile s q =
+  let total = snd s.h_buckets.(Array.length s.h_buckets - 1) in
+  if total = 0 then 0.0
+  else
+    let rank = q *. float_of_int total in
+    let rec go i lo_bound lo_count =
+      let le, c = s.h_buckets.(i) in
+      if float_of_int c >= rank then
+        if le = infinity then lo_bound
+        else if c = lo_count then le
+        else
+          lo_bound
+          +. (le -. lo_bound) *. (rank -. float_of_int lo_count)
+             /. float_of_int (c - lo_count)
+      else go (i + 1) le c
+    in
+    go 0 0.0 0
 
 (* ---------- rendering ---------- *)
 

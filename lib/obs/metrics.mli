@@ -72,6 +72,14 @@ type histogram_snapshot = {
 
 val histogram_snapshot : histogram -> histogram_snapshot
 
+val quantile : histogram_snapshot -> float -> float
+(** [quantile s q] for [q] in \[0, 1\]: the Prometheus
+    [histogram_quantile] rule — find the bucket holding rank [q * count]
+    and interpolate linearly inside it (the first bucket's lower bound is
+    0; a rank in the overflow bucket gives the last finite bound).  The
+    result lies in the bucket that holds the exact quantile's rank; 0 on
+    an empty histogram. *)
+
 (** {2 Rendering} *)
 
 val render_report : ?label:string -> registry -> string

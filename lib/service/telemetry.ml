@@ -1,18 +1,17 @@
-module Stats = Overgen_util.Stats
 module Metrics = Overgen_obs.Metrics
 
 type outcome = Hit | Miss | Uncached | Failed
 
-(* Counts live in a private Overgen_obs.Metrics registry (one per service
-   instance, so Prometheus dumps are per-service and agree with the
-   snapshot exactly); raw latencies are additionally kept under a mutex so
-   the snapshot's percentiles stay exact rather than bucket-approximated. *)
-(* The per-tenant dimension: the same request/retry/deadline/quota counters and the
-   latency histogram, labeled by tenant, alongside — never instead of —
-   the unlabeled aggregates (so every pre-tenant consumer of the
-   Prometheus dump and the snapshot sees exactly the numbers it always
-   did).  Lazily materialized per tenant id, memoized here so the record
-   path pays one hashtable probe rather than a registry scan. *)
+(* Every count lives once, in the registry (one per service instance, so
+   Prometheus dumps are per-service and agree with the snapshot exactly);
+   the snapshot's percentiles are read back from the latency histogram.
+   The per-tenant dimension: the same request/retry/deadline/quota
+   counters and the latency histogram, labeled by tenant, alongside —
+   never instead of — the unlabeled aggregates (so every pre-tenant
+   consumer of the Prometheus dump and the snapshot sees exactly the
+   numbers it always did).  Lazily materialized per tenant id, memoized
+   here so the record path pays one hashtable probe rather than a
+   registry scan. *)
 type tenant_metrics = {
   tm_hits : Metrics.counter;
   tm_misses : Metrics.counter;
@@ -37,11 +36,19 @@ type t = {
   quota_shed : Metrics.counter;
   latency : Metrics.histogram;
   tenants : (string, tenant_metrics) Hashtbl.t;
-  mutable latencies_s : float list;
-  m : Mutex.t;
+  m : Mutex.t;  (* guards [tenants] *)
 }
 
 let requests_metric = "overgen_service_requests_total"
+
+(* Log-spaced from 1 us to ~113 s at ratio 2^(1/4): a percentile read
+   back from these buckets is within 19% of the sample at its rank. *)
+let latency_buckets =
+  Array.init 108 (fun i -> 1e-6 *. (2.0 ** (float_of_int i /. 4.0)))
+
+let latency_histogram ?labels reg =
+  Metrics.histogram reg "overgen_service_latency_seconds" ?labels
+    ~help:"request service time, excluding queue wait" ~buckets:latency_buckets
 
 let create () =
   let reg = Metrics.create_registry ~label:"compile service" () in
@@ -71,11 +78,8 @@ let create () =
     quota_shed =
       Metrics.counter reg "overgen_service_quota_shed_total"
         ~help:"over-quota requests shed deterministically at admission";
-    latency =
-      Metrics.histogram reg "overgen_service_latency_seconds"
-        ~help:"request service time, excluding queue wait";
+    latency = latency_histogram reg;
     tenants = Hashtbl.create 8;
-    latencies_s = [];
     m = Mutex.create ();
   }
 
@@ -113,9 +117,7 @@ let tenant_metrics t tenant =
             Metrics.counter t.reg "overgen_service_quota_shed_total"
               ~help:"over-quota requests shed deterministically at admission"
               ~labels;
-          tm_latency =
-            Metrics.histogram t.reg "overgen_service_latency_seconds"
-              ~help:"request service time, excluding queue wait" ~labels;
+          tm_latency = latency_histogram ~labels t.reg;
         }
       in
       Hashtbl.add t.tenants tenant tm;
@@ -147,10 +149,7 @@ let record ?tenant t outcome ~service_s =
         | Miss -> tm.tm_misses
         | Uncached -> tm.tm_uncached
         | Failed -> tm.tm_failed);
-      Metrics.observe tm.tm_latency service_s);
-  Mutex.lock t.m;
-  t.latencies_s <- service_s :: t.latencies_s;
-  Mutex.unlock t.m
+      Metrics.observe tm.tm_latency service_s)
 
 let record_rejection t = Metrics.incr t.rejections
 let record_fault t = Metrics.incr t.faults
@@ -203,17 +202,8 @@ type snapshot = {
 }
 
 let snapshot t =
-  Mutex.lock t.m;
-  let raw = t.latencies_s in
-  Mutex.unlock t.m;
-  let ms = Array.of_list (List.rev_map (fun s -> s *. 1000.0) raw) in
-  (* Stats.percentiles: one sort for all three quantiles, and 0.0 — not an
-     exception or NaN — on an empty latency buffer *)
-  let p50_ms, p90_ms, p99_ms =
-    match Stats.percentiles ms [ 50.0; 90.0; 99.0 ] with
-    | [ a; b; c ] -> (a, b, c)
-    | _ -> (0.0, 0.0, 0.0)
-  in
+  let h = Metrics.histogram_snapshot t.latency in
+  let ms q = 1000.0 *. Metrics.quantile h q in
   let hits = Metrics.counter_value t.hits
   and misses = Metrics.counter_value t.misses
   and uncached = Metrics.counter_value t.uncached
@@ -230,12 +220,12 @@ let snapshot t =
     deadlines = Metrics.counter_value t.deadlines;
     quota_shed = Metrics.counter_value t.quota_shed;
     mean_ms =
-      (if Array.length ms = 0 then 0.0
-       else Array.fold_left ( +. ) 0.0 ms /. float_of_int (Array.length ms));
-    p50_ms;
-    p90_ms;
-    p99_ms;
-    max_ms = Array.fold_left Float.max 0.0 ms;
+      (if h.h_count = 0 then 0.0
+       else 1000.0 *. h.h_sum /. float_of_int h.h_count);
+    p50_ms = ms 0.5;
+    p90_ms = ms 0.9;
+    p99_ms = ms 0.99;
+    max_ms = ms 1.0;
   }
 
 let hit_rate s =

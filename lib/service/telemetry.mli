@@ -1,16 +1,21 @@
 (** Request telemetry for the compile service.
 
     Counts completed requests by outcome, admission rejections, and
-    per-request service latencies; prints a one-screen report with exact
-    percentiles (one sort via {!Overgen_util.Stats.percentiles}).
-    Thread-safe.
+    per-request service latencies; prints a one-screen report.
+    Thread-safe, and constant-size however many requests it records.
 
-    Implemented on a private {!Overgen_obs.Metrics} registry — one per
-    instance, exposed by {!registry} — so the same counts can be dumped in
-    Prometheus exposition format ([overgen_service_requests_total] by
-    outcome, [overgen_service_rejections_total], and an
-    [overgen_service_latency_seconds] histogram) and are guaranteed to
-    agree with {!snapshot}. *)
+    Every count lives once, in a {!Overgen_obs.Metrics} registry — one
+    per instance, exposed by {!registry} — so the same counts can be
+    dumped in Prometheus exposition format
+    ([overgen_service_requests_total] by outcome,
+    [overgen_service_rejections_total], and an
+    [overgen_service_latency_seconds] histogram) and {!snapshot} reads
+    them back from there.  The latency histogram has fixed log-spaced
+    buckets from 1 us to ~113 s at ratio 2{^1/4}.  A snapshot percentile
+    is interpolated inside the bucket that holds the sample at its rank,
+    so it is within 19% of that sample from 1 us up to ~113 s (within
+    1 us below that; a sample past the last bucket reads as ~113 s).
+    [mean_ms] is exact (sum over count). *)
 
 (** How a completed request was served.  [Uncached] means caching was
     disabled for the service; [Failed] covers unknown overlays, compile
@@ -23,8 +28,10 @@ val create : unit -> t
 
 val registry : t -> Overgen_obs.Metrics.registry
 (** The backing metrics registry, e.g. for
-    {!Overgen_obs.Metrics.render_prometheus}.  The service also registers
-    its queue-wait histogram here. *)
+    {!Overgen_obs.Metrics.render_prometheus}.  It is the shard's only
+    registry: the service registers its queue-wait histogram here, the
+    admission queue its counts, and a network node and its server their
+    instruments. *)
 
 val record : ?tenant:string -> t -> outcome -> service_s:float -> unit
 (** Record one completed request and its processing time.  A non-empty
@@ -66,8 +73,8 @@ type snapshot = {
   retries : int;
   deadlines : int;
   quota_shed : int;  (** over-quota admission sheds (deterministic) *)
-  mean_ms : float;
-  p50_ms : float;
+  mean_ms : float;  (** exact *)
+  p50_ms : float;  (** p50/p90/p99/max: interpolated from the buckets *)
   p90_ms : float;
   p99_ms : float;
   max_ms : float;

@@ -221,6 +221,50 @@ let test_quota_deterministic () =
   Alcotest.(check int) "quota telemetry" 4
     (Telemetry.snapshot (Service.telemetry svc)).Telemetry.quota_shed
 
+(* Same-overlay batching on a held backlog with a known group structure.
+   Tenant "t" (weight 20) holds the DRR round long enough to drain its
+   17 requests in one round, grouped by consecutive overlay and capped at
+   8: a×3 b a×8 a×2 c×2 b.  Metered tenant "q" gets two of its five
+   requests past its bucket, each a group of one.  The overlays are not
+   registered, so every request fails fast at the service; batching is
+   decided before that. *)
+let test_admission_batching () =
+  let svc = Service.create (Registry.create ()) in
+  let adm =
+    Admission.create ~clock:(fun () -> 0.0)
+      ~tenants:
+        [
+          Tenant.make ~weight:20 "t";
+          Tenant.make ~quota:{ Tenant.rate_per_s = 0.0; burst = 2 } "q";
+        ]
+      svc
+  in
+  let answered = ref 0 in
+  let submit tenant i overlay =
+    Admission.submit_k adm
+      { Service.id = i; user = "u"; tenant; overlay;
+        payload = Service.Kernel (Kernels.find "fir"); tuned = false;
+        trace = ""; deadline_s = None }
+      ~k:(fun _ -> incr answered)
+  in
+  let runs = [ ("a", 3); ("b", 1); ("a", 10); ("c", 2); ("b", 1) ] in
+  Admission.hold adm;
+  List.iteri (fun i o -> submit "t" i o)
+    (List.concat_map (fun (o, n) -> List.init n (fun _ -> o)) runs);
+  List.iter (fun i -> submit "q" (100 + i) "a") (List.init 5 Fun.id);
+  Admission.release adm;
+  Admission.drain adm;
+  Service.shutdown svc;
+  let st = Admission.stats adm in
+  Alcotest.(check int) "every request answered" 22 !answered;
+  Alcotest.(check int) "multi-request groups" 4 st.Admission.batches;
+  Alcotest.(check int) "requests in those groups" 15 st.Admission.batched_requests;
+  Alcotest.(check int) "largest group" 8 st.Admission.max_batch;
+  Alcotest.(check int) "quota sheds" 3 st.Admission.quota_shed;
+  Alcotest.(check int) "admitted + shed = submitted" 22
+    (st.Admission.admitted + st.Admission.quota_shed);
+  Alcotest.(check int) "nothing left" 0 (st.Admission.queued + st.Admission.inflight)
+
 (* ---------------- weighted-fair admission ---------------- *)
 
 (* Pure DRR order end to end: park a 3-tenant backlog, release it, and
@@ -534,6 +578,8 @@ let tests =
     Alcotest.test_case "deadline class ladder" `Quick test_deadline_classes;
     Alcotest.test_case "quota sheds are deterministic" `Slow
       test_quota_deterministic;
+    Alcotest.test_case "admission batching counts are exact" `Quick
+      test_admission_batching;
     Alcotest.test_case "weighted shares on the completion order" `Slow
       test_admission_shares;
     Alcotest.test_case "exactly one response under faults" `Slow

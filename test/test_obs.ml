@@ -64,6 +64,36 @@ let test_histogram_concurrent () =
     "last bound is infinity" true
     (fst s.h_buckets.(2) = infinity)
 
+(* [observe]'s binary search lands each value in the bucket a linear
+   scan picks: the first bound >= v, else +inf (NaN included). *)
+let test_histogram_bucket_choice () =
+  let bounds = [| 1.0; 2.0; 4.0; 8.0; 16.0 |] in
+  let values =
+    [ -1.0; 0.0; 1.0; 1.5; 2.0; 3.999; 4.0; 4.001; 8.0; 15.0; 16.0; 16.5;
+      infinity; nan ]
+  in
+  let reg = Metrics.create_registry () in
+  let h = Metrics.histogram reg "obs_buckets" ~buckets:bounds in
+  let n = Array.length bounds in
+  List.iter
+    (fun v ->
+      let before = Metrics.histogram_snapshot h in
+      Metrics.observe h v;
+      let after = Metrics.histogram_snapshot h in
+      let linear =
+        let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
+        go 0
+      in
+      let got =
+        let rec go i =
+          if snd after.h_buckets.(i) > snd before.h_buckets.(i) then i
+          else go (i + 1)
+        in
+        go 0
+      in
+      Alcotest.(check int) (Printf.sprintf "bucket of %g" v) linear got)
+    values
+
 let test_get_or_create () =
   let reg = Metrics.create_registry () in
   let a = Metrics.counter reg "same_total" ~labels:[ ("k", "v") ] in
@@ -398,6 +428,44 @@ let test_jsonl_roundtrip_and_orphans () =
     [ (7, inner.parent) ]
     (Export.orphans (cut @ other_lane))
 
+(* --- BENCH_*.json read back through the value parser --- *)
+
+let test_bench_json_roundtrip () =
+  let metrics =
+    [
+      ("zero", 0.0);
+      ("count", 42.0);
+      ("big_int", 123456789012.0);
+      ("neg_int", -7.0);
+      ("neg_ms", -3.25);
+      ("tiny_s", 1.23456789e-05);
+      ("huge", 1e308);
+      ("neg_huge", -1e308);
+      ("quote\"and\\slash", 0.5);
+      ("tab\tnew\nline\001ctl", 2.0);
+    ]
+  in
+  let scenario = "round\"trip" in
+  match Export.parse_json (Export.bench_json ~scenario metrics) with
+  | Error e -> Alcotest.failf "parse_json: %s" e
+  | Ok doc ->
+    Alcotest.(check (option string)) "scenario" (Some scenario)
+      (match Export.member "scenario" doc with
+      | Some (Export.Str s) -> Some s
+      | _ -> None);
+    let back =
+      match Export.member "metrics" doc with
+      | Some (Export.Obj kvs) ->
+        List.map
+          (function
+            | k, Export.Num v -> (k, v)
+            | k, _ -> Alcotest.failf "metric %S is not a number" k)
+          kvs
+      | _ -> Alcotest.fail "no metrics object"
+    in
+    Alcotest.(check (list (pair string (float 0.0)))) "metrics, in order"
+      metrics back
+
 (* --- the null backend --- *)
 
 let test_null_backend () =
@@ -426,6 +494,8 @@ let tests =
   [
     Alcotest.test_case "counter concurrency" `Quick test_counter_concurrent;
     Alcotest.test_case "histogram concurrency" `Quick test_histogram_concurrent;
+    Alcotest.test_case "histogram bucket choice" `Quick
+      test_histogram_bucket_choice;
     Alcotest.test_case "get-or-create" `Quick test_get_or_create;
     Alcotest.test_case "gauge" `Quick test_gauge;
     Alcotest.test_case "prometheus render" `Quick test_prometheus_render;
@@ -444,5 +514,6 @@ let tests =
     Alcotest.test_case "flight recorder concurrency" `Quick test_log_concurrent;
     Alcotest.test_case "jsonl parse-back + orphans" `Quick
       test_jsonl_roundtrip_and_orphans;
+    Alcotest.test_case "bench_json round-trips" `Quick test_bench_json_roundtrip;
     Alcotest.test_case "null backend" `Quick test_null_backend;
   ]

@@ -600,7 +600,10 @@ let test_telemetry_empty_snapshot () =
     (String.length (Telemetry.report ~wall_s:0.0 s) > 0)
 
 (* The registry view and the snapshot are two reads of one store: the
-   Prometheus dump's per-outcome request counts must equal the snapshot. *)
+   Prometheus dump's per-outcome request counts must equal the snapshot,
+   and the snapshot's percentiles, read back from the latency histogram,
+   must land in the bucket of the exact percentile ({!Stats.percentiles}
+   over the same samples) or the one next to it. *)
 let test_telemetry_registry_parity () =
   let t = Telemetry.create () in
   Telemetry.record t Telemetry.Hit ~service_s:0.001;
@@ -630,8 +633,61 @@ let test_telemetry_registry_parity () =
     (contains (Printf.sprintf "overgen_service_rejections_total %d" s.rejections));
   Alcotest.(check bool) "latency histogram in dump" true
     (contains "overgen_service_latency_seconds_count 4");
-  Alcotest.(check (float 1e-9)) "exact p50 from raw latencies" 2.5 s.p50_ms;
-  Alcotest.(check (float 1e-9)) "exact max" 40.0 s.max_ms
+  Alcotest.(check (float 1e-9)) "exact mean" 11.5 s.mean_ms;
+  (* log-uniform latencies over five decades, 10 us to 1 s *)
+  let rng = Rng.create 17 in
+  let samples_s =
+    Array.init 2000 (fun _ -> 1e-5 *. (10.0 ** Rng.float rng 5.0))
+  in
+  let t = Telemetry.create () in
+  Array.iter (fun v -> Telemetry.record t Telemetry.Miss ~service_s:v) samples_s;
+  let s = Telemetry.snapshot t in
+  let bounds =
+    Array.map fst
+      (Overgen_obs.Metrics.histogram_snapshot
+         (Overgen_obs.Metrics.histogram (Telemetry.registry t)
+            "overgen_service_latency_seconds"))
+        .h_buckets
+  in
+  let bucket ms =
+    let v = ms /. 1000.0 in
+    let rec go i = if v <= bounds.(i) then i else go (i + 1) in
+    go 0
+  in
+  let exact =
+    Overgen_util.Stats.percentiles
+      (Array.map (fun v -> v *. 1000.0) samples_s)
+      [ 50.0; 90.0; 99.0; 100.0 ]
+  in
+  List.iter2
+    (fun (name, got) want ->
+      let d = abs (bucket got - bucket want) in
+      if d > 1 then
+        Alcotest.failf "%s: snapshot %.4f ms is %d buckets from exact %.4f ms"
+          name got d want)
+    [ ("p50", s.p50_ms); ("p90", s.p90_ms); ("p99", s.p99_ms); ("max", s.max_ms) ]
+    exact;
+  let mean =
+    1000.0 *. Array.fold_left ( +. ) 0.0 samples_s /. float_of_int (Array.length samples_s)
+  in
+  Alcotest.(check (float 1e-6)) "mean stays exact" mean s.mean_ms
+
+(* Telemetry is constant-size in the number of requests it has seen: a
+   client controls that number. *)
+let test_telemetry_bounded () =
+  let t = Telemetry.create () in
+  let record n =
+    for i = 1 to n do
+      Telemetry.record t
+        (if i mod 3 = 0 then Telemetry.Miss else Telemetry.Hit)
+        ~service_s:(float_of_int (i mod 997) *. 1e-4)
+    done;
+    Obj.reachable_words (Obj.repr t)
+  in
+  let after_1k = record 1_000 in
+  let after_100k = record 100_000 in
+  Alcotest.(check int) "live words after 1k = after 101k" after_1k after_100k;
+  Alcotest.(check int) "all recorded" 101_000 (Telemetry.snapshot t).requests
 
 (* ---------------- core compile through the cache hooks ---------------- *)
 
@@ -774,6 +830,8 @@ let tests =
       test_telemetry_empty_snapshot;
     Alcotest.test_case "telemetry registry parity" `Quick
       test_telemetry_registry_parity;
+    Alcotest.test_case "telemetry bounded under soak" `Quick
+      test_telemetry_bounded;
     Alcotest.test_case "compile_cached hooks" `Slow test_compile_cached_hooks;
     Alcotest.test_case "negative caching" `Slow test_negative_caching;
     Alcotest.test_case "cache key boundary collisions" `Quick
