@@ -57,7 +57,7 @@ check-frontend:
 check-fleet:
 	dune build @fleet-smoke
 
-# Perf regression gate: re-run all seven bench scenarios at smoke scale
+# Perf regression gate: re-run all eight bench scenarios at smoke scale
 # and diff the emitted BENCH_*.json against the baselines committed in
 # bench/baselines/ (fails on any gated metric past the tolerance).
 check-regress:

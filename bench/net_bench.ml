@@ -321,7 +321,6 @@ let run extra =
      let cfg =
        {
          Load_gen.cluster;
-         vnodes = Shard_map.default_vnodes;
          requests = wire_requests;
          rate;
          timeout_s = (float_of_int n /. rate) +. 240.0;
@@ -373,9 +372,9 @@ let run extra =
      let forwards0 = prom "overgen_net_forwards_total" in
      if not (contains mtext "overgen_net_request_ms_bucket") then
        failures := "shard 0 metrics lack the request_ms histogram" :: !failures;
-     let map = Shard_map.Default.make ~vnodes:Shard_map.default_vnodes ~shards () in
+     let map = Shard_map.make ~shards in
      let owner_of (r : Wire.request) =
-       Shard_map.Default.owner map
+       Shard_map.owner map
          (Wire.route_key ~overlay:r.overlay ~payload:r.payload ~tuned:r.tuned)
      in
      let owned0 = ref 0 and mis_to0 = ref 0 in

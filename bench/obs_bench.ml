@@ -156,7 +156,6 @@ let run () =
       Net.Load_gen.run
         {
           Net.Load_gen.cluster;
-          vnodes = Net.Shard_map.default_vnodes;
           requests;
           rate = net_rate;
           timeout_s = (float_of_int m /. net_rate) +. 120.0;

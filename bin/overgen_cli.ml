@@ -481,9 +481,8 @@ let compile_cmd =
               0 c.schedules
           in
           Printf.printf
-            "%-12s %d region schedule(s)  II sum %2d  compiled in %.1f ms%s\n"
+            "%-12s %d region schedule(s)  II sum %2d  compiled in %.1f ms\n"
             k.name (List.length c.schedules) ii_sum (c.seconds *. 1000.0)
-            (if c.from_cache then "  (cached)" else "")
         | Error e -> Printf.printf "%-12s unmappable: %s\n" k.name e)
       kernels
   in
@@ -810,8 +809,7 @@ let serve_bench_cmd =
        else Printf.sprintf "%d worker domains" workers);
     let policy =
       {
-        Service.default_policy with
-        retries;
+        Service.retries;
         deadline_s = Option.map (fun ms -> ms /. 1000.0) deadline_ms;
       }
     in
@@ -1160,7 +1158,6 @@ let net_load ?(traced = false) ?(tenants = [||]) ?misroute_every ~cluster
   let cfg =
     {
       Net.Load_gen.cluster;
-      vnodes = Net.Shard_map.default_vnodes;
       requests = reqs;
       rate;
       timeout_s = (float_of_int requests /. rate) +. 120.0;

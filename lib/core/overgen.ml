@@ -20,11 +20,6 @@ let m_compile_errors =
     (Obs.Metrics.counter Obs.Metrics.default "overgen_compile_errors_total"
        ~help:"kernel compiles that ended in a scheduling error")
 
-let m_cache_hits =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_compile_cache_hits_total"
-       ~help:"compiles served from a schedule cache")
-
 let m_compile_s =
   lazy
     (Obs.Metrics.histogram Obs.Metrics.default "overgen_compile_seconds"
@@ -59,7 +54,6 @@ type report = {
   wall_ms : float;
   ipc : float;
   compile_seconds : float;
-  from_cache : bool;
 }
 
 let fingerprint overlay = Serial.fingerprint overlay.design.sys
@@ -72,52 +66,13 @@ let stored_schedules overlay kname =
       | [] -> false)
     overlay.design.per_app
 
-type cache_hooks = {
-  lookup : string -> (Schedule.t list, string) result option;
-  store : string -> (Schedule.t list, string) result -> unit;
-}
+type compile_opts = { tuned : bool; stored : [ `Auto | `Ignore ] }
 
-type compile_opts = {
-  tuned : bool;
-  stored : [ `Auto | `Use | `Ignore ];
-  cache : cache_hooks option;
-  prior : Schedule.t list option;
-}
+let default_opts = { tuned = false; stored = `Auto }
 
-let default_opts = { tuned = false; stored = `Auto; cache = None; prior = None }
+type compiled = { schedules : Schedule.t list; seconds : float }
 
-type compiled = {
-  schedules : Schedule.t list;
-  seconds : float;
-  from_cache : bool;
-}
-
-(* Length-prefixed halves: a plain [fp ^ ":" ^ hash] join would collide
-   for distinct inputs if a hash scheme ever emitted a ':' (e.g.
-   ("a:b", "c") vs ("a", "b:c")). *)
-let make_schedule_key ~fingerprint ~variant_hash =
-  Printf.sprintf "%d:%s%d:%s"
-    (String.length fingerprint) fingerprint
-    (String.length variant_hash) variant_hash
-
-let schedule_key overlay (compiled : Overgen_mdfg.Compile.compiled) =
-  make_schedule_key ~fingerprint:(fingerprint overlay)
-    ~variant_hash:(Overgen_mdfg.Compile.hash_compiled compiled)
-
-let schedule_on_overlay ~use_stored ~prior overlay
-    (cc : Overgen_mdfg.Compile.compiled) =
-  match prior with
-  | Some prior -> (
-    (* Incremental path: reuse the caller's schedules from a previous
-       (possibly mutated) version of this overlay, re-mapping only what
-       broke.  Stored DSE schedules don't compete — the caller's baseline
-       is the point of reference. *)
-    let r =
-      Obs.Span.with_span "spatial_reschedule" ~attrs:[ ("kernel", cc.kname) ]
-      @@ fun () -> Spatial.reschedule overlay.design.sys cc ~prior
-    in
-    match r with Ok (s, _) -> Ok s | Error e -> Error e)
-  | None ->
+let schedule_on_overlay ~use_stored overlay (cc : Overgen_mdfg.Compile.compiled) =
   let stored = if use_stored then stored_schedules overlay cc.kname else None in
   let fresh =
     Obs.Span.with_span "spatial_schedule" ~attrs:[ ("kernel", cc.kname) ]
@@ -142,43 +97,16 @@ let compile_variants ?(opts = default_opts) overlay
   let t0 = Unix.gettimeofday () in
   Obs.incr (Lazy.force m_compiles);
   let use_stored =
-    match opts.stored with
-    | `Auto -> not opts.tuned
-    | `Use -> true
-    | `Ignore -> false
+    match opts.stored with `Auto -> not opts.tuned | `Ignore -> false
   in
-  let done_ schedules from_cache =
+  match schedule_on_overlay ~use_stored overlay cc with
+  | Ok schedules ->
     let seconds = Unix.gettimeofday () -. t0 in
     Obs.observe (Lazy.force m_compile_s) seconds;
-    if from_cache then Obs.incr (Lazy.force m_cache_hits);
-    Obs.Span.add_attr "from_cache" (string_of_bool from_cache);
-    Ok { schedules; seconds; from_cache }
-  in
-  let errored e =
+    Ok { schedules; seconds }
+  | Error e ->
     Obs.incr (Lazy.force m_compile_errors);
     Error e
-  in
-  match (opts.cache, opts.prior) with
-  (* [prior] bypasses the cache entirely: the outcome depends on the
-     caller's baseline schedules, not just the (overlay, variants) key, so
-     neither a hit nor a store would be sound. *)
-  | None, prior | Some _, (Some _ as prior) -> (
-    match schedule_on_overlay ~use_stored ~prior overlay cc with
-    | Ok schedules -> done_ schedules false
-    | Error e -> errored e)
-  | Some hooks, None -> (
-    let key = schedule_key overlay cc in
-    match hooks.lookup key with
-    | Some (Ok schedules) -> done_ schedules true
-    | Some (Error e) -> errored e
-    | None -> (
-      match schedule_on_overlay ~use_stored ~prior:None overlay cc with
-      | Ok schedules ->
-        hooks.store key (Ok schedules);
-        done_ schedules false
-      | Error e ->
-        hooks.store key (Error e);
-        errored e))
 
 let compile ?(opts = default_opts) overlay (k : Ir.kernel) =
   Obs.Span.with_span "compile" ~attrs:[ ("kernel", k.Ir.name) ] @@ fun () ->
@@ -207,7 +135,6 @@ let run ?(opts = default_opts) overlay (k : Ir.kernel) =
         wall_ms = Sim.wall_time_ms overlay.design.sys ~freq_mhz:overlay.synth.freq_mhz sim;
         ipc = sim.sim_ipc;
         compile_seconds = c.seconds;
-        from_cache = c.from_cache;
       }
 
 let reconfigure_us overlay =

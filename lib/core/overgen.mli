@@ -61,22 +61,12 @@ type report = {
   wall_ms : float;
   ipc : float;
   compile_seconds : float;  (** real, measured compile+schedule time *)
-  from_cache : bool;        (** schedules served from a cache, not scheduled *)
 }
 
 val fingerprint : overlay -> string
 (** Structural fingerprint of the overlay's sysADG
     ({!Overgen_adg.Serial.fingerprint}); the first half of every schedule
-    cache key. *)
-
-(** External schedule-cache hooks: keys are content addresses
-    ({!make_schedule_key}), values are scheduling outcomes so failures can be
-    negatively cached.  {!Overgen_service.Cache} provides an LRU-bounded
-    implementation. *)
-type cache_hooks = {
-  lookup : string -> (Schedule.t list, string) result option;
-  store : string -> (Schedule.t list, string) result -> unit;
-}
+    cache key ({!Overgen_service.Cache.key}). *)
 
 (** Options threaded through every compilation entry point.
 
@@ -84,47 +74,22 @@ type cache_hooks = {
     - [stored]: whether to consider the DSE's stored per-app schedules as
       candidates (they win only when they estimate faster than a fresh
       spatial schedule).  [`Auto] considers them iff [not tuned] — tuned
-      variant sets don't match the DSE-era schedules — which is the stock
-      pre-[compile_opts] behavior.  [`Use] / [`Ignore] force it.
-    - [cache]: external schedule cache; on a key hit the spatial scheduler
-      is skipped and schedules are served in microseconds.
-    - [prior]: schedules for this application from a previous (possibly
-      mutated) version of the overlay.  When set, scheduling goes through
-      {!Overgen_scheduler.Spatial.reschedule} — repair, then incremental
-      re-placement of only the broken bindings, then full re-map — and the
-      [cache] is bypassed, since the outcome depends on the baseline and
-      not just the (overlay, variants) key.  Stored DSE schedules do not
-      compete with a [prior] baseline. *)
-type compile_opts = {
-  tuned : bool;
-  stored : [ `Auto | `Use | `Ignore ];
-  cache : cache_hooks option;
-  prior : Schedule.t list option;
-}
+      variant sets don't match the DSE-era schedules.  [`Ignore] never
+      does, so the spatial scheduler always decides. *)
+type compile_opts = { tuned : bool; stored : [ `Auto | `Ignore ] }
 
 val default_opts : compile_opts
-(** [{ tuned = false; stored = `Auto; cache = None; prior = None }]. *)
+(** [{ tuned = false; stored = `Auto }]. *)
 
-(** Result of a compilation: the chosen schedules, measured wall-clock
-    seconds, and whether they were served from [opts.cache]. *)
-type compiled = {
-  schedules : Schedule.t list;
-  seconds : float;
-  from_cache : bool;
-}
-
-val make_schedule_key : fingerprint:string -> variant_hash:string -> string
-(** The content address of one (overlay, application) scheduling problem.
-    Both halves are length-prefixed ([<n>:<fingerprint><m>:<hash>]), so
-    two distinct input pairs can never encode to the same key even if a
-    hash scheme ever emits a delimiter character. *)
+(** Result of a compilation: the chosen schedules and measured wall-clock
+    seconds. *)
+type compiled = { schedules : Schedule.t list; seconds : float }
 
 val compile :
   ?opts:compile_opts -> overlay -> Ir.kernel -> (compiled, string) result
 (** Compile an application onto an existing overlay — mDFG variant sets,
-    then spatial scheduling, through the cache when [opts.cache] is set.
-    [compiled.seconds] is measured wall-clock time: the paper's
-    "compilation is 10000x faster" claim. *)
+    then spatial scheduling.  [compiled.seconds] is measured wall-clock
+    time: the paper's "compilation is 10000x faster" claim. *)
 
 val compile_variants :
   ?opts:compile_opts ->
@@ -132,14 +97,15 @@ val compile_variants :
   Overgen_mdfg.Compile.compiled ->
   (compiled, string) result
 (** Like {!compile} but starting from already-compiled mDFG variant sets;
-    the compile service calls this with memoized mDFGs so cache hits skip
-    the compiler entirely.  [opts.tuned] only affects the [`Auto] stored
-    policy here — the variant sets were compiled by the caller. *)
+    the compile service calls this with memoized mDFGs, behind its own
+    schedule cache, so cache hits skip the compiler entirely.
+    [opts.tuned] only affects the [`Auto] stored policy here — the
+    variant sets were compiled by the caller. *)
 
 val run :
   ?opts:compile_opts -> overlay -> Ir.kernel -> (report, string) result
 (** {!compile}, then simulate cycle-level and convert to wall time at the
-    synthesized clock.  The report's [from_cache] reflects a cache hit. *)
+    synthesized clock. *)
 
 val reconfigure_us : overlay -> float
 (** Microseconds to switch the overlay to another application's

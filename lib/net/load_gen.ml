@@ -3,7 +3,6 @@ module Obs = Overgen_obs.Obs
 
 type config = {
   cluster : Node.peer array;
-  vnodes : int;
   requests : Wire.request array;
   rate : float;
   timeout_s : float;
@@ -329,7 +328,7 @@ let run (cfg : config) =
   if n = 0 then invalid_arg "Load_gen.run: empty request array";
   if cfg.rate <= 0.0 then invalid_arg "Load_gen.run: rate <= 0";
   let shards = Array.length cfg.cluster in
-  let map = Shard_map.Default.make ~vnodes:cfg.vnodes ~shards () in
+  let map = Shard_map.make ~shards in
   let ledger =
     {
       gm = Mutex.create ();
@@ -353,7 +352,7 @@ let run (cfg : config) =
   for i = n - 1 downto 0 do
     let r = cfg.requests.(i) in
     let owner =
-      Shard_map.Default.owner map
+      Shard_map.owner map
         (Wire.route_key ~overlay:r.Wire.overlay ~payload:r.Wire.payload
            ~tuned:r.Wire.tuned)
     in

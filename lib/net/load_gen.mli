@@ -7,7 +7,7 @@
     into).
 
     One sender thread per shard owns one connection and the slice of the
-    request array whose {!Wire.route_key} the {!Shard_map.Default} ring
+    request array whose {!Wire.route_key} the {!Shard_map} ring
     assigns to that shard.  The thread reconnects with backoff when the
     shard drops (resending everything that was in flight on the lost
     connection), re-enqueues retryable errors ([Shutting_down],
@@ -30,7 +30,6 @@
 
 type config = {
   cluster : Node.peer array;   (** shard endpoints, index = shard id *)
-  vnodes : int;                (** must match the servers' ring *)
   requests : Wire.request array;
       (** the trace; ids are overwritten with the array index *)
   rate : float;                (** offered load, requests/second *)

@@ -36,7 +36,6 @@ let parse_cluster s =
 type config = {
   me : int;
   cluster : peer array;
-  vnodes : int;
   forward : bool;
   store_path : string option;
   workers : int;
@@ -50,7 +49,6 @@ let default_config ~cluster ~me =
   {
     me;
     cluster;
-    vnodes = Shard_map.default_vnodes;
     forward = true;
     store_path = None;
     workers = 2;
@@ -63,7 +61,7 @@ let default_config ~cluster ~me =
 type t = {
   config : config;
   setup : (Registry.t -> unit) option;
-  map : Shard_map.Default.t;
+  map : Shard_map.t;
   store : Store.t option;
   registry : Registry.t;
   cache : Cache.t;
@@ -130,8 +128,7 @@ let init ?setup config =
         {
           config;
           setup;
-          map = Shard_map.Default.make ~vnodes:config.vnodes
-                  ~shards:(Array.length config.cluster) ();
+          map = Shard_map.make ~shards:(Array.length config.cluster);
           store;
           registry;
           cache;
@@ -166,7 +163,7 @@ let init ?setup config =
         Error (Printf.sprintf "Node.init: %s" (Printexc.to_string e)))
 
 let owner_of t (req : Wire.request) =
-  Shard_map.Default.owner t.map
+  Shard_map.owner t.map
     (Wire.route_key ~overlay:req.overlay ~payload:req.payload ~tuned:req.tuned)
 
 let service_payload : Wire.payload -> Service.payload = function

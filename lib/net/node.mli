@@ -8,7 +8,7 @@
     (registered overlays, cached schedules) survives the crash.
 
     The node owns the slice of the cache keyspace that the
-    {!Shard_map.Default} ring assigns to its index.  A compile request
+    {!Shard_map} ring assigns to its index.  A compile request
     whose {!Wire.route_key} hashes elsewhere is either forwarded to its
     owner (the default) or answered with [Redirect] so the client
     re-sends — never computed here, keeping each key's cache entries
@@ -32,7 +32,6 @@ val parse_cluster : string -> (peer array, string) result
 type config = {
   me : int;                  (** this node's index in [cluster] *)
   cluster : peer array;      (** static membership, index = shard id *)
-  vnodes : int;              (** ring points per shard; must match peers *)
   forward : bool;            (** forward misdirected keys ([true]) or
                                  answer [Redirect] ([false]) *)
   store_path : string option;(** durable store; [None] = memory only *)
@@ -46,8 +45,7 @@ type config = {
 }
 
 val default_config : cluster:peer array -> me:int -> config
-(** [vnodes] {!Shard_map.default_vnodes}, forwarding on, no store, 2
-    workers, queue 1024, cache 4096,
+(** Forwarding on, no store, 2 workers, queue 1024, cache 4096,
     {!Overgen_service.Service.default_policy}, no tenants. *)
 
 type t

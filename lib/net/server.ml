@@ -7,6 +7,9 @@ type conn = {
   cfd : Unix.file_descr;
   wm : Mutex.t;  (* serializes writes; responses come from many domains *)
   mutable alive : bool;
+  mutable reader : Thread.t option;
+      (* set by the acceptor under [t.m]; [stop] joins it while the
+         connection is live, and it leaves [t.conns] with the connection *)
 }
 
 type t = {
@@ -37,7 +40,6 @@ type t = {
      count the graceful stop drains.  Admission time and trace id ride
      along for the latency histogram and failure-path events. *)
   pending : (int, conn * int * float * string) Hashtbl.t;
-  mutable handlers : Thread.t list;
   (* free peer connections for forwarding, per owner shard *)
   peers : (int, Client.t list ref) Hashtbl.t;
   peers_m : Mutex.t;
@@ -296,11 +298,11 @@ let acceptor t () =
         (match Unix.accept t.lfd with
         | cfd, _ ->
           (try Unix.setsockopt cfd Unix.TCP_NODELAY true with _ -> ());
-          let conn = { cfd; wm = Mutex.create (); alive = true } in
+          let conn = { cfd; wm = Mutex.create (); alive = true; reader = None } in
           Metrics.incr t.c_conns;
           Mutex.lock t.m;
           t.conns <- conn :: t.conns;
-          t.handlers <- Thread.create (reader t conn) () :: t.handlers;
+          conn.reader <- Some (Thread.create (reader t conn) ());
           Mutex.unlock t.m
         | exception Unix.Unix_error _ -> ());
         loop ()
@@ -357,7 +359,6 @@ let start ?flight_out ~node ~fd () =
       conns = [];
       next_id = 0;
       pending = Hashtbl.create 256;
-      handlers = [];
       peers = Hashtbl.create 8;
       peers_m = Mutex.create ();
       acceptor = None;
@@ -423,11 +424,9 @@ let stop ?(drain_timeout_s = 30.0) t =
     (* 4. tear the transport down *)
     Mutex.lock t.m;
     let conns = t.conns in
-    let handlers = t.handlers in
-    t.handlers <- [];
     Mutex.unlock t.m;
     List.iter (fun c -> close_conn t c) conns;
-    List.iter Thread.join handlers;
+    List.iter (fun c -> Option.iter Thread.join c.reader) conns;
     drop_peers t;
     (try Unix.close t.lfd with _ -> ());
     (try Unix.close t.stop_r with _ -> ());

@@ -1,85 +1,44 @@
-module type HASH = sig
-  val name : string
-  val hash : string -> int64
-end
+(* FNV-1a, 64-bit *)
+let hash s =
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001B3L)
+    s;
+  !h
 
-module Fnv1a = struct
-  let name = "fnv1a-64"
-  let offset_basis = 0xCBF29CE484222325L
-  let prime = 0x100000001B3L
+let vnodes = 64
 
-  let hash s =
-    let h = ref offset_basis in
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h prime)
-      s;
-    !h
-end
+type t = {
+  (* ring points sorted by unsigned hash value *)
+  points : int64 array;
+  owners : int array;
+}
 
-let default_vnodes = 64
+let make ~shards =
+  if shards < 1 then invalid_arg "Shard_map.make: shards < 1";
+  let keyed =
+    Array.init (shards * vnodes) (fun i ->
+        let shard = i / vnodes and v = i mod vnodes in
+        (hash (Printf.sprintf "fnv1a-64:shard-%d:vnode-%d" shard v), shard))
+  in
+  (* ties broken by shard index so the ring is identical everywhere even
+     if the hash collides *)
+  Array.sort
+    (fun (a, sa) (b, sb) ->
+      match Int64.unsigned_compare a b with 0 -> compare sa sb | c -> c)
+    keyed;
+  { points = Array.map fst keyed; owners = Array.map snd keyed }
 
-module type S = sig
-  type t
-
-  val make : ?vnodes:int -> shards:int -> unit -> t
-  val shards : t -> int
-  val vnodes : t -> int
-  val owner : t -> string -> int
-  val histogram : t -> string list -> int array
-end
-
-module Make (H : HASH) : S = struct
-  type t = {
-    shards : int;
-    vnodes : int;
-    (* ring points sorted by unsigned hash value *)
-    points : int64 array;
-    owners : int array;
-  }
-
-  let shards t = t.shards
-  let vnodes t = t.vnodes
-
-  let make ?(vnodes = default_vnodes) ~shards () =
-    if shards < 1 then invalid_arg "Shard_map.make: shards < 1";
-    if vnodes < 1 then invalid_arg "Shard_map.make: vnodes < 1";
-    let n = shards * vnodes in
-    let keyed =
-      Array.init n (fun i ->
-          let shard = i / vnodes and v = i mod vnodes in
-          (H.hash (Printf.sprintf "%s:shard-%d:vnode-%d" H.name shard v), shard))
-    in
-    (* ties broken by shard index so the ring is identical everywhere even
-       if the hash collides *)
-    Array.sort
-      (fun (a, sa) (b, sb) ->
-        match Int64.unsigned_compare a b with 0 -> compare sa sb | c -> c)
-      keyed;
-    {
-      shards;
-      vnodes;
-      points = Array.map fst keyed;
-      owners = Array.map snd keyed;
-    }
-
-  (* first ring point at or after [h] (unsigned order), wrapping to 0 *)
-  let owner t key =
-    let h = H.hash key in
-    let n = Array.length t.points in
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Int64.unsigned_compare t.points.(mid) h < 0 then lo := mid + 1
-      else hi := mid
-    done;
-    t.owners.(if !lo = n then 0 else !lo)
-
-  let histogram t keys =
-    let counts = Array.make t.shards 0 in
-    List.iter (fun k -> let s = owner t k in counts.(s) <- counts.(s) + 1) keys;
-    counts
-end
-
-module Default = Make (Fnv1a)
+(* first ring point at or after [h] (unsigned order), wrapping to 0 *)
+let owner t key =
+  let h = hash key in
+  let n = Array.length t.points in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Int64.unsigned_compare t.points.(mid) h < 0 then lo := mid + 1
+    else hi := mid
+  done;
+  t.owners.(if !lo = n then 0 else !lo)

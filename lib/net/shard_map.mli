@@ -1,47 +1,16 @@
 (** Consistent hashing of the cache keyspace across shards.
 
-    A functorized ring, in the mold of the lookup-table functors of
-    network stacks: the hash is a parameter ({!HASH}) so tests can plug a
-    degenerate hash and exercise collision/wrap behaviour, while
-    production uses {!Fnv1a} through {!Default}.
-
-    Each shard contributes [vnodes] virtual points to a ring of 64-bit
+    Each shard contributes 64 virtual points to a ring of 64-bit FNV-1a
     hash values; a key is owned by the shard of the first point at or
     after the key's hash, wrapping at the top.  The map is pure data
-    computed from [(shards, vnodes)] alone — every client and server that
-    agrees on those two numbers agrees on every key's owner, with no
-    coordination. *)
+    computed from the shard count alone — every client and server that
+    agrees on it agrees on every key's owner, with no coordination. *)
 
-module type HASH = sig
-  val name : string
-  val hash : string -> int64
-end
+type t
 
-module Fnv1a : HASH
-(** FNV-1a, 64-bit. *)
+val make : shards:int -> t
+(** Build the ring for shards [0 .. shards-1].
+    @raise Invalid_argument when [shards < 1]. *)
 
-val default_vnodes : int
-(** Virtual nodes per shard when [?vnodes] is omitted: 64. *)
-
-module type S = sig
-  type t
-
-  val make : ?vnodes:int -> shards:int -> unit -> t
-  (** Build the ring for shards [0 .. shards-1].  Raises [Invalid_argument]
-      when [shards < 1] or [vnodes < 1]. *)
-
-  val shards : t -> int
-  val vnodes : t -> int
-
-  val owner : t -> string -> int
-  (** The shard owning a key — total, deterministic, O(log(shards *
-      vnodes)). *)
-
-  val histogram : t -> string list -> int array
-  (** Keys-per-shard counts for a key population (balance diagnostics). *)
-end
-
-module Make (_ : HASH) : S
-
-module Default : S
-(** [Make (Fnv1a)] — the map the server and every client use. *)
+val owner : t -> string -> int
+(** The shard owning a key — total, deterministic, O(log(shards * 64)). *)

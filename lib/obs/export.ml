@@ -113,154 +113,13 @@ let jsonl_line ?(pid = 1) (s : Span.span) =
 let to_jsonl ?pid spans =
   String.concat "\n" (List.map (jsonl_line ?pid) spans) ^ "\n"
 
-(* ---------- JSON validation (grammar only, values discarded) ---------- *)
-
-exception Bad of string * int
-
-let validate_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (msg, !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, got %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, got end of input" c)
-  in
-  let literal w =
-    String.iter expect w
-  in
-  let hex_digit () =
-    match peek () with
-    | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-    | _ -> fail "bad \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-          advance ();
-          go ()
-        | Some 'u' ->
-          advance ();
-          hex_digit ();
-          hex_digit ();
-          hex_digit ();
-          hex_digit ();
-          go ()
-        | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "raw control char in string"
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ()
-  in
-  let digits () =
-    let saw = ref false in
-    let rec go () =
-      match peek () with
-      | Some '0' .. '9' ->
-        saw := true;
-        advance ();
-        go ()
-      | _ -> ()
-    in
-    go ();
-    if not !saw then fail "expected digit"
-  in
-  let parse_number () =
-    (match peek () with Some '-' -> advance () | _ -> ());
-    (match peek () with
-    | Some '0' -> advance ()
-    | Some '1' .. '9' -> digits ()
-    | _ -> fail "bad number");
-    (match peek () with
-    | Some '.' ->
-      advance ();
-      digits ()
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    (match peek () with
-    | Some '{' -> parse_object ()
-    | Some '[' -> parse_array ()
-    | Some '"' -> parse_string ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected %c" c)
-    | None -> fail "unexpected end of input");
-    skip_ws ()
-  and parse_object () =
-    expect '{';
-    skip_ws ();
-    (match peek () with
-    | Some '}' -> advance ()
-    | _ ->
-      let rec members () =
-        skip_ws ();
-        parse_string ();
-        skip_ws ();
-        expect ':';
-        parse_value ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          members ()
-        | _ -> expect '}'
-      in
-      members ())
-  and parse_array () =
-    expect '[';
-    skip_ws ();
-    match peek () with
-    | Some ']' -> advance ()
-    | _ ->
-      let rec elements () =
-        parse_value ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          elements ()
-        | _ -> expect ']'
-      in
-      elements ()
-  in
-  try
-    parse_value ();
-    if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
-    else Ok ()
-  with Bad (msg, at) -> Error (Printf.sprintf "%s at offset %d" msg at)
-
 (* ---------- JSON value parsing ---------- *)
 
-(* A minimal value-producing parser, sibling of [validate_json]: the
-   trace-merge pipeline must read back the JSONL span files the shards
-   wrote, still without a JSON dependency. *)
+(* A minimal value-producing parser: the trace-merge pipeline must read
+   back the JSONL span files the shards wrote, without a JSON
+   dependency. *)
+
+exception Bad of string * int
 
 type json =
   | Null
@@ -451,6 +310,8 @@ let parse_json s =
     if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
     else Ok v
   with Bad (msg, at) -> Error (Printf.sprintf "%s at offset %d" msg at)
+
+let validate_json s = Result.map ignore (parse_json s)
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 

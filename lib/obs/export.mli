@@ -6,9 +6,8 @@
     the span/parent ids) under ["args"].  {!to_jsonl} emits one
     self-contained JSON object per line, convenient for [jq] pipelines.
 
-    {!validate_json} is a dependency-free well-formedness check (full
-    RFC 8259 grammar, values discarded); the CLI runs every emitted trace
-    through it before writing. *)
+    {!validate_json} is a dependency-free well-formedness check: the CLI
+    runs every emitted trace through it before writing. *)
 
 val escape : string -> string
 (** JSON string-content escaping (quotes, backslash, control chars). *)
@@ -30,13 +29,9 @@ val orphans : (int * Span.span) list -> (int * int) list
     (span ids are per-process counters): deduplicated [(pid, parent_id)]
     pairs.  Empty on a well-formed trace. *)
 
-val validate_json : string -> (unit, string) result
-(** [Ok ()] iff the whole string is exactly one valid JSON value. *)
-
 (** {2 JSON value parsing} — dependency-free reader for the JSONL span
     files shards write and the [BENCH_*.json] documents [bench regress]
-    diffs; sibling of {!validate_json}, which stays the non-allocating
-    check for whole traces. *)
+    diffs. *)
 
 type json =
   | Null
@@ -50,6 +45,10 @@ val parse_json : string -> (json, string) result
 (** Exactly one JSON value (RFC 8259; [\u] escapes decode to UTF-8),
     surrounding whitespace allowed.  Object members keep document
     order. *)
+
+val validate_json : string -> (unit, string) result
+(** {!parse_json} with the value discarded: [Ok ()] iff the whole string
+    is exactly one valid JSON value. *)
 
 val member : string -> json -> json option
 (** The first member named [k] of an object; [None] for a missing key

@@ -1,52 +1,25 @@
 type mode = Deterministic | Domains of int
 
-type error = Saturated | Stopped
+type error = Stopped
 
 type t = {
   mode : mode;
-  queue_capacity : int;
   m : Mutex.t;
-  nonempty : Condition.t;  (* workers: the queue gained a job *)
-  not_full : Condition.t;  (* blocking submitters: the queue lost a job *)
-  all_done : Condition.t;  (* drain: outstanding reached zero *)
-  queue : (int * (unit -> unit)) Queue.t;  (* jobs with their submission number *)
-  mutable submitted : int;
-  mutable outstanding : int;  (* accepted, not yet completed *)
+  nonempty : Condition.t;  (* workers: the queue gained a job, or stopping *)
+  finished : Condition.t;  (* map callers: one of their jobs completed *)
+  queue : (unit -> unit) Queue.t;
   mutable stopping : bool;
-  mutable failed : (int * exn) list;  (* job exceptions by submission number,
-                                          most recently recorded first *)
+  mutable escaped : exn option;  (* the first exception a job raised *)
   mutable domains : unit Domain.t list;
 }
 
-let mode t = t.mode
-let workers t = match t.mode with Deterministic -> 1 | Domains n -> n
-
-let pending t =
-  Mutex.lock t.m;
-  let n = t.outstanding in
-  Mutex.unlock t.m;
-  n
-
-let record_failure t seq e =
-  Mutex.lock t.m;
-  t.failed <- (seq, e) :: t.failed;
-  Mutex.unlock t.m
-
-(* Oldest submission first, whatever order concurrent workers finished in. *)
-let failures t =
-  Mutex.lock t.m;
-  let es = List.sort (fun (a, _) (b, _) -> compare a b) t.failed in
-  t.failed <- [];
-  Mutex.unlock t.m;
-  List.map snd es
-
-(* Run one job (exceptions are held, not propagated) and mark it done. *)
-let run_job t (seq, job) =
-  (try job () with e -> record_failure t seq e);
-  Mutex.lock t.m;
-  t.outstanding <- t.outstanding - 1;
-  if t.outstanding = 0 then Condition.broadcast t.all_done;
-  Mutex.unlock t.m
+(* A raising job is confined to its slot; the pool keeps the first. *)
+let run_job t job =
+  try job ()
+  with e ->
+    Mutex.lock t.m;
+    if t.escaped = None then t.escaped <- Some e;
+    Mutex.unlock t.m
 
 let rec worker t =
   Mutex.lock t.m;
@@ -56,29 +29,23 @@ let rec worker t =
   match Queue.take_opt t.queue with
   | None -> Mutex.unlock t.m (* stopping with an empty queue *)
   | Some job ->
-    Condition.signal t.not_full;
     Mutex.unlock t.m;
     run_job t job;
     worker t
 
-let create ?(queue_capacity = 1024) mode =
-  if queue_capacity < 1 then invalid_arg "Pool.create: queue_capacity < 1";
+let create mode =
   (match mode with
   | Domains n when n < 1 -> invalid_arg "Pool.create: Domains n with n < 1"
   | Domains _ | Deterministic -> ());
   let t =
     {
       mode;
-      queue_capacity;
       m = Mutex.create ();
       nonempty = Condition.create ();
-      not_full = Condition.create ();
-      all_done = Condition.create ();
+      finished = Condition.create ();
       queue = Queue.create ();
-      submitted = 0;
-      outstanding = 0;
       stopping = false;
-      failed = [];
+      escaped = None;
       domains = [];
     }
   in
@@ -87,80 +54,54 @@ let create ?(queue_capacity = 1024) mode =
   | Domains n -> t.domains <- List.init n (fun _ -> Domain.spawn (fun () -> worker t)));
   t
 
-let submit t job =
+(* Admission under the lock: [false] once the pool is stopping.  Under
+   [Domains] an admitted job is queued; under [Deterministic] the caller
+   runs it. *)
+let admit t job =
   Mutex.lock t.m;
-  let r =
-    if t.stopping then Error Stopped
-    else if Queue.length t.queue >= t.queue_capacity then Error Saturated
-    else begin
-      Queue.push (t.submitted, job) t.queue;
-      t.submitted <- t.submitted + 1;
-      t.outstanding <- t.outstanding + 1;
-      Condition.signal t.nonempty;
-      Ok ()
-    end
-  in
+  let open_ = not t.stopping in
+  (match t.mode with
+  | Domains _ when open_ ->
+    Queue.push job t.queue;
+    Condition.signal t.nonempty
+  | Domains _ | Deterministic -> ());
   Mutex.unlock t.m;
-  r
+  open_
 
-(* map's admission: block on the [not_full] condition instead of rejecting,
-   so a batch larger than the queue bound still completes. *)
-let submit_blocking t job =
-  Mutex.lock t.m;
-  while (not t.stopping) && Queue.length t.queue >= t.queue_capacity do
-    Condition.wait t.not_full t.m
-  done;
-  if t.stopping then begin
-    Mutex.unlock t.m;
-    invalid_arg "Pool.map: pool is shut down"
-  end
+let submit t job =
+  if not (admit t job) then Error Stopped
   else begin
-    Queue.push (t.submitted, job) t.queue;
-    t.submitted <- t.submitted + 1;
-    t.outstanding <- t.outstanding + 1;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.m
+    if t.mode = Deterministic then run_job t job;
+    Ok ()
   end
-
-(* Complete every accepted job without touching the failure list. *)
-let barrier t =
-  match t.mode with
-  | Domains _ ->
-    Mutex.lock t.m;
-    while t.outstanding > 0 do
-      Condition.wait t.all_done t.m
-    done;
-    Mutex.unlock t.m
-  | Deterministic ->
-    let rec loop () =
-      Mutex.lock t.m;
-      match Queue.take_opt t.queue with
-      | None -> Mutex.unlock t.m
-      | Some job ->
-        Mutex.unlock t.m;
-        run_job t job;
-        loop ()
-    in
-    loop ()
-
-let drain_all t =
-  barrier t;
-  failures t
-
-let drain t =
-  match drain_all t with [] -> () | e :: _ -> raise e
 
 let map_result t f xs =
   let wrap x = match f x with v -> Ok v | exception e -> Error e in
   match t.mode with
   | Deterministic -> List.map wrap xs
   | Domains _ ->
-    (* Jobs catch into their own slot, so a raising [f] cannot pollute the
-       pool-level failure list or be misattributed to another caller. *)
-    let arr = Array.make (List.length xs) None in
-    List.iteri (fun i x -> submit_blocking t (fun () -> arr.(i) <- Some (wrap x))) xs;
-    barrier t;
-    Array.to_list arr
+    (* Jobs write their own slot and never raise, so a raising [f] cannot
+       reach the pool's escaped slot or another caller. *)
+    let results = Array.make (List.length xs) None in
+    let remaining = ref (Array.length results) in
+    List.iteri
+      (fun i x ->
+        let job () =
+          let r = wrap x in
+          Mutex.lock t.m;
+          results.(i) <- Some r;
+          decr remaining;
+          if !remaining = 0 then Condition.broadcast t.finished;
+          Mutex.unlock t.m
+        in
+        if not (admit t job) then invalid_arg "Pool.map: pool is shut down")
+      xs;
+    Mutex.lock t.m;
+    while !remaining > 0 && not t.stopping do
+      Condition.wait t.finished t.m
+    done;
+    Mutex.unlock t.m;
+    Array.to_list results
     |> List.map (function
          | Some r -> r
          | None ->
@@ -175,14 +116,15 @@ let map t f xs =
 let shutdown t =
   Mutex.lock t.m;
   t.stopping <- true;
-  (* discard still-queued jobs; callers drain first to complete them *)
-  let dropped = Queue.length t.queue in
   Queue.clear t.queue;
-  t.outstanding <- t.outstanding - dropped;
-  if t.outstanding = 0 then Condition.broadcast t.all_done;
   Condition.broadcast t.nonempty;
-  Condition.broadcast t.not_full;
+  Condition.broadcast t.finished;
   let ds = t.domains in
   t.domains <- [];
   Mutex.unlock t.m;
-  List.iter Domain.join ds
+  List.iter Domain.join ds;
+  Mutex.lock t.m;
+  let escaped = t.escaped in
+  t.escaped <- None;
+  Mutex.unlock t.m;
+  Option.iter raise escaped

@@ -74,8 +74,13 @@ let create ?(capacity = default_capacity) ?store () =
 let warm_loaded t = t.warm_loaded_
 let store_reads t = t.store_reads_
 
+(* Length-prefixed halves: a plain [fp ^ ":" ^ hash] join would collide
+   for distinct inputs if a hash scheme ever emitted a ':' (e.g.
+   ("a:b", "c") vs ("a", "b:c")). *)
 let key ~fingerprint ~variant_hash =
-  Overgen.make_schedule_key ~fingerprint ~variant_hash
+  Printf.sprintf "%d:%s%d:%s"
+    (String.length fingerprint) fingerprint
+    (String.length variant_hash) variant_hash
 
 let persist t k v =
   match t.store with
@@ -98,21 +103,6 @@ let lookup_locked t k =
         Lru.add t.lru k outcome;
         Some outcome
       | None -> None))
-
-let find t k =
-  Mutex.lock t.m;
-  let r = lookup_locked t k in
-  (match r with None -> t.misses <- t.misses + 1 | Some _ -> t.hits <- t.hits + 1);
-  Mutex.unlock t.m;
-  r
-
-let add t k v =
-  if cacheable v then begin
-    Mutex.lock t.m;
-    Lru.add t.lru k v;
-    Mutex.unlock t.m;
-    persist t k v
-  end
 
 (* With t.m held: either the cached outcome, or the right to compute it.
    Waiting re-checks after every resolution broadcast; if the entry was
@@ -171,7 +161,7 @@ let find_or_compute t k compute =
    memory and on disk — or the durable log accumulates records no live
    fingerprint can ever address again (orphans that survive restarts and
    inflate every warm start).  Keys are the length-prefixed join
-   [Overgen.make_schedule_key], so every key for a fingerprint starts
+   [key], so every key for a fingerprint starts
    with the fingerprint's own length-prefixed form and prefix matching
    cannot collide across fingerprints. *)
 let fingerprint_prefix fp = Printf.sprintf "%d:%s" (String.length fp) fp
@@ -232,16 +222,3 @@ let stats t =
 let hit_rate s =
   let total = s.hits + s.misses in
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
-
-(* Core errors surfaced through the hooks are scheduling verdicts — a
-   property of the inputs — so they map to deterministic failures. *)
-let hooks t =
-  {
-    Overgen.lookup =
-      (fun k ->
-        match find t k with
-        | Some (Ok s) -> Some (Ok s)
-        | Some (Error f) -> Some (Error f.reason)
-        | None -> None);
-    store = (fun k r -> add t k (Result.map_error deterministic r));
-  }

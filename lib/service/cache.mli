@@ -64,19 +64,10 @@ val store_reads : t -> int
 (** Memory misses served from the backing store since {!create}. *)
 
 val key : fingerprint:string -> variant_hash:string -> string
-(** The cache key for one (overlay structure, compiled application) pair:
-    {!Overgen.make_schedule_key}'s length-prefixed join, the key the
-    compile path's {!Overgen.cache_hooks} see.  Length prefixes mean no
-    two distinct input pairs share a key, whatever bytes the hashes
-    contain. *)
-
-val find : t -> string -> outcome option
-(** Counted lookup: a [Some] is a hit (from memory or the backing
-    store), a [None] a miss. *)
-
-val add : t -> string -> outcome -> unit
-(** Store a {!cacheable} outcome (written through to the backing store);
-    silently drops transient failures. *)
+(** The content address of one (overlay structure, compiled application)
+    scheduling problem: [<n>:<fingerprint><m>:<variant_hash>].  Length
+    prefixes mean no two distinct input pairs share a key, whatever bytes
+    the hashes contain. *)
 
 val find_or_compute : t -> string -> (unit -> outcome) -> outcome * bool
 (** [find_or_compute t key compute] returns the cached outcome (flag
@@ -114,8 +105,3 @@ val stats : t -> stats
 
 val hit_rate : stats -> float
 (** hits / (hits + misses); 0 when empty. *)
-
-val hooks : t -> Overgen.cache_hooks
-(** Adapt the cache to the core API: pass as [Overgen.compile_opts.cache]
-    to {!Overgen.compile} / {!Overgen.run}.  Errors stored through the
-    hooks are scheduling verdicts, hence deterministic and cached. *)

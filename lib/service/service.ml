@@ -48,22 +48,9 @@ let error_to_string = function
   | Deadline_exceeded -> "deadline exceeded"
   | Shutdown -> "service is shut down"
 
-type policy = {
-  deadline_s : float option;
-  retries : int;
-  backoff_s : float;
-  backoff_seed : int;
-  store : Overgen_store.Store.t option;
-}
+type policy = { deadline_s : float option; retries : int }
 
-let default_policy =
-  {
-    deadline_s = None;
-    retries = 2;
-    backoff_s = 0.001;
-    backoff_seed = 0;
-    store = None;
-  }
+let default_policy = { deadline_s = None; retries = 2 }
 
 type response = {
   request : request;
@@ -138,14 +125,11 @@ let fault_message = function
   | Fault.Injected _ as e -> Fault.describe e
   | e -> Printexc.to_string e
 
-(* Seeded exponential backoff with full jitter: deterministic in
-   (backoff_seed, request id, attempt), independent of domain timing. *)
-let backoff_pause t req attempt =
-  let r =
-    Rng.of_string
-      (Printf.sprintf "backoff:%d:%d:%d" t.policy.backoff_seed req.id attempt)
-  in
-  let exp = t.policy.backoff_s *. (2.0 ** float_of_int attempt) in
+(* Exponential backoff from a 1 ms base with full jitter, seeded by
+   (request id, attempt) so it is independent of domain timing. *)
+let backoff_pause req attempt =
+  let r = Rng.of_string (Printf.sprintf "backoff:0:%d:%d" req.id attempt) in
+  let exp = 0.001 *. (2.0 ** float_of_int attempt) in
   let d = Float.min 0.05 ((exp /. 2.0) +. Rng.float r (exp /. 2.0)) in
   if d > 0.0 then Unix.sleepf d
 
@@ -238,7 +222,7 @@ let process t ~admitted_at req =
           Obs.Log.record Obs.Log.default "retry"
             ~attrs:
               [ ("id", string_of_int req.id); ("attempt", string_of_int n) ];
-          backoff_pause t req n;
+          backoff_pause req n;
           attempt (n + 1)
         end
         else (Error (Transient_failure (fault_message e)), false)
@@ -299,7 +283,6 @@ let run_job t { req; admitted_at; k } =
 let create ?(mode = Deterministic) ?(caching = true) ?cache
     ?(policy = default_policy) registry =
   if policy.retries < 0 then invalid_arg "Service.create: retries < 0";
-  if policy.backoff_s < 0.0 then invalid_arg "Service.create: backoff_s < 0";
   let pool_mode =
     match mode with
     | Deterministic -> Pool.Deterministic
@@ -310,10 +293,7 @@ let create ?(mode = Deterministic) ?(caching = true) ?cache
   let cache_ =
     if not caching then None
     else
-      Some
-        (match cache with
-        | Some c -> c  (* the caller owns durability for an explicit cache *)
-        | None -> Cache.create ?store:policy.store ())
+      Some (match cache with Some c -> c | None -> Cache.create ())
   in
   let telemetry_ = Telemetry.create () in
   {
@@ -328,7 +308,7 @@ let create ?(mode = Deterministic) ?(caching = true) ?cache
     mode;
     policy;
     (* the admission layer's in-flight window bounds the jobs in here *)
-    pool = Pool.create ~queue_capacity:max_int pool_mode;
+    pool = Pool.create pool_mode;
     memo =
       Lru.create
         ~capacity:
@@ -339,24 +319,19 @@ let create ?(mode = Deterministic) ?(caching = true) ?cache
   }
 
 let dispatch t jobs =
-  let run () = List.iter (run_job t) jobs in
-  match t.mode with
-  | Deterministic -> run ()
-  | Workers _ -> (
-    match Pool.submit t.pool run with
-    | Ok () -> ()
-    | Error _ ->
-      (* only [Stopped]: the pool queue is unbounded *)
-      List.iter
-        (fun j ->
-          j.k
-            {
-              request = j.req;
-              result = Error Shutdown;
-              cache_hit = false;
-              service_s = 0.0;
-            })
-        jobs)
+  match Pool.submit t.pool (fun () -> List.iter (run_job t) jobs) with
+  | Ok () -> ()
+  | Error Pool.Stopped ->
+    List.iter
+      (fun j ->
+        j.k
+          {
+            request = j.req;
+            result = Error Shutdown;
+            cache_hit = false;
+            service_s = 0.0;
+          })
+      jobs
 
 let mode t = t.mode
 let policy t = t.policy

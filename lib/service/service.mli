@@ -96,18 +96,10 @@ type policy = {
   deadline_s : float option;
       (** per-request budget measured from admission, covering queue
           wait, compute and retries; [None] (default) disables it *)
-  retries : int;  (** transient retry attempts after the first try; 2 *)
-  backoff_s : float;
-      (** base backoff before retry [n] of [backoff_s * 2^n] with seeded
-          full jitter, capped at 50 ms; 1 ms *)
-  backoff_seed : int;  (** jitter seed, for reproducible timing; 0 *)
-  store : Overgen_store.Store.t option;
-      (** durable artifact store backing the schedule cache: hits and
-          stores write through, and a restarted service warm-starts its
-          LRU from disk — deterministic negative entries persist,
-          transient failures never do.  Ignored when an explicit [cache]
-          is passed to {!create} (the caller owns durability then);
-          [None] (default) keeps the cache memory-only *)
+  retries : int;
+      (** transient retry attempts after the first try, each after a
+          backoff of [1 ms * 2^n] with full jitter seeded by (request id,
+          attempt), capped at 50 ms; 2 *)
 }
 
 val default_policy : policy
@@ -131,7 +123,9 @@ val create :
 (** [mode] defaults to [Deterministic]; [caching:false] disables the
     schedule cache entirely (every request runs the scheduler — the cold
     baseline); [cache] supplies a shared cache instance instead of the
-    default fresh 1024-entry one; [policy] defaults to {!default_policy}.
+    default fresh memory-only 1024-entry one — the way to make the cache
+    durable ({!Cache.create}[ ~store]); [policy] defaults to
+    {!default_policy}.
     Under [Workers n] the domains are spawned immediately. *)
 
 (** One admitted request on its way through {!dispatch}. *)
@@ -168,4 +162,5 @@ val policy : t -> policy
 
 val shutdown : t -> unit
 (** Stop and join the worker domains ([Workers] mode).  Idempotent; drain
-    the admission layer in front first. *)
+    the admission layer in front first.  Re-raises an exception that
+    escaped a completion [k] ({!Overgen_par.Pool.shutdown}). *)

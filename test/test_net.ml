@@ -295,26 +295,41 @@ let test_schema_rejected () =
 (* ---------------- shard map ---------------- *)
 
 let test_shard_map () =
-  let m1 = Shard_map.Default.make ~shards:4 () in
-  let m2 = Shard_map.Default.make ~shards:4 () in
+  let m1 = Shard_map.make ~shards:4 in
+  let m2 = Shard_map.make ~shards:4 in
   let keys = List.init 4000 (fun i -> Printf.sprintf "key-%d" i) in
+  let hist = Array.make 4 0 in
   List.iter
     (fun k ->
-      let o = Shard_map.Default.owner m1 k in
+      let o = Shard_map.owner m1 k in
       Alcotest.(check bool) "in range" true (o >= 0 && o < 4);
       Alcotest.(check int) "deterministic across instances" o
-        (Shard_map.Default.owner m2 k))
+        (Shard_map.owner m2 k);
+      hist.(o) <- hist.(o) + 1)
     keys;
-  let hist = Shard_map.Default.histogram m1 keys in
   Array.iteri
     (fun s c ->
       if c = 0 then Alcotest.failf "shard %d owns no keys out of 4000" s)
     hist;
-  Alcotest.(check int) "histogram is a partition" 4000
-    (Array.fold_left ( + ) 0 hist);
   Alcotest.check_raises "zero shards rejected"
     (Invalid_argument "Shard_map.make: shards < 1") (fun () ->
-      ignore (Shard_map.Default.make ~shards:0 ()))
+      ignore (Shard_map.make ~shards:0))
+
+(* Every key's owner is part of the wire contract: clients and servers
+   built from different revisions must agree on it, and a durable store
+   only warm-starts the keys its shard still owns.  Digest the owners of
+   1000 fixed keys for 1-4 shards against a pinned constant. *)
+let test_shard_owner_pin () =
+  let b = Buffer.create 4096 in
+  for shards = 1 to 4 do
+    let m = Shard_map.make ~shards in
+    for i = 0 to 999 do
+      Buffer.add_string b
+        (string_of_int (Shard_map.owner m (Printf.sprintf "key-%d" i)))
+    done
+  done;
+  Alcotest.(check string) "owner digest" "f002f933d50e2cbfbfee4d22c758d539"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ---------------- socket round trip ---------------- *)
 
@@ -341,6 +356,49 @@ let compile_req ?(trace = "") ?(tenant = "") ~id kernel =
       trace;
       parent_span = 0;
     }
+
+(* A connection the client has closed leaves nothing behind in the
+   server: its reader thread's handle goes with it, so reconnecting cannot
+   grow the server.  The live words reachable from it are the same after
+   100 and after 1100 opened-and-closed connections. *)
+let test_closed_conns_not_retained () =
+  (* a backlog deep enough for the whole burst: the client loop outruns
+     the acceptor, and an overflowing accept queue drops SYNs that the
+     kernel only retries a second later *)
+  let fd, port = Result.get_ok (Server.listen ~backlog:1024 ~port:0 ()) in
+  let node =
+    must_node
+      (Node.init
+         (Node.default_config ~cluster:[| { Node.host = "127.0.0.1"; port } |] ~me:0))
+  in
+  let server = Server.start ~node ~fd () in
+  let open_and_close n =
+    for _ = 1 to n do
+      let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.close s
+    done
+  in
+  let words () = Obj.reachable_words (Obj.repr server) in
+  (* readers exit asynchronously: wait until the size holds still for
+     five samples in a row *)
+  let settled () =
+    let rec go prev still tries =
+      Unix.sleepf 0.02;
+      let w = words () in
+      if (w = prev && still >= 4) || tries = 0 then w
+      else go w (if w = prev then still + 1 else 0) (tries - 1)
+    in
+    go (words ()) 0 500
+  in
+  open_and_close 100;
+  let after_100 = settled () in
+  open_and_close 1000;
+  let after_1100 = settled () in
+  Server.stop server;
+  Node.shutdown node;
+  Alcotest.(check int) "live words after 100 = after 1100 connections"
+    after_100 after_1100
 
 let test_socket_roundtrip () =
   let server, node, port = start_single_shard () in
@@ -513,7 +571,6 @@ let test_serve_under_faults () =
         Load_gen.run
           {
             Load_gen.cluster = [| { Node.host = "127.0.0.1"; port } |];
-            vnodes = Shard_map.default_vnodes;
             requests;
             rate = 600.0;
             timeout_s = 60.0;
@@ -753,6 +810,8 @@ let tests =
     ("route key: Kernel = emitted Source", `Quick, test_route_key_kernel_is_source);
     ("schema mismatch rejected", `Quick, test_schema_rejected);
     ("shard map", `Quick, test_shard_map);
+    ("shard owners pinned", `Quick, test_shard_owner_pin);
+    ("closed connections not retained", `Quick, test_closed_conns_not_retained);
     ("socket round trip", `Quick, test_socket_roundtrip);
     ("source payload over socket", `Quick, test_source_payload_over_socket);
     ("quiesced answers shutting-down", `Quick, test_quiesced_answers_shutting_down);

@@ -1,59 +1,36 @@
-(* The generic domain worker pool: queueing, backpressure, barriers and
-   failure propagation — in both execution modes. *)
+(* The generic domain worker pool: inline and queued submission, ordered
+   maps and failure propagation — in both execution modes. *)
 
 module Pool = Overgen_par.Pool
 
-let test_deterministic_fifo () =
+(* A deterministic submit runs the job on the caller's thread before
+   returning, in submission order. *)
+let test_deterministic_submit_inline () =
   let p = Pool.create Pool.Deterministic in
   let order = ref [] in
   List.iter
     (fun i ->
       match Pool.submit p (fun () -> order := i :: !order) with
-      | Ok () -> ()
-      | Error _ -> Alcotest.fail "submit rejected below capacity")
+      | Ok () ->
+        Alcotest.(check int) "ran before submit returned" i (List.hd !order)
+      | Error Pool.Stopped -> Alcotest.fail "submit rejected before shutdown")
     [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "jobs wait for drain" 5 (Pool.pending p);
-  Alcotest.(check (list int)) "nothing ran yet" [] !order;
-  Pool.drain p;
-  Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 4; 5 ] (List.rev !order);
-  Alcotest.(check int) "queue empty" 0 (Pool.pending p);
-  Pool.shutdown p
-
-let test_deterministic_nested_submit () =
-  (* a job may enqueue another job; one drain completes both *)
-  let p = Pool.create Pool.Deterministic in
-  let hit = ref false in
-  (match
-     Pool.submit p (fun () ->
-         match Pool.submit p (fun () -> hit := true) with
-         | Ok () -> ()
-         | Error _ -> Alcotest.fail "nested submit rejected")
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "outer submit rejected");
-  Pool.drain p;
-  Alcotest.(check bool) "nested job ran" true !hit;
-  Pool.shutdown p
-
-let test_backpressure () =
-  let p = Pool.create ~queue_capacity:2 Pool.Deterministic in
-  let ok () = Pool.submit p (fun () -> ()) in
-  Alcotest.(check bool) "first admitted" true (ok () = Ok ());
-  Alcotest.(check bool) "second admitted" true (ok () = Ok ());
-  Alcotest.(check bool) "third rejected" true (ok () = Error Pool.Saturated);
-  Pool.drain p;
-  Alcotest.(check bool) "admits again after drain" true (ok () = Ok ());
-  Pool.drain p;
+  Alcotest.(check (list int)) "submission order" [ 1; 2; 3; 4; 5 ] (List.rev !order);
   Pool.shutdown p
 
 let test_stopped_after_shutdown () =
-  let p = Pool.create Pool.Deterministic in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  (* idempotent *)
-  match Pool.submit p (fun () -> ()) with
-  | Error Pool.Stopped -> ()
-  | _ -> Alcotest.fail "expected Stopped after shutdown"
+  List.iter
+    (fun mode ->
+      let p = Pool.create mode in
+      Pool.shutdown p;
+      Pool.shutdown p;
+      (* idempotent *)
+      let ran = ref false in
+      (match Pool.submit p (fun () -> ran := true) with
+      | Error Pool.Stopped -> ()
+      | Ok () -> Alcotest.fail "expected Stopped after shutdown");
+      Alcotest.(check bool) "rejected job never ran" false !ran)
+    [ Pool.Deterministic; Pool.Domains 2 ]
 
 let test_map_orders = function
   | mode ->
@@ -67,20 +44,22 @@ let test_map_orders = function
 
 exception Boom
 
+(* A submitted job that raises is kept, not lost: the pool stays usable,
+   and shutdown re-raises the exception once. *)
 let test_exception_propagates () =
   List.iter
     (fun mode ->
       let p = Pool.create mode in
       (match Pool.submit p (fun () -> raise Boom) with
       | Ok () -> ()
-      | Error _ -> Alcotest.fail "submit rejected");
-      (try
-         Pool.drain p;
-         Alcotest.fail "drain should re-raise the job's exception"
-       with Boom -> ());
+      | Error Pool.Stopped -> Alcotest.fail "submit rejected");
       (* the pool survives a failed job *)
       let out = Pool.map p (fun i -> i + 1) [ 1; 2; 3 ] in
       Alcotest.(check (list int)) "pool usable after failure" [ 2; 3; 4 ] out;
+      (try
+         Pool.shutdown p;
+         Alcotest.fail "shutdown should re-raise the job's exception"
+       with Boom -> ());
       Pool.shutdown p)
     [ Pool.Deterministic; Pool.Domains 2 ]
 
@@ -88,7 +67,7 @@ exception BoomN of int
 
 (* Several jobs fail in one batch: map_result must attribute each failure
    to its own slot, map must raise the first error in *input* order, and
-   drain_all must hand back every recorded failure, oldest first. *)
+   neither may leave a failure for shutdown to re-raise. *)
 let test_multi_failure_results () =
   let work i = if i = 1 || i = 4 || i = 6 then raise (BoomN i) else 10 * i in
   List.iter
@@ -110,22 +89,7 @@ let test_multi_failure_results () =
       | exception BoomN 1 -> ()
       | exception e ->
         Alcotest.failf "map raised %s, wanted BoomN 1" (Printexc.to_string e));
-      (* map failures never leak into the pool-level failure list *)
-      Pool.drain p;
-      (* submit-level failures are all retained, oldest first *)
-      List.iter
-        (fun i ->
-          match Pool.submit p (fun () -> raise (BoomN i)) with
-          | Ok () -> ()
-          | Error _ -> Alcotest.fail "submit rejected")
-        [ 1; 4; 6 ];
-      let failed = Pool.drain_all p in
-      Alcotest.(check (list string))
-        "drain_all keeps every failure, oldest first"
-        [ "boom1"; "boom4"; "boom6" ]
-        (List.map (fun e -> show (Error e)) failed);
-      Alcotest.(check int) "failures consumed" 0
-        (List.length (Pool.drain_all p));
+      (* map failures never reach the pool's escaped slot *)
       Pool.shutdown p)
     [ Pool.Deterministic; Pool.Domains 4 ]
 
@@ -142,25 +106,30 @@ let test_domains_match_deterministic () =
     (run Pool.Deterministic)
     (run (Pool.Domains 3))
 
-let test_workers_width () =
+(* Only the first escaped exception is kept; later ones are dropped. *)
+let test_shutdown_reraises_first () =
   let p = Pool.create Pool.Deterministic in
-  Alcotest.(check int) "deterministic width" 1 (Pool.workers p);
-  Pool.shutdown p;
-  let p = Pool.create (Pool.Domains 3) in
-  Alcotest.(check int) "domains width" 3 (Pool.workers p);
-  Pool.shutdown p;
+  List.iter (fun i -> ignore (Pool.submit p (fun () -> raise (BoomN i)))) [ 1; 2; 3 ];
+  match Pool.shutdown p with
+  | () -> Alcotest.fail "shutdown should re-raise"
+  | exception BoomN 1 -> ()
+  | exception e ->
+    Alcotest.failf "shutdown raised %s, wanted BoomN 1" (Printexc.to_string e)
+
+let test_create_validation () =
   Alcotest.check_raises "Domains 0 rejected"
     (Invalid_argument "Pool.create: Domains n with n < 1") (fun () ->
       ignore (Pool.create (Pool.Domains 0)));
-  Alcotest.check_raises "queue_capacity 0 rejected"
-    (Invalid_argument "Pool.create: queue_capacity < 1") (fun () ->
-      ignore (Pool.create ~queue_capacity:0 Pool.Deterministic))
+  let p = Pool.create (Pool.Domains 3) in
+  Pool.shutdown p;
+  Alcotest.check_raises "map after shutdown rejected"
+    (Invalid_argument "Pool.map: pool is shut down") (fun () ->
+      ignore (Pool.map p succ [ 1 ]))
 
 let tests =
   [
-    Alcotest.test_case "deterministic FIFO drain" `Quick test_deterministic_fifo;
-    Alcotest.test_case "nested submit" `Quick test_deterministic_nested_submit;
-    Alcotest.test_case "backpressure" `Quick test_backpressure;
+    Alcotest.test_case "deterministic submit inline" `Quick
+      test_deterministic_submit_inline;
     Alcotest.test_case "stopped after shutdown" `Quick test_stopped_after_shutdown;
     Alcotest.test_case "map order (deterministic)" `Quick (fun () ->
         test_map_orders Pool.Deterministic);
@@ -170,5 +139,7 @@ let tests =
     Alcotest.test_case "multi-failure results" `Quick test_multi_failure_results;
     Alcotest.test_case "domains match deterministic" `Quick
       test_domains_match_deterministic;
-    Alcotest.test_case "workers + validation" `Quick test_workers_width;
+    Alcotest.test_case "shutdown re-raises first" `Quick
+      test_shutdown_reraises_first;
+    Alcotest.test_case "create validation" `Quick test_create_validation;
   ]

@@ -86,7 +86,6 @@ let test_registry () =
 let test_cache_counting_and_coalescing () =
   let c = Cache.create ~capacity:8 () in
   let k = Cache.key ~fingerprint:"f" ~variant_hash:"v" in
-  Alcotest.(check bool) "miss counted" true (Cache.find c k = None);
   let runs = ref 0 in
   let compute () =
     incr runs;
@@ -99,8 +98,8 @@ let test_cache_counting_and_coalescing () =
   Alcotest.(check int) "compute ran once" 1 !runs;
   let s = Cache.stats c in
   Alcotest.(check int) "hits" 1 s.hits;
-  Alcotest.(check int) "misses" 2 s.misses;
-  Alcotest.(check (float 1e-9)) "hit rate" (1.0 /. 3.0) (Cache.hit_rate s)
+  Alcotest.(check int) "misses" 1 s.misses;
+  Alcotest.(check (float 1e-9)) "hit rate" 0.5 (Cache.hit_rate s)
 
 (* Regression: transient failures must never be stored.  A key that
    failed once with a transient error recovers on the next request, while
@@ -132,12 +131,7 @@ let test_cache_failure_taxonomy () =
   (match Cache.find_or_compute c k2 (fun () -> Alcotest.fail "negative hit") with
   | Error { transient = false; _ }, true -> ()
   | _ -> Alcotest.fail "deterministic failure should be a negative hit");
-  Alcotest.(check int) "both cacheable outcomes stored" 2 (Cache.stats c).entries;
-  (* add silently drops transients too *)
-  let k3 = Cache.key ~fingerprint:"f" ~variant_hash:"x" in
-  Cache.add c k3 (Error (Cache.transient "drop me"));
-  Alcotest.(check (option bool)) "transient add dropped" None
-    (Option.map Result.is_ok (Cache.find c k3))
+  Alcotest.(check int) "both cacheable outcomes stored" 2 (Cache.stats c).entries
 
 (* Request coalescing when the computing thread raises: the waiters must
    recompute (not deadlock), the key's pending mark must clear, and the
@@ -689,30 +683,42 @@ let test_telemetry_bounded () =
   Alcotest.(check int) "live words after 1k = after 101k" after_1k after_100k;
   Alcotest.(check int) "all recorded" 101_000 (Telemetry.snapshot t).requests
 
-(* ---------------- core compile through the cache hooks ---------------- *)
+(* ---------------- core compile behind the cache ---------------- *)
 
-let test_compile_cached_hooks () =
+(* The one schedule-cache path, as the service drives it: a core compile
+   keyed by (overlay fingerprint, variant-set hash) runs once, and the
+   schedules served from the cache afterwards still validate against the
+   overlay. *)
+let test_compile_through_cache () =
   let o = Lazy.force general in
   let c = Cache.create ~capacity:16 () in
-  let opts = { Overgen.default_opts with cache = Some (Cache.hooks c) } in
-  let k = Kernels.find "gemm" in
-  (match Overgen.compile ~opts o k with
-  | Ok r -> Alcotest.(check bool) "cold is a miss" false r.Overgen.from_cache
-  | Error e -> Alcotest.failf "compile: %s" e);
-  (match Overgen.compile ~opts o k with
-  | Ok r ->
-    Alcotest.(check bool) "second is a hit" true r.Overgen.from_cache;
+  let cc = Overgen_mdfg.Compile.compile ~tuned:false (Kernels.find "gemm") in
+  let key =
+    Cache.key ~fingerprint:(Overgen.fingerprint o)
+      ~variant_hash:(Overgen_mdfg.Compile.hash_compiled cc)
+  in
+  let runs = ref 0 in
+  let compute () =
+    incr runs;
+    match Overgen.compile_variants o cc with
+    | Ok r -> Ok r.Overgen.schedules
+    | Error e -> Error (Cache.deterministic e)
+  in
+  let cold, hit1 = Cache.find_or_compute c key compute in
+  let warm, hit2 = Cache.find_or_compute c key compute in
+  Alcotest.(check bool) "cold is a miss" false hit1;
+  Alcotest.(check bool) "second is a hit" true hit2;
+  Alcotest.(check int) "scheduled once" 1 !runs;
+  Alcotest.(check bool) "hit serves the computed schedules" true (cold = warm);
+  match warm with
+  | Ok scheds ->
     List.iter
       (fun s ->
         match Schedule.validate s o.Overgen.design.sys with
         | Ok () -> ()
         | Error e -> Alcotest.failf "cached schedule invalid: %s" e)
-      r.Overgen.schedules
-  | Error e -> Alcotest.failf "compile hit: %s" e);
-  match Overgen.run ~opts o k with
-  | Ok report ->
-    Alcotest.(check bool) "report marks the cache hit" true report.from_cache
-  | Error e -> Alcotest.failf "run ~cache: %s" e
+      scheds
+  | Error f -> Alcotest.failf "compile: %s" f.Cache.reason
 
 (* ---------------- negative caching ---------------- *)
 
@@ -729,23 +735,32 @@ let tiny_overlay () =
   { Overgen.design; synth; model = model (); dse = None }
 
 let test_negative_caching () =
-  let o = tiny_overlay () in
-  let c = Cache.create ~capacity:16 () in
-  let opts = { Overgen.default_opts with cache = Some (Cache.hooks c) } in
-  let k = Kernels.find "gemm" in
-  (match Overgen.compile ~opts o k with
-  | Ok _ -> Alcotest.fail "gemm should not schedule on the Add-only seed"
-  | Error _ -> ());
-  let after_first = Cache.stats c in
-  (match Overgen.compile ~opts o k with
-  | Ok _ -> Alcotest.fail "still should not schedule"
-  | Error _ -> ());
-  let after_second = Cache.stats c in
-  Alcotest.(check int) "failure was stored" 1 after_first.entries;
-  Alcotest.(check int) "retry hits the cached failure"
-    (after_first.hits + 1) after_second.hits;
-  Alcotest.(check int) "no second scheduler run"
-    after_first.misses after_second.misses
+  let registry = Registry.create () in
+  (match Registry.register registry ~name:"tiny" (tiny_overlay ()) with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  let svc = Service.create registry in
+  let req id =
+    { Service.id; user = "u"; tenant = ""; overlay = "tiny";
+      payload = Service.Kernel (Kernels.find "gemm"); tuned = false;
+      trace = ""; deadline_s = None }
+  in
+  let unmappable (r : Service.response) =
+    match r.result with
+    | Error (Service.Compile_error _) -> ()
+    | _ -> Alcotest.fail "gemm should not schedule on the Add-only seed"
+  in
+  (match Admission.run (Admission.create svc) [ req 0; req 1 ] with
+  | [ first; second ] ->
+    unmappable first;
+    unmappable second;
+    Alcotest.(check bool) "first runs the scheduler" false first.cache_hit;
+    Alcotest.(check bool) "retry hits the cached failure" true second.cache_hit
+  | rs -> Alcotest.failf "%d responses for 2 requests" (List.length rs));
+  let stats = Cache.stats (Option.get (Service.cache svc)) in
+  Alcotest.(check int) "failure was stored" 1 stats.entries;
+  Alcotest.(check int) "one negative hit" 1 stats.hits;
+  Alcotest.(check int) "no second scheduler run" 1 stats.misses
 
 (* ---------------- fingerprint collision probe ---------------- *)
 
@@ -762,9 +777,7 @@ let test_cache_key_no_boundary_collisions () =
   Alcotest.(check bool) "empty vs shifted" true (k "" "ab" <> k "ab" "");
   Alcotest.(check bool) "digit bleeding into the length prefix" true
     (k "1" "x" <> k "" "1x" && k "11:x" "y" <> k "1" "1:xy");
-  Alcotest.(check string) "core and service agree"
-    (Overgen.make_schedule_key ~fingerprint:"f" ~variant_hash:"v")
-    (k "f" "v")
+  Alcotest.(check string) "length-prefixed layout" "1:f1:v" (k "f" "v")
 
 let test_fingerprint_collisions () =
   let rng = Rng.create 2024 in
@@ -832,7 +845,8 @@ let tests =
       test_telemetry_registry_parity;
     Alcotest.test_case "telemetry bounded under soak" `Quick
       test_telemetry_bounded;
-    Alcotest.test_case "compile_cached hooks" `Slow test_compile_cached_hooks;
+    Alcotest.test_case "compile through find_or_compute" `Slow
+      test_compile_through_cache;
     Alcotest.test_case "negative caching" `Slow test_negative_caching;
     Alcotest.test_case "cache key boundary collisions" `Quick
       test_cache_key_no_boundary_collisions;

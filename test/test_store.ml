@@ -340,47 +340,57 @@ let test_compact () =
 
 (* ---------------- cache write-through + warm start ---------------- *)
 
+(* The cache's one entry point, with a fixed outcome: [put] stores it the
+   way the service does, [get] looks up without storing anything (its
+   transient compute is never cached) and answers [None] on a miss. *)
+let put c k outcome = ignore (Cache.find_or_compute c k (fun () -> outcome))
+
+let get c k =
+  match Cache.find_or_compute c k (fun () -> Error (Cache.transient "absent")) with
+  | outcome, true -> Some outcome
+  | _, false -> None
+
 let test_cache_write_through_and_warm_start () =
   with_path @@ fun path ->
   let s = open_ok path in
   let c = Cache.create ~capacity:8 ~store:s () in
   Alcotest.(check int) "nothing to warm-load" 0 (Cache.warm_loaded c);
-  Cache.add c "k1" (Ok []);
-  Cache.add c "k2" (Error (Cache.deterministic "unmappable"));
-  Cache.add c "k3" (Error (Cache.transient "flaky"));
+  put c "k1" (Ok []);
+  put c "k2" (Error (Cache.deterministic "unmappable"));
+  put c "k3" (Error (Cache.transient "flaky"));
   Alcotest.(check int) "transient never persisted" 2 (Store.length s);
   Store.close s;
   (* a restarted process: fresh cache over the same file *)
   let s = open_ok path in
   let c = Cache.create ~capacity:8 ~store:s () in
   Alcotest.(check int) "warm-started" 2 (Cache.warm_loaded c);
-  (match Cache.find c "k1" with
+  (match get c "k1" with
   | Some (Ok []) -> ()
   | _ -> Alcotest.fail "k1 must warm-start as Ok []");
-  (match Cache.find c "k2" with
+  (match get c "k2" with
   | Some (Error { Cache.reason = "unmappable"; transient = false }) -> ()
   | _ -> Alcotest.fail "negative entry must warm-start deterministically");
-  Alcotest.(check bool) "transient entry gone" true (Cache.find c "k3" = None);
+  Alcotest.(check bool) "transient entry gone" true (get c "k3" = None);
   Store.close s
 
 let test_cache_eviction_readthrough () =
   with_path @@ fun path ->
   let s = open_ok path in
   let c = Cache.create ~capacity:2 ~store:s () in
-  Cache.add c "k1" (Ok []);
-  Cache.add c "k2" (Ok []);
-  Cache.add c "k3" (Ok []);
+  put c "k1" (Ok []);
+  put c "k2" (Ok []);
+  put c "k3" (Ok []);
   (* k1 evicted from the LRU, but still on disk *)
   Alcotest.(check int) "lru at capacity" 2 (Cache.stats c).entries;
   Alcotest.(check int) "one eviction" 1 (Cache.stats c).evictions;
   Alcotest.(check int) "no store reads yet" 0 (Cache.store_reads c);
-  (match Cache.find c "k1" with
+  (match get c "k1" with
   | Some (Ok []) -> ()
   | _ -> Alcotest.fail "evicted entry must be served from the store");
   Alcotest.(check int) "served from disk" 1 (Cache.store_reads c);
   Alcotest.(check bool) "hit counted" true ((Cache.stats c).hits >= 1);
   (* the read-through promoted k1 back into memory: no second disk read *)
-  (match Cache.find c "k1" with
+  (match get c "k1" with
   | Some (Ok []) -> ()
   | _ -> Alcotest.fail "promoted entry must hit in memory");
   Alcotest.(check int) "no second store read" 1 (Cache.store_reads c);
@@ -392,7 +402,7 @@ let test_cache_eviction_readthrough () =
   let c = Cache.create ~capacity:2 ~store:s () in
   Alcotest.(check int) "all bindings replayed" 3 (Cache.warm_loaded c);
   Alcotest.(check int) "memory bounded by capacity" 2 (Cache.stats c).entries;
-  (match Cache.find c "k1" with
+  (match get c "k1" with
   | Some (Ok []) -> ()
   | _ -> Alcotest.fail "oldest binding still served via read-through");
   Alcotest.(check int) "k1 came from disk" 1 (Cache.store_reads c);
@@ -458,8 +468,7 @@ let test_service_kill_and_restart () =
       match Registry.register registry ~name:"general" overlay with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "register: %s" e);
-    let policy = { Service.default_policy with store = Some store } in
-    let svc = Service.create ~policy registry in
+    let svc = Service.create ~cache:(Cache.create ~store ()) registry in
     let responses = Admission.run (Admission.create svc) trace in
     Service.shutdown svc;
     let stats = Cache.stats (Option.get (Service.cache svc)) in
