@@ -10,28 +10,118 @@ module Obs = Overgen_obs.Obs
 module Store = Overgen_store.Store
 module Codec = Overgen_store.Codec
 
-(* DSE counters on the shared default registry (gated).  Per-island
-   objective gauges are registered on demand — the island count is a run
-   parameter. *)
+(* DSE counters on the shared default registry (gated), registered at
+   load time: islands bump them from several domains, and forcing one lazy
+   value from two domains at once raises.  Per-island objective gauges are
+   registered on demand — the island count is a run parameter. *)
 let m_iterations =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_dse_iterations_total"
-       ~help:"annealer iterations across all islands")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_dse_iterations_total"
+    ~help:"annealer iterations across all islands"
 
 let m_moves_accepted =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_dse_accepted_total"
-       ~help:"accepted annealer moves across all islands")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_dse_accepted_total"
+    ~help:"accepted annealer moves across all islands"
 
 let m_moves_invalid =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_dse_invalid_total"
-       ~help:"proposals rejected as unschedulable or unfittable")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_dse_invalid_total"
+    ~help:"proposals rejected as unschedulable or unfittable"
 
 let m_checkpoints =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_dse_checkpoints_total"
-       ~help:"DSE checkpoints written to the durable store")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_dse_checkpoints_total"
+    ~help:"DSE checkpoints written to the durable store"
+
+(* The worker pool that explorations share.  The first one to start
+   creates it, with a watcher systhread that checks every [linger_s] and
+   shuts the pool down once no exploration ran, started or finished in
+   that span, so after 0.25-0.5 s of idleness.  Back-to-back explorations
+   thus share one worker domain (spawning one per call raised the dse
+   workload's peak RSS by ~45%), and a process that explores now and then,
+   a serving shard after a fleet promote say, does not keep a parked
+   domain: every live domain takes part in each stop-the-world minor
+   collection, which slows allocating work in the rest of the process by
+   ~10% (EXPERIMENTS.md).  The watcher lives in the domain that created the
+   pool, so joining that domain waits for the release.  On a pool's [map]
+   the caller helps, so [Domains k] works on k + 1 domains. *)
+let linger_s = 0.25
+
+type shared = {
+  lock : Mutex.t;
+  mutable live : Pool.t option;
+  mutable running : int;  (* explorations using [live] *)
+  mutable touched : bool;  (* one started or finished since the last check *)
+}
+
+let shared = { lock = Mutex.create (); live = None; running = 0; touched = false }
+
+let rec reap pool =
+  Thread.delay linger_s;
+  let idle =
+    Mutex.protect shared.lock (fun () ->
+        let idle = shared.running = 0 && not shared.touched in
+        shared.touched <- false;
+        if idle then shared.live <- None;
+        idle)
+  in
+  if idle then Pool.shutdown pool else reap pool
+
+let with_pool f =
+  let pool =
+    Mutex.protect shared.lock (fun () ->
+        shared.running <- shared.running + 1;
+        shared.touched <- true;
+        match shared.live with
+        | Some pool -> pool
+        | None ->
+          let pool =
+            Pool.create (Pool.Domains (max 1 (Domain.recommended_domain_count () - 1)))
+          in
+          shared.live <- Some pool;
+          ignore (Thread.create reap pool);
+          pool)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect shared.lock (fun () ->
+          shared.running <- shared.running - 1;
+          shared.touched <- true))
+    (fun () -> f pool)
+
+(* Per-app outcomes, computed concurrently, decided in app order exactly as
+   the sequential loop decided them: the first exception is re-raised and
+   the first [None] fails the whole set.  An app not yet started when an
+   earlier one has failed is skipped, as the sequential loop would have
+   stopped before it; its slot is never read. *)
+let map_apps pool f xs =
+  let first_failed = Atomic.make max_int in
+  let rec note i =
+    let j = Atomic.get first_failed in
+    if i < j && not (Atomic.compare_and_set first_failed j i) then note i
+  in
+  let job (i, x) =
+    if Atomic.get first_failed < i then None
+    else
+      match f x with
+      | Some _ as r -> r
+      | None -> note i; None
+      | exception e -> note i; raise e
+  in
+  let rec in_order acc = function
+    | [] -> Some (List.rev acc)
+    | Ok (Some x) :: rest -> in_order (x :: acc) rest
+    | Ok None :: _ -> None
+    | Error e :: _ -> raise e
+  in
+  in_order [] (Pool.map_result pool job (List.mapi (fun i x -> (i, x)) xs))
+
+(* [f ()] and [g ()] as two pool jobs; [f]'s exception wins, as if it had
+   run first. *)
+let both pool f g =
+  let a = ref None and b = ref None in
+  ignore
+    (Pool.map pool
+       (fun job -> job ())
+       [ (fun () -> a := Some (f ())); (fun () -> b := Some (g ())) ]);
+  (Option.get !a, Option.get !b)
 
 let island_gauge idx =
   Obs.Metrics.gauge Obs.Metrics.default "overgen_dse_island_objective"
@@ -173,6 +263,7 @@ let caps_pool apps =
 (* The perf model's system-independent half is prepared once per call; each
    candidate then costs only the per-system arithmetic. *)
 let system_dse ?(topologies = [ System.Crossbar ]) ?memo ~device ~model adg per_app =
+  Obs.Span.with_span "dse_system" @@ fun () ->
   let usable = Device.usable device in
   let tile_res = Predict.predict_accel ?memo model adg in
   let profiles = List.map (Perf.profile adg) per_app in
@@ -202,9 +293,7 @@ let system_dse ?(topologies = [ System.Crossbar ]) ?memo ~device ~model adg per_
         | _ -> best := Some (score, sysp, obj, predicted)
       end)
     (System.candidates ~topologies ());
-  match !best with
-  | Some (score, sysp, obj, predicted) -> Some (score, sysp, obj, predicted)
-  | None -> None
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling with repair-first strategy                               *)
@@ -217,55 +306,40 @@ type sched_outcome = {
   n_rescheduled : int;
 }
 
-let schedule_all ~additive sys apps prior =
-  let n_repaired = ref 0
-  and n_incremental = ref 0
-  and n_rescheduled = ref 0 in
-  let rec go acc apps prior =
-    match (apps, prior) with
-    | [], _ -> Some (List.rev acc)
-    | app :: apps', prior_scheds :: prior' -> (
-      match Spatial.reschedule sys app ~prior:prior_scheds with
-      | Error _ -> None
-      | Ok (s, outcome) ->
-        let s =
-          match outcome with
-          | Spatial.Repaired when additive -> (
-            (* capacity grew: see if a more aggressive variant now fits *)
-            match Spatial.schedule_app sys app with
-            | Ok s' ->
-              incr n_rescheduled;
-              let better =
-                (Perf.app sys s').app_ipc >= (Perf.app sys s).app_ipc
-              in
-              if better then s' else s
-            | Error _ -> s)
-          | Spatial.Repaired | Spatial.Incremental | Spatial.Full -> s
-        in
-        (match outcome with
-        | Spatial.Repaired -> incr n_repaired
-        | Spatial.Incremental -> incr n_incremental
-        | Spatial.Full -> incr n_rescheduled);
-        go (s :: acc) apps' prior')
-    | _ :: _, [] -> None
-  in
-  match go [] apps prior with
-  | Some per_app ->
-    Some
-      {
-        per_app;
-        n_repaired = !n_repaired;
-        n_incremental = !n_incremental;
-        n_rescheduled = !n_rescheduled;
-      }
-  | None -> None
+(* One app's rescore on the mutated sysADG: repair-first [reschedule],
+   then, when the move added capacity, a full [schedule_app] kept if it is
+   no worse.  It depends only on (sys, app, prior), so an iteration's apps
+   rescore concurrently.  Returns the schedules, the reschedule outcome, and
+   whether the extra full schedule succeeded. *)
+let rescore ~additive sys (app : Compile.compiled) prior =
+  Obs.Span.with_span "dse_rescore" ~attrs:[ ("app", app.kname) ] @@ fun () ->
+  match Spatial.reschedule sys app ~prior with
+  | Error _ -> None
+  | Ok (s, (Spatial.Repaired as outcome)) when additive -> (
+    (* capacity grew: see if a more aggressive variant now fits *)
+    match Spatial.schedule_app sys app with
+    | Ok s' ->
+      let better = (Perf.app sys s').app_ipc >= (Perf.app sys s).app_ipc in
+      Some ((if better then s' else s), outcome, true)
+    | Error _ -> Some (s, outcome, false))
+  | Ok (s, outcome) -> Some (s, outcome, false)
+
+let schedule_all pool ~additive sys apps prior =
+  map_apps pool (fun (app, p) -> rescore ~additive sys app p) (List.combine apps prior)
+  |> Option.map (fun rescored ->
+         let count f = List.length (List.filter f rescored) in
+         {
+           per_app = List.map (fun (s, _, _) -> s) rescored;
+           n_repaired = count (fun (_, o, _) -> o = Spatial.Repaired);
+           n_incremental = count (fun (_, o, _) -> o = Spatial.Incremental);
+           n_rescheduled = count (fun (_, o, full) -> o = Spatial.Full || full);
+         })
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-design evaluation                                             *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate ?(device = Device.default) ~model (sys : Sys_adg.t) apps =
-  ignore device;
+let evaluate ~model (sys : Sys_adg.t) apps =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | app :: rest -> (
@@ -310,6 +384,9 @@ type island = {
   memo : Predict.memo;
       (* MLP predictions: island-private (islands run on separate domains),
          never checkpointed; a resumed island starts an empty one *)
+  mutable usage : (Schedule.t list list * Mutate.usage) option;
+      (* what [cur] uses, keyed by its [per_app] (physical equality); also
+         never checkpointed, recomputed when [cur] changes otherwise *)
 }
 
 (* An island's complete state is plain data plus one Rng word, so a
@@ -335,12 +412,15 @@ let restore_island s =
     trace_rev = s.s_trace_rev; modeled_s = s.s_modeled_s;
     accepted = s.s_accepted; invalid = s.s_invalid;
     repaired = s.s_repaired; incremental = s.s_incremental;
-    rescheduled = s.s_rescheduled; memo = Predict.memo ();
+    rescheduled = s.s_rescheduled; memo = Predict.memo (); usage = None;
   }
+
+let usage_of per_app =
+  Obs.Span.with_span "dse_usage" @@ fun () -> Mutate.usage_of (List.concat per_app)
 
 (* One annealing iteration; draw-for-draw identical to the historical
    sequential explorer so a single island reproduces it bit for bit. *)
-let step ~config ~device ~model ~caps apps isl =
+let step ~pool ~config ~device ~model ~caps apps isl =
   let accepted0 = isl.accepted and invalid0 = isl.invalid in
   let iter = isl.iter + 1 in
   let temp =
@@ -348,7 +428,14 @@ let step ~config ~device ~model ~caps apps isl =
     *. exp (-3.0 *. float_of_int iter /. float_of_int (max 1 isl.iters))
   in
   let cur = isl.cur in
-  let usage = Mutate.usage_of (List.concat cur.per_app) in
+  let usage =
+    match isl.usage with
+    | Some (key, u) when key == cur.per_app -> u
+    | Some _ | None ->
+      let u = usage_of cur.per_app in
+      isl.usage <- Some (cur.per_app, u);
+      u
+  in
   let preserve = config.mutation_policy = Schedule_preserving in
   let adg', desc =
     Mutate.propose isl.rng ~preserve ~caps_pool:caps cur.sys.Sys_adg.adg usage
@@ -362,7 +449,7 @@ let step ~config ~device ~model ~caps apps isl =
   (if Adg.node_count adg' > 400 then isl.invalid <- isl.invalid + 1
    else
      let sys' = Sys_adg.with_adg cur.sys adg' in
-     match schedule_all ~additive sys' apps cur.per_app with
+     match schedule_all pool ~additive sys' apps cur.per_app with
      | None -> isl.invalid <- isl.invalid + 1
      | Some outcome -> (
        isl.repaired <- isl.repaired + outcome.n_repaired;
@@ -373,10 +460,18 @@ let step ~config ~device ~model ~caps apps isl =
          +. (Time.repair_per_app_s *. float_of_int outcome.n_repaired)
          +. (Time.incremental_per_app_s *. float_of_int outcome.n_incremental)
          +. (Time.reschedule_per_app_s *. float_of_int outcome.n_rescheduled);
-       match
-         system_dse ~topologies:config.topologies ~memo:isl.memo ~device ~model
-           adg' outcome.per_app
-       with
+       (* The candidate's usage, needed next step if it is accepted, is
+          computed beside the system DSE.  Either job may run on either
+          domain: the island's memo is touched only by the system job while
+          the island waits. *)
+       let system, usage' =
+         both pool
+           (fun () ->
+             system_dse ~topologies:config.topologies ~memo:isl.memo ~device ~model
+               adg' outcome.per_app)
+           (fun () -> usage_of outcome.per_app)
+       in
+       match system with
        | None -> isl.invalid <- isl.invalid + 1
        | Some (score', sysp', obj', pred') ->
          let accept =
@@ -397,6 +492,7 @@ let step ~config ~device ~model ~caps apps isl =
            in
            isl.cur_score <- score';
            isl.cur <- d;
+           isl.usage <- Some (d.per_app, usage');
            if score' > isl.best_score then begin
              isl.best_score <- score';
              isl.best <- d
@@ -404,22 +500,22 @@ let step ~config ~device ~model ~caps apps isl =
          end));
   isl.iter <- iter;
   if Obs.on () then begin
-    Obs.incr (Lazy.force m_iterations);
-    if isl.accepted > accepted0 then Obs.incr (Lazy.force m_moves_accepted);
-    if isl.invalid > invalid0 then Obs.incr (Lazy.force m_moves_invalid)
+    Obs.incr m_iterations;
+    if isl.accepted > accepted0 then Obs.incr m_moves_accepted;
+    if isl.invalid > invalid0 then Obs.incr m_moves_invalid
   end;
   isl.trace_rev <-
     { island = isl.idx; iter; modeled_hours = isl.modeled_s /. 3600.0;
       est_ipc = isl.cur.objective }
     :: isl.trace_rev
 
-let run_span ~config ~device ~model ~caps apps isl ~upto =
+let run_span ~pool ~config ~device ~model ~caps apps isl ~upto =
   Obs.Span.with_span "dse_island"
     ~attrs:
       [ ("island", string_of_int isl.idx); ("upto", string_of_int upto) ]
   @@ fun () ->
   while isl.iter < upto do
-    step ~config ~device ~model ~caps apps isl
+    step ~pool ~config ~device ~model ~caps apps isl
   done;
   if Obs.on () then Obs.set_gauge (island_gauge isl.idx) isl.cur.objective
 
@@ -472,15 +568,9 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
         ~out_port_widths:[ 64; 32; 32; 16; 16; 8; 8; 8 ] ~engines;
     ]
   in
+  with_pool @@ fun pool ->
   let initial sys_adg =
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | app :: rest -> (
-        match Spatial.schedule_app sys_adg app with
-        | Ok s -> go (s :: acc) rest
-        | Error _ -> None)
-    in
-    go [] apps
+    map_apps pool (fun app -> Result.to_option (Spatial.schedule_app sys_adg app)) apps
   in
   (* Start from the largest seed that hosts the workloads and fits the
      device: the schedule-preserving prunes then shrink it with a reward at
@@ -488,6 +578,7 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
      plateau between unroll levels. *)
   let fresh_islands () =
     let seed_adg, prior0, (score0, sysp0, obj0, pred0) =
+      Obs.Span.with_span "dse_seed" @@ fun () ->
       let rec pick = function
         | [] -> failwith "Dse.explore: no seed design can host the workloads"
         | adg :: rest -> (
@@ -509,7 +600,8 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
         { idx = i; rng; iters = share i; iter = 0; cur_score = score0;
           cur = init_design; best_score = score0; best = init_design;
           trace_rev = []; modeled_s = pregen_s; accepted = 0; invalid = 0;
-          repaired = 0; incremental = 0; rescheduled = 0; memo = Predict.memo () })
+          repaired = 0; incremental = 0; rescheduled = 0; memo = Predict.memo ();
+          usage = None })
       (Rng.streams config.seed n)
   in
   (* Resume skips the seed-design selection entirely: the snapshot holds
@@ -533,11 +625,6 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
               "Dse.explore: checkpoint was written by a different \
                configuration or workload";
           (List.map restore_island snap.snap_islands, snap.snap_elites))
-  in
-  let pool =
-    Pool.create
-      (if n = 1 then Pool.Deterministic
-       else Pool.Domains (min n (max 1 (Domain.recommended_domain_count ()))))
   in
   (* The shared elite pool: (score, design) pairs published at migration
      barriers, best first, capped.  Driver-owned, mutated only between
@@ -580,36 +667,32 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
       in
       Store.put cp.store ~ns:checkpoint_ns ~key:cp.key
         (Codec.encode_marshal ~schema:checkpoint_schema snap);
-      if Obs.on () then Obs.incr (Lazy.force m_checkpoints)
+      if Obs.on () then Obs.incr m_checkpoints
   in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let rounds_done = ref 0 in
-      let rec rounds () =
-        match List.filter (fun isl -> isl.iter < isl.iters) islands with
-        | [] -> ()
-        | active ->
-          ignore
-            (Pool.map pool
-               (fun isl ->
-                 run_span ~config ~device ~model ~caps apps isl
-                   ~upto:(min isl.iters (isl.iter + config.migration_interval));
-                 isl.idx)
-               active);
-          if n > 1 then migrate ();
-          incr rounds_done;
-          (match checkpoint with
-          | Some cp when !rounds_done mod cp.interval = 0 -> write_checkpoint ()
-          | _ -> ());
-          (match stop_after_rounds with
-          | Some k when !rounds_done >= k -> ()
-          | _ -> rounds ())
-      in
-      rounds ();
-      (* One final snapshot at loop exit: a stopped run resumes from exactly
-         where it halted, and resuming a completed run replays no work. *)
-      write_checkpoint ());
+  let rounds_done = ref 0 in
+  let rec rounds () =
+    match List.filter (fun isl -> isl.iter < isl.iters) islands with
+    | [] -> ()
+    | active ->
+      ignore
+        (Pool.map pool
+           (fun isl ->
+             run_span ~pool ~config ~device ~model ~caps apps isl
+               ~upto:(min isl.iters (isl.iter + config.migration_interval)))
+           active);
+      if n > 1 then migrate ();
+      incr rounds_done;
+      (match checkpoint with
+      | Some cp when !rounds_done mod cp.interval = 0 -> write_checkpoint ()
+      | _ -> ());
+      (match stop_after_rounds with
+      | Some k when !rounds_done >= k -> ()
+      | _ -> rounds ())
+  in
+  rounds ();
+  (* One final snapshot at loop exit: a stopped run resumes from exactly
+     where it halted, and resuming a completed run replays no work. *)
+  write_checkpoint ();
   let best_isl =
     List.fold_left
       (fun acc isl -> if isl.best_score > acc.best_score then isl else acc)

@@ -141,6 +141,16 @@ val explore :
     is still written) — the hook the kill-and-resume tests use to
     simulate an interrupted run.
 
+    Islands, and inside each island every iteration's per-app rescoring,
+    seed-design mapping and usage analysis, run on a worker pool that
+    concurrent and back-to-back calls share: one worker domain beside the
+    calling one (more on larger machines).  A call starts the pool if none
+    is live, and a watcher thread shuts it down 0.25-0.5 s after the last call
+    returns, so a process that explores once, such as a serving process
+    after a fleet [promote], does not keep a parked domain.  The watcher
+    runs in the domain of the call that started the pool, so joining that
+    domain waits for the release.
+
     @raise Invalid_argument if [config.islands < 1],
     [config.migration_interval < 1], [checkpoint.interval < 1],
     [stop_after_rounds < 1], or [resume] without [checkpoint]. *)
@@ -155,7 +165,6 @@ val explore_kernels :
 (** Convenience: compile then explore. *)
 
 val evaluate :
-  ?device:Device.t ->
   model:Predict.t ->
   Sys_adg.t ->
   Compile.compiled list ->

@@ -210,18 +210,18 @@ let fit d =
 let train_kind ~seed kind n = fit (prepare ~seed kind n)
 
 (* The four kinds share nothing and each draws from its own seeded RNG, so
-   they train concurrently on two domains with the bits of a sequential
-   run.  The datasets are drawn here first: that is a small share of the
-   time but most of the allocation, and keeping it off the workers leaves
-   their minor heaps almost untouched.  PE goes first: it is about half the work, and
-   the other three fill the second domain meanwhile. *)
+   they train concurrently on two domains, one worker and the helping
+   caller, with the bits of a sequential run.  The datasets are drawn here
+   first: that is a small share of the time but most of the allocation.
+   PE goes first: it is about half the work, and the other three fill the
+   second domain meanwhile. *)
 let train ?(counts = default_counts) ~seed () =
   let datasets =
     List.map
       (fun k -> prepare ~seed k (List.assoc k counts))
       [ Pe_k; Switch_k; In_port_k; Out_port_k ]
   in
-  let pool = Pool.create (Pool.Domains 2) in
+  let pool = Pool.create (Pool.Domains 1) in
   let models =
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Pool.map pool fit datasets)
   in

@@ -6,7 +6,8 @@ type t = {
   mode : mode;
   m : Mutex.t;
   nonempty : Condition.t;  (* workers: the queue gained a job, or stopping *)
-  finished : Condition.t;  (* map callers: one of their jobs completed *)
+  finished : Condition.t;
+      (* map callers: one of their jobs completed, or a map queued jobs *)
   queue : (unit -> unit) Queue.t;
   mutable stopping : bool;
   mutable escaped : exn option;  (* the first exception a job raised *)
@@ -96,9 +97,19 @@ let map_result t f xs =
         in
         if not (admit t job) then invalid_arg "Pool.map: pool is shut down")
       xs;
+    (* The caller helps: while its jobs are outstanding it runs queued
+       jobs (its own or anyone's) and sleeps only on an empty queue, so a
+       map issued from inside a job cannot starve for workers.  Other
+       waiting map callers are woken to help with these jobs too. *)
     Mutex.lock t.m;
+    Condition.broadcast t.finished;
     while !remaining > 0 && not t.stopping do
-      Condition.wait t.finished t.m
+      match Queue.take_opt t.queue with
+      | Some job ->
+        Mutex.unlock t.m;
+        run_job t job;
+        Mutex.lock t.m
+      | None -> Condition.wait t.finished t.m
     done;
     Mutex.unlock t.m;
     Array.to_list results

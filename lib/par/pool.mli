@@ -14,6 +14,12 @@
       concurrently.  Job order of {e completion} is unspecified, but
       {!map} always returns results in input order.
 
+    A {!map} caller helps: while its jobs are outstanding it takes queued
+    jobs (its own or anyone else's) and runs them itself, and sleeps only
+    when the queue is empty.  So during a map, [Domains n] runs on [n]
+    workers plus the caller, and a map issued from inside a job (islands
+    mapping their apps, say) cannot deadlock, even on [Domains 1].
+
     The queue is unbounded: callers bound what they hand in (the compile
     service sits behind an admission window). *)
 
@@ -38,7 +44,8 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     Every element is attempted even if an earlier one raises; if any
     raised, the exception of the {e earliest element in input order} is
     re-raised (deterministic across modes).  [Domains]: one job per
-    element, then a wait for exactly those jobs.  Failures of [f] are
+    element; until exactly those jobs are done the caller runs queued
+    jobs itself, so nested maps are safe.  Failures of [f] are
     confined to the call — they never reach {!shutdown}.
     @raise Invalid_argument under [Domains] after {!shutdown}. *)
 

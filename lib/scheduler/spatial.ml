@@ -10,46 +10,34 @@ let failf fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
 
 module Obs = Overgen_obs.Obs
 
+(* Registered at load time, not lazily: apps are scheduled on several
+   domains at once, and forcing one lazy value from two domains raises. *)
+let counter name help = Obs.Metrics.counter Obs.Metrics.default name ~help
+
 let m_tried =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default
-       "overgen_scheduler_variants_tried_total"
-       ~help:"variant scheduling attempts")
+  counter "overgen_scheduler_variants_tried_total" "variant scheduling attempts"
 
 let m_accepted =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default
-       "overgen_scheduler_variants_accepted_total"
-       ~help:"variant scheduling attempts that produced a schedule")
+  counter "overgen_scheduler_variants_accepted_total"
+    "variant scheduling attempts that produced a schedule"
 
 let m_route_fail =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default
-       "overgen_scheduler_routing_failures_total"
-       ~help:"failed route searches (initial and repair rerouting)")
+  counter "overgen_scheduler_routing_failures_total"
+    "failed route searches (initial and repair rerouting)"
 
-let m_repairs =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_scheduler_repairs_total"
-       ~help:"schedule repair passes")
+let m_repairs = counter "overgen_scheduler_repairs_total" "schedule repair passes"
 
 let m_rollback =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default
-       "overgen_scheduler_rollback_entries_total"
-       ~help:"undo-log entries popped by snapshot restores")
+  counter "overgen_scheduler_rollback_entries_total"
+    "undo-log entries popped by snapshot restores"
 
 let m_incremental =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default
-       "overgen_scheduler_incremental_total"
-       ~help:"reschedules resolved by incremental re-placement")
+  counter "overgen_scheduler_incremental_total"
+    "reschedules resolved by incremental re-placement"
 
 let m_incremental_fallback =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default
-       "overgen_scheduler_incremental_fallback_total"
-       ~help:"reschedules that fell back to a full re-map")
+  counter "overgen_scheduler_incremental_fallback_total"
+    "reschedules that fell back to a full re-map"
 
 (* ------------------------------------------------------------------ *)
 (* Topology caches                                                     *)
@@ -278,7 +266,7 @@ let restore c m =
   done;
   c.log_len <- m.m_len;
   c.next_tag <- m.m_tag;
-  if popped > 0 then Obs.incr ~by:popped (Lazy.force m_rollback)
+  if popped > 0 then Obs.incr ~by:popped m_rollback
 
 (* Canonical dump of the observable usage state, for the property tests
    that check undo-log restores against a copy-based oracle. *)
@@ -605,7 +593,7 @@ let choose_port ctx ~dir ~eng ~mem_eng ~need_mem_feed (s : Stream.t) =
 let schedule_variant ctx (v : Compile.variant) =
   let adg = ctx.sys.Sys_adg.adg in
   let saved = snapshot ctx in
-  Obs.incr (Lazy.force m_tried);
+  Obs.incr m_tried;
   try
     let demand_of e = ctx.engine_demand.(e) in
     let add_demand e d = set_demand ctx e (demand_of e +. d) in
@@ -843,7 +831,7 @@ let schedule_variant ctx (v : Compile.variant) =
                   Hashtbl.replace route_tbl (o.src, n.id)
                     { Schedule.hops; delay = 0 }
                 | None ->
-                  Obs.incr (Lazy.force m_route_fail);
+                  Obs.incr m_route_fail;
                   failf "no route %d->%d" src dst)
               | _ -> failf "unplaced endpoint for edge %d->%d" o.src n.id))
           n.operands)
@@ -926,7 +914,7 @@ let schedule_variant ctx (v : Compile.variant) =
       }
     in
     let sched = { sched with Schedule.ii = Schedule.compute_ii ctx.sys sched } in
-    Obs.incr (Lazy.force m_accepted);
+    Obs.incr m_accepted;
     Ok sched
   with Fail msg ->
     restore ctx saved;
@@ -1089,7 +1077,7 @@ let reroute_pinned ctx (s : Schedule.t) =
                 claim_route ctx ~tag hops;
                 ((src, dst), { old_r with Schedule.hops })
               | None ->
-                Obs.incr (Lazy.force m_route_fail);
+                Obs.incr m_route_fail;
                 failf "reroute failed %d->%d" a b)
             | _ -> failf "endpoint missing")
           s.routes
@@ -1129,7 +1117,7 @@ let claim_placements ctx (s : Schedule.t) =
   Imap.iter (fun _ p -> use_port ctx p) s.port_map
 
 let repair sys schedules =
-  Obs.incr (Lazy.force m_repairs);
+  Obs.incr m_repairs;
   let t = topo_of sys.Sys_adg.adg in
   match t.repair_memo with
   (* Revalidating the same schedules on the same graph is pure
@@ -1339,10 +1327,10 @@ let reschedule sys (c : Compile.compiled) ~prior =
     in
     match patched with
     | Some s ->
-      Obs.incr (Lazy.force m_incremental);
+      Obs.incr m_incremental;
       Ok (s, Incremental)
     | None -> (
-      Obs.incr (Lazy.force m_incremental_fallback);
+      Obs.incr m_incremental_fallback;
       match schedule_app sys c with
       | Ok s -> Ok (s, Full)
       | Error e -> Error e))

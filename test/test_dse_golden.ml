@@ -18,8 +18,10 @@ let apps = lazy (Dse.compile_apps ~tuned:false (Kernels.of_suite Suite.Dsp))
 
 let bits = Printf.sprintf "%.17g"
 
-(* (seed, islands): 20 iterations each, the perfbench [dse] budget *)
-let runs = [ (1000, 1); (1005, 1); (1014, 1); (1001, 2) ]
+(* (seed, islands): 20 iterations each, the perfbench [dse] budget.  The
+   three-island run puts more island jobs than domains on the pool, so
+   islands nest their per-app maps on an oversubscribed pool. *)
+let runs = [ (1000, 1); (1005, 1); (1014, 1); (1001, 2); (1003, 3) ]
 
 let explore (seed, islands) =
   Dse.explore

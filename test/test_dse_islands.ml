@@ -5,6 +5,7 @@ open Overgen_workload
 module Dse = Overgen_dse.Dse
 module Predict = Overgen_mlp.Predict
 module Serial = Overgen_adg.Serial
+module Obs = Overgen_obs.Obs
 
 let model () = Models.trained 11
 
@@ -188,6 +189,56 @@ let test_completed_run_resumes_to_itself () =
   in
   same_result done_ again
 
+(* Back-to-back explorations share one worker pool: once the first has
+   started it, later ones (single- and multi-island) leave no extra thread
+   behind, and every span of all six runs comes from the caller's domain or
+   one of the pool's, never from a domain spawned for one call. *)
+let test_no_domain_per_call () =
+  let tasks = "/proc/self/task" in
+  if not (Sys.file_exists tasks) then Alcotest.skip ();
+  let threads () = Array.length (Sys.readdir tasks) in
+  Obs.Span.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      ignore (explore (cfg ~iterations:4 ~islands:2 24));
+      let after_first = threads () in
+      List.iter
+        (fun islands -> ignore (explore (cfg ~iterations:4 ~islands 24)))
+        [ 1; 2; 3; 1; 2 ];
+      Alcotest.(check int) "threads after five more explores" after_first (threads ()));
+  let domains =
+    List.sort_uniq compare (List.map (fun (s : Obs.Span.span) -> s.domain) (Obs.Span.spans ()))
+  in
+  Obs.Span.reset ();
+  Alcotest.(check bool)
+    (Printf.sprintf "%d recording domains at most the caller plus the pool"
+       (List.length domains))
+    true
+    (List.length domains <= max 2 (Domain.recommended_domain_count ()))
+
+(* Poll [/proc/self/task] until it holds fewer than [n] entries; false
+   after [seconds]. *)
+let threads_drop_below ?(seconds = 10.0) n =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec poll () =
+    if Array.length (Sys.readdir "/proc/self/task") < n then true
+    else if Unix.gettimeofday () > deadline then false
+    else (Unix.sleepf 0.05; poll ())
+  in
+  poll ()
+
+(* A process that stops exploring does not keep the pool's domain: about
+   a second after the last exploration returns, the worker domain and the
+   thread that watched it are gone, and a later exploration starts a new
+   pool and gets the same result. *)
+let test_idle_pool_released () =
+  let tasks = "/proc/self/task" in
+  if not (Sys.file_exists tasks) then Alcotest.skip ();
+  let first = explore (cfg ~iterations:4 24) in
+  let busy = Array.length (Sys.readdir tasks) in
+  Alcotest.(check bool) "worker domain released when idle" true (threads_drop_below busy);
+  same_result first (explore (cfg ~iterations:4 24))
+
 let tests =
   [
     Alcotest.test_case "single island deterministic" `Quick
@@ -208,4 +259,7 @@ let tests =
       test_resume_requires_checkpoint_record;
     Alcotest.test_case "completed run resumes to itself" `Quick
       test_completed_run_resumes_to_itself;
+    Alcotest.test_case "explore spawns no domain per call" `Quick
+      test_no_domain_per_call;
+    Alcotest.test_case "idle DSE pool released" `Quick test_idle_pool_released;
   ]

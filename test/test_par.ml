@@ -66,10 +66,15 @@ let test_exception_propagates () =
 exception BoomN of int
 
 (* Several jobs fail in one batch: map_result must attribute each failure
-   to its own slot, map must raise the first error in *input* order, and
-   neither may leave a failure for shutdown to re-raise. *)
+   to its own slot, map must raise the first error in *input* order (even
+   when a later element fails first in time), and neither may leave a
+   failure for shutdown to re-raise. *)
 let test_multi_failure_results () =
   let work i = if i = 1 || i = 4 || i = 6 then raise (BoomN i) else 10 * i in
+  let late_first i =
+    if i = 1 then Unix.sleepf 0.05;
+    work i
+  in
   List.iter
     (fun mode ->
       let p = Pool.create mode in
@@ -89,6 +94,12 @@ let test_multi_failure_results () =
       | exception BoomN 1 -> ()
       | exception e ->
         Alcotest.failf "map raised %s, wanted BoomN 1" (Printexc.to_string e));
+      (match Pool.map p late_first [ 0; 1; 2; 3; 4; 5; 6; 7 ] with
+      | _ -> Alcotest.fail "map should raise"
+      | exception BoomN 1 -> ()
+      | exception e ->
+        Alcotest.failf "delayed first failure: map raised %s, wanted BoomN 1"
+          (Printexc.to_string e));
       (* map failures never reach the pool's escaped slot *)
       Pool.shutdown p)
     [ Pool.Deterministic; Pool.Domains 4 ]
@@ -126,6 +137,46 @@ let test_create_validation () =
     (Invalid_argument "Pool.map: pool is shut down") (fun () ->
       ignore (Pool.map p succ [ 1 ]))
 
+(* Run [f] on its own domain and fail instead of hanging if it has not
+   returned within [seconds]. *)
+let with_watchdog ?(seconds = 20.0) what f =
+  let result = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e))) in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  match Atomic.get result with
+  | None -> Alcotest.failf "%s: no result after %.0f s (deadlock?)" what seconds
+  | Some r -> (
+    Domain.join d;
+    match r with Ok v -> v | Error e -> raise e)
+
+(* A map issued from inside a job: the single worker is busy with the outer
+   job, so the inner map completes only because its caller helps. *)
+let test_nested_map () =
+  let p = Pool.create (Pool.Domains 1) in
+  let out =
+    with_watchdog "nested map on Domains 1" (fun () ->
+        Pool.map p
+          (fun i -> List.fold_left ( + ) 0 (Pool.map p (fun j -> (10 * i) + j) [ 1; 2; 3 ]))
+          [ 1; 2; 3; 4 ])
+  in
+  Alcotest.(check (list int)) "nested sums" [ 36; 66; 96; 126 ] out;
+  Pool.shutdown p
+
+(* Two domains map on one pool at once; helping runs each other's jobs,
+   but each caller gets exactly its own results, in order. *)
+let test_concurrent_maps () =
+  let p = Pool.create (Pool.Domains 1) in
+  let run k () = Pool.map p (fun i -> (k * 1000) + i) (List.init 200 Fun.id) in
+  let other = Domain.spawn (run 2) in
+  let mine = run 1 () in
+  let theirs = Domain.join other in
+  Alcotest.(check (list int)) "first caller" (List.init 200 (fun i -> 1000 + i)) mine;
+  Alcotest.(check (list int)) "second caller" (List.init 200 (fun i -> 2000 + i)) theirs;
+  Pool.shutdown p
+
 let tests =
   [
     Alcotest.test_case "deterministic submit inline" `Quick
@@ -142,4 +193,6 @@ let tests =
     Alcotest.test_case "shutdown re-raises first" `Quick
       test_shutdown_reraises_first;
     Alcotest.test_case "create validation" `Quick test_create_validation;
+    Alcotest.test_case "nested map (caller helps)" `Quick test_nested_map;
+    Alcotest.test_case "concurrent maps on one pool" `Quick test_concurrent_maps;
   ]
