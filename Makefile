@@ -77,9 +77,11 @@ bench-baseline:
 # (`overgen list` + a small deterministic serve-bench trace), the
 # island-model DSE bench, the observability trace path, the fault
 # injection scenario, the durable-store scenario and the sharded network
-# tier, and fail if build artifacts ever got committed or if `Marshal`
+# tier, and fail if build artifacts ever got committed, if `Marshal`
 # came back onto the request path (the only unmarshal in lib/net is the
-# response-schedules blob, which comes from the server).
+# response-schedules blob, which comes from the server), or if a metric is
+# registered through a `lazy` (forcing one lazy value from two domains at
+# once raises, so metrics are registered at load time).
 check:
 	dune build @check
 	@if [ -n "$$(git ls-files _build)" ]; then \
@@ -92,6 +94,12 @@ check:
 	inside="$$(awk -v l="$$line" '/^let /{f = ($$2 == "decode_resp")} NR == l {print f + 0}' lib/net/wire.ml)"; \
 	if [ "$$(printf '%s\n' "$$hits" | grep -c .)" != 1 ] || [ "$$inside" != 1 ]; then \
 	  echo "error: unmarshalling in lib/net outside Wire.decode_resp's schedules blob:"; \
+	  printf '%s\n' "$$hits"; \
+	  exit 1; \
+	fi
+	@hits="$$(grep -rlPz 'lazy\s*\(?\s*Obs\.Metrics\.' lib --include='*.ml')"; \
+	if [ -n "$$hits" ]; then \
+	  echo "error: a lazy wraps an Obs.Metrics registration (register it at load time):"; \
 	  printf '%s\n' "$$hits"; \
 	  exit 1; \
 	fi

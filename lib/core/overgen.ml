@@ -8,22 +8,20 @@ module Sim = Overgen_sim.Sim
 module Obs = Overgen_obs.Obs
 
 (* Pipeline-level metrics on the shared default registry (gated: no-ops
-   until [Obs.enable]).  Created lazily so merely linking the library
-   never registers metrics. *)
+   until [Obs.enable]).  Registered at load time, not lazily: service
+   workers compile on several domains at once, and forcing one lazy value
+   from two domains raises. *)
 let m_compiles =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_compile_total"
-       ~help:"kernel compiles through Overgen.compile_variants")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_compile_total"
+    ~help:"kernel compiles through Overgen.compile_variants"
 
 let m_compile_errors =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_compile_errors_total"
-       ~help:"kernel compiles that ended in a scheduling error")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_compile_errors_total"
+    ~help:"kernel compiles that ended in a scheduling error"
 
 let m_compile_s =
-  lazy
-    (Obs.Metrics.histogram Obs.Metrics.default "overgen_compile_seconds"
-       ~help:"wall time of Overgen.compile_variants")
+  Obs.Metrics.histogram Obs.Metrics.default "overgen_compile_seconds"
+    ~help:"wall time of Overgen.compile_variants"
 
 type overlay = {
   design : Dse.design;
@@ -95,17 +93,17 @@ let compile_variants ?(opts = default_opts) overlay
     (cc : Overgen_mdfg.Compile.compiled) =
   Obs.Span.with_span "schedule" ~attrs:[ ("kernel", cc.kname) ] @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  Obs.incr (Lazy.force m_compiles);
+  Obs.incr m_compiles;
   let use_stored =
     match opts.stored with `Auto -> not opts.tuned | `Ignore -> false
   in
   match schedule_on_overlay ~use_stored overlay cc with
   | Ok schedules ->
     let seconds = Unix.gettimeofday () -. t0 in
-    Obs.observe (Lazy.force m_compile_s) seconds;
+    Obs.observe m_compile_s seconds;
     Ok { schedules; seconds }
   | Error e ->
-    Obs.incr (Lazy.force m_compile_errors);
+    Obs.incr m_compile_errors;
     Error e
 
 let compile ?(opts = default_opts) overlay (k : Ir.kernel) =

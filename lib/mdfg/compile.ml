@@ -68,7 +68,7 @@ type store_class = Plain | Acc_inner of Op.t | Rec_acc of Op.t
 
 let group_key ~array ~terms ~via =
   let ts =
-    List.map (fun (v, c) -> Printf.sprintf "%s:%d" v c) terms
+    List.map (fun (v, c) -> v ^ ":" ^ string_of_int c) terms
     |> String.concat ","
   in
   array ^ "|" ^ ts ^ match via with Some s -> "@" ^ s | None -> ""
@@ -79,6 +79,12 @@ type collector = {
 }
 
 let collector () = { tbl = Hashtbl.create 16; order = [] }
+
+(* [x] inserted before the first greater element of the sorted [l], which
+   does not hold it: the list [List.sort compare (x :: l)] would give. *)
+let rec insert_sorted x = function
+  | y :: rest when compare y x < 0 -> y :: insert_sorted x rest
+  | l -> x :: l
 
 let collect c ~array ~terms ~via ~tag ~const =
   let key = group_key ~array ~terms ~via in
@@ -92,9 +98,8 @@ let collect c ~array ~terms ~via ~tag ~const =
       g
   in
   if not (List.mem (tag, const) g.slots) then
-    g.slots <- List.sort compare ((tag, const) :: g.slots);
-  if not (List.mem const g.consts) then
-    g.consts <- List.sort compare (const :: g.consts);
+    g.slots <- insert_sorted (tag, const) g.slots;
+  if not (List.mem const g.consts) then g.consts <- insert_sorted const g.consts;
   key
 
 let groups_in_order c =

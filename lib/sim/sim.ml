@@ -5,26 +5,22 @@ module Obs = Overgen_obs.Obs
 
 (* Simulator counters on the shared default registry; incremented once per
    simulated region (never inside the cycle loop), so the enabled-path
-   overhead is independent of region length. *)
-let m_regions =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_sim_regions_total"
-       ~help:"simulated regions")
+   overhead is independent of region length. Registered at load time, not
+   lazily: simulations run on several domains at once, and forcing one lazy
+   value from two domains raises. *)
+let counter name help = Obs.Metrics.counter Obs.Metrics.default name ~help
+
+let m_regions = counter "overgen_sim_regions_total" "simulated regions"
 
 let m_cycles =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_sim_cycles_total"
-       ~help:"simulated cycles, summed over regions")
+  counter "overgen_sim_cycles_total" "simulated cycles, summed over regions"
 
 let m_firings =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_sim_firings_total"
-       ~help:"DFG instance firings, summed over tiles")
+  counter "overgen_sim_firings_total" "DFG instance firings, summed over tiles"
 
 let m_stalls =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_sim_stall_cycles_total"
-       ~help:"tile-cycles not covered by a firing's II occupancy")
+  counter "overgen_sim_stall_cycles_total"
+    "tile-cycles not covered by a firing's II occupancy"
 
 type config = {
   one_hot_bypass : bool;
@@ -104,8 +100,8 @@ type sstate = {
 type engine_state = {
   bw : float;
   mutable rr : int;
-  members : sstate array;
-  active : int array;  (* scratch: this cycle's issuing members *)
+  members : int array;  (* indices into the tile's [streams] *)
+  active : int array;   (* scratch: this cycle's issuing members *)
 }
 
 type tile_state = {
@@ -117,9 +113,12 @@ type tile_state = {
   mutable fired : int;
   mutable cooldown : int;
   mutable dispatch_left : int;
-  wants : sstate array;  (* this cycle's shared-path requests, issue order *)
+  wants : int array;  (* this cycle's shared-path requests as indices into
+                         [streams], issue order *)
   want_bytes : float array;
   mutable n_wants : int;
+  l2_part : float array;    (* scratch: per-want L2 products of [arbitrate] *)
+  dram_part : float array;  (* scratch: per-want DRAM products *)
 }
 
 let[@inline] fnear a b = a >= b -. 1e-6
@@ -259,7 +258,9 @@ let setup_tile cfg (sys : Sys_adg.t) ~share ~ring (sched : Schedule.t) =
           | None -> 8.0
         in
         let members =
-          Array.of_list (List.filter (fun s -> s.engine = eid) (Array.to_list streams))
+          List.init (Array.length streams) Fun.id
+          |> List.filter (fun i -> streams.(i).engine = eid)
+          |> Array.of_list
         in
         { bw; rr = 0; members; active = Array.make (Array.length members) 0 })
       engine_ids
@@ -270,7 +271,8 @@ let setup_tile cfg (sys : Sys_adg.t) ~share ~ring (sched : Schedule.t) =
   { streams; engines; ii = max 1 sched.ii; target = firings_tile; dispatches;
     fired = 0; cooldown = 0;
     dispatch_left = 2 + (2 * n_streams) + (dispatches * 2);
-    wants = Array.copy streams; want_bytes = Array.make n_streams 0.0; n_wants = 0 }
+    wants = Array.make n_streams 0; want_bytes = Array.make n_streams 0.0; n_wants = 0;
+    l2_part = Array.make n_streams 0.0; dram_part = Array.make n_streams 0.0 }
 
 (* Shared-path bandwidths in bytes per cycle; all floats, so stored flat
    and passed to the cycle loop without boxing. *)
@@ -326,7 +328,7 @@ let collect cfg lim t c =
       let e = t.engines.(e) in
       let n = ref 0 in
       for m = 0 to Array.length e.members - 1 do
-        let s = e.members.(m) in
+        let s = t.streams.(e.members.(m)) in
         let f = s.f in
         let issuing =
           match s.role with
@@ -343,9 +345,14 @@ let collect cfg lim t c =
       let n = !n in
       if n > 0 then begin
         let budget = ref (if n = 1 && not cfg.one_hot_bypass then e.bw /. 2.0 else e.bw) in
-        e.rr <- (e.rr + 1) mod n;
+        (* [n] changes from cycle to cycle, so [e.rr + 1] may exceed it;
+           once reduced, [e.rr < n] and so [k + e.rr < 2n]. *)
+        let r = e.rr + 1 in
+        e.rr <- (if r < n then r else r mod n);
         for k = 0 to n - 1 do
-          let s = e.members.(e.active.((k + e.rr) mod n)) in
+          let j = k + e.rr in
+          let m = e.members.(e.active.(if j < n then j else j - n)) in
+          let s = t.streams.(m) in
           let f = s.f in
           if !budget > 1e-9 then begin
             let want =
@@ -363,7 +370,7 @@ let collect cfg lim t c =
               budget := !budget -. want;
               match s.path, s.role with
               | Shared, _ ->
-                t.wants.(t.n_wants) <- s;
+                t.wants.(t.n_wants) <- m;
                 t.want_bytes.(t.n_wants) <- want;
                 t.n_wants <- t.n_wants + 1
               | Local, (Read | Fill) ->
@@ -381,7 +388,7 @@ let collect cfg lim t c =
     (* per-tile NoC clamp, summed latest request first *)
     let tot = ref 0.0 in
     for k = t.n_wants - 1 downto 0 do
-      tot := !tot +. (t.want_bytes.(k) *. t.wants.(k).f.waste)
+      tot := !tot +. (t.want_bytes.(k) *. t.streams.(t.wants.(k)).f.waste)
     done;
     if !tot > lim.noc_bw then begin
       let scale = lim.noc_bw /. !tot in
@@ -435,71 +442,101 @@ type tenant = {
 
 type totals = { mutable l2 : float; mutable dram : float }
 
-(* Sum of want x waste x [scale] (x miss fraction when [misses]) over every
-   live tile's shared wants. Each representative's wants are summed
-   [copies] times in issue order, so the total rounds exactly as a
-   tile-by-tile sum would; multiplying by 1.0 is exact. *)
-let[@inline] demand tenants ~scale ~misses =
-  let sum = ref 0.0 in
+(* Phase 3: global L2 / DRAM arbitration over every live tile's shared
+   wants. The L2 demand sums want x waste, the DRAM demand want x waste x
+   L2 scale x miss fraction, and the byte totals each grant's bytes, over
+   every tile. Each product is computed once per want into the
+   representative's scratch arrays and only the additions are replayed
+   [copies] times; their operands and order are those of a tile-by-tile
+   sum, so every total is exact. Independent sums are replayed in one loop
+   so their additions overlap. The grant itself is applied to the
+   representative once. *)
+let arbitrate cfg lim totals tenants c =
+  (* L2 demand, and DRAM demand at an L2 scale of 1.0 (x 1.0 is exact) *)
+  let l2_demand = ref 0.0 and miss_demand = ref 0.0 in
   for i = 0 to Array.length tenants - 1 do
     let tn = tenants.(i) and t = tenants.(i).tile in
-    if tn.finished_at < 0 then
+    if tn.finished_at < 0 then begin
+      for k = 0 to t.n_wants - 1 do
+        let f = t.streams.(t.wants.(k)).f in
+        let p = t.want_bytes.(k) *. f.waste in
+        t.l2_part.(k) <- p;
+        t.dram_part.(k) <- p *. f.miss_frac
+      done;
       for _ = 1 to tn.copies do
         for k = 0 to t.n_wants - 1 do
-          let f = t.wants.(k).f in
-          sum :=
-            !sum
-            +. (t.want_bytes.(k) *. f.waste *. scale
-               *. if misses then f.miss_frac else 1.0)
+          l2_demand := !l2_demand +. t.l2_part.(k);
+          miss_demand := !miss_demand +. t.dram_part.(k)
         done
       done
+    end
   done;
-  !sum
-
-(* Phase 3: global L2 / DRAM arbitration over every live tile's shared
-   wants. Byte totals replay each grant [copies] times, like [demand]; the
-   grant itself is applied to the representative once. *)
-let arbitrate cfg lim totals tenants c =
-  let l2_demand = demand tenants ~scale:1.0 ~misses:false in
-  let l2_scale = if l2_demand > lim.l2_bw then lim.l2_bw /. l2_demand else 1.0 in
-  let miss_demand = demand tenants ~scale:l2_scale ~misses:true in
-  let dram_scale = if miss_demand > lim.dram_bw then lim.dram_bw /. miss_demand else 1.0 in
+  let l2_scale = if !l2_demand > lim.l2_bw then lim.l2_bw /. !l2_demand else 1.0 in
+  if l2_scale <> 1.0 then begin
+    (* L2 binds (rare): the DRAM demand is summed again at its scale *)
+    miss_demand := 0.0;
+    for i = 0 to Array.length tenants - 1 do
+      let tn = tenants.(i) and t = tenants.(i).tile in
+      if tn.finished_at < 0 then begin
+        for k = 0 to t.n_wants - 1 do
+          t.dram_part.(k) <-
+            t.l2_part.(k) *. l2_scale *. t.streams.(t.wants.(k)).f.miss_frac
+        done;
+        for _ = 1 to tn.copies do
+          for k = 0 to t.n_wants - 1 do
+            miss_demand := !miss_demand +. t.dram_part.(k)
+          done
+        done
+      end
+    done
+  end;
+  let dram_scale =
+    if !miss_demand > lim.dram_bw then lim.dram_bw /. !miss_demand else 1.0
+  in
   for i = 0 to Array.length tenants - 1 do
     let tn = tenants.(i) and t = tenants.(i).tile in
-    if tn.finished_at < 0 then
-      for copy = 1 to tn.copies do
+    if tn.finished_at < 0 then begin
+      for k = 0 to t.n_wants - 1 do
+        let s = t.streams.(t.wants.(k)) in
+        let f = s.f in
+        let g = t.want_bytes.(k) *. l2_scale in
+        let hit = g *. (1.0 -. f.miss_frac) in
+        let miss = g *. f.miss_frac *. dram_scale in
+        let granted = hit +. miss in
+        t.l2_part.(k) <- granted *. f.waste;
+        t.dram_part.(k) <- miss *. f.waste;
+        if granted > 1e-9 then
+          match s.role with
+          | Read | Fill ->
+            f.issued <- f.issued +. granted;
+            push s
+              (c + if f.miss_frac > 0.5 then cfg.dram_latency else cfg.l2_hit_latency)
+              granted
+          | Write -> f.write_buf <- f.write_buf -. granted
+          | Drain ->
+            f.issued <- f.issued +. granted;
+            f.done_ <- f.done_ +. granted
+      done;
+      let l2 = ref totals.l2 and dram = ref totals.dram in
+      for _ = 1 to tn.copies do
         for k = 0 to t.n_wants - 1 do
-          let s = t.wants.(k) in
-          let f = s.f in
-          let g = t.want_bytes.(k) *. l2_scale in
-          let hit = g *. (1.0 -. f.miss_frac) in
-          let miss = g *. f.miss_frac *. dram_scale in
-          let granted = hit +. miss in
-          totals.l2 <- totals.l2 +. (granted *. f.waste);
-          totals.dram <- totals.dram +. (miss *. f.waste);
-          if copy = 1 && granted > 1e-9 then
-            match s.role with
-            | Read | Fill ->
-              f.issued <- f.issued +. granted;
-              push s
-                (c + if f.miss_frac > 0.5 then cfg.dram_latency else cfg.l2_hit_latency)
-                granted
-            | Write -> f.write_buf <- f.write_buf -. granted
-            | Drain ->
-              f.issued <- f.issued +. granted;
-              f.done_ <- f.done_ +. granted
+          l2 := !l2 +. t.l2_part.(k);
+          dram := !dram +. t.dram_part.(k)
         done
-      done
+      done;
+      totals.l2 <- !l2;
+      totals.dram <- !dram
+    end
   done
 
 (* Counters and result for a region that finished after [steps] cycles. *)
 let finish_region cfg tn steps =
   let t = tn.tile in
   if Obs.on () then begin
-    Obs.incr (Lazy.force m_regions);
-    Obs.incr (Lazy.force m_cycles) ~by:steps;
-    Obs.incr (Lazy.force m_firings) ~by:(tn.copies * t.fired);
-    Obs.incr (Lazy.force m_stalls)
+    Obs.incr m_regions;
+    Obs.incr m_cycles ~by:steps;
+    Obs.incr m_firings ~by:(tn.copies * t.fired);
+    Obs.incr m_stalls
       ~by:(max 0 ((steps * tn.copies) - (tn.copies * t.fired * t.ii)))
   end;
   let v = (List.hd tn.todo : Schedule.t).variant in

@@ -5,35 +5,31 @@ module Obs = Overgen_obs.Obs
 (* Instrumentation (gated: no-ops until Obs.enable)                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Registered at load time, not lazily: forcing one lazy value from two
+   domains at once raises. *)
 let m_appends =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_store_appends_total"
-       ~help:"records appended to the artifact store")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_store_appends_total"
+    ~help:"records appended to the artifact store"
 
 let m_fsyncs =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_store_fsyncs_total"
-       ~help:"fsync calls issued by the artifact store")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_store_fsyncs_total"
+    ~help:"fsync calls issued by the artifact store"
 
 let m_reads =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_store_reads_total"
-       ~help:"record reads served from the artifact store log")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_store_reads_total"
+    ~help:"record reads served from the artifact store log"
 
 let m_scanned =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_store_scan_records_total"
-       ~help:"records replayed by scan-on-open")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_store_scan_records_total"
+    ~help:"records replayed by scan-on-open"
 
 let m_truncated =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_store_truncated_bytes_total"
-       ~help:"damaged tail bytes dropped by recovery at open")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_store_truncated_bytes_total"
+    ~help:"damaged tail bytes dropped by recovery at open"
 
 let m_compactions =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.default "overgen_store_compactions_total"
-       ~help:"snapshot+rename compactions of the artifact store")
+  Obs.Metrics.counter Obs.Metrics.default "overgen_store_compactions_total"
+    ~help:"snapshot+rename compactions of the artifact store"
 
 (* ------------------------------------------------------------------ *)
 (* On-disk format                                                      *)
@@ -248,9 +244,9 @@ let open_ ?(fsync = false) ~path () =
       | None -> ());
       t.good_len <- good_end;
       t.stats <- { records; live = Hashtbl.length t.index; truncated_bytes };
-      Obs.incr ~by:records (Lazy.force m_scanned);
+      Obs.incr ~by:records m_scanned;
       if truncated_bytes > 0 then
-        Obs.incr ~by:truncated_bytes (Lazy.force m_truncated);
+        Obs.incr ~by:truncated_bytes m_truncated;
       Ok t
     end
 
@@ -292,13 +288,13 @@ let append t payload =
   really_write t.fd payload;
   if t.fsync_every then begin
     Unix.fsync t.fd;
-    Obs.incr (Lazy.force m_fsyncs)
+    Obs.incr m_fsyncs
   end;
   let total = rec_head_len + plen in
   t.good_len <- off + total;
   t.file_bytes_ <- max t.file_bytes_ t.good_len;
   t.dirty <- false;
-  Obs.incr (Lazy.force m_appends);
+  Obs.incr m_appends;
   (off, total)
 
 let put t ~ns ~key value =
@@ -325,7 +321,7 @@ let read_value t (l : loc) =
     failwith "Store: checksum mismatch on read (log damaged underneath us)";
   match decode_payload (String.sub contents rec_head_len plen) with
   | Some { d_value = Some v; _ } ->
-    Obs.incr (Lazy.force m_reads);
+    Obs.incr m_reads;
     v
   | _ -> failwith "Store: indexed record is not a Put"
 
@@ -363,7 +359,7 @@ let live_bytes t = with_lock t @@ fun () -> t.live_bytes_
 let sync t =
   with_lock t @@ fun () ->
   Unix.fsync t.fd;
-  Obs.incr (Lazy.force m_fsyncs)
+  Obs.incr m_fsyncs
 
 let close t =
   Mutex.lock t.m;
@@ -423,7 +419,7 @@ let compact t =
   t.good_len <- header_len + t.live_bytes_;
   t.file_bytes_ <- t.good_len;
   t.dirty <- false;
-  Obs.incr (Lazy.force m_compactions)
+  Obs.incr m_compactions
 
 (* ------------------------------------------------------------------ *)
 (* Offline verification                                                *)

@@ -252,10 +252,25 @@ let test_content_hash_deterministic () =
   Alcotest.(check bool) "unroll changes the variant hash" false
     (Compile.hash_variant v1 = Compile.hash_variant v2)
 
+(* Compiler output pinned across commits: [Compile.hash_compiled] of every
+   kernel, untuned and tuned. Regenerate with OVERGEN_MDFG_GOLDEN_OUT=<file>
+   dune test, then copy the file over test/mdfg-golden.tsv — only when a
+   change to compiled variants is intended. *)
+let test_mdfg_golden_table () =
+  Golden.check ~file:"mdfg-golden.tsv" ~regen_var:"OVERGEN_MDFG_GOLDEN_OUT"
+    ~header:"# kernel\tuntuned hash_compiled\ttuned hash_compiled\n"
+    (List.map
+       (fun (k : Ir.kernel) ->
+         Printf.sprintf "%s\t%s\t%s" k.name
+           (Compile.hash_compiled (Compile.compile k))
+           (Compile.hash_compiled (Compile.compile ~tuned:true k)))
+       Kernels.all)
+
 let tests =
   [
     Alcotest.test_case "all kernels compile" `Quick test_all_kernels_compile_all_unrolls;
     Alcotest.test_case "content hashes" `Quick test_content_hash_deterministic;
+    Alcotest.test_case "mdfg golden table" `Quick test_mdfg_golden_table;
     Alcotest.test_case "fft CSE" `Quick test_cse_shares_fft_twiddle_products;
     Alcotest.test_case "unroll scales ops" `Quick test_unroll_scales_muls;
     Alcotest.test_case "fir stationary reuse" `Quick test_fir_stationary_reuse;

@@ -234,9 +234,11 @@ let multi_row label (m : Sim.multi_result) =
 let all_schedules =
   lazy (List.map (fun (k : Ir.kernel) -> (k.name, schedules k.name)) Kernels.all)
 
-(* Every kernel on the general overlay under each setup, then two
+(* Every kernel on the general overlay under each setup, then three
    multi-tenant mixes. Odd tile counts give odd copy counts per share; a
-   400-cycle DRAM latency outgrows the default pending-queue size. *)
+   400-cycle DRAM latency outgrows the default pending-queue size; one L2
+   bank makes L2 and DRAM bind in the same cycles; the two-region cholesky
+   switches regions while the other tenants run. *)
 let golden_rows () =
   let sys = Lazy.force general in
   let scheds = Lazy.force all_schedules in
@@ -249,6 +251,7 @@ let golden_rows () =
       ("dram400", sys, { Sim.default_config with dram_latency = 400 });
       ("nobypass", sys, { Sim.default_config with one_hot_bypass = false });
       ("dram4ch", resize (fun p -> { p with System.dram_channels = 4 }), Sim.default_config);
+      ("l2bank1", resize (fun p -> { p with System.l2_banks = 1 }), Sim.default_config);
     ]
   in
   List.concat_map
@@ -262,7 +265,11 @@ let golden_rows () =
         in
         multi_row ("multi/" ^ label)
           (Sim.run_multi sys (List.map (fun (n, k) -> (List.assoc n scheds, k)) mix)))
-      [ [ ("fir", 3); ("accumulate", 1) ]; [ ("fir", 2); ("accumulate", 2) ] ]
+      [
+        [ ("fir", 3); ("accumulate", 1) ];
+        [ ("fir", 2); ("accumulate", 2) ];
+        [ ("cholesky", 1); ("fir", 1); ("accumulate", 2) ];
+      ]
 
 (* Regenerate with OVERGEN_SIM_GOLDEN_OUT=<file> dune test, then copy the
    file over test/sim-golden.tsv — only when a change to simulated timing
@@ -333,6 +340,29 @@ let test_sim_counters () =
     ]
     rise
 
+(* Two domains simulating at once: the simulator's counters are registered
+   at load time (forcing one lazy value from two domains raises
+   [Lazy.Undefined]), both runs count, and neither disturbs the other. *)
+let test_sim_on_two_domains () =
+  let module Obs = Overgen_obs.Obs in
+  let sys = Lazy.force general in
+  let a = schedules "cholesky" and b = schedules "stencil-2d" in
+  let seq_a = Sim.run sys a and seq_b = Sim.run sys b in
+  let regions = Obs.Metrics.counter Obs.Metrics.default "overgen_sim_regions_total" in
+  Obs.enable ();
+  let before = Obs.Metrics.counter_value regions in
+  let par_a, par_b =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        let d = Domain.spawn (fun () -> Sim.run sys a) in
+        let rb = Sim.run sys b in
+        (Domain.join d, rb))
+  in
+  Alcotest.(check string) "cholesky" (sim_row "cholesky" seq_a) (sim_row "cholesky" par_a);
+  Alcotest.(check string) "stencil-2d" (sim_row "stencil-2d" seq_b)
+    (sim_row "stencil-2d" par_b);
+  Alcotest.(check int) "regions counted" (List.length a + List.length b)
+    (Obs.Metrics.counter_value regions - before)
+
 let tests =
   [
     Alcotest.test_case "factors in (0,1]" `Quick test_factors_in_unit_range;
@@ -358,4 +388,5 @@ let tests =
     Alcotest.test_case "run = one-tenant run_multi" `Quick test_run_is_one_tenant_run_multi;
     Alcotest.test_case "sim deadlock guard" `Quick test_deadlock_guard;
     Alcotest.test_case "sim counters" `Quick test_sim_counters;
+    Alcotest.test_case "sim on two domains" `Quick test_sim_on_two_domains;
   ]
