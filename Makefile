@@ -81,9 +81,15 @@ bench-baseline:
 # came back onto the request path (the only unmarshal in lib/net is the
 # response-schedules blob, which comes from the server), or if a metric is
 # registered through a `lazy` (forcing one lazy value from two domains at
-# once raises, so metrics are registered at load time).
+# once raises, so metrics are registered at load time).  The dead-export
+# gate (tools/deadexports.ml) then fails on any lib/ export that no other
+# unit references, any exported constructor nothing builds, and any
+# test-only export whose doc comment gives no "For tests:" reason.  It
+# reads the .cmt/.cmti typed trees that `dune build @check` writes (`@all`
+# leaves some out) and fails, naming the file, if one is missing.
 check:
 	dune build @check
+	dune exec tools/deadexports.exe
 	@if [ -n "$$(git ls-files _build)" ]; then \
 	  echo "error: _build artifacts are tracked by git:"; \
 	  git ls-files _build; \

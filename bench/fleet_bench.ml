@@ -79,7 +79,6 @@ let run () =
   (* burst-only quota + a frozen clock: the shed set is a pure function
      of submission order *)
   let adm = Admission.create ~clock:(fun () -> 0.0) ~tenants svc in
-  let now = ref 0.0 in
   let manager =
     Manager.create
       ~config:
@@ -91,7 +90,6 @@ let run () =
           dse_top_kernels = 2;
         }
       ~cache
-      ~clock:(fun () -> !now)
       ~model:(Exp_common.model ()) registry
   in
   Manager.attach manager adm;

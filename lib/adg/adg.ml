@@ -83,15 +83,6 @@ let avg_switch_radix t =
     let total = List.fold_left (fun acc id -> acc + switch_radix t id) 0 sws in
     float_of_int total /. float_of_int (List.length sws)
 
-let route t ~src ~dst =
-  let ok id =
-    match comp t id with
-    | Some (Comp.Switch _) -> true
-    | Some (Comp.Pe _ | Comp.In_port _ | Comp.Out_port _ | Comp.Engine _) | None
-      -> false
-  in
-  Digraph.shortest_path t.g ~src ~dst ~ok
-
 (* Reachability over fabric nodes from a set of sources, following edges
    forward; ports are traversed one step. *)
 let reachable_from t sources =

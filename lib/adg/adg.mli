@@ -54,17 +54,17 @@ val switch_radix : t -> id -> int
 (** max(in-degree, out-degree) of a switch; the mux size the FPGA pays for. *)
 
 val avg_switch_radix : t -> float
+(** For tests: the topology tests check the general overlay's switch radix,
+    which only the resource model reads internally. *)
 
 val is_fabric : Comp.t -> bool
 (** PEs and switches: nodes operand routes may pass through. *)
 
-val route : t -> src:id -> dst:id -> id list option
-(** BFS shortest operand route from [src] to [dst] where intermediate hops
-    are switches only. *)
-
 val validate : t -> (unit, string list) result
 (** Structural invariants: legal edges only, no dangling ports or engines,
-    every PE reachable from some input port and reaching some output port. *)
+    every PE reachable from some input port and reaching some output port.
+    For tests: the structural validator the builder and mutation tests check
+    every ADG they produce against. *)
 
 type stats = {
   n_pe : int;

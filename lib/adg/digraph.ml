@@ -68,7 +68,6 @@ let set_node t id x =
 let succs t id = Iset.elements (adj t.succ id)
 let preds t id = Iset.elements (adj t.pred id)
 let nodes t = Imap.bindings t.payload
-let node_ids t = List.map fst (nodes t)
 
 let edges t =
   Imap.fold
@@ -80,59 +79,3 @@ let node_count t = Imap.cardinal t.payload
 let edge_count t = List.length (edges t)
 
 let max_id t = Imap.fold (fun id _ acc -> max id acc) t.payload (-1)
-
-let topo_sort t =
-  let indeg = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace indeg id (List.length (preds t id))) (node_ids t);
-  let queue = Queue.create () in
-  Hashtbl.iter (fun id d -> if d = 0 then Queue.add id queue) indeg;
-  let order = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    order := id :: !order;
-    incr count;
-    List.iter
-      (fun s ->
-        let d = Hashtbl.find indeg s - 1 in
-        Hashtbl.replace indeg s d;
-        if d = 0 then Queue.add s queue)
-      (succs t id)
-  done;
-  if !count = node_count t then Some (List.rev !order) else None
-
-let shortest_path t ~src ~dst ~ok =
-  if not (mem t src && mem t dst) then None
-  else if src = dst then Some [ src ]
-  else begin
-    let parent = Hashtbl.create 64 in
-    let visited = Hashtbl.create 64 in
-    Hashtbl.replace visited src ();
-    let queue = Queue.create () in
-    Queue.add src queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let cur = Queue.pop queue in
-      List.iter
-        (fun next ->
-          if not (Hashtbl.mem visited next) then
-            if next = dst then begin
-              Hashtbl.replace visited next ();
-              Hashtbl.replace parent next cur;
-              found := true
-            end
-            else if ok next then begin
-              Hashtbl.replace visited next ();
-              Hashtbl.replace parent next cur;
-              Queue.add next queue
-            end)
-        (succs t cur)
-    done;
-    if not !found then None
-    else begin
-      let rec build acc id =
-        if id = src then src :: acc else build (id :: acc) (Hashtbl.find parent id)
-      in
-      Some (build [] dst)
-    end
-  end

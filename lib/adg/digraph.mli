@@ -34,11 +34,3 @@ val node_count : 'a t -> int
 val edge_count : 'a t -> int
 val max_id : 'a t -> int
 (** Largest node id, or -1 when empty; used for fresh-id allocation. *)
-
-val topo_sort : 'a t -> int list option
-(** Topological order, or [None] if the graph has a cycle. *)
-
-val shortest_path : 'a t -> src:int -> dst:int -> ok:(int -> bool) -> int list option
-(** BFS shortest path from [src] to [dst] whose {e intermediate} nodes all
-    satisfy [ok]; endpoints are exempt.  Returns the node list including both
-    endpoints. *)

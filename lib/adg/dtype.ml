@@ -32,8 +32,6 @@ let of_string = function
   | _ -> None
 
 let all = [ I8; I16; I32; I64; F32; F64 ]
-let compare = Stdlib.compare
-let equal = ( = )
 
 let fu_latency t ~arith =
   match (arith, t) with

@@ -10,9 +10,6 @@ val to_string : t -> string
 val of_string : string -> t option
 val all : t list
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
-
 val fu_latency : t -> arith:[ `Simple | `Mul | `Div | `Sqrt ] -> int
 (** Pipeline latency in cycles of a functional unit of the given class on
     this datatype, matching typical FPGA IP latencies (DSP-mapped floating

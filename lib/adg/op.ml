@@ -42,7 +42,6 @@ let to_string = function
 
 let of_string s = List.find_opt (fun op -> to_string op = s) all
 let compare = Stdlib.compare
-let equal = ( = )
 
 let arity = function
   | Abs | Sqrt -> 1
@@ -75,15 +74,6 @@ module Cap = struct
     |> of_list
 
   let supports caps op dt = mem (op, dt) caps
-
-  let dtypes caps =
-    elements caps |> List.map snd |> List.sort_uniq Dtype.compare
-
-  let ops caps =
-    elements caps |> List.map fst |> List.sort_uniq Stdlib.compare
-
-  let count_matching caps f =
-    fold (fun (op, dt) acc -> if f op dt then acc + 1 else acc) caps 0
 
   let to_string caps =
     elements caps

@@ -27,7 +27,6 @@ val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 val arity : t -> int
 (** Number of operands (Select is ternary, Abs/Sqrt/Acc unary-ish). *)
@@ -52,10 +51,6 @@ module Cap : sig
   (** Cartesian product of ops and types. *)
 
   val supports : t -> op -> Dtype.t -> bool
-  val dtypes : t -> Dtype.t list
-  val ops : t -> op list
-
-  val count_matching : t -> (op -> Dtype.t -> bool) -> int
 
   val to_string : t -> string
 end

@@ -12,7 +12,9 @@ val describe : t -> string
 val config_bits : t -> int
 (** Size of the configuration bitstream of one accelerator instance: switch
     route tables, PE opcode/constant slots, delay-FIFO settings, port
-    configuration.  Determines reconfiguration time (Section VI-B). *)
+    configuration.  Determines reconfiguration time (Section VI-B).
+    For tests: the tests check that the bitstream size grows with the design,
+    which {!reconfigure_cycles} depends on. *)
 
 val reconfigure_cycles : t -> int
 (** Cycles to stream the configuration bitstream from the D-cache through the

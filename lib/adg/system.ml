@@ -57,5 +57,3 @@ let describe t =
     t.tiles
     (match t.noc_topology with Crossbar -> "xbar" | Ring -> "ring")
     t.noc_bytes t.l2_kb t.l2_banks t.dram_channels
-
-let equal a b = a = b

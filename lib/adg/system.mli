@@ -35,4 +35,3 @@ val candidates : ?topologies:noc_topology list -> unit -> t list
     Topologies default to the paper's crossbar only. *)
 
 val describe : t -> string
-val equal : t -> t -> bool

@@ -46,8 +46,6 @@ let on_design ~model sys kernels =
 let general ~model kernels = on_design ~model (Builder.general_overlay ()) kernels
 
 type report = {
-  kernel : string;
-  schedules : Schedule.t list;
   cycles : int;
   wall_ms : float;
   ipc : float;
@@ -127,8 +125,6 @@ let run ?(opts = default_opts) overlay (k : Ir.kernel) =
     in
     Ok
       {
-        kernel = k.Ir.name;
-        schedules = c.schedules;
         cycles = sim.total_cycles;
         wall_ms = Sim.wall_time_ms overlay.design.sys ~freq_mhz:overlay.synth.freq_mhz sim;
         ipc = sim.sim_ipc;

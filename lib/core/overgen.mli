@@ -55,8 +55,6 @@ val on_design :
 
 (** Per-application execution report. *)
 type report = {
-  kernel : string;
-  schedules : Schedule.t list;
   cycles : int;
   wall_ms : float;
   ipc : float;

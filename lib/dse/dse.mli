@@ -103,7 +103,9 @@ val compile_apps : tuned:bool -> Ir.kernel list -> Compile.compiled list
 (** Pre-generate all mDFG variants for the workload set (Section V-A). *)
 
 val caps_pool : Compile.compiled list -> Op.Cap.t
-(** Capability pairs any workload can use; the mutation vocabulary. *)
+(** Capability pairs any workload can use; the mutation vocabulary.
+    For tests: the scheduler tests build a DSE-shaped overlay from the same
+    mutation vocabulary. *)
 
 (** Periodic durable checkpointing of a run into an
     {!Overgen_store.Store}.  A snapshot is written under
@@ -172,13 +174,3 @@ val evaluate :
 (** Schedule a workload set on a fixed design (no exploration) and evaluate
     the objective; used for the hand-built general overlay and for
     leave-one-out mapping. *)
-
-(** Modeled time constants (paper-scale seconds), shared with the benchmark
-    harness so Figures 15 and 20 use one cost model. *)
-module Time : sig
-  val pregen_per_app_s : float
-  val reschedule_per_app_s : float
-  val incremental_per_app_s : float
-  val repair_per_app_s : float
-  val iteration_overhead_s : float
-end

@@ -30,4 +30,6 @@ val prune_unused : Adg.t -> usage -> Adg.t * int
 (** Module-capability pruning: strip FU capabilities, engine features
     (indirect support, pattern dimensions), port features (stated, padding),
     and delay-FIFO depth that no mapped schedule exercises.  Returns the
-    number of prunes applied. *)
+    number of prunes applied.
+    For tests: the pruning step of {!step}, called directly so tests can check
+    it keeps every capability a schedule uses. *)

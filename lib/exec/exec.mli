@@ -19,17 +19,22 @@ type env
 
 val make_env : ?seed:int -> Ir.kernel -> env
 (** Random data for every kernel array.  Index arrays referenced by indirect
-    accesses are filled with valid indices into their target arrays. *)
+    accesses are filled with valid indices into their target arrays.
+    For tests: with {!copy_env}, {!run_reference} and {!max_abs_diff}, the
+    pieces of {!check} that tests recombine to show the checker is not
+    vacuous. *)
 
 val copy_env : env -> env
-val get : env -> string -> float array
+(** For tests: see {!make_env}. *)
 
 val run_reference : env -> Ir.kernel -> Ir.region -> unit
 (** Execute the loop nest directly (the golden model).  Triangular trip
-    counts run to their maximum bound, consistently with the analyses. *)
+    counts run to their maximum bound, consistently with the analyses.
+    For tests: see {!make_env}. *)
 
 val max_abs_diff : env -> env -> float
-(** Largest per-element difference across all arrays. *)
+(** Largest per-element difference across all arrays.
+    For tests: see {!make_env}. *)
 
 val check : ?seed:int -> ?unroll:int -> ?tuned:bool -> Ir.kernel -> (unit, string) result
 (** End-to-end equivalence check of one kernel at one unrolling degree:

@@ -64,9 +64,6 @@ let stats () =
   Mutex.unlock m;
   List.sort compare l
 
-let injected_total () =
-  List.fold_left (fun acc (_, _, i) -> acc + i) 0 (stats ())
-
 (* The whole plan is a pure function of (seed, point, occurrence index):
    replaying a scenario with the same seed injects the same faults at the
    same per-point visit indices, regardless of how worker domains

@@ -64,6 +64,8 @@ module Points : sig
       connection *)
 
   val all : string list
+  (** For tests: every named point, so tests can visit them all while
+      disarmed. *)
 end
 
 val arm : config -> unit
@@ -74,6 +76,8 @@ val disarm : unit -> unit
 (** Stop injecting (the default state). *)
 
 val armed : unit -> bool
+(** For tests: the only reader of the arm state; tests check that
+    {!with_faults} restores it and that a rejected {!arm} leaves it off. *)
 
 val point : string -> unit
 (** Visit a named fault point: no-op when disarmed, raises {!Injected}
@@ -82,7 +86,8 @@ val point : string -> unit
 val would_inject : config -> string -> int -> kind option
 (** The pure injection plan: what [point] does on the [n]-th visit (from
     0) of a point under [cfg].  Exposed so tests and drivers can predict
-    and count injections without raising. *)
+    and count injections without raising.
+    For tests: the tests predict which requests a seeded fault plan hits. *)
 
 val is_transient : exn -> bool
 (** [true] exactly for [Injected {kind = Transient; _}]. *)
@@ -93,8 +98,6 @@ val describe : exn -> string
 val stats : unit -> (string * int * int) list
 (** Per-point (name, visits, injections) since the last
     {!reset_stats}, sorted by name.  Counted only while armed. *)
-
-val injected_total : unit -> int
 
 val reset_stats : unit -> unit
 

@@ -97,14 +97,6 @@ let serve t tq =
   tq.deficit <- tq.deficit - 1;
   x
 
-let dequeue t =
-  match select t with
-  | None -> None
-  | Some tq ->
-    let x = serve t tq in
-    settle t tq;
-    Some (tq.id, x)
-
 let dequeue_batch t ~max ~same =
   if max < 1 then invalid_arg "Drr.dequeue_batch: max < 1";
   match select t with

@@ -3,11 +3,11 @@
 
     Per-tenant FIFOs with unit cost per request.  Backlogged tenants are
     served [weight] requests per ring round, so over any backlogged
-    interval tenant [i]'s share of dequeues converges to
+    interval tenant [i]'s share of dequeued items converges to
     [weight_i / sum weights] with error bounded by one round — and a
     weight-1 tenant can never be starved by a saturating heavyweight:
-    every round serves it at least once.  Work-conserving: {!dequeue}
-    returns an item whenever {!length} is positive.
+    every round serves it at least once.  Work-conserving:
+    {!dequeue_batch} returns an item whenever {!length} is positive.
 
     Not thread-safe; [Admission] owns the lock. *)
 
@@ -27,11 +27,8 @@ val enqueue : 'a t -> id:string -> 'a -> unit
 val length : 'a t -> int
 (** Total queued items across tenants. *)
 
-val dequeue : 'a t -> (string * 'a) option
-(** The next item under DRR order, with the tenant that owned it. *)
-
 val dequeue_batch : 'a t -> max:int -> same:('a -> 'a -> bool) -> 'a list
-(** Like {!dequeue}, but serves up to [max] {e consecutive} items from
+(** The next items under DRR order: up to [max] {e consecutive} items from
     the selected tenant's FIFO while [same first item] holds and the
     tenant's deficit lasts — the same-overlay batching hook: one dequeue
     round yields a group of requests sharing an ADG fingerprint, and the

@@ -15,7 +15,6 @@ module Log = Overgen_obs.Obs.Log
 type kstat = { kernel : Ir.kernel; mutable count : int; mutable missed : int }
 
 type config = {
-  retire_idle_s : float;
   protected : string list;
   promote_min_requests : int;
   dse_iterations : int;
@@ -26,7 +25,6 @@ type config = {
 
 let default_config =
   {
-    retire_idle_s = 3600.0;
     protected = [];
     promote_min_requests = 200;
     dse_iterations = 400;
@@ -40,28 +38,21 @@ type t = {
   cache : Cache.t option;
   store : Store.t option;
   model : Predict.t;
-  clock : unit -> float;
   cfg : config;
-  started : float;
   m : Mutex.t;
-  last_use : (string, float) Hashtbl.t;  (* overlay -> last completion *)
   kernels : (string, kstat) Hashtbl.t;
   mutable observed : int;  (* completions since the last promote *)
   mutable promotes : int;
 }
 
-let create ?(config = default_config) ?cache ?store ?clock ~model registry =
-  let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
+let create ?(config = default_config) ?cache ?store ~model registry =
   {
     registry;
     cache;
     store;
     model;
-    clock;
     cfg = config;
-    started = clock ();
     m = Mutex.create ();
-    last_use = Hashtbl.create 8;
     kernels = Hashtbl.create 16;
     observed = 0;
     promotes = 0;
@@ -69,7 +60,6 @@ let create ?(config = default_config) ?cache ?store ?clock ~model registry =
 
 let observe t (resp : Service.response) =
   Mutex.lock t.m;
-  Hashtbl.replace t.last_use resp.Service.request.Service.overlay (t.clock ());
   (match resp.Service.request.Service.payload with
   | Service.Kernel k ->
     let ks =
@@ -115,9 +105,6 @@ let retire t name =
       in
       if t.cfg.gc_on_retire then
         Option.iter (fun s -> Store.compact s) t.store;
-      Mutex.lock t.m;
-      Hashtbl.remove t.last_use name;
-      Mutex.unlock t.m;
       Log.record ~pin:true Log.default "retire"
         ~attrs:
           [
@@ -127,29 +114,6 @@ let retire t name =
             ("shared", string_of_bool shared);
           ];
       Ok purged
-
-(* One retire pass: anything idle past the threshold goes.  Overlays the
-   manager has never seen serve a request age from the manager's start
-   time. *)
-let scan t =
-  let now = t.clock () in
-  let cold =
-    List.filter
-      (fun name ->
-        not (List.mem name t.cfg.protected)
-        &&
-        let last =
-          Mutex.lock t.m;
-          let l =
-            Option.value ~default:t.started (Hashtbl.find_opt t.last_use name)
-          in
-          Mutex.unlock t.m;
-          l
-        in
-        now -. last > t.cfg.retire_idle_s)
-      (Registry.names t.registry)
-  in
-  List.filter_map (fun name -> Result.to_option (retire t name) |> Option.map (fun _ -> name)) cold
 
 let rec take n = function
   | [] -> []

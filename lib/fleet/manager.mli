@@ -2,15 +2,14 @@
     continuous generate→compile loop.
 
     Watches live completions (via {!attach} or {!observe}) — each
-    overlay's last use and each kernel's demand — and acts on them in two
-    directions:
+    kernel's demand — and acts on the registry in two directions:
 
-    - {e retire}: {!scan} unregisters overlays idle past the threshold,
-      purges every schedule-cache record keyed by their (now
-      unreachable) ADG fingerprint from memory and the durable log, and
-      compacts the store — cold overlays stop costing registry space,
-      cache capacity and disk, and the purge-before-compact order
-      guarantees gc never strands orphaned cache records;
+    - {e retire}: {!retire} unregisters a named overlay, purges every
+      schedule-cache record keyed by its (now unreachable) ADG
+      fingerprint from memory and the durable log, and compacts the
+      store — a cold overlay stops costing registry space, cache
+      capacity and disk, and the purge-before-compact order guarantees
+      gc never strands orphaned cache records;
     - {e promote}: once enough traffic accumulated, {!maybe_promote}
       runs a checkpointed background [Dse.explore] for the hottest
       {e under-served} kernels (miss-weighted: demand the cache already
@@ -25,7 +24,6 @@ module Registry := Overgen_service.Registry
 module Cache := Overgen_service.Cache
 
 type config = {
-  retire_idle_s : float;   (** idle threshold for {!scan}; 3600 *)
   protected : string list; (** names {!retire} refuses (e.g. "general") *)
   promote_min_requests : int;
       (** completions observed before {!maybe_promote} fires; 200 *)
@@ -45,14 +43,12 @@ val create :
   ?config:config ->
   ?cache:Cache.t ->
   ?store:Overgen_store.Store.t ->
-  ?clock:(unit -> float) ->
   model:Overgen_mlp.Predict.t ->
   Registry.t ->
   t
 (** [cache]/[store] enable the retire path's purge and gc (pass the same
-    instances the service uses); [clock] (default [Unix.gettimeofday])
-    drives idle ages — inject a fake for deterministic retire tests;
-    [model] feeds the background DSE and the promoted overlays. *)
+    instances the service uses); [model] feeds the background DSE and the
+    promoted overlays. *)
 
 val observe : t -> Service.response -> unit
 (** Feed one completion into the fleet view. *)
@@ -66,10 +62,6 @@ val retire : t -> string -> (int, string) result
     {e unless} another registered name aliases the same design, then
     compact the store if configured.  Returns the number of cache
     records purged.  Errors on protected or unknown names. *)
-
-val scan : t -> string list
-(** One retire pass over every registered overlay; returns the names
-    retired. *)
 
 val maybe_promote : t -> Registry.entry option
 (** The trigger: if at least [promote_min_requests] completions

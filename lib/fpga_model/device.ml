@@ -1,7 +1,6 @@
 type t = {
   name : string;
   capacity : Res.t;
-  dies : int;
   base_clock_mhz : float;
   usable_fraction : float;
 }
@@ -10,7 +9,6 @@ let xcvu9p =
   {
     name = "xcvu9p";
     capacity = { Res.lut = 1182240; ff = 2364480; bram = 2160; dsp = 6840 };
-    dies = 3;
     base_clock_mhz = 150.0;
     usable_fraction = 0.97;
   }
@@ -19,7 +17,6 @@ let u250 =
   {
     name = "xcu250";
     capacity = { Res.lut = 1728000; ff = 3456000; bram = 2688; dsp = 12288 };
-    dies = 4;
     base_clock_mhz = 140.0;
     usable_fraction = 0.96;
   }

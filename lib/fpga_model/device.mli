@@ -6,7 +6,6 @@
 type t = {
   name : string;
   capacity : Res.t;
-  dies : int;               (** SLR count; multi-die designs lose frequency *)
   base_clock_mhz : float;   (** achievable clock of a small, clean design *)
   usable_fraction : float;  (** routable fraction before congestion collapse *)
 }

@@ -13,8 +13,12 @@ val fu_cost : Op.t -> Dtype.t -> Res.t
 (** One functional unit of the given operation/type. *)
 
 val pe : Comp.pe -> fan_in:int -> fan_out:int -> Res.t
+(** For tests: the tests check single components of {!accel} (ALU sharing, switch
+    cost against radix). *)
+
 val switch : width_bits:int -> fan_in:int -> fan_out:int -> Res.t
-val port : Comp.port -> dir:[ `In | `Out ] -> Res.t
+(** For tests: see {!pe}. *)
+
 val engine : Comp.engine -> Res.t
 
 val dispatcher : n_engines:int -> n_ports:int -> Res.t
@@ -25,12 +29,6 @@ val noc :
   noc_bytes:int ->
   unit ->
   Res.t
-val l2 : l2_kb:int -> banks:int -> Res.t
-val shell : Res.t
-(** Board shell: DRAM controller, JTAG and other peripherals. *)
-
-val component : Adg.t -> Adg.id -> Res.t
-(** Cost of one ADG node given its connectivity in the graph. *)
 
 val accel : Adg.t -> Res.t
 (** One accelerator tile: all ADG components plus the stream dispatcher. *)

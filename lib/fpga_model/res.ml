@@ -22,9 +22,6 @@ let utilization a ~device =
   let f x d = if d = 0 then 0.0 else float_of_int x /. float_of_int d in
   (f a.lut device.lut, f a.ff device.ff, f a.bram device.bram, f a.dsp device.dsp)
 
-let to_string a =
-  Printf.sprintf "lut=%d ff=%d bram=%d dsp=%d" a.lut a.ff a.bram a.dsp
-
 let describe_utilization a ~device =
   let l, f, b, d = utilization a ~device in
   Printf.sprintf "LUT %.1f%% FF %.1f%% BRAM %.1f%% DSP %.1f%%" (100. *. l)

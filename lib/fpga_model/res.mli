@@ -13,5 +13,4 @@ val fits : t -> within:t -> bool
 val utilization : t -> device:t -> float * float * float * float
 (** (lut, ff, bram, dsp) fractions of the device. *)
 
-val to_string : t -> string
 val describe_utilization : t -> device:t -> string

@@ -22,7 +22,7 @@ module Dtype = Overgen_adg.Dtype
 module Rng = Overgen_util.Rng
 
 module Cov = struct
-  type t = (string, int) Hashtbl.t
+  type t = (string, unit) Hashtbl.t
 
   let productions =
     [
@@ -65,10 +65,8 @@ module Cov = struct
     ]
 
   let create () : t = Hashtbl.create 64
-  let hit t p = Hashtbl.replace t p (1 + Option.value ~default:0 (Hashtbl.find_opt t p))
-  let count t p = Option.value ~default:0 (Hashtbl.find_opt t p)
+  let hit t p = Hashtbl.replace t p ()
   let missing t = List.filter (fun p -> not (Hashtbl.mem t p)) productions
-  let report t = List.map (fun p -> (p, count t p)) productions
 
   let fraction t =
     let n = List.length productions in

@@ -14,18 +14,10 @@
 module Cov : sig
   type t
 
-  val productions : string list
-  (** Every tracked production name. *)
-
   val create : unit -> t
-  val hit : t -> string -> unit
-  val count : t -> string -> int
 
   val missing : t -> string list
   (** Productions never hit so far. *)
-
-  val report : t -> (string * int) list
-  (** [(production, hits)] in {!productions} order. *)
 
   val fraction : t -> float
   (** Covered fraction in [0, 1]. *)

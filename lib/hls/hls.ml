@@ -5,9 +5,6 @@ open Overgen_fpga
 type pragmas = { unroll : int; partition : int }
 
 type design = {
-  kernel : string;
-  tuned : bool;
-  pragmas : pragmas;
   ii : int;
   cycles : float;
   freq_mhz : float;
@@ -126,7 +123,7 @@ let evaluate ?(dram_channels = 1) ~tuned (k : Ir.kernel) pragmas =
   in
   (* the AXI shell and DDR controller of an HLS design *)
   let res = Res.add res { Res.lut = 30000; ff = 40000; bram = 48; dsp = 0 } in
-  { kernel = k.name; tuned; pragmas; ii; cycles; freq_mhz = freq; res }
+  { ii; cycles; freq_mhz = freq; res }
 
 let runtime_ms d = d.cycles /. (d.freq_mhz *. 1000.0)
 

@@ -19,9 +19,6 @@ type pragmas = {
 }
 
 type design = {
-  kernel : string;
-  tuned : bool;
-  pragmas : pragmas;
   ii : int;             (** worst region initiation interval achieved *)
   cycles : float;
   freq_mhz : float;
@@ -29,7 +26,9 @@ type design = {
 }
 
 val evaluate : ?dram_channels:int -> tuned:bool -> Ir.kernel -> pragmas -> design
-(** Model one HLS run with the given pragmas. *)
+(** Model one HLS run with the given pragmas.
+    For tests: the tests pin single-pragma runs of the HLS model (Table IV IIs,
+    unroll and partition effects) that {!autodse} explores. *)
 
 val runtime_ms : design -> float
 

@@ -34,21 +34,18 @@ let log2_ceil n =
 let config_bitstream (sys : Sys_adg.t) schedules =
   let adg = sys.adg in
   let bs = ref Bitstream.empty in
-  let emit node tag value bits =
-    bs := Bitstream.add !bs { Bitstream.node; tag; value = Int64.of_int value; bits }
-  in
+  let emit value bits = bs := Bitstream.add !bs { Bitstream.value = Int64.of_int value; bits } in
   (* Switch route selects: for each ADG edge (sw -> next) used by a route,
      program which input of the switch drives that output. *)
-  List.iteri
-    (fun ri (s : Schedule.t) ->
+  List.iter
+    (fun (s : Schedule.t) ->
       List.iter
         (fun ((_, _), (r : Schedule.route)) ->
           let rec walk = function
-            | a :: b :: (c :: _ as rest) ->
+            | a :: b :: (_ :: _ as rest) ->
               (match Adg.comp adg b with
               | Some (Comp.Switch _) ->
                 let inputs = Adg.preds adg b in
-                let outputs = Adg.succs adg b in
                 let idx_of l x =
                   let rec go i = function
                     | [] -> 0
@@ -56,11 +53,7 @@ let config_bitstream (sys : Sys_adg.t) schedules =
                   in
                   go 0 l
                 in
-                let in_idx = idx_of inputs a and out_idx = idx_of outputs c in
-                emit b
-                  (Printf.sprintf "r%d.route[out%d]" ri out_idx)
-                  in_idx
-                  (log2_ceil (max 2 (List.length inputs)))
+                emit (idx_of inputs a) (log2_ceil (max 2 (List.length inputs)))
               | _ -> ());
               walk (b :: rest)
             | [ _; _ ] | [ _ ] | [] -> ()
@@ -77,49 +70,40 @@ let config_bitstream (sys : Sys_adg.t) schedules =
               | [] -> 0
               | c :: rest -> if c = (op, dtype) then i else idx (i + 1) rest
             in
-            emit pe_id
-              (Printf.sprintf "r%d.opcode" ri)
-              (idx 0 caps)
-              (log2_ceil (max 2 (List.length caps)));
-            if acc then emit pe_id (Printf.sprintf "r%d.acc_en" ri) 1 1;
+            emit (idx 0 caps) (log2_ceil (max 2 (List.length caps)));
+            if acc then emit 1 1;
             (* per-operand delay-FIFO settings *)
             List.iter
-              (fun ((src, dst), (r : Schedule.route)) ->
+              (fun ((_, dst), (r : Schedule.route)) ->
                 if dst = inst then
-                  emit pe_id
-                    (Printf.sprintf "r%d.delay[%d]" ri src)
-                    r.delay
-                    (log2_ceil (max 2 (p.delay_fifo + 1))))
+                  emit r.delay (log2_ceil (max 2 (p.delay_fifo + 1))))
               s.routes;
             (* constant-register operands *)
             List.iter
               (fun (o : Dfg.operand) ->
                 match (Dfg.node s.variant.dfg o.src).kind with
                 | Dfg.Const { value; _ } ->
-                  emit pe_id
-                    (Printf.sprintf "r%d.const[%d]" ri o.src)
-                    (int_of_float value land 0xFFFF)
-                    16
+                  emit (int_of_float value land 0xFFFF) 16
                 | _ -> ())
               (Dfg.node s.variant.dfg inst).operands
           | _ -> ())
         s.inst_pe;
       (* port templates: width, stated enable *)
       Schedule.Imap.iter
-        (fun dfg_port hw ->
+        (fun dfg_port _ ->
           let lanes =
             match (Dfg.node s.variant.dfg dfg_port).kind with
             | Dfg.Input { width_bytes; _ } | Dfg.Output { width_bytes } -> width_bytes
             | _ -> 0
           in
-          emit hw (Printf.sprintf "r%d.port_lanes" ri) lanes 8;
+          emit lanes 8;
           let stated =
             List.exists
               (fun (st : Stream.t) ->
                 st.port = Some dfg_port && st.reuse.stationary > 1.0)
               s.variant.streams
           in
-          if stated then emit hw (Printf.sprintf "r%d.stated" ri) 1 1)
+          if stated then emit 1 1)
         s.port_map)
     schedules;
   !bs
@@ -205,25 +189,6 @@ let assemble (sys : Sys_adg.t) schedules =
       schedules
   in
   { kernel; bitstream = config_bitstream sys schedules; regions }
-
-let encode_cmd c =
-  (* word 0: base address; word 1: flags + elem size; words 2..: dims *)
-  let flags =
-    (if c.write then 1 else 0)
-    lor (if c.indirect then 2 else 0)
-    lor (if c.rec_forward then 4 else 0)
-    lor (c.elem_bytes lsl 8)
-    lor ((match c.port with Some p -> p | None -> 0xFF) lsl 16)
-    lor (c.engine lsl 32)
-  in
-  Int64.of_int c.base_offset
-  :: Int64.of_int flags
-  :: List.map
-       (fun (stride, trip) ->
-         Int64.logor
-           (Int64.shift_left (Int64.of_int (stride land 0xFFFFFFFF)) 32)
-           (Int64.of_int (trip land 0xFFFFFFFF)))
-       c.dims
 
 let disassemble p =
   let buf = Buffer.create 512 in

@@ -36,12 +36,10 @@ type program = {
 val assemble : Sys_adg.t -> Schedule.t list -> program
 (** Lower an application's schedules to a binary-ready program. *)
 
-val encode_cmd : stream_cmd -> int64 list
-(** The stream-register write sequence for one command (address, shape,
-    flags), as the control core would emit it. *)
-
 val config_bitstream : Sys_adg.t -> Schedule.t list -> Bitstream.t
 (** Just the spatial configuration: switch route selects, PE opcodes,
-    constants and delay settings, port templates. *)
+    constants and delay settings, port templates.
+    For tests: the tests compare the configuration of two kernels without the rest
+    of the program. *)
 
 val disassemble : program -> string

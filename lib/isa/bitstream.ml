@@ -1,4 +1,4 @@
-type field = { node : int; tag : string; value : int64; bits : int }
+type field = { value : int64; bits : int }
 
 type t = { rev_fields : field list; total_bits : int }
 
@@ -55,17 +55,3 @@ let verify image =
   n >= 2
   && Int64.shift_right_logical image.(0) 32 = magic
   && image.(n - 1) = checksum (Array.sub image 0 (n - 1))
-
-let disassemble t =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "node %3d  %-18s = 0x%Lx (%d bits)\n" f.node f.tag
-           f.value f.bits))
-    (fields t);
-  Buffer.add_string buf
-    (Printf.sprintf "total: %d fields, %d payload bits, %d words\n"
-       (List.length (fields t)) (bit_count t)
-       (Array.length (words t)));
-  Buffer.contents buf

@@ -7,9 +7,8 @@
 
 type t
 
-(** A single configuration field: which node it programs, a tag for
-    disassembly, and its value/width. *)
-type field = { node : int; tag : string; value : int64; bits : int }
+(** A single configuration field: its value and width. *)
+type field = { value : int64; bits : int }
 
 val empty : t
 val add : t -> field -> t
@@ -17,17 +16,14 @@ val fields : t -> field list
 (** In emission order. *)
 
 val bit_count : t -> int
-(** Total payload bits, before framing. *)
+(** Total payload bits, before framing.
+    For tests: the payload size the packing tests check {!words} against. *)
 
 val words : t -> int64 array
 (** The framed bitstream: a header word (magic, field count), the packed
     payload, and a trailing additive checksum word. *)
 
-val checksum : int64 array -> int64
-(** Checksum as computed/verified by the reconfiguration network. *)
-
 val verify : int64 array -> bool
-(** Check framing: the magic and checksum of a word image. *)
-
-val disassemble : t -> string
-(** Human-readable dump, one field per line. *)
+(** Check framing: the magic and checksum of a word image.
+    For tests: the framing validator tests run on every assembled image, and
+    on a corrupted one. *)

@@ -46,13 +46,17 @@ val compile_region :
 
 val widest : variant list -> variant
 (** The most aggressive (largest-unroll) variant.
+    For tests: the tests check that the most aggressive variant is the one
+    with the largest unroll.
     @raise Invalid_argument on the empty list. *)
 
 val hash_variant : variant -> string
 (** Content address of one mDFG variant: the hex digest of a canonical dump
     of everything the spatial scheduler consumes (DFG nodes and operands,
     streams with reuse annotations, array nodes, port slots).  Structurally
-    identical variants hash equal regardless of how they were produced. *)
+    identical variants hash equal regardless of how they were produced.
+    For tests: the per-variant fingerprint that the DSE golden table and the
+    hash-consing tests compare. *)
 
 val hash_compiled : compiled -> string
 (** Content address over every variant of every region of a compiled

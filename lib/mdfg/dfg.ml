@@ -54,9 +54,6 @@ let op_histogram t =
   Hashtbl.fold (fun op n acc -> (op, n) :: acc) histo []
   |> List.sort (fun (a, _) (b, _) -> Op.compare a b)
 
-let consumers t id =
-  List.filter (fun n -> List.exists (fun o -> o.src = id) n.operands) (nodes t)
-
 let depth t =
   let d = Array.make (size t) 0 in
   Array.iter

@@ -27,7 +27,6 @@ val nodes : t -> node list
 val node : t -> int -> node
 val size : t -> int
 
-val insts : t -> node list
 val inputs : t -> node list
 val outputs : t -> node list
 val inst_count : t -> int
@@ -35,16 +34,15 @@ val inst_count : t -> int
 val op_histogram : t -> (Op.t * int) list
 (** Instruction histogram, sorted by operation. *)
 
-val consumers : t -> int -> node list
-(** Nodes that take the given node as an operand. *)
-
 val depth : t -> int
 (** Critical path length in pipeline cycles, using per-op latencies; the
     datapath's concurrency capacity for recurrence fitting. *)
 
 val validate : t -> (unit, string) result
 (** Operand ids must be smaller than the node id (acyclicity), instructions
-    must have the right arity, outputs must not be read. *)
+    must have the right arity, outputs must not be read.
+    For tests: the structural validator the compiler and frontend tests check
+    every built DFG against. *)
 
 (** Imperative builder with hash-consing: emitting the same instruction with
     the same operands twice returns the first id (CSE). *)

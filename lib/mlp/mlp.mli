@@ -30,7 +30,9 @@ val train :
     or target width is not {!n_inputs} or {!n_outputs}. *)
 
 val loss : t -> (float array * float array) list -> float
-(** Mean squared error over a dataset. *)
+(** Mean squared error over a dataset.
+    For tests: the training-set error tests bound to show training converges;
+    training itself never evaluates it. *)
 
 (** Per-dimension min-max feature/target scaling, fit on the training set. *)
 module Scaler : sig

@@ -47,7 +47,8 @@ val memo : unit -> memo
 
 val predict_comp : ?memo:memo -> t -> Comp.t -> fan_in:int -> fan_out:int -> Res.t
 (** Resource prediction for one component, looked up in [memo] first (and
-    stored there on a miss) when one is given. *)
+    stored there on a miss) when one is given.
+    For tests: the tests probe the model on single components. *)
 
 val predict_accel : ?memo:memo -> t -> Adg.t -> Res.t
 (** Predicted resources of one accelerator tile (MLP for datapath units,

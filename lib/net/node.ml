@@ -60,7 +60,6 @@ let default_config ~cluster ~me =
 
 type t = {
   config : config;
-  setup : (Registry.t -> unit) option;
   map : Shard_map.t;
   store : Store.t option;
   registry : Registry.t;
@@ -77,7 +76,6 @@ let me t = t.config.me
 let cluster t = t.config.cluster
 let registry t = t.registry
 let cache t = t.cache
-let warm_loaded t = Cache.warm_loaded t.cache
 
 let metrics t = Telemetry.registry (Service.telemetry t.service)
 let served t = Metrics.counter_value t.c_served
@@ -112,7 +110,7 @@ let init ?setup config =
     | Ok store -> (
       match
         let registry = Registry.create ?store () in
-        (* the store may already hold the overlays (reboot path) — [setup]
+        (* the store may already hold the overlays (restart path) — [setup]
            only fills in what restore left missing *)
         (match setup with Some f -> f registry | None -> ());
         let cache = Cache.create ~capacity:config.cache_capacity ?store () in
@@ -127,7 +125,6 @@ let init ?setup config =
         in
         {
           config;
-          setup;
           map = Shard_map.make ~shards:(Array.length config.cluster);
           store;
           registry;
@@ -329,7 +326,3 @@ let shutdown t =
     Service.shutdown t.service;
     Option.iter Store.close t.store
   end
-
-let reboot t =
-  shutdown t;
-  init ?setup:t.setup t.config

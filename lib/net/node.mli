@@ -2,9 +2,9 @@
 
     Shaped like a verdi-runtime arrangement: a static cluster
     configuration names every peer up front, [init] builds the node's
-    state, [handle_net] turns one incoming message into replies and
-    forwards, and [reboot] models a crash-restart — tear the node down and rebuild it from the
-    same configuration, replaying its durable store so the warm state
+    state and [handle_net] turns one incoming message into replies and
+    forwards.  A crash-restart is [shutdown] then [init] from the same
+    configuration: the durable store replays, so the warm state
     (registered overlays, cached schedules) survives the crash.
 
     The node owns the slice of the cache keyspace that the
@@ -57,12 +57,6 @@ val init : ?setup:(Overgen_service.Registry.t -> unit) -> config -> (t, string) 
     store has the overlays skips regeneration entirely.  Errors are
     structural (unopenable store, [setup] raised, bad config). *)
 
-val reboot : t -> (t, string) result
-(** Crash-restart: shut the node down and [init] again from its saved
-    configuration and [setup].  With a store, the new node replays every
-    durable record — same overlays, warm cache; without one it comes
-    back cold.  The old handle must not be used afterwards. *)
-
 (** What [handle_net] decided, beyond any [respond] calls it made:
     - [Done]: handled synchronously; any reply was already passed to
       [respond].
@@ -80,7 +74,9 @@ val handle_net : t -> Wire.req_msg -> respond:(Wire.resp_msg -> unit) -> action
     admitting them. *)
 
 val owner_of : t -> Wire.request -> int
-(** The ring owner of a request's {!Wire.route_key}. *)
+(** The ring owner of a request's {!Wire.route_key}.
+    For tests: the tests pick a request another shard owns, to drive the forward
+    path. *)
 
 val quiesce : t -> unit
 (** Stop admitting compiles; already-admitted requests still complete
@@ -92,11 +88,13 @@ val shutdown : t -> unit
 
 val me : t -> int
 val cluster : t -> peer array
-val warm_loaded : t -> int
-(** Cache entries replayed from the durable store at [init]. *)
 
 val registry : t -> Overgen_service.Registry.t
+(** For tests: with {!cache}, how tests inspect a node's state (overlays
+    restored by a restart, scheduler runs under resends). *)
+
 val cache : t -> Overgen_service.Cache.t
+(** For tests: see {!registry}. *)
 
 (** {2 Ops plane} *)
 

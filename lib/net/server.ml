@@ -15,7 +15,6 @@ type conn = {
 type t = {
   node_ : Node.t;
   lfd : Unix.file_descr;
-  port_ : int;
   stop_r : Unix.file_descr;  (* self-pipe waking the acceptor's select *)
   stop_w : Unix.file_descr;
   c_frames_in : Metrics.counter;
@@ -45,9 +44,6 @@ type t = {
   peers_m : Mutex.t;
   mutable acceptor : Thread.t option;
 }
-
-let port t = t.port_
-let node t = t.node_
 
 exception Drop_conn
 
@@ -318,11 +314,9 @@ let request_ms_buckets =
 
 let start ?flight_out ~node ~fd () =
   Io.quiet_sigpipe ();
-  let port_ =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> invalid_arg "Server.start: not an inet socket"
-  in
+  (match Unix.getsockname fd with
+  | Unix.ADDR_INET _ -> ()
+  | _ -> invalid_arg "Server.start: not an inet socket");
   let stop_r, stop_w = Unix.pipe () in
   (* the node's registry: one Metrics_req scrape answers with transport,
      node and service telemetry *)
@@ -332,7 +326,6 @@ let start ?flight_out ~node ~fd () =
     {
       node_ = node;
       lfd = fd;
-      port_;
       stop_r;
       stop_w;
       c_frames_in = c "overgen_net_frames_in_total" "frames received";
@@ -366,13 +359,6 @@ let start ?flight_out ~node ~fd () =
   in
   t.acceptor <- Some (Thread.create (acceptor t) ());
   t
-
-let serve ?backlog ?flight_out ~node ~port () =
-  match listen ?backlog ~port () with
-  | Error _ as e -> e
-  | Ok (fd, _) -> Ok (start ?flight_out ~node ~fd ())
-
-let wait t = Option.iter Thread.join t.acceptor
 
 let stop ?(drain_timeout_s = 30.0) t =
   Mutex.lock t.m;

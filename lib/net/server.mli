@@ -23,7 +23,7 @@
     {b Graceful stop.}  {!stop} quiesces the node (new compiles get
     [Shutting_down]), waits for every in-flight request's response to be
     written, then closes the sockets.  The node itself is left to the
-    caller — a reboot reuses it. *)
+    caller. *)
 
 type t
 
@@ -46,21 +46,6 @@ val start : ?flight_out:string -> node:Node.t -> fd:Unix.file_descr -> unit -> t
     dumped to — automatically on the first failed request and again, with
     full history, on graceful {!stop}. *)
 
-val serve :
-  ?backlog:int ->
-  ?flight_out:string ->
-  node:Node.t ->
-  port:int ->
-  unit ->
-  (t, string) result
-(** [listen] + [start]. *)
-
-val port : t -> int
-val node : t -> Node.t
-
 val stop : ?drain_timeout_s:float -> t -> unit
 (** Graceful stop as described above; [drain_timeout_s] (default 30)
     bounds the in-flight wait.  Idempotent. *)
-
-val wait : t -> unit
-(** Block until the acceptor exits (i.e. until {!stop}). *)

@@ -42,14 +42,16 @@
 open Overgen_workload
 
 val version : int
-(** Wire protocol version, byte 2 of every frame header. *)
+(** Wire protocol version, byte 2 of every frame header.
+    For tests: the tests forge frames from another protocol version. *)
 
 val header_bytes : int
 (** Frame header size: 12. *)
 
 val max_payload_bytes : int
 (** Upper bound on a frame payload (16 MiB); a header announcing more is
-    rejected as [Oversized] without allocating. *)
+    rejected as [Oversized] without allocating.
+    For tests: the tests forge a header one byte past the cap. *)
 
 type frame_error =
   | Bad_magic

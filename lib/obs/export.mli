@@ -66,7 +66,8 @@ val bench_json : scenario:string -> (string * float) list -> string
 (** The machine-readable benchmark-result document every [bench] scenario
     persists: a scenario name plus a flat object of named numeric
     metrics — the durable perf trajectory a future [bench regress] can
-    diff against. *)
+    diff against.
+    For tests: the tests check the document parses back to its metrics. *)
 
 val write_bench_json :
   ?dir:string -> scenario:string -> (string * float) list -> string

@@ -25,7 +25,10 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** A fresh recorder.  [capacity] (default 512) bounds the ring; up to 64
-    pinned events survive past it.  @raise Invalid_argument if < 1. *)
+    pinned events survive past it.
+    For tests: production records into {!default}; tests use private recorders
+    so they do not share it.
+    @raise Invalid_argument if < 1. *)
 
 val default : t
 (** The process-wide recorder every subsystem records into. *)
@@ -48,15 +51,15 @@ val recent : ?max:int -> t -> event list
     newest [max]. *)
 
 val count : t -> int
-(** Total events ever recorded (including those the ring evicted). *)
+(** Total events ever recorded (including those the ring evicted).
+    For tests: the only reader of the sequence counter; tests check eviction
+    and concurrent recording lose no events. *)
 
 val clear : t -> unit
 
 val event_json : event -> string
 (** One event as a single-line JSON object. *)
 
-val dump : ?max:int -> t -> string
-(** {!recent} as JSONL, one {!event_json} per line. *)
-
 val write_dump : path:string -> t -> unit
-(** Write [dump t] to [path] (truncating). *)
+(** Write {!recent} to [path] (truncating) as JSONL, one {!event_json}
+    per line. *)

@@ -45,6 +45,8 @@ val gauge :
 
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
+(** For tests: the only direct reader of a gauge; production reads gauges
+    through {!render}. *)
 
 (** {2 Histograms} — fixed upper-bound buckets plus an exact sum/count. *)
 

@@ -235,9 +235,6 @@ let objective_of sysp profiles =
     Overgen_util.Stats.geomean
       (List.map (fun p -> Float.max 1e-6 (evaluate sysp p).app_ipc) profiles)
 
-let region (sys : Sys_adg.t) sched =
-  List.hd (evaluate sys.system (profile sys.adg [ sched ])).regions
-
 let app (sys : Sys_adg.t) schedules = evaluate sys.system (profile sys.adg schedules)
 
 let objective (sys : Sys_adg.t) apps =

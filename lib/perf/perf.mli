@@ -49,12 +49,13 @@ val profile : Adg.t -> Schedule.t list -> profile
 (** Profile an application's schedules (one per region) on an ADG. *)
 
 val evaluate : System.t -> profile -> app_perf
-(** The model of a profiled application under one system configuration. *)
+(** The model of a profiled application under one system configuration.
+    For tests: the model under one system configuration, which tests compare
+    against the per-stream reference. *)
 
 val objective_of : System.t -> profile list -> float
 (** {!objective} over profiled applications. *)
 
-val region : Sys_adg.t -> Schedule.t -> region_perf
 val app : Sys_adg.t -> Schedule.t list -> app_perf
 
 val objective : Sys_adg.t -> Schedule.t list list -> float

@@ -428,22 +428,3 @@ let to_string r =
   String.concat "\n" (List.map snd r.modules)
 
 let module_count r = List.length r.modules
-
-let stats r =
-  let tile = List.assoc "overgen_tile" r.modules in
-  let count sub =
-    let sl = String.length sub and tl = String.length tile in
-    let rec go i acc =
-      if i + sl > tl then acc
-      else if String.sub tile i sl = sub then go (i + 1) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  [
-    ("pe", count "u_pe_");
-    ("switch", count "u_sw_");
-    ("in_port", count "u_ip_");
-    ("out_port", count "u_op_");
-    ("engine", count "u_dma_" + count "u_spad_" + count "u_rec_" + count "u_gen_" + count "u_reg_");
-  ]

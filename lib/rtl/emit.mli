@@ -24,7 +24,3 @@ val to_string : rtl -> string
 (** Concatenate all modules into one Verilog source. *)
 
 val module_count : rtl -> int
-
-val stats : rtl -> (string * int) list
-(** Instance counts per component class in the tile, for sanity checks:
-    ("pe", n), ("switch", n), ("in_port", n), ("out_port", n), ("engine", n). *)

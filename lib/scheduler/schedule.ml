@@ -37,14 +37,6 @@ let engine_of_stream t (s : Stream.t) =
     | None -> List.assoc_opt s.array t.array_engine)
 
 
-let used_edges t =
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-    | [ _ ] | [] -> []
-  in
-  List.concat_map (fun (_, r) -> pairs r.hops) t.routes
-  |> List.sort_uniq compare
-
 (* ------------------------------------------------------------------ *)
 (* Initiation interval                                                 *)
 (* ------------------------------------------------------------------ *)

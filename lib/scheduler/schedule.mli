@@ -48,9 +48,6 @@ val engine_of_stream : t -> Stream.t -> Adg.id option
 
 val is_rec : t -> Stream.t -> bool
 
-val used_edges : t -> (Adg.id * Adg.id) list
-(** ADG edges traversed by any route, with duplicates removed. *)
-
 val compute_ii : ?comp:(Adg.id -> Comp.t option) -> Sys_adg.t -> t -> int
 (** Initiation interval implied by port widths, engine bandwidths, and
     recurrence distances on the given hardware.  [?comp] overrides the

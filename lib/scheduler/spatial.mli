@@ -20,26 +20,34 @@ type ctx
 (** Mutable resource usage shared by all regions of one application. *)
 
 val fresh_ctx : Sys_adg.t -> ctx
+(** For tests: with {!schedule_variant}, {!snapshot}, {!restore},
+    {!capture} and {!replay}, the context operations the rollback tests
+    drive one by one. *)
 
 type snap
 (** A mark into the context's undo log (generation-stamped). *)
 
 val snapshot : ctx -> snap
 (** O(1): records the current undo-log position.  Allocates nothing but the
-    mark itself. *)
+    mark itself.
+    For tests: see {!fresh_ctx}. *)
 
 val restore : ctx -> snap -> unit
 (** Pop the undo log back to the mark, in time proportional to the number
     of mutations since {!snapshot}.  Restoring the same mark repeatedly is
     fine (the second restore pops nothing), as is restoring nested marks in
-    LIFO order.  @raise Invalid_argument if the mark is stale, i.e. the
+    LIFO order.
+    For tests: see {!fresh_ctx}.
+    @raise Invalid_argument if the mark is stale, i.e. the
     context was already rolled back past it by restoring an older mark —
     the captured state no longer exists in the log. *)
 
 val debug_state : ctx -> string
 (** Canonical dump of the observable usage state (used PEs/ports, spad
     bytes, engine demand, link owners, next route tag); two contexts with
-    equal dumps are observably identical to the scheduler.  For tests. *)
+    equal dumps are observably identical to the scheduler.
+    For tests: the reference the rollback tests compare a restored context
+    against. *)
 
 type redo
 (** The final value of every usage cell changed since a mark, plus the
@@ -47,16 +55,19 @@ type redo
 
 val capture : ctx -> snap -> redo
 (** Record the state the mutations since the mark produced, so a later
-    {!restore} to that mark can be undone by {!replay}. *)
+    {!restore} to that mark can be undone by {!replay}.
+    For tests: see {!fresh_ctx}. *)
 
 val replay : ctx -> redo -> unit
 (** Re-apply a captured state on top of the state at its mark (through the
     logged setters, so it can be restored again): the context ends exactly
-    as it was at {!capture} time. *)
+    as it was at {!capture} time.
+    For tests: see {!fresh_ctx}. *)
 
 val schedule_variant : ctx -> Compile.variant -> (Schedule.t, string) result
 (** Map one region variant onto the hardware, consuming context resources.
-    On failure the context is left unchanged. *)
+    On failure the context is left unchanged.
+    For tests: see {!fresh_ctx}. *)
 
 val schedule_app :
   Sys_adg.t -> Compile.compiled -> (Schedule.t list, string) result

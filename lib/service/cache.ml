@@ -7,7 +7,6 @@ type failure = { reason : string; transient : bool }
 type outcome = (Schedule.t list, failure) result
 
 let deterministic reason = { reason; transient = false }
-let transient reason = { reason; transient = true }
 
 (* Only results that are a property of the (overlay, application) inputs
    may be remembered: successes and deterministic errors.  A transient

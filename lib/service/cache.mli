@@ -39,12 +39,6 @@ type outcome = (Schedule.t list, failure) result
 val deterministic : string -> failure
 (** An input-determined failure: cacheable. *)
 
-val transient : string -> failure
-(** A retryable failure: never cached. *)
-
-val cacheable : outcome -> bool
-(** [Ok _] or a non-transient [Error _]. *)
-
 type t
 
 val default_capacity : int
@@ -61,7 +55,9 @@ val warm_loaded : t -> int
 (** Entries replayed from the store at {!create}. *)
 
 val store_reads : t -> int
-(** Memory misses served from the backing store since {!create}. *)
+(** Memory misses served from the backing store since {!create}.
+    For tests: the only observable of a hit served from disk; tests check warm
+    restarts read each record once. *)
 
 val key : fingerprint:string -> variant_hash:string -> string
 (** The content address of one (overlay structure, compiled application)

@@ -16,7 +16,9 @@ val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; promotes the entry to most-recently-used. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
-(** Membership test without promoting. *)
+(** Membership test without promoting.
+    For tests: unlike {!find} it does not promote, so tests can check eviction
+    order without changing it. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, promoting to most-recently-used; evicts from the

@@ -116,9 +116,3 @@ let find_fingerprint t fp =
   in
   Mutex.unlock t.m;
   r
-
-let length t =
-  Mutex.lock t.m;
-  let n = Hashtbl.length t.tbl in
-  Mutex.unlock t.m;
-  n

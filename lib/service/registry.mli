@@ -46,5 +46,3 @@ val find_fingerprint : t -> string -> entry list
 
 val names : t -> string list
 (** Registration order. *)
-
-val length : t -> int

@@ -77,7 +77,6 @@ type t = {
 
 let telemetry t = t.telemetry_
 let cache t = t.cache_
-let registry t = t.registry
 
 let memo_entries t =
   Mutex.lock t.memo_m;

@@ -148,11 +148,11 @@ val dispatch : t -> job list -> unit
 
 val telemetry : t -> Telemetry.t
 val cache : t -> Cache.t option
-val registry : t -> Registry.t
 
 val memo_entries : t -> int
 (** Kernels held compiled (mDFG variant sets) for reuse, keyed on the
-    payload's text; bounded by the schedule cache's capacity. *)
+    payload's text; bounded by the schedule cache's capacity.
+    For tests: the tests check the compile memo stays within its bound. *)
 
 val mode : t -> mode
 val policy : t -> policy

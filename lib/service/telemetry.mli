@@ -83,7 +83,8 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 val hit_rate : snapshot -> float
-(** hits / (hits + misses); 0 when no cached requests completed. *)
+(** hits / (hits + misses); 0 when no cached requests completed.
+    For tests: the tests check its empty-snapshot value. *)
 
 val report : ?label:string -> wall_s:float -> snapshot -> string
 (** One-screen text report; [wall_s] is the trace wall-clock used for the

@@ -45,10 +45,8 @@ let default_config =
   }
 
 type region_result = {
-  rname : string;
   cycles : int;
   firings : int;
-  dispatches : int;
 }
 
 type t = {
@@ -540,9 +538,8 @@ let finish_region cfg tn steps =
       ~by:(max 0 ((steps * tn.copies) - (tn.copies * t.fired * t.ii)))
   end;
   let v = (List.hd tn.todo : Schedule.t).variant in
-  { rname = v.region.Overgen_workload.Ir.rname;
-    cycles = steps + Dfg.depth v.dfg + cfg.l2_hit_latency (* pipeline drain *);
-    firings = t.target; dispatches = t.dispatches }
+  { cycles = steps + Dfg.depth v.dfg + cfg.l2_hit_latency (* pipeline drain *);
+    firings = t.target }
 
 (* Step every tenant's regions back to back, all tenants concurrently, until
    the last finishes; [stuck] is called with the schedule of a region that
@@ -628,8 +625,6 @@ let run ?(config = default_config) (sys : Sys_adg.t) schedules =
 let wall_time_ms (_sys : Sys_adg.t) ~freq_mhz t =
   float_of_int t.total_cycles /. (freq_mhz *. 1000.0)
 
-let reconfigure_cycles = Sys_adg.reconfigure_cycles
-
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant execution (paper future work: heterogeneous workload   *)
 (* mixes on one fabric)                                                *)
@@ -637,7 +632,6 @@ let reconfigure_cycles = Sys_adg.reconfigure_cycles
 
 type tenant_result = {
   t_kernel : string;
-  t_tiles : int;
   t_cycles : int;  (* when this tenant finished *)
 }
 
@@ -660,9 +654,9 @@ let run_multi ?(config = default_config) (sys : Sys_adg.t) assignments =
     m_cycles;
     tenants =
       List.mapi
-        (fun i (schedules, share) ->
+        (fun i (schedules, _) ->
           { t_kernel = (List.hd schedules : Schedule.t).variant.kernel;
-            t_tiles = share; t_cycles = tenants.(i).finished_at })
+            t_cycles = tenants.(i).finished_at })
         assignments;
     m_l2_bytes = totals.l2;
     m_dram_bytes = totals.dram;

@@ -42,10 +42,8 @@ type config = {
 val default_config : config
 
 type region_result = {
-  rname : string;
   cycles : int;
   firings : int;          (** per tile *)
-  dispatches : int;       (** stream dispatch events per tile *)
 }
 
 type t = {
@@ -63,9 +61,6 @@ val run : ?config:config -> Sys_adg.t -> Schedule.t list -> t
 val wall_time_ms : Sys_adg.t -> freq_mhz:float -> t -> float
 (** Convert simulated cycles to milliseconds at the synthesized clock. *)
 
-val reconfigure_cycles : Sys_adg.t -> int
-(** Cycles to reprogram the fabric from the D-cache (Section VI-B). *)
-
 (** {2 Multi-tenant execution}
 
     The paper's conclusion names heterogeneous workload mixes on one fabric
@@ -75,7 +70,6 @@ val reconfigure_cycles : Sys_adg.t -> int
 
 type tenant_result = {
   t_kernel : string;
-  t_tiles : int;
   t_cycles : int;  (** cycle at which this tenant completed *)
 }
 

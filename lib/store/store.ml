@@ -329,8 +329,6 @@ let get t ~ns ~key =
   with_lock t @@ fun () ->
   Option.map (read_value t) (Hashtbl.find_opt t.index (ns, key))
 
-let mem t ~ns ~key = with_lock t @@ fun () -> Hashtbl.mem t.index (ns, key)
-
 let live_sorted t ~keep =
   Hashtbl.fold
     (fun (ns, key) l acc -> if keep ns then (l.seq, ns, key, l) :: acc else acc)

@@ -75,7 +75,6 @@ val get : t -> ns:string -> key:string -> string option
     checksum mismatch on read raises [Failure] — it means the file
     changed underneath us. *)
 
-val mem : t -> ns:string -> key:string -> bool
 val delete : t -> ns:string -> key:string -> unit
 
 val bindings : t -> ns:string -> (string * string) list

@@ -17,7 +17,8 @@ val of_string : string -> t
 
 val split : t -> t
 (** [split t] returns a new generator statistically independent from the
-    future output of [t].  [t] itself advances. *)
+    future output of [t].  [t] itself advances.
+    For tests: the tests check the split stream is independent of its parent. *)
 
 val state : t -> int64
 (** The full internal state (SplitMix64 is a single 64-bit counter); with

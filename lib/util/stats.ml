@@ -14,28 +14,6 @@ let geomean = function
     in
     exp (log_sum /. float_of_int (List.length l))
 
-let weighted_geomean = function
-  | [] -> 0.0
-  | l ->
-    let wsum = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 l in
-    if wsum <= 0.0 then invalid_arg "Stats.weighted_geomean: zero total weight";
-    let log_sum =
-      List.fold_left
-        (fun acc (w, x) ->
-          if x <= 0.0 then invalid_arg "Stats.weighted_geomean: non-positive value";
-          acc +. (w *. log x))
-        0.0 l
-    in
-    exp (log_sum /. wsum)
-
-let stddev l =
-  match l with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean l in
-    let var = mean (List.map (fun x -> (x -. m) *. (x -. m)) l) in
-    sqrt var
-
 let median = function
   | [] -> 0.0
   | l ->
@@ -76,10 +54,5 @@ let percentile ~p = function
 
 let clamp ~lo ~hi x = Float.max lo (Float.min hi x)
 let clamp_int ~lo ~hi x = max lo (min hi x)
-
-let round_up_pow2 n =
-  if n < 1 then invalid_arg "Stats.round_up_pow2";
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
 
 let div_ceil a b = (a + b - 1) / b

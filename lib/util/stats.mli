@@ -7,19 +7,14 @@ val geomean : float list -> float
 (** Geometric mean of strictly positive values; 0 for the empty list.
     @raise Invalid_argument if any value is <= 0. *)
 
-val weighted_geomean : (float * float) list -> float
-(** [weighted_geomean [(w, x); ...]] with positive weights and values; this is
-    the paper's objective aggregation over per-workload IPC estimates. *)
-
-val stddev : float list -> float
-(** Population standard deviation; 0 for lists shorter than 2. *)
-
 val median : float list -> float
 (** Median; 0 for the empty list. *)
 
 val percentile : p:float -> float list -> float
 (** [percentile ~p l] is the p-th percentile of [l] (linear interpolation
     between closest ranks); 0 for the empty list.
+    For tests: the one-percentile reference implementation that tests check
+    {!percentiles} against.
     @raise Invalid_argument unless [0 <= p <= 100]. *)
 
 val percentiles : float array -> float list -> float list
@@ -30,9 +25,6 @@ val percentiles : float array -> float list -> float list
 
 val clamp : lo:float -> hi:float -> float -> float
 val clamp_int : lo:int -> hi:int -> int -> int
-
-val round_up_pow2 : int -> int
-(** Smallest power of two >= the argument (argument must be >= 1). *)
 
 val div_ceil : int -> int -> int
 (** Integer division rounding up. *)

@@ -124,18 +124,6 @@ let rec loads_of_expr = function
   | Unop (_, e) -> loads_of_expr e
   | Binop (_, a, b) -> loads_of_expr a @ loads_of_expr b
 
-let add_op histo op =
-  match List.assoc_opt op histo with
-  | Some n -> (op, n + 1) :: List.remove_assoc op histo
-  | None -> (op, 1) :: histo
-
-let rec ops_of_expr_acc acc = function
-  | Load _ | Const _ | Param _ -> acc
-  | Unop (op, e) -> ops_of_expr_acc (add_op acc op) e
-  | Binop (op, a, b) -> ops_of_expr_acc (ops_of_expr_acc (add_op acc op) a) b
-
-let ops_of_expr e = ops_of_expr_acc [] e
-
 let stmt_loads = function
   | Store (_, e) -> loads_of_expr e
   | Accum (r, _, e) -> r :: loads_of_expr e
@@ -144,23 +132,6 @@ let stmt_loads = function
 let stmt_store = function
   | Store (r, _) | Accum (r, _, _) -> Some r
   | Reduce (_, _, _) -> None
-
-let stmt_ops = function
-  | Store (_, e) -> ops_of_expr e
-  | Accum (_, op, e) -> add_op (ops_of_expr e) op
-  | Reduce (_, op, e) -> add_op (ops_of_expr e) op
-
-let merge_histos a b = List.fold_left (fun acc (op, n) ->
-    match List.assoc_opt op acc with
-    | Some m -> (op, m + n) :: List.remove_assoc op acc
-    | None -> (op, n) :: acc)
-    a b
-
-let region_op_histogram r =
-  List.fold_left (fun acc s -> merge_histos acc (stmt_ops s)) [] r.body
-
-let region_iterations r =
-  List.fold_left (fun acc l -> acc *. trip_avg l.trip) 1.0 r.loops
 
 let region_arrays r =
   let arrays =
@@ -187,8 +158,6 @@ let innermost r =
   match List.rev r.loops with
   | [] -> invalid_arg "Ir.innermost: region with no loops"
   | l :: _ -> l
-
-let elem_bytes k = Dtype.bytes k.dtype * k.lanes
 
 (* Magnitude bound under which an integer-valued float is exactly
    representable and [int]-rendering is faithful: 2^53.  Beyond it

@@ -28,6 +28,7 @@ val affine_subst_scaled : affine -> var:string -> scale:int -> offset:int -> aff
     lane at position [offset]. *)
 
 val affine_equal : affine -> affine -> bool
+(** For tests: the tests compare substituted subscripts structurally. *)
 
 val affine_render : sep_plus:string -> sep_minus:string -> affine -> string
 (** Canonical rendering: negative coefficients/constants join with the
@@ -36,6 +37,7 @@ val affine_render : sep_plus:string -> sep_minus:string -> affine -> string
     (["+"]/["-"]) instance; {!C_source} uses the spaced one. *)
 
 val affine_to_string : affine -> string
+(** For tests: the tests pin the compact rendering the C emitter relies on. *)
 
 (** Array subscript: direct affine, or single-level indirect [a\[b\[e\]\]]. *)
 type index = Direct of affine | Indirect of { idx_array : string; at : affine }
@@ -112,18 +114,13 @@ val stmt_loads : stmt -> aref list
 
 val stmt_store : stmt -> aref option
 
-val region_op_histogram : region -> (Op.t * int) list
-val region_iterations : region -> float
-(** Product of average trip counts. *)
-
 val region_arrays : region -> string list
-(** Arrays touched by the region, without duplicates. *)
+(** Arrays touched by the region, without duplicates.
+    For tests: the tests check every kernel declares every array its regions
+    touch. *)
 
 val innermost : region -> loop
 (** @raise Invalid_argument on a region with no loops. *)
-
-val elem_bytes : kernel -> int
-(** Bytes per logical element: [Dtype.bytes dtype * lanes]. *)
 
 val float_literal : float -> string
 (** Shortest decimal spelling that reads back to the same float, always

@@ -12,6 +12,3 @@ let of_string = function
   | "machsuite" -> Some Machsuite
   | "vision" -> Some Vision
   | _ -> None
-
-let equal = ( = )
-let compare = Stdlib.compare

@@ -5,5 +5,3 @@ type t = Dsp | Machsuite | Vision
 val all : t list
 val to_string : t -> string
 val of_string : string -> t option
-val equal : t -> t -> bool
-val compare : t -> t -> int

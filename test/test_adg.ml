@@ -31,33 +31,6 @@ let test_digraph_rejects_self_loop () =
   Alcotest.check_raises "self loop" (Invalid_argument "Digraph.add_edge: self loop")
     (fun () -> ignore (Digraph.add_edge g 0 0))
 
-let test_digraph_topo () =
-  let g = List.fold_left (fun g i -> Digraph.add_node g i i) Digraph.empty [ 0; 1; 2; 3 ] in
-  let g = Digraph.add_edge g 0 1 in
-  let g = Digraph.add_edge g 1 2 in
-  let g = Digraph.add_edge g 0 3 in
-  (match Digraph.topo_sort g with
-  | Some order ->
-    let pos x = Option.get (List.find_index (Int.equal x) order) in
-    Alcotest.(check bool) "0 before 1" true (pos 0 < pos 1);
-    Alcotest.(check bool) "1 before 2" true (pos 1 < pos 2)
-  | None -> Alcotest.fail "expected topo order");
-  let cyclic = Digraph.add_edge g 2 0 in
-  Alcotest.(check bool) "cycle detected" true (Digraph.topo_sort cyclic = None)
-
-let test_digraph_shortest_path () =
-  let g = List.fold_left (fun g i -> Digraph.add_node g i i) Digraph.empty [ 0; 1; 2; 3 ] in
-  let g = Digraph.add_edge g 0 1 in
-  let g = Digraph.add_edge g 1 3 in
-  let g = Digraph.add_edge g 0 2 in
-  let g = Digraph.add_edge g 2 3 in
-  (match Digraph.shortest_path g ~src:0 ~dst:3 ~ok:(fun _ -> true) with
-  | Some p -> Alcotest.(check int) "length 3" 3 (List.length p)
-  | None -> Alcotest.fail "path expected");
-  (* Block both intermediates: no path. *)
-  Alcotest.(check bool) "blocked" true
-    (Digraph.shortest_path g ~src:0 ~dst:3 ~ok:(fun i -> i <> 1 && i <> 2) = None)
-
 let test_adg_edge_legality () =
   let adg = Adg.empty in
   let adg, pe = Adg.add adg (mk_pe ()) in
@@ -65,24 +38,6 @@ let test_adg_edge_legality () =
   Alcotest.check_raises "engine->pe illegal"
     (Invalid_argument "Adg.add_edge: illegal dma->pe") (fun () ->
       ignore (Adg.add_edge adg dma pe))
-
-let test_adg_route_through_switches_only () =
-  let adg = Adg.empty in
-  let adg, ip = Adg.add adg (mk_ip ()) in
-  let adg, sw1 = Adg.add adg (mk_sw ()) in
-  let adg, pe1 = Adg.add adg (mk_pe ()) in
-  let adg, pe2 = Adg.add adg (mk_pe ()) in
-  let adg = Adg.add_edge adg ip sw1 in
-  let adg = Adg.add_edge adg sw1 pe1 in
-  let adg = Adg.add_edge adg sw1 pe2 in
-  (match Adg.route adg ~src:ip ~dst:pe1 with
-  | Some p -> Alcotest.(check (list int)) "route" [ ip; sw1; pe1 ] p
-  | None -> Alcotest.fail "route expected");
-  (* A route must not pass through a PE. *)
-  let adg2 = Adg.add_edge adg pe1 pe2 in
-  ignore adg2;
-  Alcotest.(check bool) "no pe-through route" true
-    (Adg.route adg ~src:pe1 ~dst:pe2 = None)
 
 let test_mesh_validates () =
   let caps = Op.Cap.of_ops [ Op.Add; Op.Mul ] [ Dtype.I64 ] in
@@ -267,10 +222,7 @@ let tests =
     Alcotest.test_case "digraph basic" `Quick test_digraph_basic;
     Alcotest.test_case "digraph remove node" `Quick test_digraph_remove_node_cleans_edges;
     Alcotest.test_case "digraph self loop" `Quick test_digraph_rejects_self_loop;
-    Alcotest.test_case "digraph topo" `Quick test_digraph_topo;
-    Alcotest.test_case "digraph shortest path" `Quick test_digraph_shortest_path;
     Alcotest.test_case "adg edge legality" `Quick test_adg_edge_legality;
-    Alcotest.test_case "adg routing" `Quick test_adg_route_through_switches_only;
     Alcotest.test_case "mesh validates" `Quick test_mesh_validates;
     Alcotest.test_case "seed validates" `Quick test_seed_validates;
     Alcotest.test_case "general overlay stats" `Quick test_general_overlay;

@@ -40,6 +40,14 @@ let gen_weights =
     let* ws = list_size (return n) (int_range 1 10) in
     return (List.mapi (fun i w -> (Printf.sprintf "t%d" i, w)) ws))
 
+(* The properties run [Drr.dequeue_batch] at [~max:1] (one item per
+   dequeue) and at [Admission]'s batch cap (8), grouping a tenant's items
+   as [Admission] groups same-overlay requests.  Items encode their
+   owner: tenant [i] (named "t<i>") enqueues [i * 1000 + j]. *)
+let batch_sizes = [ 1; 8 ]
+let tenant_of x = Printf.sprintf "t%d" (x / 1000)
+let dequeue q ~max = Drr.dequeue_batch q ~max ~same:(fun a b -> a / 1000 = b / 1000)
+
 (* Work conservation: while anything is queued, dequeue yields, and a
    full drain returns exactly what was enqueued. *)
 let prop_work_conserving =
@@ -52,53 +60,67 @@ let prop_work_conserving =
          in
          return (ws, counts)))
     (fun (weights, counts) ->
-      let q = Drr.create () in
-      List.iter (fun (id, w) -> Drr.add_tenant q ~id ~weight:w) weights;
-      let total = ref 0 in
-      List.iteri
-        (fun i (id, _) ->
-          let n = List.nth counts i in
-          total := !total + n;
-          for j = 0 to n - 1 do
-            Drr.enqueue q ~id (i * 1000 + j)
-          done)
-        weights;
-      let drained = ref 0 in
-      let ok = ref true in
-      while Drr.length q > 0 do
-        match Drr.dequeue q with
-        | Some _ -> incr drained
-        | None -> ok := false; raise Exit
-      done;
-      !ok && !drained = !total && Drr.dequeue q = None)
+      List.for_all
+        (fun max ->
+          let q = Drr.create () in
+          List.iter (fun (id, w) -> Drr.add_tenant q ~id ~weight:w) weights;
+          let total = ref 0 in
+          List.iteri
+            (fun i (id, _) ->
+              let n = List.nth counts i in
+              total := !total + n;
+              for j = 0 to n - 1 do
+                Drr.enqueue q ~id (i * 1000 + j)
+              done)
+            weights;
+          let drained = ref 0 in
+          let ok = ref true in
+          while !ok && Drr.length q > 0 do
+            match dequeue q ~max with
+            | [] -> ok := false
+            | batch -> drained := !drained + List.length batch
+          done;
+          !ok && !drained = !total && dequeue q ~max = [])
+        batch_sizes)
 
 (* Long-run share: with every tenant backlogged, a whole number of ring
-   rounds serves each tenant exactly (weight / sum) of the dequeues. *)
+   rounds serves each tenant exactly (weight / sum) of the dequeued
+   items; a batch never crosses a tenant's round credit, so the item
+   count lands on the round boundary exactly. *)
 let prop_share_tracks_weight =
   QCheck.Test.make ~name:"drr: backlogged share equals weight" ~count:100
     (QCheck.make gen_weights) (fun weights ->
-      let q = Drr.create () in
-      let wsum = List.fold_left (fun a (_, w) -> a + w) 0 weights in
-      let rounds = 20 in
-      List.iter
-        (fun (id, w) ->
-          Drr.add_tenant q ~id ~weight:w;
-          for j = 0 to (rounds * w) + 5 do
-            Drr.enqueue q ~id j
-          done)
-        weights;
-      let served = Hashtbl.create 8 in
-      for _ = 1 to rounds * wsum do
-        match Drr.dequeue q with
-        | Some (id, _) ->
-          Hashtbl.replace served id
-            (1 + Option.value ~default:0 (Hashtbl.find_opt served id))
-        | None -> raise Exit
-      done;
       List.for_all
-        (fun (id, w) ->
-          Option.value ~default:0 (Hashtbl.find_opt served id) = rounds * w)
-        weights)
+        (fun max ->
+          let q = Drr.create () in
+          let wsum = List.fold_left (fun a (_, w) -> a + w) 0 weights in
+          let rounds = 20 in
+          List.iteri
+            (fun i (id, w) ->
+              Drr.add_tenant q ~id ~weight:w;
+              for j = 0 to (rounds * w) + 5 do
+                Drr.enqueue q ~id (i * 1000 + j)
+              done)
+            weights;
+          let served = Hashtbl.create 8 and n = ref 0 in
+          while !n < rounds * wsum do
+            match dequeue q ~max with
+            | [] -> raise Exit
+            | batch ->
+              List.iter
+                (fun x ->
+                  let id = tenant_of x in
+                  Hashtbl.replace served id
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt served id)))
+                batch;
+              n := !n + List.length batch
+          done;
+          !n = rounds * wsum
+          && List.for_all
+               (fun (id, w) ->
+                 Option.value ~default:0 (Hashtbl.find_opt served id) = rounds * w)
+               weights)
+        batch_sizes)
 
 (* No starvation: a weight-1 tenant under a saturating weight-10 tenant
    appears at least once in every sum-of-weights window of dequeues. *)
@@ -106,24 +128,24 @@ let prop_no_starvation =
   QCheck.Test.make ~name:"drr: weight-1 never starved by weight-10" ~count:50
     (QCheck.make (QCheck.Gen.int_range 3 20)) (fun rounds ->
       let q = Drr.create () in
-      Drr.add_tenant q ~id:"heavy" ~weight:10;
-      Drr.add_tenant q ~id:"light" ~weight:1;
+      Drr.add_tenant q ~id:"t0" ~weight:10;
+      Drr.add_tenant q ~id:"t1" ~weight:1;
       for j = 0 to (rounds * 12) - 1 do
-        Drr.enqueue q ~id:"heavy" j;
-        Drr.enqueue q ~id:"light" j
+        Drr.enqueue q ~id:"t0" j;
+        Drr.enqueue q ~id:"t1" (1000 + j)
       done;
       let order = ref [] in
       for _ = 1 to rounds * 11 do
-        match Drr.dequeue q with
-        | Some (id, _) -> order := id :: !order
-        | None -> raise Exit
+        match dequeue q ~max:1 with
+        | [ x ] -> order := tenant_of x :: !order
+        | _ -> raise Exit
       done;
       let order = Array.of_list (List.rev !order) in
       let ok = ref true in
       for w0 = 0 to Array.length order - 11 do
         let has_light = ref false in
         for i = w0 to w0 + 10 do
-          if order.(i) = "light" then has_light := true
+          if order.(i) = "t1" then has_light := true
         done;
         if not !has_light then ok := false
       done;
@@ -513,31 +535,25 @@ let test_scan_and_promote () =
   (match Registry.register registry ~name:"cold" (Lazy.force decoy) with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let now = ref 0.0 in
   let manager =
     Manager.create
       ~config:
         {
           Manager.default_config with
-          retire_idle_s = 100.0;
           protected = [ "general" ];
           promote_min_requests = 5;
           dse_iterations = 40;
           dse_top_kernels = 2;
         }
-      ~clock:(fun () -> !now)
       ~model:(model ()) registry
   in
-  (* protected names refuse to retire even when idle *)
+  (* protected names refuse to retire *)
   (match Manager.retire manager "general" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "protected overlay retired");
-  (* nothing is idle yet *)
-  Alcotest.(check (list string)) "no retire before threshold" []
-    (Manager.scan manager);
-  now := 200.0;
-  Alcotest.(check (list string)) "cold overlay retired by scan" [ "cold" ]
-    (Manager.scan manager);
+  (match Manager.retire manager "cold" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "retire cold: %s" e);
   Alcotest.(check bool) "unregistered" true
     (Registry.find registry "cold" = None);
   (* promote after enough observed misses *)

@@ -21,9 +21,9 @@ let test_bitstream_packing () =
   let bs =
     List.fold_left Bitstream.add Bitstream.empty
       [
-        { Bitstream.node = 0; tag = "a"; value = 0x5L; bits = 3 };
-        { Bitstream.node = 1; tag = "b"; value = 0xFFL; bits = 8 };
-        { Bitstream.node = 2; tag = "c"; value = 0x1L; bits = 1 };
+        { Bitstream.value = 0x5L; bits = 3 };
+        { Bitstream.value = 0xFFL; bits = 8 };
+        { Bitstream.value = 0x1L; bits = 1 };
       ]
   in
   Alcotest.(check int) "12 payload bits" 12 (Bitstream.bit_count bs);
@@ -36,7 +36,7 @@ let test_bitstream_packing () =
 let test_bitstream_verify () =
   let bs =
     Bitstream.add Bitstream.empty
-      { Bitstream.node = 0; tag = "x"; value = 42L; bits = 16 }
+      { Bitstream.value = 42L; bits = 16 }
   in
   let w = Bitstream.words bs in
   Alcotest.(check bool) "verifies" true (Bitstream.verify w);
@@ -49,7 +49,7 @@ let test_bitstream_rejects_bad_width () =
     (fun () ->
       ignore
         (Bitstream.add Bitstream.empty
-           { Bitstream.node = 0; tag = "x"; value = 0L; bits = 0 }))
+           { Bitstream.value = 0L; bits = 0 }))
 
 (* ---------------- assembler ---------------- *)
 
@@ -78,27 +78,6 @@ let test_assemble_indirect_flag () =
   let cmds = (List.hd p.regions).commands in
   Alcotest.(check bool) "indirect streams flagged" true
     (List.exists (fun (c : Assemble.stream_cmd) -> c.indirect) cmds)
-
-let test_encode_cmd_roundtrippable_flags () =
-  let c =
-    {
-      Assemble.engine = 5;
-      port = Some 9;
-      write = true;
-      indirect = false;
-      rec_forward = true;
-      base_offset = 4096;
-      dims = [ (1, 64); (64, 199) ];
-      elem_bytes = 8;
-    }
-  in
-  match Assemble.encode_cmd c with
-  | base :: flags :: dims ->
-    Alcotest.(check int64) "base" 4096L base;
-    Alcotest.(check int) "write bit" 1 (Int64.to_int (Int64.logand flags 1L));
-    Alcotest.(check int) "rec bit" 4 (Int64.to_int (Int64.logand flags 4L));
-    Alcotest.(check int) "two dim words" 2 (List.length dims)
-  | _ -> Alcotest.fail "encoding too short"
 
 let test_disassemble_readable () =
   let sys = Lazy.force general in
@@ -136,11 +115,12 @@ let test_rtl_module_balance () =
 
 let test_rtl_instance_counts () =
   let sys = Lazy.force general in
-  let stats = Emit.stats (Lazy.force rtl) in
-  let get k = List.assoc k stats in
-  Alcotest.(check int) "24 PEs instantiated" (List.length (Adg.pes sys.adg)) (get "pe");
-  Alcotest.(check int) "35 switches" (List.length (Adg.switches sys.adg)) (get "switch");
-  Alcotest.(check int) "engines" (List.length (Adg.engines sys.adg)) (get "engine")
+  let tile = List.assoc "overgen_tile" (Lazy.force rtl).modules in
+  let get = count_sub tile in
+  Alcotest.(check int) "24 PEs instantiated" (List.length (Adg.pes sys.adg)) (get "u_pe_");
+  Alcotest.(check int) "35 switches" (List.length (Adg.switches sys.adg)) (get "u_sw_");
+  Alcotest.(check int) "engines" (List.length (Adg.engines sys.adg))
+    (List.fold_left (fun n p -> n + get p) 0 [ "u_dma_"; "u_spad_"; "u_rec_"; "u_gen_"; "u_reg_" ])
 
 let test_rtl_tiles_replicated () =
   let sys = Lazy.force general in
@@ -208,7 +188,6 @@ let tests =
     Alcotest.test_case "assemble program" `Quick test_assemble_program;
     Alcotest.test_case "rec flag" `Quick test_assemble_rec_flag;
     Alcotest.test_case "indirect flag" `Quick test_assemble_indirect_flag;
-    Alcotest.test_case "encode cmd" `Quick test_encode_cmd_roundtrippable_flags;
     Alcotest.test_case "disassemble" `Quick test_disassemble_readable;
     Alcotest.test_case "distinct bitstreams" `Quick test_distinct_kernels_distinct_bitstreams;
     Alcotest.test_case "rtl module balance" `Quick test_rtl_module_balance;

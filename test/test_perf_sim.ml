@@ -21,7 +21,7 @@ let test_factors_in_unit_range () =
     (fun (k : Ir.kernel) ->
       List.iter
         (fun s ->
-          let r = Perf.region sys s in
+          let r = List.hd (Perf.app sys [ s ]).regions in
           let in01 x = x > 0.0 && x <= 1.0 in
           Alcotest.(check bool) "spad" true (in01 r.spad_factor);
           Alcotest.(check bool) "noc" true (in01 r.noc_factor);
@@ -39,7 +39,7 @@ let test_eq1_structure () =
   (* Equation 1: est_ipc = ipc_single * tiles * bottleneck *)
   let sys = Lazy.force general in
   let s = List.hd (schedules "fir") in
-  let r = Perf.region sys s in
+  let r = List.hd (Perf.app sys [ s ]).regions in
   Alcotest.(check (float 1e-6)) "eq1"
     (r.ipc_single *. float_of_int sys.system.System.tiles *. r.bottleneck)
     r.est_ipc
@@ -158,7 +158,7 @@ let test_reconfigure_cycles_scale () =
       System.default
   in
   Alcotest.(check bool) "bigger design reconfigures slower" true
-    (Sim.reconfigure_cycles sys > Sim.reconfigure_cycles small)
+    (Sys_adg.reconfigure_cycles sys > Sys_adg.reconfigure_cycles small)
 
 let test_sim_deterministic () =
   let sys = Lazy.force general in

@@ -76,8 +76,7 @@ let arb_fields =
       list_size (int_range 1 40)
         (let* bits = int_range 1 63 in
          let* v = int_range 0 ((1 lsl min bits 30) - 1) in
-         let* node = int_range 0 100 in
-         return { Bitstream.node; tag = "f"; value = Int64.of_int v; bits }))
+         return { Bitstream.value = Int64.of_int v; bits }))
 
 let prop_bitstream_bit_count =
   QCheck.Test.make ~name:"bitstream bit count is the sum of field widths"

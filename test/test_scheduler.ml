@@ -142,8 +142,13 @@ let test_repair_reroutes_after_switch_removal () =
   let scheds = ok_schedules sys "accumulate" in
   (* remove one switch used by a route, after adding bypass edges around it
      (what node collapsing does) *)
+  let rec pairs = function
+    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
+    | [ _ ] | [] -> []
+  in
   let used =
-    List.concat_map (fun (s : Schedule.t) -> Schedule.used_edges s) scheds
+    List.concat_map (fun (s : Schedule.t) -> List.concat_map (fun (_, r) -> pairs r.Schedule.hops) s.routes) scheds
+    |> List.sort_uniq compare
   in
   let victim =
     List.find_map

@@ -112,7 +112,7 @@ let test_roundtrip_and_reopen () =
   Alcotest.(check (option string)) "last write wins" (Some "v1'")
     (Store.get s ~ns:"a" ~key:"k1");
   Alcotest.(check (option string)) "deleted" None (Store.get s ~ns:"a" ~key:"k2");
-  Alcotest.(check bool) "mem" true (Store.mem s ~ns:"b" ~key:"k1");
+  Alcotest.(check bool) "mem" true (Store.get s ~ns:"b" ~key:"k1" <> None);
   Alcotest.(check int) "live" 2 (Store.length s);
   Alcotest.(check (list (pair string string)))
     "rewrite moved k1 to the end of write order"
@@ -346,7 +346,7 @@ let test_compact () =
 let put c k outcome = ignore (Cache.find_or_compute c k (fun () -> outcome))
 
 let get c k =
-  match Cache.find_or_compute c k (fun () -> Error (Cache.transient "absent")) with
+  match Cache.find_or_compute c k (fun () -> Error { Cache.reason = "absent"; transient = true }) with
   | outcome, true -> Some outcome
   | _, false -> None
 
@@ -357,7 +357,7 @@ let test_cache_write_through_and_warm_start () =
   Alcotest.(check int) "nothing to warm-load" 0 (Cache.warm_loaded c);
   put c "k1" (Ok []);
   put c "k2" (Error (Cache.deterministic "unmappable"));
-  put c "k3" (Error (Cache.transient "flaky"));
+  put c "k3" (Error { Cache.reason = "flaky"; transient = true });
   Alcotest.(check int) "transient never persisted" 2 (Store.length s);
   Store.close s;
   (* a restarted process: fresh cache over the same file *)

@@ -37,10 +37,15 @@ let test_trip_avg () =
   Alcotest.(check (float 1e-9)) "triangular" 24.0 (Ir.trip_avg (Ir.Triangular 48));
   Alcotest.(check int) "triangular max" 48 (Ir.trip_max (Ir.Triangular 48))
 
+(* The region's iteration space and op mix, as the mDFG compiler counts
+   them at unroll 1. *)
+let compile_first name =
+  let k = Kernels.find name in
+  Overgen_mdfg.Compile.compile_region k (List.hd k.Ir.regions) ~tuned:false ~unroll:1
+
 let test_region_iterations () =
-  let k = Kernels.find "mm" in
-  let r = List.hd k.Ir.regions in
-  Alcotest.(check (float 1.0)) "32^3 iters" (32.0 ** 3.0) (Ir.region_iterations r)
+  let v = compile_first "mm" in
+  Alcotest.(check (float 1.0)) "32^3 iters" (32.0 ** 3.0) v.Overgen_mdfg.Compile.iters
 
 let test_region_arrays () =
   let k = Kernels.find "crs" in
@@ -51,12 +56,16 @@ let test_region_arrays () =
   Alcotest.(check bool) "includes y" true (List.mem "y" arrays)
 
 let test_op_histogram_fir () =
-  let k = Kernels.find "fir" in
-  let r = List.hd k.Ir.regions in
-  let h = Ir.region_op_histogram r in
-  Alcotest.(check (option int)) "one mul" (Some 1) (List.assoc_opt Overgen_adg.Op.Mul h);
-  Alcotest.(check (option int)) "one add (accum)" (Some 1)
-    (List.assoc_opt Overgen_adg.Op.Add h)
+  let v = compile_first "fir" in
+  let count op =
+    List.length
+      (List.filter
+         (fun (n : Overgen_mdfg.Dfg.node) ->
+           match n.kind with Overgen_mdfg.Dfg.Inst i -> i.op = op | _ -> false)
+         (Overgen_mdfg.Dfg.nodes v.Overgen_mdfg.Compile.dfg))
+  in
+  Alcotest.(check int) "one mul" 1 (count Overgen_adg.Op.Mul);
+  Alcotest.(check int) "one add (accum)" 1 (count Overgen_adg.Op.Add)
 
 let test_arrays_declared () =
   (* Every array referenced in a region body must be declared on the kernel,
@@ -188,7 +197,10 @@ let prop_region_iterations_positive =
     (fun () ->
       List.for_all
         (fun (k : Ir.kernel) ->
-          List.for_all (fun r -> Ir.region_iterations r > 0.0) k.regions)
+          List.for_all
+            (fun (r : Ir.region) ->
+              List.for_all (fun (l : Ir.loop) -> Ir.trip_avg l.trip > 0.0) r.loops)
+            k.regions)
         Kernels.all)
 
 let tests =
