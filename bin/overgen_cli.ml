@@ -550,8 +550,10 @@ let frontend_fuzz_cmd =
     let s = Fuzz.run ~seeds ~seed ~fault_rate:faults () in
     print_string (Fuzz.summary_to_string s);
     if not (Fuzz.ok s) then begin
-      Printf.eprintf "FAILED: %d violation(s), %d escaped exception(s)\n"
-        s.Fuzz.violations s.Fuzz.escaped;
+      Printf.eprintf
+        "FAILED: %d violation(s) (%d invalid schedule(s)), %d escaped \
+         exception(s)\n"
+        s.Fuzz.violations s.Fuzz.invalid s.Fuzz.escaped;
       exit 1
     end
   in

@@ -37,6 +37,9 @@ val max_id : t -> int
 
 val node_count : t -> int
 val edge_count : t -> int
+(** Number of links; it lists them all, so O(edges).
+    For tests: the mutation tests check that a move changed the graph;
+    the scheduler counts links from its own successor arrays. *)
 
 val edge_legal : Comp.t -> Comp.t -> bool
 (** Whether a link from the first component kind to the second is allowed by

@@ -310,13 +310,19 @@ type sched_outcome = {
    then, when the move added capacity, a full [schedule_app] kept if it is
    no worse.  It depends only on (sys, app, prior), so an iteration's apps
    rescore concurrently.  Returns the schedules, the reschedule outcome, and
-   whether the extra full schedule succeeded. *)
+   whether the extra full schedule succeeded.  The two phases are nested
+   spans ([dse_reschedule], [dse_additive]) so a trace shows which one the
+   time goes to. *)
 let rescore ~additive sys (app : Compile.compiled) prior =
   Obs.Span.with_span "dse_rescore" ~attrs:[ ("app", app.kname) ] @@ fun () ->
-  match Spatial.reschedule sys app ~prior with
+  match
+    Obs.Span.with_span "dse_reschedule" (fun () ->
+        Spatial.reschedule sys app ~prior)
+  with
   | Error _ -> None
   | Ok (s, (Spatial.Repaired as outcome)) when additive -> (
     (* capacity grew: see if a more aggressive variant now fits *)
+    Obs.Span.with_span "dse_additive" @@ fun () ->
     match Spatial.schedule_app sys app with
     | Ok s' ->
       let better = (Perf.app sys s').app_ipc >= (Perf.app sys s).app_ipc in

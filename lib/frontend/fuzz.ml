@@ -4,12 +4,14 @@
    optionally under the fault harness.  The loop's contract mirrors the
    service's isolation contract: a seed may legitimately fail to
    schedule (fabric too small) or hit an injected fault, but a parse
-   rejection of emitted source, a structural round-trip mismatch, or any
-   exception other than an armed [Fault.Injected] is a violation. *)
+   rejection of emitted source, a structural round-trip mismatch, a
+   schedule that fails [Schedule.validate], or any exception other than an
+   armed [Fault.Injected] is a violation. *)
 
 open Overgen_workload
 module Compile = Overgen_mdfg.Compile
 module Spatial = Overgen_scheduler.Spatial
+module Schedule = Overgen_scheduler.Schedule
 module Sim = Overgen_sim.Sim
 module Builder = Overgen_adg.Builder
 module Fault = Overgen_fault.Fault
@@ -20,6 +22,7 @@ type summary = {
   parsed : int;  (** emitted source parsed back successfully *)
   scheduled : int;  (** seeds that placed on the general overlay *)
   schedule_rejected : int;  (** legal "does not fit" outcomes *)
+  invalid : int;  (** returned schedules that fail [Schedule.validate] *)
   simulated : int;
   injected : int;  (** armed faults that fired (expected) *)
   escaped : int;  (** exceptions other than armed injections *)
@@ -39,6 +42,7 @@ let run ?(seeds = 100) ?(seed = 0) ?(fault_rate = 0.0) () =
   let parsed = ref 0
   and scheduled = ref 0
   and schedule_rejected = ref 0
+  and invalid = ref 0
   and simulated = ref 0
   and injected = ref 0
   and escaped = ref 0
@@ -69,6 +73,14 @@ let run ?(seeds = 100) ?(seed = 0) ?(fault_rate = 0.0) () =
           | Error _ -> incr schedule_rejected
           | Ok schedules ->
             incr scheduled;
+            List.iter
+              (fun s ->
+                match Schedule.validate s sys with
+                | Ok () -> ()
+                | Error e ->
+                  incr invalid;
+                  fail i (Printf.sprintf "%s: invalid schedule: %s" k.Ir.name e))
+              schedules;
             ignore (Sim.run sys schedules);
             incr simulated
         end
@@ -98,6 +110,7 @@ let run ?(seeds = 100) ?(seed = 0) ?(fault_rate = 0.0) () =
     parsed = !parsed;
     scheduled = !scheduled;
     schedule_rejected = !schedule_rejected;
+    invalid = !invalid;
     simulated = !simulated;
     injected = !injected;
     escaped = !escaped;
@@ -110,11 +123,11 @@ let summary_to_string s =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf
-       "fuzz: %d seeds | parsed %d | scheduled %d (rejected %d) | simulated \
-        %d | injected %d | escaped %d | violations %d | grammar coverage \
-        %.0f%%\n"
-       s.runs s.parsed s.scheduled s.schedule_rejected s.simulated s.injected
-       s.escaped s.violations
+       "fuzz: %d seeds | parsed %d | scheduled %d (rejected %d, invalid %d) \
+        | simulated %d | injected %d | escaped %d | violations %d | grammar \
+        coverage %.0f%%\n"
+       s.runs s.parsed s.scheduled s.schedule_rejected s.invalid s.simulated
+       s.injected s.escaped s.violations
        (100.0 *. Gen.Cov.fraction s.coverage));
   (match Gen.Cov.missing s.coverage with
   | [] -> ()

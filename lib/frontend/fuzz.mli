@@ -6,13 +6,18 @@
     spatial scheduling on the general overlay and simulation — optionally
     under the fault harness.  Failing to fit on the fabric and armed
     fault injections are legal outcomes; a parse rejection, a structural
-    round-trip mismatch or any other escaped exception is a violation. *)
+    round-trip mismatch, a returned schedule that fails
+    {!Overgen_scheduler.Schedule.validate} against the overlay, or any other
+    escaped exception is a violation. *)
 
 type summary = {
   runs : int;
   parsed : int;
   scheduled : int;
   schedule_rejected : int;
+  invalid : int;
+      (** returned schedules that fail validation; each is also a
+          violation *)
   simulated : int;
   injected : int;
   escaped : int;
@@ -29,7 +34,7 @@ val run : ?seeds:int -> ?seed:int -> ?fault_rate:float -> unit -> summary
 val summary_to_string : summary -> string
 
 val ok : summary -> bool
-(** No violations and no escaped exceptions. *)
+(** No violations (so no invalid schedules) and no escaped exceptions. *)
 
 val round_trip_suite : unit -> (string * string) list
 (** Round-trip every suite kernel through emit -> parse, checking

@@ -47,11 +47,20 @@ let m_incremental_fallback =
    scheduling state, so one [topo] serves every context built against the
    same graph value.  The scratch arrays for route search live here too:
    they are reset in O(1) by bumping [visit_gen], and route searches never
-   nest, so sharing them across contexts of one domain is safe. *)
+   nest, so sharing them across contexts of one domain is safe.
+
+   Edges are numbered in CSR order: the edge [a -> succs.(a).(j)] has id
+   [e_off.(a) + j].  [Adg.succs] is sorted and free of duplicates, so each
+   (a, b) pair has exactly one id, and ids ascend in (a, b) order.  Link
+   ownership is an array indexed by edge id, so the router reads it
+   without hashing a key. *)
 type topo = {
   n_ids : int;                         (* ids are < n_ids *)
   comp_arr : Comp.t option array;      (* O(1) Adg.comp *)
   succs : int array array;
+  e_off : int array;                   (* n_ids + 1 entries; last = edge count *)
+  e_src : int array;                   (* source node of each edge id *)
+  e_lanes : int array;                 (* values each edge carries per cycle *)
   is_sw : bool array;
   lane_w : int array;                  (* fabric width in bits; -1 = none *)
   pes : (Adg.id * Comp.pe) list;
@@ -62,7 +71,7 @@ type topo = {
   spads : (Adg.id * Comp.engine) list;
   dmas : (Adg.id * Comp.engine) list;
   max_in_fifo : int;
-  dist_cache : (Adg.id, int array) Hashtbl.t;  (* BFS maps, filled lazily *)
+  dist_cache : int array array;        (* BFS map per source; [||] = not yet *)
   cap_cache : (Op.t * Dtype.t, (Adg.id * Comp.pe) list) Hashtbl.t;
       (* PEs statically capable of (op, dtype): caps + width *)
   mutable repair_memo : (Schedule.t list * Schedule.t list) option;
@@ -78,6 +87,18 @@ type topo = {
   mutable h_len : int;
   mutable visit_gen : int;
 }
+
+(* How many distinct 64-bit values one hop can carry per cycle: wider
+   switches carry subword lanes in parallel; ports and engines aggregate a
+   whole vector, so their adjacent hops are not the bottleneck (the port
+   width is accounted separately in the II).  [lane_w] is the fabric width
+   in bits of each node, -1 for none. *)
+let lane_capacity lane_w a b =
+  let wa = lane_w.(a) and wb = lane_w.(b) in
+  if wa >= 0 then
+    if wb >= 0 then max 1 (min wa wb / 64) else max 1 (wa / 64 * 4)
+  else if wb >= 0 then max 1 (wb / 64 * 4)
+  else 16
 
 let build_topo adg =
   let n = max 1 (Adg.max_id adg + 1) in
@@ -96,11 +117,27 @@ let build_topo adg =
       | Comp.Pe p -> lane_w.(id) <- p.Comp.width_bits
       | Comp.In_port _ | Comp.Out_port _ | Comp.Engine _ -> ())
     (Adg.nodes adg);
+  let e_off = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    e_off.(id + 1) <- e_off.(id) + Array.length succs.(id)
+  done;
+  let n_edges = e_off.(n) in
+  let e_src = Array.make n_edges 0 and e_lanes = Array.make n_edges 0 in
+  for id = 0 to n - 1 do
+    Array.iteri
+      (fun j b ->
+        e_src.(e_off.(id) + j) <- id;
+        e_lanes.(e_off.(id) + j) <- lane_capacity lane_w id b)
+      succs.(id)
+  done;
   let in_ports = Adg.in_ports adg in
   {
     n_ids = n;
     comp_arr;
     succs;
+    e_off;
+    e_src;
+    e_lanes;
     is_sw;
     lane_w;
     pes = Adg.pes adg;
@@ -114,15 +151,15 @@ let build_topo adg =
       List.fold_left
         (fun acc (_, (p : Comp.port)) -> max acc p.fifo_depth)
         0 in_ports;
-    dist_cache = Hashtbl.create 16;
+    dist_cache = Array.make n [||];
     cap_cache = Hashtbl.create 16;
     repair_memo = None;
     d_dist = Array.make n max_int;
     d_parent = Array.make n (-1);
     d_seen = Array.make n 0;
     d_settled = Array.make n 0;
-    h_key = Array.make (Adg.edge_count adg + n + 1) 0;
-    h_id = Array.make (Adg.edge_count adg + n + 1) 0;
+    h_key = Array.make (n_edges + n + 1) 0;
+    h_id = Array.make (n_edges + n + 1) 0;
     h_len = 0;
     visit_gen = 0;
   }
@@ -144,10 +181,30 @@ let topo_of adg =
     slot := Some (adg, t);
     t
 
-let array_mem x arr =
+let array_mem (x : int) arr =
   let n = Array.length arr in
   let rec go i = i < n && (arr.(i) = x || go (i + 1)) in
   go 0
+
+(* [Adg.mem_edge] on the topology; false for an id beyond the graph *)
+let mem_edge t a b =
+  a >= 0 && a < t.n_ids && array_mem b t.succs.(a)
+
+(* The id of edge [a -> b], by a scan of [a]'s successors. *)
+let edge_id t a b =
+  let nexts = t.succs.(a) in
+  let n = Array.length nexts in
+  let rec go j =
+    if j = n then
+      invalid_arg (Printf.sprintf "Spatial: %d->%d is not an edge" a b)
+    else if nexts.(j) = b then t.e_off.(a) + j
+    else go (j + 1)
+  in
+  go 0
+
+let rec int_mem (x : int) = function
+  | [] -> false
+  | y :: rest -> y = x || int_mem x rest
 
 (* ------------------------------------------------------------------ *)
 (* Context: resource usage + undo log                                  *)
@@ -162,7 +219,7 @@ type undo =
   | U_port of Adg.id
   | U_spad of Adg.id * int
   | U_demand of Adg.id * float
-  | U_link of (Adg.id * Adg.id) * int list option
+  | U_link of int * int list  (* edge id, previous owners *)
 
 type ctx = {
   sys : Sys_adg.t;
@@ -171,7 +228,7 @@ type ctx = {
   used_ports : bool array;
   spad_used : int array;
   engine_demand : float array;
-  link_owner : (Adg.id * Adg.id, int list) Hashtbl.t;
+  link_owner : int list array;  (* route tags per edge id; [] = unused *)
   mutable next_tag : int;
   mutable log : undo array;
   mutable log_stamp : int array;  (* push id of each entry, for staleness *)
@@ -189,7 +246,7 @@ let fresh_ctx sys =
     used_ports = Array.make n false;
     spad_used = Array.make n 0;
     engine_demand = Array.make n 0.0;
-    link_owner = Hashtbl.create 64;
+    link_owner = Array.make topo.e_off.(n) [];
     next_tag = 0;
     log = [||];
     log_stamp = [||];
@@ -233,9 +290,9 @@ let set_demand c id v =
   log_push c (U_demand (id, c.engine_demand.(id)));
   c.engine_demand.(id) <- v
 
-let set_link c key owners =
-  log_push c (U_link (key, Hashtbl.find_opt c.link_owner key));
-  Hashtbl.replace c.link_owner key owners
+let set_link c e owners =
+  log_push c (U_link (e, c.link_owner.(e)));
+  c.link_owner.(e) <- owners
 
 type snap = { m_len : int; m_gen : int; m_tag : int }
 
@@ -259,10 +316,7 @@ let restore c m =
     | U_port id -> c.used_ports.(id) <- false
     | U_spad (id, prev) -> c.spad_used.(id) <- prev
     | U_demand (id, prev) -> c.engine_demand.(id) <- prev
-    | U_link (key, prev) -> (
-      match prev with
-      | None -> Hashtbl.remove c.link_owner key
-      | Some owners -> Hashtbl.replace c.link_owner key owners)
+    | U_link (e, prev) -> c.link_owner.(e) <- prev
   done;
   c.log_len <- m.m_len;
   c.next_tag <- m.m_tag;
@@ -282,12 +336,17 @@ let debug_state c =
   Array.iteri
     (fun id v -> if v <> 0.0 then Printf.bprintf b "demand %d=%.17g\n" id v)
     c.engine_demand;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.link_owner []
-  |> List.filter (fun (_, owners) -> owners <> [])
-  |> List.sort compare
-  |> List.iter (fun ((a, bb), owners) ->
-         Printf.bprintf b "link %d->%d=[%s]\n" a bb
-           (String.concat ";" (List.map string_of_int owners)));
+  (* edge ids ascend in (source, destination) order *)
+  let t = c.topo in
+  Array.iteri
+    (fun e owners ->
+      if owners <> [] then begin
+        let a = t.e_src.(e) in
+        Printf.bprintf b "link %d->%d=[%s]\n" a
+          t.succs.(a).(e - t.e_off.(a))
+          (String.concat ";" (List.map string_of_int owners))
+      end)
+    c.link_owner;
   Printf.bprintf b "next_tag %d\n" c.next_tag;
   Buffer.contents b
 
@@ -299,23 +358,9 @@ let debug_state c =
    free and each additional foreign value costs dearly. *)
 let max_share = 4
 
-let owners ctx a b =
-  Option.value ~default:[] (Hashtbl.find_opt ctx.link_owner (a, b))
-
-(* How many distinct 64-bit values one hop can carry per cycle: wider
-   switches carry subword lanes in parallel; ports and engines aggregate a
-   whole vector, so their adjacent hops are not the bottleneck (the port
-   width is accounted separately in the II). *)
-let lane_capacity ctx a b =
-  let wa = ctx.topo.lane_w.(a) and wb = ctx.topo.lane_w.(b) in
-  if wa >= 0 then
-    if wb >= 0 then max 1 (min wa wb / 64) else max 1 (wa / 64 * 4)
-  else if wb >= 0 then max 1 (wb / 64 * 4)
-  else 16
-
-let effective_share ctx a b extra =
-  let n = List.length (owners ctx a b) + extra in
-  Overgen_util.Stats.div_ceil n (lane_capacity ctx a b)
+let effective_share ctx a b =
+  let e = edge_id ctx.topo a b in
+  Overgen_util.Stats.div_ceil (List.length ctx.link_owner.(e)) ctx.topo.e_lanes.(e)
 
 let heap_push t key id =
   let k = t.h_key and v = t.h_id in
@@ -372,6 +417,20 @@ let heap_pop t =
     top
   end
 
+(* Cost of carrying [tag] over an edge with owners [os] and [lanes] lanes:
+   1 for a free edge or one already carrying [tag], 8 more per extra
+   cycle of sharing, -1 beyond [max_share]. *)
+let edge_cost ~tag os lanes =
+  match os with
+  | [] -> 1 (* one value fits any edge: lanes >= 1 *)
+  | _ ->
+    if int_mem tag os then 1
+    else
+      let eff = Overgen_util.Stats.div_ceil (List.length os + 1) lanes in
+      if eff > max_share then -1 else 1 + (8 * (eff - 1))
+
+(* Dijkstra over edge ids: the relaxation loop allocates nothing and does
+   no polymorphic hash or compare. *)
 let find_route ctx ~tag ~src ~dst =
   let t = ctx.topo in
   t.visit_gen <- t.visit_gen + 1;
@@ -379,16 +438,10 @@ let find_route ctx ~tag ~src ~dst =
   let dist = t.d_dist
   and parent = t.d_parent
   and seen = t.d_seen
-  and settled = t.d_settled in
-  let edge_cost a b =
-    let os = owners ctx a b in
-    if List.mem tag os then 1
-    else
-      let eff =
-        Overgen_util.Stats.div_ceil (List.length os + 1) (lane_capacity ctx a b)
-      in
-      if eff > max_share then -1 else 1 + (8 * (eff - 1))
-  in
+  and settled = t.d_settled
+  and is_sw = t.is_sw
+  and owner = ctx.link_owner
+  and lanes = t.e_lanes in
   dist.(src) <- 0;
   seen.(src) <- vg;
   t.h_len <- 0;
@@ -404,27 +457,29 @@ let find_route ctx ~tag ~src ~dst =
         found := true;
         finished := true
       end
-      else if cur = src || t.is_sw.(cur) then
-        Array.iter
-          (fun next ->
-            if next = dst || t.is_sw.(next) then begin
-              let c = edge_cost cur next in
-              if c >= 0 then begin
-                let nd = dist.(cur) + c in
-                if seen.(next) <> vg then begin
-                  seen.(next) <- vg;
-                  dist.(next) <- nd;
-                  parent.(next) <- cur;
-                  heap_push t nd next
-                end
-                else if settled.(next) <> vg && nd < dist.(next) then begin
-                  dist.(next) <- nd;
-                  parent.(next) <- cur;
-                  heap_push t nd next
-                end
+      else if cur = src || is_sw.(cur) then begin
+        let nexts = t.succs.(cur) and base = t.e_off.(cur) and dc = dist.(cur) in
+        for j = 0 to Array.length nexts - 1 do
+          let next = nexts.(j) in
+          if next = dst || is_sw.(next) then begin
+            let c = edge_cost ~tag owner.(base + j) lanes.(base + j) in
+            if c >= 0 then begin
+              let nd = dc + c in
+              if seen.(next) <> vg then begin
+                seen.(next) <- vg;
+                dist.(next) <- nd;
+                parent.(next) <- cur;
+                heap_push t nd next
               end
-            end)
-          t.succs.(cur)
+              else if settled.(next) <> vg && nd < dist.(next) then begin
+                dist.(next) <- nd;
+                parent.(next) <- cur;
+                heap_push t nd next
+              end
+            end
+          end
+        done
+      end
     end
   done;
   if not !found then None
@@ -435,11 +490,14 @@ let find_route ctx ~tag ~src ~dst =
     Some (build [] dst)
   end
 
+(* [claim_route] and [max_share_on] raise [Invalid_argument] on a hop pair
+   that is not an edge. *)
 let claim_route ctx ~tag hops =
   let rec go = function
     | a :: (b :: _ as rest) ->
-      let os = owners ctx a b in
-      if not (List.mem tag os) then set_link ctx (a, b) (tag :: os);
+      let e = edge_id ctx.topo a b in
+      let os = ctx.link_owner.(e) in
+      if not (int_mem tag os) then set_link ctx e (tag :: os);
       go rest
     | [ _ ] | [] -> ()
   in
@@ -449,7 +507,7 @@ let max_share_on ctx hops_list =
   List.fold_left
     (fun acc hops ->
       let rec go acc = function
-        | a :: (b :: _ as rest) -> go (max acc (effective_share ctx a b 0)) rest
+        | a :: (b :: _ as rest) -> go (Int.max acc (effective_share ctx a b)) rest
         | [ _ ] | [] -> acc
       in
       go acc hops)
@@ -460,9 +518,8 @@ let max_share_on ctx hops_list =
    context over the same graph. *)
 let distances ctx src =
   let t = ctx.topo in
-  match Hashtbl.find_opt t.dist_cache src with
-  | Some d -> d
-  | None ->
+  match t.dist_cache.(src) with
+  | [||] ->
     let d = Array.make t.n_ids max_int in
     let q = Queue.create () in
     d.(src) <- 0;
@@ -479,8 +536,9 @@ let distances ctx src =
             end)
           t.succs.(cur)
     done;
-    Hashtbl.replace t.dist_cache src d;
+    t.dist_cache.(src) <- d;
     d
+  | d -> d
 
 (* ---------- stream classification ---------- *)
 
@@ -521,37 +579,30 @@ let capable_pes ctx ~op ~dtype =
     Hashtbl.replace t.cap_cache (op, dtype) l;
     l
 
-let pe_candidates ctx ~op ~dtype ~n_consts =
-  List.filter
-    (fun (pe_id, (p : Comp.pe)) ->
-      (not ctx.used_pes.(pe_id)) && p.const_regs >= n_consts)
-    (capable_pes ctx ~op ~dtype)
-
-(* nearest-to-producers PE *)
-let best_pe ctx cands producers =
+(* The free capable PE with enough constant registers nearest its
+   producers (summed BFS distance, 1000 per unreachable producer; the
+   earliest capable PE on ties), or None. *)
+let best_pe ctx ~op ~dtype ~n_consts producers =
   let dists = List.map (distances ctx) producers in
-  let score pe_id =
-    List.fold_left
-      (fun acc d ->
-        let d = d.(pe_id) in
-        acc + if d = max_int then 1000 else d)
-      0 dists
+  let rec score acc pe_id = function
+    | [] -> acc
+    | d :: rest ->
+      let x = d.(pe_id) in
+      score (acc + if x = max_int then 1000 else x) pe_id rest
   in
-  match cands with
-  | [] -> None
-  | (first, _) :: rest ->
-    let best, _ =
-      List.fold_left
-        (fun (b, bs) (pe_id, _) ->
-          let s = score pe_id in
-          if s < bs then (pe_id, s) else (b, bs))
-        (first, score first) rest
-    in
-    Some best
+  let rec go best best_score = function
+    | [] -> if best < 0 then None else Some best
+    | (pe_id, (p : Comp.pe)) :: rest ->
+      if ctx.used_pes.(pe_id) || p.const_regs < n_consts then
+        go best best_score rest
+      else
+        let s = score 0 pe_id dists in
+        if s < best_score then go pe_id s rest else go best best_score rest
+  in
+  go (-1) max_int (capable_pes ctx ~op ~dtype)
 
 (* smallest adequate width first, to keep wide ports available *)
 let choose_port ctx ~dir ~eng ~mem_eng ~need_mem_feed (s : Stream.t) =
-  let adg = ctx.sys.Sys_adg.adg in
   let cands =
     match dir with `In -> ctx.topo.in_ports | `Out -> ctx.topo.out_ports
   in
@@ -562,31 +613,37 @@ let choose_port ctx ~dir ~eng ~mem_eng ~need_mem_feed (s : Stream.t) =
     && (match eng with
        | Some e -> (
          match dir with
-         | `In -> Adg.mem_edge adg e id
-         | `Out -> Adg.mem_edge adg id e)
+         | `In -> mem_edge ctx.topo e id
+         | `Out -> mem_edge ctx.topo id e)
        | None -> true)
     && (* recurrence read ports must also be fed by the memory engine
           holding the array, for the initial fill *)
     ((not need_mem_feed)
-    || match mem_eng with Some m -> Adg.mem_edge adg m id | None -> true)
+    || match mem_eng with Some m -> mem_edge ctx.topo m id | None -> true)
   in
-  let cands = List.filter ok cands in
-  let cands =
-    List.sort
-      (fun (_, (a : Comp.port)) (_, (b : Comp.port)) ->
-        let full = Stream.bytes_per_firing s in
-        let score (p : Comp.port) =
-          if p.width_bytes >= full then (0, p.width_bytes)
-          else (1, -p.width_bytes)
-        in
-        compare (score a) (score b))
-      cands
+  let full = Stream.bytes_per_firing s in
+  (* ports wide enough for a whole firing first, the narrowest of them;
+     otherwise the widest *)
+  let better (a : Comp.port) (b : Comp.port) =
+    let fa = a.width_bytes >= full and fb = b.width_bytes >= full in
+    if fa <> fb then fa
+    else if fa then a.width_bytes < b.width_bytes
+    else a.width_bytes > b.width_bytes
   in
-  match cands with
-  | (id, _) :: _ ->
+  (* the first best in list order *)
+  let rec pick best = function
+    | [] -> best
+    | ((_, p) as c) :: rest when ok c -> (
+      match best with
+      | Some (_, bp) when not (better p bp) -> pick best rest
+      | _ -> pick (Some c) rest)
+    | _ :: rest -> pick best rest
+  in
+  match pick None cands with
+  | Some (id, _) ->
     use_port ctx id;
     Some id
-  | [] -> None
+  | None -> None
 
 (* ---------- the scheduler ---------- *)
 
@@ -796,15 +853,14 @@ let schedule_variant ctx (v : Compile.variant) =
       (fun (n : Dfg.node) ->
         match n.kind with
         | Dfg.Inst { op; dtype; _ } ->
-          let cands =
-            pe_candidates ctx ~op ~dtype ~n_consts:(n_consts_of v n)
-          in
           let producers =
             List.filter_map
               (fun (o : Dfg.operand) -> adg_node_of o.src)
               n.operands
           in
-          (match best_pe ctx cands producers with
+          (match
+             best_pe ctx ~op ~dtype ~n_consts:(n_consts_of v n) producers
+           with
           | None ->
             failf "no free PE for %s.%s" (Op.to_string op)
               (Dtype.to_string dtype)
@@ -814,7 +870,13 @@ let schedule_variant ctx (v : Compile.variant) =
         | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ())
       (Dfg.nodes v.dfg);
     (* --- routing --- *)
-    let route_tbl = Hashtbl.create 32 in
+    (* routes into each node, newest first: a node that reads one source
+       twice keeps the later route for both reads *)
+    let routes_into = Array.make dfg_n [] in
+    let rec route_from (src : int) = function
+      | [] -> None
+      | (s, r) :: rest -> if s = src then Some r else route_from src rest
+    in
     List.iter
       (fun (n : Dfg.node) ->
         List.iter
@@ -828,8 +890,8 @@ let schedule_variant ctx (v : Compile.variant) =
                 match find_route ctx ~tag ~src ~dst with
                 | Some hops ->
                   claim_route ctx ~tag hops;
-                  Hashtbl.replace route_tbl (o.src, n.id)
-                    { Schedule.hops; delay = 0 }
+                  routes_into.(n.id) <-
+                    (o.src, { Schedule.hops; delay = 0 }) :: routes_into.(n.id)
                 | None ->
                   Obs.incr m_route_fail;
                   failf "no route %d->%d" src dst)
@@ -844,8 +906,8 @@ let schedule_variant ctx (v : Compile.variant) =
       | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> 0
     in
     let route_len src dst =
-      match Hashtbl.find_opt route_tbl (src, dst) with
-      | Some r -> max 0 (List.length r.Schedule.hops - 1)
+      match route_from src routes_into.(dst) with
+      | Some r -> Int.max 0 (List.length r.Schedule.hops - 1)
       | None -> 0
     in
     let routes_with_delay = ref [] in
@@ -866,13 +928,13 @@ let schedule_variant ctx (v : Compile.variant) =
                 Some (o.src, a))
             n.operands
         in
-        let t_max = List.fold_left (fun acc (_, a) -> max acc a) 0 op_arrivals in
+        let t_max = List.fold_left (fun acc (_, a) -> Int.max acc a) 0 op_arrivals in
         arrival.(n.id) <- t_max;
         (* set delays to balance operand arrival *)
         List.iter
           (fun (src, a) ->
             let slack = t_max - a in
-            match Hashtbl.find_opt route_tbl (src, n.id) with
+            match route_from src routes_into.(n.id) with
             | Some r ->
               let budget =
                 match Imap.find_opt n.id !inst_pe with
@@ -887,7 +949,7 @@ let schedule_variant ctx (v : Compile.variant) =
                  exists precisely to remove this penalty *)
               if slack > budget then
                 skew_penalty :=
-                  max !skew_penalty
+                  Int.max !skew_penalty
                     (Overgen_util.Stats.div_ceil (slack + 1) (budget + 1));
               routes_with_delay :=
                 ((src, n.id), { r with Schedule.delay = min slack budget })
@@ -929,7 +991,7 @@ type cell =
   | R_port of Adg.id
   | R_spad of Adg.id * int
   | R_demand of Adg.id * float
-  | R_link of (Adg.id * Adg.id) * int list
+  | R_link of int * int list  (* edge id, owners *)
 
 type redo = { cells : cell array; tag : int }
 
@@ -942,7 +1004,7 @@ let capture c m =
           | U_port id -> R_port id
           | U_spad (id, _) -> R_spad (id, c.spad_used.(id))
           | U_demand (id, _) -> R_demand (id, c.engine_demand.(id))
-          | U_link (key, _) -> R_link (key, Hashtbl.find c.link_owner key));
+          | U_link (e, _) -> R_link (e, c.link_owner.(e)));
     tag = c.next_tag;
   }
 
@@ -953,7 +1015,7 @@ let replay c r =
       | R_port id -> use_port c id
       | R_spad (id, v) -> set_spad c id v
       | R_demand (id, v) -> set_demand c id v
-      | R_link (key, owners) -> set_link c key owners)
+      | R_link (e, owners) -> set_link c e owners)
     r.cells;
   c.next_tag <- r.tag
 
@@ -1126,7 +1188,7 @@ let repair sys schedules =
   | Some (key, result) when key == schedules -> Ok result
   | _ ->
   let comp id = if id >= 0 && id < t.n_ids then t.comp_arr.(id) else None in
-  let mem_edge a b = a >= 0 && a < t.n_ids && array_mem b t.succs.(a) in
+  let mem_edge = mem_edge t in
   (* Fast path: everything still valid; just refresh IIs. *)
   let all_valid =
     List.for_all
@@ -1279,9 +1341,6 @@ let incremental_attempt sys prior =
           let n = Dfg.node v.dfg inst in
           match n.kind with
           | Dfg.Inst { op; dtype; _ } -> (
-            let cands =
-              pe_candidates ctx ~op ~dtype ~n_consts:(n_consts_of v n)
-            in
             let producers =
               List.filter_map
                 (fun (o : Dfg.operand) ->
@@ -1291,7 +1350,9 @@ let incremental_attempt sys prior =
                   | Dfg.Const _ -> None)
                 n.operands
             in
-            match best_pe ctx cands producers with
+            match
+              best_pe ctx ~op ~dtype ~n_consts:(n_consts_of v n) producers
+            with
             | Some pe ->
               use_pe ctx pe;
               inst_pe := Imap.add inst pe !inst_pe

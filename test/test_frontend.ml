@@ -535,6 +535,7 @@ let test_fuzz_smoke () =
   Alcotest.(check int) "every seed ran" 50 s.Fuzz.runs;
   Alcotest.(check int) "no escaped exceptions" 0 s.Fuzz.escaped;
   Alcotest.(check int) "no invariant violations" 0 s.Fuzz.violations;
+  Alcotest.(check int) "every schedule validates" 0 s.Fuzz.invalid;
   Alcotest.(check bool) "schedules happened" true (s.Fuzz.scheduled > 0)
 
 let test_fuzz_with_faults () =
@@ -542,6 +543,7 @@ let test_fuzz_with_faults () =
   Alcotest.(check int) "no escaped exceptions under faults" 0 s.Fuzz.escaped;
   Alcotest.(check int) "no invariant violations under faults" 0
     s.Fuzz.violations;
+  Alcotest.(check int) "every schedule validates under faults" 0 s.Fuzz.invalid;
   Alcotest.(check bool) "faults actually injected" true (s.Fuzz.injected > 0)
 
 (* the test binary runs from the project root under [dune exec] and from

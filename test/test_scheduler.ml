@@ -588,12 +588,152 @@ let test_incremental_replaces_only_broken () =
           old_s.inst_pe)
       prior scheds
 
+(* ---------- scheduler work golden ---------- *)
+
+(* Dse.explore's 3x4 seed mesh, rebuilt with the same arguments and the
+   capability pool of the 19 suite kernels. *)
+let seed_mesh_3x4 () =
+  let caps =
+    Overgen_dse.Dse.caps_pool
+      (List.map (Compile.compile ~tuned:false) Kernels.all)
+  in
+  let engines =
+    [
+      { (Comp.default_engine Comp.Dma) with indirect = true };
+      { (Comp.default_engine Comp.Spad) with indirect = true };
+      Comp.default_engine Comp.Rec;
+      Comp.default_engine Comp.Gen;
+      Comp.default_engine Comp.Reg;
+    ]
+  in
+  Sys_adg.make
+    (Builder.mesh ~rows:3 ~cols:4 ~caps ~sw_width_bits:128 ~width_bits:64
+       ~in_port_widths:[ 32; 32; 16; 16; 16; 8; 8; 8 ]
+       ~out_port_widths:[ 32; 16; 16; 8; 8 ] ~engines)
+    System.default
+
+(* Everything a schedule decides, as canonical text: placements, port
+   map, engine bindings, route hops and delays, link share, skew penalty
+   and II, region by region. *)
+let schedule_text (scheds : Schedule.t list) =
+  let b = Buffer.create 1024 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let imap m =
+    ints (List.concat_map (fun (k, v) -> [ k; v ]) (Schedule.Imap.bindings m))
+  in
+  let assoc f l =
+    String.concat ";" (List.map (fun (k, v) -> f k ^ "=" ^ string_of_int v) l)
+  in
+  List.iter
+    (fun (s : Schedule.t) ->
+      Printf.bprintf b
+        "unroll %d|pe %s|port %s|arr %s|rec %s|reg %s|share %d|skew %d|ii %d\n"
+        s.variant.unroll (imap s.inst_pe) (imap s.port_map)
+        (assoc Fun.id s.array_engine)
+        (assoc string_of_int s.rec_streams)
+        (assoc string_of_int s.reg_streams)
+        s.max_link_share s.skew_penalty s.ii;
+      List.iter
+        (fun ((src, dst), (r : Schedule.route)) ->
+          Printf.bprintf b "route %d->%d [%s] delay %d\n" src dst (ints r.hops)
+            r.delay)
+        s.routes)
+    scheds;
+  Buffer.contents b
+
+let schedule_digest = function
+  | Ok scheds -> Digest.to_hex (Digest.string (schedule_text scheds))
+  | Error e -> "error: " ^ e
+
+let counter name = Obs.Metrics.counter Obs.Metrics.default name
+
+let work_row sys label (k : Ir.kernel) =
+  let c = Compile.compile ~tuned:false k in
+  let tried = counter "overgen_scheduler_variants_tried_total"
+  and popped = counter "overgen_scheduler_rollback_entries_total" in
+  let t0 = Obs.Metrics.counter_value tried
+  and p0 = Obs.Metrics.counter_value popped in
+  Obs.enable ();
+  let r =
+    Fun.protect ~finally:Obs.disable (fun () -> Spatial.schedule_app sys c)
+  in
+  let t1 = Obs.Metrics.counter_value tried
+  and p1 = Obs.Metrics.counter_value popped in
+  (* warm: the topology caches of [sys] are filled by the first call *)
+  let w0 = Gc.minor_words () in
+  let r' = Spatial.schedule_app sys c in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check string) (label ^ "/" ^ k.name ^ " repeatable")
+    (schedule_digest r) (schedule_digest r');
+  Printf.sprintf "%s/%s\t%s\t%d\t%d\t%.0f" label k.name (schedule_digest r)
+    (t1 - t0) (p1 - p0) words
+
+(* Scheduler output and work pinned across commits: per kernel on the
+   general overlay and on the DSE's 3x4 seed mesh, the schedule digest
+   (or error), the variants tried, the undo-log entries popped, and the
+   minor words of a warm schedule_app with Obs off.  The last column
+   depends on the compiler, hence the OCaml version stamp.  Regenerate
+   with OVERGEN_WORK_GOLDEN_OUT=<file> dune test, then copy the file over
+   test/work-golden.tsv — only when a change to scheduler output or
+   allocation is intended. *)
+let test_work_golden_table () =
+  let general = general () and mesh = seed_mesh_3x4 () in
+  (* accumulate and vecmax share links on the general overlay, so the
+     table pins the router's owner-count cost *)
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " shares a link") 2
+        (List.fold_left
+           (fun acc (s : Schedule.t) -> max acc s.max_link_share)
+           1 (ok_schedules general name)))
+    [ "accumulate"; "vecmax" ];
+  let rows sys label = List.map (work_row sys label) Kernels.all in
+  Golden.check ~stamp:("ocaml " ^ Sys.ocaml_version) ~file:"work-golden.tsv"
+    ~regen_var:"OVERGEN_WORK_GOLDEN_OUT"
+    ~header:
+      "# overlay/kernel\tschedule digest or error\tvariants tried\tundo \
+       entries popped\twarm minor words\n"
+    (rows general "general" @ rows mesh "mesh3x4")
+
+(* Two domains scheduling the suite at once: each domain builds its own
+   topology cache, and all owner state lives in the per-call context, so
+   every digest equals the single-domain run's and the (atomic) counters
+   see exactly twice the single run's variants. *)
+let test_scheduler_on_two_domains () =
+  let overlays = [ general (); seed_mesh_3x4 () ] in
+  let compiled = List.map (Compile.compile ~tuned:false) Kernels.all in
+  let digests () =
+    List.concat_map
+      (fun sys ->
+        List.map (fun c -> schedule_digest (Spatial.schedule_app sys c)) compiled)
+      overlays
+  in
+  let tried = counter "overgen_scheduler_variants_tried_total" in
+  let counted f =
+    let t0 = Obs.Metrics.counter_value tried in
+    Obs.enable ();
+    let r = Fun.protect ~finally:Obs.disable f in
+    (r, Obs.Metrics.counter_value tried - t0)
+  in
+  let seq, seq_tried = counted digests in
+  let (here, there), par_tried =
+    counted (fun () ->
+        let d = Domain.spawn digests in
+        let here = digests () in
+        (here, Domain.join d))
+  in
+  Alcotest.(check (list string)) "spawned domain" seq there;
+  Alcotest.(check (list string)) "calling domain" seq here;
+  Alcotest.(check int) "variants counted" (2 * seq_tried) par_tried
+
 let tests =
   [
     Alcotest.test_case "all kernels schedule on general" `Quick
       test_all_kernels_schedule_on_general;
     Alcotest.test_case "double restore" `Quick test_double_restore;
     Alcotest.test_case "schedules validate" `Quick test_schedules_validate;
+    Alcotest.test_case "work golden table" `Quick test_work_golden_table;
+    Alcotest.test_case "scheduler on two domains" `Quick test_scheduler_on_two_domains;
     Alcotest.test_case "dedicated PEs" `Quick test_dedicated_pes;
     Alcotest.test_case "ports not shared" `Quick test_ports_not_shared_across_regions;
     Alcotest.test_case "fir recurrence engine" `Quick test_fir_uses_recurrence_engine;
