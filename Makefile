@@ -36,7 +36,7 @@ check-net:
 	dune build @net-smoke
 
 # Trace smoke: a 2-shard in-process cluster serving a traced self-test
-# (deterministic trace ids, 1-in-50 deliberate misroutes so forwards
+# (deterministic trace ids, 1-in-50 deliberate misroutes so redirects
 # happen), its flight-recorder dump, a live metrics/health/events scrape,
 # then trace-merge + trace-validate on the emitted span lane.
 check-trace:

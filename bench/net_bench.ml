@@ -249,9 +249,9 @@ let run extra =
   parse extra;
   let n = !requests and rate = !rate and shards = !shards in
   let kill = !kill && shards >= 2 in
-  (* every ~101st request is deliberately misrouted so the server-side
-     forward path shows up in the trace; a correctly-routing client
-     would never exercise it *)
+  (* every ~101st request is deliberately misrouted so the server's
+     redirect path runs; a correctly-routing client would never exercise
+     it *)
   let misroute_every = if shards >= 2 then Some 101 else None in
   Exp_common.header
     (Printf.sprintf
@@ -357,9 +357,9 @@ let run extra =
          "restarted shard replayed nothing from its durable store" :: !failures;
      (* --- live ops plane: scrape shard 0 (never killed) and cross-check
         its counters against the load generator's ledger.  Shard 0 must
-        have received every completed request it owns (forwards included),
-        and can't have received more than everything the client ever sent
-        plus what peers forwarded in. *)
+        have received every completed request it owns, and can't have
+        received more than everything the client ever sent: each
+        request's first send, every resend and every redirect followed. *)
      let mtext = shard_metrics cluster.(0) in
      let prom name =
        match prom_value mtext name with
@@ -369,7 +369,7 @@ let run extra =
          0.0
      in
      let req_total0 = prom "overgen_net_requests_total" in
-     let forwards0 = prom "overgen_net_forwards_total" in
+     let redirects0 = prom "overgen_net_redirects_total" in
      if not (contains mtext "overgen_net_request_ms_bucket") then
        failures := "shard 0 metrics lack the request_ms histogram" :: !failures;
      let map = Shard_map.make ~shards in
@@ -388,8 +388,8 @@ let run extra =
        wire_requests;
      Printf.printf
        "  ops plane: shard 0 requests_total %.0f (owns %d of the trace, %d \
-        misrouted to it), forwards_total %.0f\n"
-       req_total0 !owned0 !mis_to0 forwards0;
+        misrouted to it), redirects_total %.0f\n"
+       req_total0 !owned0 !mis_to0 redirects0;
      if summary.Load_gen.completed = n && int_of_float req_total0 < !owned0 then
        failures :=
          Printf.sprintf
@@ -397,9 +397,7 @@ let run extra =
             completed ones"
            req_total0 !owned0
          :: !failures;
-     let upper =
-       n + summary.Load_gen.resends + summary.Load_gen.redirects + !mis_to0
-     in
+     let upper = n + summary.Load_gen.resends + summary.Load_gen.redirects in
      if int_of_float req_total0 > upper then
        failures :=
          Printf.sprintf
@@ -407,10 +405,10 @@ let run extra =
             client could have sent it (bound %d)"
            req_total0 upper
          :: !failures;
-     if !mis_to0 > 0 && forwards0 < 1.0 then
+     if !mis_to0 > 0 && redirects0 < 1.0 then
        failures :=
          Printf.sprintf
-           "%d requests were misrouted to shard 0 yet it forwarded none"
+           "%d requests were misrouted to shard 0 yet it redirected none"
            !mis_to0
          :: !failures;
      (* the restarted shard's flight recorder must still hold its pinned
@@ -435,7 +433,7 @@ let run extra =
        @ [
            ("warm_loaded", float_of_int warm_loaded);
            ("killed_and_restarted", if kill then 1.0 else 0.0);
-           ("forwards", forwards0);
+           ("shard0_redirects", redirects0);
          ]
    with e ->
      teardown ();

@@ -1251,7 +1251,7 @@ let net_write_spans ~pid path =
   Printf.printf "spans written to %s\n%!" path
 
 let net_serve_cmd =
-  let run shards port cluster_s me store_dir ports_out workers redirect
+  let run shards port cluster_s me store_dir ports_out workers
       self_test rate seed trace_out flight_out misroute_every tenants_spec =
     if workers < 1 then `Error (false, "--workers must be positive")
     else
@@ -1273,7 +1273,6 @@ let net_serve_cmd =
             (Net.Node.default_config ~cluster ~me) with
             store_path = store_path me;
             workers;
-            forward = not redirect;
             tenants;
           }
         in
@@ -1414,12 +1413,6 @@ let net_serve_cmd =
     Arg.(value & opt int 2
          & info [ "workers" ] ~docv:"N" ~doc:"Worker domains per shard.")
   in
-  let redirect_arg =
-    Arg.(value & flag
-         & info [ "redirect" ]
-             ~doc:"Answer misdirected keys with a redirect instead of \
-                   forwarding to the owner shard.")
-  in
   let self_test_arg =
     Arg.(value & opt int 0
          & info [ "self-test" ] ~docv:"N"
@@ -1450,7 +1443,7 @@ let net_serve_cmd =
     Arg.(value & opt (some int) None
          & info [ "misroute-every" ] ~docv:"K"
              ~doc:"Self-test only: send every $(docv)-th request to the \
-                   wrong shard to exercise the forward/redirect path.")
+                   wrong shard to exercise the redirect path.")
   in
   let tenants_arg =
     Arg.(value & opt string ""
@@ -1468,9 +1461,9 @@ let net_serve_cmd =
              gracefully on SIGINT/SIGTERM, draining in-flight requests.")
     Term.(ret
             (const run $ shards_arg $ port_arg $ cluster_arg $ me_arg
-             $ store_dir_arg $ ports_out_arg $ workers_arg $ redirect_arg
-             $ self_test_arg $ rate_arg $ seed_arg $ net_trace_out_arg
-             $ flight_out_arg $ misroute_arg $ tenants_arg))
+             $ store_dir_arg $ ports_out_arg $ workers_arg $ self_test_arg
+             $ rate_arg $ seed_arg $ net_trace_out_arg $ flight_out_arg
+             $ misroute_arg $ tenants_arg))
 
 (* one ops-plane RPC against every shard in turn *)
 let net_each_shard cluster f =
@@ -1484,8 +1477,8 @@ let net_each_shard cluster f =
     cluster
 
 (* Submit one pragma'd C source file to a live cluster: the first shard
-   either owns the request's route key or forwards/redirects it, so any
-   entry point works.  One redirect hop is followed; a second means the
+   either owns the request's route key or redirects it to its owner, so
+   any entry point works.  One redirect hop is followed; a second means the
    cluster's shard maps disagree, which is fatal. *)
 let net_submit_source ~cluster ~overlay ~tuned ~tenant path =
   let src =

@@ -1,7 +1,6 @@
 (** Synchronous client connection to one shard: blocking send/receive of
     {!Wire} messages over TCP.  One connection is single-threaded — the
-    load generator runs one per shard per sender thread; the server uses
-    them for peer forwarding. *)
+    load generator runs one per shard per sender thread. *)
 
 type t
 

@@ -356,8 +356,8 @@ let run (cfg : config) =
         (Wire.route_key ~overlay:r.Wire.overlay ~payload:r.Wire.payload
            ~tuned:r.Wire.tuned)
     in
-    (* deliberate misrouting exercises the server-side forward/redirect
-       path, which a correctly-routing client otherwise never triggers *)
+    (* deliberate misrouting exercises the server's redirect path, which
+       a correctly-routing client otherwise never triggers *)
     let target =
       match cfg.misroute_every with
       | Some k when k > 0 && shards > 1 && i mod k = 0 -> (owner + 1) mod shards

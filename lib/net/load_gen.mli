@@ -36,8 +36,8 @@ type config = {
   timeout_s : float;           (** give-up bound on the whole run *)
   misroute_every : int option;
       (** [Some k]: send every [k]-th request to the wrong shard
-          (owner + 1), exercising the server's forward/redirect path
-          that a correctly-routing client never hits.  [None]: route
+          (owner + 1), exercising the server's redirect path that a
+          correctly-routing client never hits.  [None]: route
           everything to its ring owner. *)
 }
 

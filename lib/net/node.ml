@@ -36,7 +36,6 @@ let parse_cluster s =
 type config = {
   me : int;
   cluster : peer array;
-  forward : bool;
   store_path : string option;
   workers : int;
   queue_capacity : int;
@@ -49,7 +48,6 @@ let default_config ~cluster ~me =
   {
     me;
     cluster;
-    forward = true;
     store_path = None;
     workers = 2;
     queue_capacity = 1024;
@@ -73,7 +71,6 @@ type t = {
 }
 
 let me t = t.config.me
-let cluster t = t.config.cluster
 let registry t = t.registry
 let cache t = t.cache
 
@@ -231,35 +228,25 @@ let health_msg t =
       warm_loaded = Cache.warm_loaded t.cache;
     }
 
-type action = Done | Async | Forward of { owner : int; req : Wire.request }
-
-let handle_net t (msg : Wire.req_msg) ~respond : action =
+let handle_net t (msg : Wire.req_msg) ~respond =
   match msg with
   | Wire.Ping ->
     respond
-      (Wire.Pong { shard = t.config.me; shards = Array.length t.config.cluster });
-    Done
-  | Wire.Stats_req ->
-    respond (stats_msg t);
-    Done
+      (Wire.Pong { shard = t.config.me; shards = Array.length t.config.cluster })
+  | Wire.Stats_req -> respond (stats_msg t)
   | Wire.Quiesce ->
     quiesce t;
-    respond Wire.Bye;
-    Done
+    respond Wire.Bye
   | Wire.Metrics_req ->
-    respond (Wire.Metrics_dump { shard = t.config.me; text = metrics_text t });
-    Done
-  | Wire.Health_req ->
-    respond (health_msg t);
-    Done
+    respond (Wire.Metrics_dump { shard = t.config.me; text = metrics_text t })
+  | Wire.Health_req -> respond (health_msg t)
   | Wire.Recent_events_req { max } ->
     let events =
       List.map Log.event_json (Log.recent ~max:(min max 10_000) Log.default)
     in
-    respond (Wire.Events { shard = t.config.me; events });
-    Done
+    respond (Wire.Events { shard = t.config.me; events })
   | Wire.Compile req ->
-    if quiesced t then begin
+    if quiesced t then
       respond
         (Wire.Result
            {
@@ -268,30 +255,18 @@ let handle_net t (msg : Wire.req_msg) ~respond : action =
              cache_hit = false;
              service_s = 0.0;
              shard = t.config.me;
-           });
-      Done
-    end
+           })
     else
       let owner = owner_of t req in
       if owner <> t.config.me then begin
-        let record_misroute kind =
-          Log.record ~trace:req.Wire.trace Log.default kind
-            ~attrs:
-              [
-                ("id", string_of_int req.Wire.id);
-                ("shard", string_of_int t.config.me);
-                ("owner", string_of_int owner);
-              ]
-        in
-        if t.config.forward then begin
-          record_misroute "shard_forward";
-          Forward { owner; req }
-        end
-        else begin
-          record_misroute "shard_redirect";
-          respond (Wire.Redirect { id = req.Wire.id; owner });
-          Done
-        end
+        Log.record ~trace:req.Wire.trace Log.default "shard_redirect"
+          ~attrs:
+            [
+              ("id", string_of_int req.Wire.id);
+              ("shard", string_of_int t.config.me);
+              ("owner", string_of_int owner);
+            ];
+        respond (Wire.Redirect { id = req.Wire.id; owner })
       end
       else
         let sreq =
@@ -312,8 +287,7 @@ let handle_net t (msg : Wire.req_msg) ~respond : action =
         (* the admission queue answers every request through [k] —
            rejections and quota sheds included *)
         Admission.submit_k t.admission sreq ~k:(fun resp ->
-            respond (result_of_response ~shard:t.config.me ~id:req.Wire.id resp));
-        Async
+            respond (result_of_response ~shard:t.config.me ~id:req.Wire.id resp))
 
 let shutdown t =
   Mutex.lock t.m;

@@ -2,25 +2,26 @@
 
     Shaped like a verdi-runtime arrangement: a static cluster
     configuration names every peer up front, [init] builds the node's
-    state and [handle_net] turns one incoming message into replies and
-    forwards.  A crash-restart is [shutdown] then [init] from the same
+    state and [handle_net] turns one incoming message into replies.
+    Nodes exchange messages only with clients, never with each other.
+    A crash-restart is [shutdown] then [init] from the same
     configuration: the durable store replays, so the warm state
     (registered overlays, cached schedules) survives the crash.
 
     The node owns the slice of the cache keyspace that the
-    {!Shard_map} ring assigns to its index.  A compile request
-    whose {!Wire.route_key} hashes elsewhere is either forwarded to its
-    owner (the default) or answered with [Redirect] so the client
-    re-sends — never computed here, keeping each key's cache entries
-    (and their durable records) on exactly one shard.
+    {!Shard_map} ring assigns to its index.  A compile request whose
+    {!Wire.route_key} hashes elsewhere is answered at once with
+    [Redirect] naming its owner, and the client re-sends it there.  It
+    is never computed here, which keeps each key's cache entries (and
+    their durable records) on exactly one shard.
 
     Every compile the node owns waits in one {!Overgen_fleet.Admission}
     queue in front of its service; untenanted requests are the weight-1
     tenant [""], plain FIFO.
 
     The node is transport-agnostic: it never touches a socket.  The
-    server layer feeds it decoded {!Wire.req_msg}s and gets actions and
-    asynchronous responses back through the [respond] callback. *)
+    server layer feeds it decoded {!Wire.req_msg}s and gets every
+    response back through the [respond] callback. *)
 
 type peer = { host : string; port : int }
 
@@ -32,8 +33,6 @@ val parse_cluster : string -> (peer array, string) result
 type config = {
   me : int;                  (** this node's index in [cluster] *)
   cluster : peer array;      (** static membership, index = shard id *)
-  forward : bool;            (** forward misdirected keys ([true]) or
-                                 answer [Redirect] ([false]) *)
   store_path : string option;(** durable store; [None] = memory only *)
   workers : int;             (** service worker domains *)
   queue_capacity : int;      (** admission queue capacity *)
@@ -45,7 +44,7 @@ type config = {
 }
 
 val default_config : cluster:peer array -> me:int -> config
-(** Forwarding on, no store, 2 workers, queue 1024, cache 4096,
+(** No store, 2 workers, queue 1024, cache 4096,
     {!Overgen_service.Service.default_policy}, no tenants. *)
 
 type t
@@ -57,26 +56,20 @@ val init : ?setup:(Overgen_service.Registry.t -> unit) -> config -> (t, string) 
     store has the overlays skips regeneration entirely.  Errors are
     structural (unopenable store, [setup] raised, bad config). *)
 
-(** What [handle_net] decided, beyond any [respond] calls it made:
-    - [Done]: handled synchronously; any reply was already passed to
-      [respond].
-    - [Async]: a compile went to the admission queue; exactly one
-      [respond] call follows, from a worker domain — or already made
-      inline, for a rejection or a quota shed.
-    - [Forward]: the request belongs to [owner] — the transport layer
-      must relay it and route the answer back. *)
-type action = Done | Async | Forward of { owner : int; req : Wire.request }
-
-val handle_net : t -> Wire.req_msg -> respond:(Wire.resp_msg -> unit) -> action
-(** Process one decoded message.  [respond] must be thread-safe: for
-    admitted compiles it is called later from a worker domain.  A
-    quiesced node answers compiles with [Shutting_down] instead of
-    admitting them. *)
+val handle_net : t -> Wire.req_msg -> respond:(Wire.resp_msg -> unit) -> unit
+(** Process one decoded message; [respond] is called exactly once per
+    message.  Everything but an owned compile is answered before
+    [handle_net] returns: a ping, scrape or quiesce with its reply, a
+    misrouted compile with [Redirect].  An owned compile goes to the
+    admission queue, which calls [respond] later from a worker domain
+    (or inline, for a rejection or a quota shed), so [respond] must be
+    thread-safe.  A quiesced node answers compiles with [Shutting_down]
+    instead of admitting them. *)
 
 val owner_of : t -> Wire.request -> int
 (** The ring owner of a request's {!Wire.route_key}.
-    For tests: the tests pick a request another shard owns, to drive the forward
-    path. *)
+    For tests: the tests pick a request another shard owns, to drive the
+    redirect path. *)
 
 val quiesce : t -> unit
 (** Stop admitting compiles; already-admitted requests still complete
@@ -87,7 +80,6 @@ val shutdown : t -> unit
     store.  Idempotent. *)
 
 val me : t -> int
-val cluster : t -> peer array
 
 val registry : t -> Overgen_service.Registry.t
 (** For tests: with {!cache}, how tests inspect a node's state (overlays

@@ -22,7 +22,6 @@ type t = {
   c_frames_corrupt : Metrics.counter;
   c_conns : Metrics.counter;
   c_conn_drops : Metrics.counter;
-  c_forwards : Metrics.counter;
   c_redirects : Metrics.counter;
   c_requests : Metrics.counter;
   c_failures : Metrics.counter;
@@ -39,9 +38,6 @@ type t = {
      count the graceful stop drains.  Admission time and trace id ride
      along for the latency histogram and failure-path events. *)
   pending : (int, conn * int * float * string) Hashtbl.t;
-  (* free peer connections for forwarding, per owner shard *)
-  peers : (int, Client.t list ref) Hashtbl.t;
-  peers_m : Mutex.t;
   mutable acceptor : Thread.t option;
 }
 
@@ -71,9 +67,6 @@ let send_resp t conn resp =
      | exception (Io.Closed | Unix.Unix_error _) -> conn.alive <- false);
   Mutex.unlock conn.wm
 
-(* Translate a response's server-internal id back to the id the client
-   chose, then deliver it.  Exactly once per pending entry: the table
-   removal under the lock is the once-only gate. *)
 (* A request failed: record it in the flight recorder, and write the
    first automatic dump if the server was given a dump path — the crash
    forensics must exist even if the process never drains gracefully. *)
@@ -95,6 +88,9 @@ let note_failure t ~client_id ~trace err =
     Mutex.unlock t.m;
     if first then try Log.write_dump ~path Log.default with Sys_error _ -> ()
 
+(* Translate a response's server-internal id back to the id the client
+   chose, then deliver it.  Exactly once per pending entry: the table
+   removal under the lock is the once-only gate. *)
 let settle t internal_id resp =
   Mutex.lock t.m;
   let entry = Hashtbl.find_opt t.pending internal_id in
@@ -120,67 +116,6 @@ let settle t internal_id resp =
         r
     in
     send_resp t conn resp
-
-let borrow_peer t owner =
-  Mutex.lock t.peers_m;
-  let pool =
-    match Hashtbl.find_opt t.peers owner with
-    | Some p -> p
-    | None ->
-      let p = ref [] in
-      Hashtbl.add t.peers owner p;
-      p
-  in
-  let client =
-    match !pool with
-    | c :: rest ->
-      pool := rest;
-      Ok c
-    | [] ->
-      let { Node.host; port } = (Node.cluster t.node_).(owner) in
-      Client.connect ~host ~port
-  in
-  Mutex.unlock t.peers_m;
-  client
-
-let return_peer t owner c =
-  Mutex.lock t.peers_m;
-  (match Hashtbl.find_opt t.peers owner with
-  | Some pool -> pool := c :: !pool
-  | None -> Hashtbl.add t.peers owner (ref [ c ]));
-  Mutex.unlock t.peers_m
-
-let drop_peers t =
-  Mutex.lock t.peers_m;
-  Hashtbl.iter (fun _ pool -> List.iter Client.close !pool; pool := []) t.peers;
-  Mutex.unlock t.peers_m
-
-(* Relay a misdirected compile to its owner shard, synchronously on this
-   connection's reader thread; the peer's answer (already carrying our
-   internal id) settles the request like a local one.  A dead peer is a
-   transient verdict — the client retries, by which time the owner may be
-   back (the kill-and-restart scenario). *)
-let forward t internal_id owner (req : Wire.request) =
-  let transient msg =
-    Wire.Result
-      {
-        id = internal_id;
-        outcome = Error (Wire.Transient_failure msg);
-        cache_hit = false;
-        service_s = 0.0;
-        shard = Node.me t.node_;
-      }
-  in
-  match borrow_peer t owner with
-  | Error msg -> settle t internal_id (transient ("forward: " ^ msg))
-  | Ok c -> (
-    match Client.rpc c (Wire.Compile req) with
-    | Ok resp ->
-      return_peer t owner c;
-      settle t internal_id resp
-    | Error msg ->
-      Client.close c;
-      settle t internal_id (transient ("forward: " ^ msg)))
 
 let handle_compile t conn (req : Wire.request) =
   (* Fault window: the request is read but nothing is written yet — an
@@ -215,15 +150,7 @@ let handle_compile t conn (req : Wire.request) =
      is an attribute, not a parent pointer). *)
   Obs.Span.with_trace req.Wire.trace @@ fun () ->
   let dispatch () =
-    match
-      Node.handle_net t.node_ (Wire.Compile req) ~respond:(settle t internal_id)
-    with
-    | Node.Done | Node.Async -> ()
-    | Node.Forward { owner; req } ->
-      Metrics.incr t.c_forwards;
-      Obs.Span.with_span "forward"
-        ~attrs:[ ("owner", string_of_int owner) ]
-        (fun () -> forward t internal_id owner req)
+    Node.handle_net t.node_ (Wire.Compile req) ~respond:(settle t internal_id)
   in
   if req.Wire.trace <> "" && Obs.on () then
     Obs.Span.with_span "server_decode"
@@ -255,9 +182,7 @@ let handle_frame t conn payload =
   | Ok
       (( Wire.Ping | Wire.Stats_req | Wire.Quiesce | Wire.Metrics_req
        | Wire.Health_req | Wire.Recent_events_req _ ) as msg) ->
-    (match Node.handle_net t.node_ msg ~respond:(send_resp t conn) with
-    | Node.Done -> ()
-    | Node.Async | Node.Forward _ -> assert false)
+    Node.handle_net t.node_ msg ~respond:(send_resp t conn)
 
 let close_conn t conn =
   Mutex.lock conn.wm;
@@ -336,7 +261,6 @@ let start ?flight_out ~node ~fd () =
       c_conns = c "overgen_net_conns_total" "connections accepted";
       c_conn_drops =
         c "overgen_net_conn_drops_total" "connections dropped by fault injection";
-      c_forwards = c "overgen_net_forwards_total" "misdirected compiles forwarded";
       c_redirects = c "overgen_net_redirects_total" "redirect answers sent";
       c_requests = c "overgen_net_requests_total" "compile requests accepted";
       c_failures =
@@ -352,8 +276,6 @@ let start ?flight_out ~node ~fd () =
       conns = [];
       next_id = 0;
       pending = Hashtbl.create 256;
-      peers = Hashtbl.create 8;
-      peers_m = Mutex.create ();
       acceptor = None;
     }
   in
@@ -413,7 +335,6 @@ let stop ?(drain_timeout_s = 30.0) t =
     Mutex.unlock t.m;
     List.iter (fun c -> close_conn t c) conns;
     List.iter (fun c -> Option.iter Thread.join c.reader) conns;
-    drop_peers t;
     (try Unix.close t.lfd with _ -> ());
     (try Unix.close t.stop_r with _ -> ());
     (try Unix.close t.stop_w with _ -> ());

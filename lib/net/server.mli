@@ -6,9 +6,9 @@
 
     {b Request ids are server-assigned.}  Client ids are namespaced
     per-connection: every accepted compile gets a fresh internal id
-    before it reaches the node (or a peer), and the response's id is
-    rewritten back just before the write.  Two clients can both use
-    id 0 concurrently and each gets its own answer.
+    before it reaches the node, and the response's id is rewritten back
+    just before the write.  Two clients can both use id 0 concurrently
+    and each gets its own answer.
 
     {b Framing discipline.}  A torn, corrupt, mis-versioned or
     undecodable frame closes the connection and increments
@@ -38,9 +38,9 @@ val start : ?flight_out:string -> node:Node.t -> fd:Unix.file_descr -> unit -> t
     [fd] and registers the server's instruments in the node's registry
     ({!Node.metrics}): [overgen_net_frames_in/out_total],
     [overgen_net_frames_corrupt_total], [overgen_net_conns_total],
-    [overgen_net_conn_drops_total], [overgen_net_forwards_total],
-    [overgen_net_redirects_total], [overgen_net_requests_total],
-    [overgen_net_requests_failed_total], and the
+    [overgen_net_conn_drops_total], [overgen_net_redirects_total],
+    [overgen_net_requests_total], [overgen_net_requests_failed_total],
+    and the
     [overgen_net_request_ms] accept-to-answer latency histogram (fixed
     millisecond buckets).  [flight_out] names a JSONL file the flight recorder is
     dumped to — automatically on the first failed request and again, with

@@ -102,7 +102,7 @@ type request = {
   tuned : bool;
   trace : string;
       (** 128-bit distributed-trace id (32 hex chars), carried verbatim
-          across forwards/redirects so one request is one trace; [""]
+          across redirects so one request is one trace; [""]
           when the client does not trace *)
   parent_span : int;
       (** the client-side span the server's spans hang under, recorded as

@@ -211,15 +211,29 @@ let validate ?comp ?mem_edge t (sys : Sys_adg.t) =
       | Some (Comp.Engine { kind = Comp.Reg; _ }) -> ()
       | _ -> fail "reg stream on non-reg engine %d" e)
     t.reg_streams;
-  (* routes intact: every hop edge present, intermediates are switches *)
+  (* routes intact: they start at the producer's placement and end at the
+     consumer's, every hop edge is present, intermediates are switches *)
+  let at id hop =
+    match Imap.find_opt id t.inst_pe with
+    | Some pe -> pe = hop
+    | None -> (
+      match Imap.find_opt id t.port_map with Some p -> p = hop | None -> false)
+  in
   List.iter
     (fun ((src, dst), r) ->
       let rec walk = function
         | a :: (b :: _ as rest) ->
           if not (mem_edge a b) then fail "route %d->%d broken at %d->%d" src dst a b;
           walk rest
-        | [ _ ] | [] -> ()
+        | [ last ] ->
+          if not (at dst last) then
+            fail "route %d->%d ends at %d, not at its consumer" src dst last
+        | [] -> fail "route %d->%d is empty" src dst
       in
+      (match r.hops with
+      | first :: _ when not (at src first) ->
+        fail "route %d->%d starts at %d, not at its producer" src dst first
+      | _ -> ());
       walk r.hops;
       let n_hops = List.length r.hops in
       List.iteri

@@ -61,6 +61,7 @@ val validate :
   Sys_adg.t ->
   (unit, string) result
 (** Check the schedule is still legal on the given (possibly mutated)
-    hardware: all nodes exist with sufficient capability, all routes are
-    intact, delays within FIFO budget.  [?comp] / [?mem_edge] override the
+    hardware: all nodes exist with sufficient capability, every route
+    runs intact from its producer's placement to its consumer's, delays
+    within FIFO budget.  [?comp] / [?mem_edge] override the
     graph lookups with faster ones; they must agree with the graph. *)

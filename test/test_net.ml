@@ -625,9 +625,7 @@ let test_reboot_replays_store () =
             Mutex.unlock m
           | _ -> ()
         in
-        match Node.handle_net node (Wire.Compile req) ~respond with
-        | Node.Async | Node.Done -> ()
-        | Node.Forward _ -> Alcotest.fail "single shard forwarded")
+        Node.handle_net node (Wire.Compile req) ~respond)
       trace;
     let deadline = Unix.gettimeofday () +. 60.0 in
     let rec wait () =
@@ -662,26 +660,15 @@ let test_reboot_replays_store () =
   Node.shutdown node2;
   Sys.remove store_path
 
-(* ---------------- trace context through forward/redirect ------------- *)
+(* ---------------- misrouted compiles: redirect ---------------- *)
 
-let two_shard_config ~forward =
-  {
-    (Node.default_config
-       ~cluster:
-         [|
-           { Node.host = "127.0.0.1"; port = 0 };
-           { Node.host = "127.0.0.1"; port = 0 };
-         |]
-       ~me:0)
-    with
-    forward;
-  }
-
-(* A misrouted compile must leave shard 0 with its trace context intact:
-   forwarded verbatim under [forward = true], answered [Redirect] (the
-   client re-sends, keeping its own context) under [forward = false]. *)
-let test_forward_preserves_trace () =
-  let node = must_node (Node.init ~setup (two_shard_config ~forward:true)) in
+(* A misrouted compile is answered before [handle_net] returns, with a
+   [Redirect] to its owner under the client's id.  The client re-sends
+   it with its own trace context, and shard 0's flight-recorder event
+   for the redirect carries that context too. *)
+let test_redirect_preserves_trace () =
+  let cluster = Array.make 2 { Node.host = "127.0.0.1"; port = 0 } in
+  let node = must_node (Node.init ~setup (Node.default_config ~cluster ~me:0)) in
   let mk kernel =
     {
       Wire.id = 1;
@@ -701,28 +688,77 @@ let test_forward_preserves_trace () =
     | Some k -> mk k
     | None -> Alcotest.fail "no kernel hashes to shard 1"
   in
-  (match
-     Node.handle_net node (Wire.Compile req) ~respond:(fun _ ->
-         Alcotest.fail "forwarding node answered locally")
-   with
-  | Node.Forward { owner = 1; req = r } ->
-    Alcotest.(check string) "trace id survives the forward" req.Wire.trace
-      r.Wire.trace;
-    Alcotest.(check int) "parent span survives the forward"
-      req.Wire.parent_span r.Wire.parent_span
-  | Node.Forward { owner; _ } -> Alcotest.failf "forwarded to shard %d" owner
-  | Node.Done | Node.Async -> Alcotest.fail "misrouted request not forwarded");
-  Node.shutdown node;
-  let node = must_node (Node.init ~setup (two_shard_config ~forward:false)) in
   let got = ref None in
-  (match Node.handle_net node (Wire.Compile req) ~respond:(fun r -> got := Some r) with
-  | Node.Done -> ()
-  | Node.Async | Node.Forward _ ->
-    Alcotest.fail "redirecting node did not answer synchronously");
+  Node.handle_net node (Wire.Compile req) ~respond:(fun r -> got := Some r);
   (match !got with
   | Some (Wire.Redirect { id = 1; owner = 1 }) -> ()
-  | _ -> Alcotest.fail "expected a Redirect to shard 1");
+  | Some _ -> Alcotest.fail "expected a Redirect to shard 1"
+  | None -> Alcotest.fail "misrouted request not answered synchronously");
+  let module Log = Overgen_obs.Obs.Log in
+  Alcotest.(check bool) "redirect event keeps the trace id" true
+    (List.exists
+       (fun (e : Log.event) ->
+         e.name = "shard_redirect" && e.trace = req.Wire.trace
+         && List.assoc_opt "owner" e.attrs = Some "1")
+       (Log.recent ~max:50 Log.default));
   Node.shutdown node
+
+(* Two shards on loopback, every k-th request sent to the shard that
+   does not own it.  Each misrouted request must come back as exactly
+   one [Redirect], which the load generator follows to the owner: every
+   request is answered once, the shards' redirect counters add up to the
+   misrouted count, and the two shards together admit each request
+   exactly once. *)
+let test_misroutes_redirect_over_sockets () =
+  let module Metrics = Overgen_obs.Metrics in
+  (* bind both listeners first: the cluster is built from the actual ports *)
+  let listeners =
+    Array.init 2 (fun _ -> Result.get_ok (Server.listen ~port:0 ()))
+  in
+  let cluster =
+    Array.map (fun (_, port) -> { Node.host = "127.0.0.1"; port }) listeners
+  in
+  let nodes =
+    Array.init 2 (fun me ->
+        must_node (Node.init ~setup (Node.default_config ~cluster ~me)))
+  in
+  let servers =
+    Array.mapi (fun i node -> Server.start ~node ~fd:(fst listeners.(i)) ()) nodes
+  in
+  let n = 120 and k = 5 in
+  let spec =
+    Trace.spec ~seed:9 ~requests:n ~users:4 ~working_set:2
+      ~overlays:[ ("general", Kernels.all) ] ()
+  in
+  let summary =
+    Load_gen.run
+      {
+        Load_gen.cluster;
+        requests = Load_gen.of_trace (Trace.generate spec);
+        rate = 600.0;
+        timeout_s = 60.0;
+        misroute_every = Some k;
+      }
+  in
+  let total name =
+    Array.fold_left
+      (fun acc node ->
+        acc + Metrics.counter_value (Metrics.counter (Node.metrics node) name))
+      0 nodes
+  in
+  let redirects = total "overgen_net_redirects_total" in
+  let served = total "overgen_net_served" in
+  Array.iter Server.stop servers;
+  Array.iter Node.shutdown nodes;
+  (* Load_gen misroutes indices 0, k, 2k, ... *)
+  let misrouted = (n + k - 1) / k in
+  Alcotest.(check int) "every request answered exactly once" n
+    summary.Load_gen.completed;
+  Alcotest.(check int) "no failures" 0 summary.Load_gen.failed;
+  Alcotest.(check int) "one redirect per misrouted request" misrouted
+    summary.Load_gen.redirects;
+  Alcotest.(check int) "shards counted the same redirects" misrouted redirects;
+  Alcotest.(check int) "each request admitted once, by its owner" n served
 
 (* ---------------- previous-generation payloads ---------------- *)
 
@@ -819,7 +855,8 @@ let tests =
     ("two clients share id 0", `Quick, test_two_clients_same_id);
     ("exactly-once under faults", `Quick, test_serve_under_faults);
     ("kill-and-restart replays store", `Quick, test_reboot_replays_store);
-    ("forward/redirect preserve trace context", `Quick, test_forward_preserves_trace);
+    ("redirect preserves trace context", `Quick, test_redirect_preserves_trace);
+    ("misroutes redirect over sockets", `Quick, test_misroutes_redirect_over_sockets);
     ("previous-generation schemas rejected", `Quick, test_old_schema_payload_rejected);
     ("merged two-lane trace validates", `Quick, test_merged_trace_validates);
   ]

@@ -114,6 +114,32 @@ let test_routes_start_and_end_correctly () =
         s.routes)
     scheds
 
+(* [validate] checks a route's endpoints, not only its hop edges: one
+   route cut short of its last hop is a path of present edges that stops
+   before the consumer, and must be rejected naming that route. *)
+let test_validate_rejects_cut_route () =
+  let sys = general () in
+  let s = List.hd (ok_schedules sys "mm") in
+  Alcotest.(check bool) "intact schedule validates" true
+    (Schedule.validate s sys = Ok ());
+  match List.find_opt (fun (_, (r : Schedule.route)) -> List.length r.hops >= 2) s.routes with
+  | None -> Alcotest.fail "no route with two hops"
+  | Some (edge, r) -> (
+    let cut = List.filteri (fun i _ -> i < List.length r.hops - 1) r.hops in
+    let routes =
+      List.map
+        (fun (e, r') -> if e = edge then (e, { r' with Schedule.hops = cut }) else (e, r'))
+        s.routes
+    in
+    let name = Printf.sprintf "route %d->%d" (fst edge) (snd edge) in
+    match Schedule.validate { s with routes } sys with
+    | Ok () -> Alcotest.failf "%s cut short of its consumer validated" name
+    | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names %s" e name)
+        true
+        (String.starts_with ~prefix:name e))
+
 let test_ii_at_least_one () =
   let sys = general () in
   List.iter
@@ -739,6 +765,7 @@ let tests =
     Alcotest.test_case "fir recurrence engine" `Quick test_fir_uses_recurrence_engine;
     Alcotest.test_case "crs indirect engine" `Quick test_indirect_arrays_on_indirect_engine;
     Alcotest.test_case "route endpoints" `Quick test_routes_start_and_end_correctly;
+    Alcotest.test_case "validate rejects a cut route" `Quick test_validate_rejects_cut_route;
     Alcotest.test_case "ii sanity" `Quick test_ii_at_least_one;
     Alcotest.test_case "repair fast path" `Quick test_repair_after_harmless_change;
     Alcotest.test_case "repair reroutes" `Quick test_repair_reroutes_after_switch_removal;
