@@ -21,7 +21,8 @@ let bits = Printf.sprintf "%.17g"
 (* (seed, islands): 20 iterations each, the perfbench [dse] budget.  The
    three-island run puts more island jobs than domains on the pool, so
    islands nest their per-app maps on an oversubscribed pool. *)
-let runs = [ (1000, 1); (1005, 1); (1014, 1); (1001, 2); (1003, 3) ]
+let runs =
+  [ (1000, 1); (1005, 1); (1006, 1); (1014, 1); (1015, 1); (1001, 2); (1003, 3) ]
 
 let explore (seed, islands) =
   Dse.explore
