@@ -104,6 +104,67 @@ let compute_ii ?comp (sys : Sys_adg.t) t =
   max (max port_ii (t.max_link_share * t.skew_penalty)) (max engine_ii rec_ii)
 
 (* ------------------------------------------------------------------ *)
+(* Legality rules                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each rule a binding must keep is defined once, here.  [validate] reports
+   the first rule a schedule breaks; the scheduler filters its candidates
+   and re-checks prior bindings with the same predicates. *)
+
+(* An instruction fits a PE that supports its op at its dtype and is at
+   least as wide as the dtype. *)
+let pe_has_cap (p : Comp.pe) ~op ~dtype = Op.Cap.supports p.caps op dtype
+let pe_wide_enough (p : Comp.pe) ~dtype = p.width_bits >= Dtype.bits dtype
+let pe_fits p ~op ~dtype = pe_has_cap p ~op ~dtype && pe_wide_enough p ~dtype
+
+(* A port carries a stream's elements if it passes one per cycle, and
+   holds stationary values in its FIFO only with stream-state metadata. *)
+let needs_state (s : Stream.t) = s.reuse.stationary > 1.0
+let port_wide_enough (p : Comp.port) ~elem = p.width_bytes >= elem
+let port_state_ok (p : Comp.port) ~stated = (not stated) || p.stated
+
+let port_fits p ~elem ~stated = port_wide_enough p ~elem && port_state_ok p ~stated
+
+let port_takes p (s : Stream.t) =
+  port_fits p ~elem:s.elem_bytes ~stated:(needs_state s)
+
+(* What the streams on one DFG port need of its hardware port: the widest
+   element (at least 1 byte), and stream state if any is stationary. *)
+let port_need (v : Compile.variant) dfg_port =
+  let rec go elem stated = function
+    | [] -> (elem, stated)
+    | (s : Stream.t) :: rest -> (
+      match s.port with
+      | Some p when p = dfg_port ->
+        go (max elem s.elem_bytes) (stated || needs_state s) rest
+      | Some _ | None -> go elem stated rest)
+  in
+  go 1 false v.streams
+
+let port_carries v dfg_port p =
+  let elem, stated = port_need v dfg_port in
+  port_fits p ~elem ~stated
+
+(* DMA and scratchpad engines generate a stream's addresses themselves, so
+   they must support its indirection and its dimensionality; the other
+   kinds walk no address pattern. *)
+let walks_pattern (en : Comp.engine) =
+  match en.kind with
+  | Comp.Dma | Comp.Spad -> true
+  | Comp.Rec | Comp.Gen | Comp.Reg -> false
+
+let engine_indirect_ok en (s : Stream.t) =
+  match s.access with
+  | Stream.Indirect _ -> en.Comp.indirect || not (walks_pattern en)
+  | Stream.Linear _ -> true
+
+let engine_dims_ok en (s : Stream.t) =
+  s.dims <= en.Comp.max_dims || not (walks_pattern en)
+
+let engine_serves en s = engine_indirect_ok en s && engine_dims_ok en s
+let spad_holds (en : Comp.engine) ~bytes = bytes <= en.capacity
+
+(* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -123,10 +184,9 @@ let validate ?comp ?mem_edge t (sys : Sys_adg.t) =
     (fun inst pe_id ->
       match ((Dfg.node v.dfg inst).kind, comp pe_id) with
       | Dfg.Inst { op; dtype; _ }, Some (Comp.Pe p) ->
-        if not (Op.Cap.supports p.caps op dtype) then
+        if not (pe_has_cap p ~op ~dtype) then
           fail "pe %d lost cap %s.%s" pe_id (Op.to_string op) (Dtype.to_string dtype)
-        else if p.width_bits < Dtype.bits dtype then
-          fail "pe %d too narrow" pe_id
+        else if not (pe_wide_enough p ~dtype) then fail "pe %d too narrow" pe_id
       | Dfg.Inst _, _ -> fail "inst %d mapped to missing/non-pe %d" inst pe_id
       | (Dfg.Const _ | Dfg.Input _ | Dfg.Output _), _ ->
         fail "non-inst %d in inst_pe" inst)
@@ -145,24 +205,10 @@ let validate ?comp ?mem_edge t (sys : Sys_adg.t) =
     (fun dfg_port hw ->
       match ((Dfg.node v.dfg dfg_port).kind, comp hw) with
       | Dfg.Input _, Some (Comp.In_port p) | Dfg.Output _, Some (Comp.Out_port p) ->
-        (* the port must at least pass one element per cycle of its stream *)
-        let elem =
-          List.fold_left
-            (fun acc (s : Stream.t) ->
-              if s.port = Some dfg_port then max acc s.elem_bytes else acc)
-            1 v.streams
-        in
-        if p.width_bytes < elem then
+        let elem, stated = port_need v dfg_port in
+        if not (port_wide_enough p ~elem) then
           fail "hw port %d narrower than element (%dB < %dB)" hw p.width_bytes elem;
-        (* stationary reuse holds values in the port FIFO and needs the
-           stream-state metadata capability *)
-        let needs_stated =
-          List.exists
-            (fun (s : Stream.t) ->
-              s.port = Some dfg_port && s.reuse.stationary > 1.0)
-            v.streams
-        in
-        if needs_stated && not p.stated then fail "hw port %d lacks stream-state" hw
+        if not (port_state_ok p ~stated) then fail "hw port %d lacks stream-state" hw
       | Dfg.Input _, _ -> fail "dfg input %d on non-in-port %d" dfg_port hw
       | Dfg.Output _, _ -> fail "dfg output %d on non-out-port %d" dfg_port hw
       | (Dfg.Inst _ | Dfg.Const _), _ -> fail "non-port %d in port_map" dfg_port)
@@ -181,19 +227,16 @@ let validate ?comp ?mem_edge t (sys : Sys_adg.t) =
             + Option.value ~default:0 (Hashtbl.find_opt spad_load e)
           in
           Hashtbl.replace spad_load e total;
-          if total > en.capacity then fail "spad %d over capacity" e
+          if not (spad_holds en ~bytes:total) then fail "spad %d over capacity" e
         | (Comp.Dma | Comp.Spad | Comp.Rec | Comp.Gen | Comp.Reg), _ -> ());
         (* feature support for this array's streams *)
         List.iter
           (fun (s : Stream.t) ->
             if s.array = name then begin
-              (match s.access with
-              | Stream.Indirect _ when not en.indirect ->
-                if en.kind = Comp.Dma || en.kind = Comp.Spad then
-                  fail "engine %d lacks indirect for %s" e name
-              | Stream.Indirect _ | Stream.Linear _ -> ());
-              if s.dims > en.max_dims && (en.kind = Comp.Dma || en.kind = Comp.Spad)
-              then fail "engine %d lacks %dD patterns" e s.dims
+              if not (engine_indirect_ok en s) then
+                fail "engine %d lacks indirect for %s" e name;
+              if not (engine_dims_ok en s) then
+                fail "engine %d lacks %dD patterns" e s.dims
             end)
           v.streams
       | Some (Comp.Pe _ | Comp.Switch _ | Comp.In_port _ | Comp.Out_port _) | None ->

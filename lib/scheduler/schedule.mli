@@ -54,6 +54,29 @@ val compute_ii : ?comp:(Adg.id -> Comp.t option) -> Sys_adg.t -> t -> int
     component lookup with a faster (e.g. array-backed) one; it must agree
     with [Adg.comp sys.adg]. *)
 
+(** {2 Legality rules}
+
+    Each is defined once: {!validate} checks them all, and the scheduler
+    filters candidates and re-checks bindings with them. *)
+
+val pe_fits : Comp.pe -> op:Op.t -> dtype:Dtype.t -> bool
+(** The PE supports [op] at [dtype] and is at least as wide. *)
+
+val port_takes : Comp.port -> Stream.t -> bool
+(** The port passes one element of the stream per cycle, and has stream
+    state if the stream is stationary. *)
+
+val port_carries : Compile.variant -> int -> Comp.port -> bool
+(** [port_carries v dfg_port p]: {!port_takes} for all of DFG port
+    [dfg_port]'s streams at once. *)
+
+val engine_serves : Comp.engine -> Stream.t -> bool
+(** A DMA or spad engine supports the stream's indirection and
+    dimensionality; other kinds serve any stream. *)
+
+val spad_holds : Comp.engine -> bytes:int -> bool
+(** [bytes] fit in the engine's capacity. *)
+
 val validate :
   ?comp:(Adg.id -> Comp.t option) ->
   ?mem_edge:(Adg.id -> Adg.id -> bool) ->

@@ -190,6 +190,9 @@ let array_mem (x : int) arr =
 let mem_edge t a b =
   a >= 0 && a < t.n_ids && array_mem b t.succs.(a)
 
+(* [Adg.comp] on the topology; None for an id beyond the graph *)
+let comp t id = if id >= 0 && id < t.n_ids then t.comp_arr.(id) else None
+
 (* The id of edge [a -> b], by a scan of [a]'s successors. *)
 let edge_id t a b =
   let nexts = t.succs.(a) in
@@ -571,10 +574,7 @@ let capable_pes ctx ~op ~dtype =
   | Some l -> l
   | None ->
     let l =
-      List.filter
-        (fun (_, (p : Comp.pe)) ->
-          Op.Cap.supports p.caps op dtype && p.width_bits >= Dtype.bits dtype)
-        t.pes
+      List.filter (fun (_, p) -> Schedule.pe_fits p ~op ~dtype) t.pes
     in
     Hashtbl.replace t.cap_cache (op, dtype) l;
     l
@@ -608,8 +608,7 @@ let choose_port ctx ~dir ~eng ~mem_eng ~need_mem_feed (s : Stream.t) =
   in
   let ok (id, (p : Comp.port)) =
     (not ctx.used_ports.(id))
-    && p.width_bytes >= s.elem_bytes
-    && ((not (s.reuse.stationary > 1.0)) || p.stated)
+    && Schedule.port_takes p s
     && (match eng with
        | Some e -> (
          match dir with
@@ -644,6 +643,26 @@ let choose_port ctx ~dir ~eng ~mem_eng ~need_mem_feed (s : Stream.t) =
     use_port ctx id;
     Some id
   | None -> None
+
+(* The fabric node a DFG node is placed on, or None for a constant or a
+   node not placed yet. *)
+let adg_node_of (v : Compile.variant) ~inst_pe ~port_map dfg_id =
+  match (Dfg.node v.dfg dfg_id).kind with
+  | Dfg.Input _ | Dfg.Output _ -> Imap.find_opt dfg_id port_map
+  | Dfg.Inst _ -> Imap.find_opt dfg_id inst_pe
+  | Dfg.Const _ -> None
+
+(* The route tag of DFG node [id]'s value: a fresh tag from the context's
+   counter the first time it is asked for ([tags] starts at -1 per node),
+   so every route of one value shares links at no cost. *)
+let tag_of ctx tags id =
+  if tags.(id) >= 0 then tags.(id)
+  else begin
+    let t = ctx.next_tag in
+    ctx.next_tag <- t + 1;
+    tags.(id) <- t;
+    t
+  end
 
 (* ---------- the scheduler ---------- *)
 
@@ -714,14 +733,8 @@ let schedule_variant ctx (v : Compile.variant) =
         v.streams
     in
     (* --- arrays onto memory engines --- *)
-    let engine_supports (e : Comp.engine) streams =
-      List.for_all
-        (fun (s : Stream.t) ->
-          (match s.access with
-          | Stream.Indirect _ -> e.indirect
-          | Stream.Linear _ -> true)
-          && s.dims <= e.max_dims)
-        streams
+    let engine_supports e streams =
+      List.for_all (fun s -> Schedule.engine_serves e s) streams
     in
     let spads = ctx.topo.spads in
     let dmas = ctx.topo.dmas in
@@ -744,7 +757,8 @@ let schedule_variant ctx (v : Compile.variant) =
         List.filter
           (fun (e_id, (e : Comp.engine)) ->
             engine_supports e streams
-            && Stream.array_bytes a + ctx.spad_used.(e_id) <= e.capacity)
+            && Schedule.spad_holds e
+                 ~bytes:(Stream.array_bytes a + ctx.spad_used.(e_id)))
           spads
       in
       let pick_least = function
@@ -832,22 +846,10 @@ let schedule_variant ctx (v : Compile.variant) =
     (* --- instruction placement --- *)
     let dfg_n = Dfg.size v.dfg in
     let tags = Array.make dfg_n (-1) in
-    let tag_of id =
-      if tags.(id) >= 0 then tags.(id)
-      else begin
-        let t = ctx.next_tag in
-        ctx.next_tag <- t + 1;
-        tags.(id) <- t;
-        t
-      end
-    in
+    let tag_of id = tag_of ctx tags id in
     let inst_pe = ref Imap.empty in
-    let adg_node_of dfg_id =
-      let n = Dfg.node v.dfg dfg_id in
-      match n.kind with
-      | Dfg.Input _ | Dfg.Output _ -> Imap.find_opt dfg_id !port_map
-      | Dfg.Inst _ -> Imap.find_opt dfg_id !inst_pe
-      | Dfg.Const _ -> None
+    let adg_node_of id =
+      adg_node_of v ~inst_pe:!inst_pe ~port_map:!port_map id
     in
     List.iter
       (fun (n : Dfg.node) ->
@@ -1073,110 +1075,163 @@ let schedule_app sys (c : Compile.compiled) =
   all [] c.per_region
 
 (* ------------------------------------------------------------------ *)
-(* Schedule repair                                                     *)
+(* Schedule repair and incremental rescheduling                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-route one schedule with its placements pinned; the context must
-   already hold every placement claim.  Fails if a placement itself is
-   broken. *)
-let reroute_pinned ctx (s : Schedule.t) =
-  let adg = ctx.sys.Sys_adg.adg in
-  let t = ctx.topo in
-  let comp id = if id >= 0 && id < t.n_ids then t.comp_arr.(id) else None in
-  let v = s.variant in
-  let placements_ok =
-    Imap.for_all
-      (fun inst pe ->
-        match (comp pe, (Dfg.node v.dfg inst).kind) with
-        | Some (Comp.Pe p), Dfg.Inst { op; dtype; _ } ->
-          Op.Cap.supports p.caps op dtype && p.width_bits >= Dtype.bits dtype
-        | _ -> false)
-      s.inst_pe
-    && Imap.for_all
-         (fun dfg_port hw ->
-           match ((Dfg.node v.dfg dfg_port).kind, comp hw) with
-           | Dfg.Input _, Some (Comp.In_port _)
-           | Dfg.Output _, Some (Comp.Out_port _) -> true
-           | _ -> false)
-         s.port_map
-    && List.for_all
-         (fun (_, e) ->
-           match comp e with Some (Comp.Engine _) -> true | _ -> false)
-         s.array_engine
-    && List.for_all
-         (fun (_, e) ->
-           match comp e with Some (Comp.Engine _) -> true | _ -> false)
-         (s.rec_streams @ s.reg_streams)
-  in
-  if not placements_ok then Error "placement broken"
-  else begin
-    let adg_node_of dfg_id =
-      let n = Dfg.node v.dfg dfg_id in
-      match n.kind with
-      | Dfg.Input _ | Dfg.Output _ -> Imap.find_opt dfg_id s.port_map
-      | Dfg.Inst _ -> Imap.find_opt dfg_id s.inst_pe
-      | Dfg.Const _ -> None
-    in
-    let tags = Hashtbl.create 16 in
-    let tag_of id =
-      match Hashtbl.find_opt tags id with
-      | Some t -> t
-      | None ->
-        let t = ctx.next_tag in
-        ctx.next_tag <- t + 1;
-        Hashtbl.replace tags id t;
-        t
-    in
-    try
-      let routes =
-        List.map
-          (fun ((src, dst), (old_r : Schedule.route)) ->
-            match (adg_node_of src, adg_node_of dst) with
-            | Some a, Some b -> (
-              let tag = tag_of src in
-              match find_route ctx ~tag ~src:a ~dst:b with
-              | Some hops ->
-                claim_route ctx ~tag hops;
-                ((src, dst), { old_r with Schedule.hops })
-              | None ->
-                Obs.incr m_route_fail;
-                failf "reroute failed %d->%d" a b)
-            | _ -> failf "endpoint missing")
-          s.routes
-      in
-      let share =
-        max_share_on ctx (List.map (fun (_, r) -> r.Schedule.hops) routes)
-      in
-      (* clamp per-edge delays to the (possibly shrunken) FIFO budget *)
-      let budget_of dst =
-        match Imap.find_opt dst s.inst_pe with
-        | Some pe_id -> (
-          match Adg.comp adg pe_id with
-          | Some (Comp.Pe p) -> p.delay_fifo
-          | _ -> 64)
-        | None -> 64
-      in
-      let penalty = ref s.skew_penalty in
-      let routes =
-        List.map
-          (fun ((src, dst), (r : Schedule.route)) ->
-            let b = budget_of dst in
-            if r.delay > b then
-              penalty :=
-                max !penalty (Overgen_util.Stats.div_ceil (r.delay + 1) (b + 1));
-            ((src, dst), { r with Schedule.delay = min r.delay b }))
-          routes
-      in
-      let s' =
-        { s with Schedule.routes; max_link_share = share; skew_penalty = !penalty }
-      in
-      Ok { s' with Schedule.ii = Schedule.compute_ii ctx.sys s' }
-    with Fail m -> Error m
-  end
+(* Bindings whose legality a mutation can break, checked one at a time so
+   a re-pin can re-place exactly the broken ones. *)
+let inst_binding_ok t (v : Compile.variant) inst pe =
+  match (comp t pe, (Dfg.node v.dfg inst).kind) with
+  | Some (Comp.Pe p), Dfg.Inst { op; dtype; _ } -> Schedule.pe_fits p ~op ~dtype
+  | _ -> false
 
-let claim_placements ctx (s : Schedule.t) =
-  Imap.iter (fun _ pe -> use_pe ctx pe) s.inst_pe;
-  Imap.iter (fun _ p -> use_port ctx p) s.port_map
+let port_binding_ok t (v : Compile.variant) dfg_port hw =
+  match ((Dfg.node v.dfg dfg_port).kind, comp t hw) with
+  | Dfg.Input _, Some (Comp.In_port p) | Dfg.Output _, Some (Comp.Out_port p)
+    ->
+    Schedule.port_carries v dfg_port p
+  | _ -> false
+
+(* The placement check of a re-pin: instructions must still fit their PEs,
+   but ports and engines are checked by kind only, not by the port and
+   engine rules [Schedule.validate] applies, so a repair can keep a binding
+   [validate] rejects.  Checking the full rules here changes which tier
+   answers a reschedule, and with it the DSE's results (ROADMAP item 3). *)
+let placement_kinds_ok t (s : Schedule.t) =
+  let v = s.variant in
+  let on_engine (_, e) =
+    match comp t e with Some (Comp.Engine _) -> true | _ -> false
+  in
+  Imap.for_all (inst_binding_ok t v) s.inst_pe
+  && Imap.for_all
+       (fun dfg_port hw ->
+         match ((Dfg.node v.dfg dfg_port).kind, comp t hw) with
+         | Dfg.Input _, Some (Comp.In_port _)
+         | Dfg.Output _, Some (Comp.Out_port _) -> true
+         | _ -> false)
+       s.port_map
+  && List.for_all on_engine s.array_engine
+  && List.for_all on_engine s.rec_streams
+  && List.for_all on_engine s.reg_streams
+
+(* Re-route one schedule with its placements pinned; the context must
+   already hold every placement claim.  Raises [Fail] if a placement fails
+   [placement_kinds_ok] or an operand finds no route. *)
+let reroute_pinned ctx (s : Schedule.t) =
+  let t = ctx.topo in
+  if not (placement_kinds_ok t s) then failf "placement broken";
+  let v = s.variant in
+  let tags = Array.make (Dfg.size v.dfg) (-1) in
+  let node = adg_node_of v ~inst_pe:s.inst_pe ~port_map:s.port_map in
+  (* a delay beyond the consumer's (possibly shrunken) FIFO is clamped to
+     it, and the skew penalty grows instead *)
+  let budget dst =
+    match Imap.find_opt dst s.inst_pe with
+    | Some pe -> (
+      match comp t pe with Some (Comp.Pe p) -> p.delay_fifo | _ -> 64)
+    | None -> 64
+  in
+  let penalty = ref s.skew_penalty in
+  let routes =
+    List.map
+      (fun ((src, dst), (r : Schedule.route)) ->
+        match (node src, node dst) with
+        | Some a, Some b -> (
+          let tag = tag_of ctx tags src in
+          match find_route ctx ~tag ~src:a ~dst:b with
+          | Some hops ->
+            claim_route ctx ~tag hops;
+            let fifo = budget dst in
+            if r.delay > fifo then
+              penalty :=
+                max !penalty
+                  (Overgen_util.Stats.div_ceil (r.delay + 1) (fifo + 1));
+            ((src, dst), { Schedule.hops; delay = min r.delay fifo })
+          | None ->
+            Obs.incr m_route_fail;
+            failf "reroute failed %d->%d" a b)
+        | _ -> failf "endpoint missing")
+      s.routes
+  in
+  let share =
+    max_share_on ctx (List.map (fun (_, r) -> r.Schedule.hops) routes)
+  in
+  let s' =
+    { s with Schedule.routes; max_link_share = share; skew_penalty = !penalty }
+  in
+  { s' with Schedule.ii = Schedule.compute_ii ctx.sys s' }
+
+(* Re-place one schedule's broken ports, then its broken instructions,
+   against a context that holds every intact claim.  Ports go first:
+   instructions score by distance to their producers, which include
+   freshly re-placed ports. *)
+let replace_broken ctx ((s : Schedule.t), broken_insts, broken_ports) =
+  let v = s.variant in
+  let drop m ids = List.fold_left (fun m id -> Imap.remove id m) m ids in
+  let inst_pe = drop s.inst_pe broken_insts in
+  let port_map =
+    List.fold_left
+      (fun port_map dfg_port ->
+        match
+          List.find_opt (fun (st : Stream.t) -> st.port = Some dfg_port) v.streams
+        with
+        | None -> failf "no stream feeds dfg port %d" dfg_port
+        | Some st -> (
+          let dir = match st.dir with Stream.Read -> `In | Stream.Write -> `Out in
+          let eng = Schedule.engine_of_stream s st in
+          let mem_eng = List.assoc_opt st.array s.array_engine in
+          let need_mem_feed = Schedule.is_rec s st && dir = `In in
+          match choose_port ctx ~dir ~eng ~mem_eng ~need_mem_feed st with
+          | Some hw -> Imap.add dfg_port hw port_map
+          | None -> failf "no port for stream %s" (Stream.describe st)))
+      (drop s.port_map broken_ports) broken_ports
+  in
+  let inst_pe =
+    List.fold_left
+      (fun inst_pe inst ->
+        let n = Dfg.node v.dfg inst in
+        match n.kind with
+        | Dfg.Inst { op; dtype; _ } -> (
+          let producers =
+            List.filter_map
+              (fun (o : Dfg.operand) -> adg_node_of v ~inst_pe ~port_map o.src)
+              n.operands
+          in
+          match best_pe ctx ~op ~dtype ~n_consts:(n_consts_of v n) producers with
+          | Some pe ->
+            use_pe ctx pe;
+            Imap.add inst pe inst_pe
+          | None ->
+            failf "no free PE for %s.%s" (Op.to_string op) (Dtype.to_string dtype))
+        | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ ->
+          failf "%d is not an instruction" inst)
+      inst_pe broken_insts
+  in
+  { s with Schedule.inst_pe; port_map }
+
+(* The one path that carries schedules across a mutation with their
+   placements pinned.  [plan] pairs each schedule with its broken
+   instruction and port ids.  Every intact placement is claimed first, in
+   schedule order (regions share the fabric, so a re-placement must not
+   take a sibling's PE); then each schedule's broken bindings are
+   re-placed, and every schedule is re-routed against the result.  With
+   nothing broken this is repair's slow path. *)
+let repin sys plan =
+  let ctx = fresh_ctx sys in
+  List.iter
+    (fun ((s : Schedule.t), broken_insts, broken_ports) ->
+      Imap.iter
+        (fun inst pe -> if not (List.mem inst broken_insts) then use_pe ctx pe)
+        s.inst_pe;
+      Imap.iter
+        (fun dfg_port hw ->
+          if not (List.mem dfg_port broken_ports) then use_port ctx hw)
+        s.port_map)
+    plan;
+  try
+    let fixed = List.map (replace_broken ctx) plan in
+    Ok (List.map (reroute_pinned ctx) fixed)
+  with Fail m -> Error m
 
 let repair sys schedules =
   Obs.incr m_repairs;
@@ -1187,7 +1242,7 @@ let repair sys schedules =
      on one configuration); one memo slot on the topo covers it. *)
   | Some (key, result) when key == schedules -> Ok result
   | _ ->
-  let comp id = if id >= 0 && id < t.n_ids then t.comp_arr.(id) else None in
+  let comp = comp t in
   let mem_edge = mem_edge t in
   (* Fast path: everything still valid; just refresh IIs. *)
   let all_valid =
@@ -1214,184 +1269,36 @@ let repair sys schedules =
            Imap.for_all in_range s.inst_pe && Imap.for_all in_range s.port_map)
          schedules)
   then Error "placement on a node beyond the graph"
-  else begin
-    (* Re-route everything with placements pinned; fail if a placement
-       itself is broken. *)
-    let ctx = fresh_ctx sys in
-    List.iter (claim_placements ctx) schedules;
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | s :: rest -> (
-        match reroute_pinned ctx s with
-        | Ok s' -> go (s' :: acc) rest
-        | Error e -> Error e)
-    in
-    go [] schedules
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Incremental rescheduling                                            *)
-(* ------------------------------------------------------------------ *)
+  else repin sys (List.map (fun s -> (s, [], [])) schedules)
 
 type reschedule_outcome = Repaired | Incremental | Full
 
-(* Bindings whose legality a mutation can break, checked one at a time so
-   an incremental pass can re-place exactly the broken ones. *)
-let inst_binding_ok ctx (v : Compile.variant) inst pe =
-  let t = ctx.topo in
-  let c = if pe >= 0 && pe < t.n_ids then t.comp_arr.(pe) else None in
-  match (c, (Dfg.node v.dfg inst).kind) with
-  | Some (Comp.Pe p), Dfg.Inst { op; dtype; _ } ->
-    Op.Cap.supports p.caps op dtype && p.width_bits >= Dtype.bits dtype
-  | _ -> false
-
-let port_binding_ok ctx (v : Compile.variant) dfg_port hw =
-  let t = ctx.topo in
-  let c = if hw >= 0 && hw < t.n_ids then t.comp_arr.(hw) else None in
-  let elem, needs_stated =
-    List.fold_left
-      (fun (e, st) (s : Stream.t) ->
-        if s.port = Some dfg_port then
-          (max e s.elem_bytes, st || s.reuse.stationary > 1.0)
-        else (e, st))
-      (1, false) v.streams
+(* The instructions and ports of [s] whose bindings the mutated graph
+   breaks, in id order. *)
+let broken_bindings t (s : Schedule.t) =
+  let broken ok m =
+    List.map fst (Imap.bindings (Imap.filter (fun k id -> not (ok k id)) m))
   in
-  match ((Dfg.node v.dfg dfg_port).kind, c) with
-  | Dfg.Input _, Some (Comp.In_port p) | Dfg.Output _, Some (Comp.Out_port p)
-    ->
-    p.width_bytes >= elem && ((not needs_stated) || p.stated)
-  | _ -> false
-
-(* Re-place only the broken instruction and port bindings of [prior],
-   keeping every intact binding pinned, then re-route.  Raises [Fail] (or
-   returns None) when the delta cannot be absorbed without a full re-map:
-   an engine binding broke, nothing is re-placeable, or re-routing the
-   patched schedules fails. *)
-let incremental_attempt sys prior =
-  let ctx = fresh_ctx sys in
-  let classified =
-    List.map
-      (fun (s : Schedule.t) ->
-        let v = s.variant in
-        let broken_insts =
-          Imap.fold
-            (fun inst pe acc ->
-              if inst_binding_ok ctx v inst pe then acc else inst :: acc)
-            s.inst_pe []
-          |> List.rev
-        in
-        let broken_ports =
-          Imap.fold
-            (fun dfg_port hw acc ->
-              if port_binding_ok ctx v dfg_port hw then acc else dfg_port :: acc)
-            s.port_map []
-          |> List.rev
-        in
-        (s, broken_insts, broken_ports))
-      prior
-  in
-  if List.for_all (fun (_, bi, bp) -> bi = [] && bp = []) classified then
-    (* repair already failed for a non-placement reason (e.g. congestion);
-       only a full re-map can help *)
-    None
-  else begin
-    (* claim every intact placement across all regions first: regions share
-       the fabric, and a re-placement must not steal a sibling's PE *)
-    List.iter
-      (fun ((s : Schedule.t), broken_insts, broken_ports) ->
-        Imap.iter
-          (fun inst pe ->
-            if not (List.mem inst broken_insts) then use_pe ctx pe)
-          s.inst_pe;
-        Imap.iter
-          (fun dfg_port hw ->
-            if not (List.mem dfg_port broken_ports) then use_port ctx hw)
-          s.port_map)
-      classified;
-    let fix ((s : Schedule.t), broken_insts, broken_ports) =
-      let v = s.variant in
-      let inst_pe = ref s.inst_pe in
-      let port_map = ref s.port_map in
-      List.iter (fun i -> inst_pe := Imap.remove i !inst_pe) broken_insts;
-      List.iter (fun p -> port_map := Imap.remove p !port_map) broken_ports;
-      (* ports first: instructions score by distance to their producers,
-         which include freshly re-placed ports *)
-      List.iter
-        (fun dfg_port ->
-          match
-            List.find_opt
-              (fun (st : Stream.t) -> st.port = Some dfg_port)
-              v.streams
-          with
-          | None -> failf "incremental: no stream feeds dfg port %d" dfg_port
-          | Some st -> (
-            let dir =
-              match st.dir with Stream.Read -> `In | Stream.Write -> `Out
-            in
-            let eng = Schedule.engine_of_stream s st in
-            let mem_eng = List.assoc_opt st.array s.array_engine in
-            let need_mem_feed = Schedule.is_rec s st && dir = `In in
-            match choose_port ctx ~dir ~eng ~mem_eng ~need_mem_feed st with
-            | Some hw -> port_map := Imap.add dfg_port hw !port_map
-            | None ->
-              failf "incremental: no port for stream %s" (Stream.describe st)))
-        broken_ports;
-      List.iter
-        (fun inst ->
-          let n = Dfg.node v.dfg inst in
-          match n.kind with
-          | Dfg.Inst { op; dtype; _ } -> (
-            let producers =
-              List.filter_map
-                (fun (o : Dfg.operand) ->
-                  match (Dfg.node v.dfg o.src).kind with
-                  | Dfg.Input _ | Dfg.Output _ -> Imap.find_opt o.src !port_map
-                  | Dfg.Inst _ -> Imap.find_opt o.src !inst_pe
-                  | Dfg.Const _ -> None)
-                n.operands
-            in
-            match
-              best_pe ctx ~op ~dtype ~n_consts:(n_consts_of v n) producers
-            with
-            | Some pe ->
-              use_pe ctx pe;
-              inst_pe := Imap.add inst pe !inst_pe
-            | None ->
-              failf "incremental: no free PE for %s.%s" (Op.to_string op)
-                (Dtype.to_string dtype))
-          | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ ->
-            failf "incremental: %d is not an instruction" inst)
-        broken_insts;
-      { s with Schedule.inst_pe = !inst_pe; port_map = !port_map }
-    in
-    let fixed = List.map fix classified in
-    (* all placements (intact + re-placed) are claimed; re-route every
-       region against them *)
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | s :: rest -> (
-        match reroute_pinned ctx s with
-        | Ok s' -> go (s' :: acc) rest
-        | Error _ -> None)
-    in
-    go [] fixed
-  end
+  ( s,
+    broken (inst_binding_ok t s.variant) s.inst_pe,
+    broken (port_binding_ok t s.variant) s.port_map )
 
 let reschedule sys (c : Compile.compiled) ~prior =
   match repair sys prior with
   | Ok s -> Ok (s, Repaired)
   | Error _ -> (
+    let plan = List.map (broken_bindings (topo_of sys.Sys_adg.adg)) prior in
     let patched =
-      match incremental_attempt sys prior with
-      | r -> r
-      | exception Fail _ -> None
+      (* with nothing broken, repair already failed for another reason
+         (e.g. congestion): only a full re-map can help *)
+      if List.for_all (fun (_, bi, bp) -> bi = [] && bp = []) plan then
+        Error "nothing to re-place"
+      else repin sys plan
     in
     match patched with
-    | Some s ->
+    | Ok s ->
       Obs.incr m_incremental;
       Ok (s, Incremental)
-    | None -> (
+    | Error _ ->
       Obs.incr m_incremental_fallback;
-      match schedule_app sys c with
-      | Ok s -> Ok (s, Full)
-      | Error e -> Error e))
+      Result.map (fun s -> (s, Full)) (schedule_app sys c))

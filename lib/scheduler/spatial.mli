@@ -90,10 +90,14 @@ val schedule_app :
 
 val repair :
   Sys_adg.t -> Schedule.t list -> (Schedule.t list, string) result
-(** Schedule repair (paper Section V-A): revalidate prior schedules on
-    mutated hardware, recompute IIs, and attempt to re-route any broken
-    operand paths without touching placements.  Fails if placements
-    themselves became illegal. *)
+(** Schedule repair (paper Section V-A): when every prior schedule still
+    passes {!Schedule.validate} on the mutated hardware, recompute IIs;
+    otherwise re-route every operand path with placements pinned.  That
+    slow path checks each instruction's capability and width on its PE,
+    but only the kind of each port and engine, not the port and engine
+    rules {!Schedule.validate} checks (ROADMAP item 3), so it can return
+    schedules [validate] rejects.  Fails if a placement breaks that check
+    or lies beyond the graph, or an operand finds no route. *)
 
 type reschedule_outcome =
   | Repaired     (** placements intact; routes refreshed / IIs recomputed *)
@@ -109,6 +113,7 @@ val reschedule :
     schedules on the pre-mutation graph) as far as possible: first try
     {!repair}; then re-place only the instructions and ports whose bindings
     the mutation broke (keeping all intact placements pinned) and re-route;
-    finally fall back to {!schedule_app} from scratch.  Engine-binding
-    breaks always fall through to the full re-map, since re-binding an
-    array cascades into port legality. *)
+    finally fall back to {!schedule_app} from scratch.  The first two tiers
+    share one re-pin path, which repair runs with nothing broken.
+    Engine-binding breaks always fall through to the full re-map, since
+    re-binding an array cascades into port legality. *)

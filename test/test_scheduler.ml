@@ -140,6 +140,183 @@ let test_validate_rejects_cut_route () =
         true
         (String.starts_with ~prefix:name e))
 
+(* [validate] names the rule a schedule breaks.  Each case starts from a
+   valid schedule on the general overlay and breaks one rule, on the graph
+   through [Adg.set_comp] or in the schedule record, and expects the error
+   to carry that rule's phrase. *)
+let test_validate_rejects_each_rule () =
+  let sys = general () in
+  let scheds =
+    List.concat_map (fun (k : Ir.kernel) -> ok_schedules sys k.name) Kernels.all
+  in
+  let find_case what f =
+    match List.find_map f scheds with
+    | Some case -> case
+    | None -> Alcotest.failf "no schedule on the general overlay has %s" what
+  in
+  let on_graph id f =
+    Sys_adg.with_adg sys (Adg.set_comp sys.adg id (f (Adg.comp_exn sys.adg id)))
+  in
+  let inst_case (s : Schedule.t) =
+    Option.map
+      (fun (inst, pe) ->
+        match (Dfg.node s.variant.dfg inst).kind with
+        | Dfg.Inst { op; dtype; _ } -> (s, pe, op, dtype)
+        | _ -> Alcotest.fail "inst_pe holds a non-instruction")
+      (Schedule.Imap.min_binding_opt s.inst_pe)
+  in
+  let stream_port (s : Schedule.t) (st : Stream.t) =
+    Option.bind st.port (fun p -> Schedule.Imap.find_opt p s.port_map)
+  in
+  let map_pe f = function
+    | Comp.Pe p -> Comp.Pe (f p)
+    | _ -> Alcotest.fail "pe expected"
+  in
+  let map_port f = function
+    | Comp.In_port p -> Comp.In_port (f p)
+    | Comp.Out_port p -> Comp.Out_port (f p)
+    | _ -> Alcotest.fail "port expected"
+  in
+  let map_engine f = function
+    | Comp.Engine e -> Comp.Engine (f e)
+    | _ -> Alcotest.fail "engine expected"
+  in
+  let s, pe, op, dtype = find_case "an instruction" inst_case in
+  let lost_cap =
+    ( s,
+      s,
+      on_graph pe
+        (map_pe (fun p -> { p with caps = Op.Cap.remove (op, dtype) p.caps })) )
+  in
+  let narrow_pe =
+    (s, s, on_graph pe (map_pe (fun p -> { p with width_bits = Dtype.bits dtype - 1 })))
+  in
+  let shared_pe =
+    (* two instructions of one op and dtype, moved onto one PE *)
+    find_case "two instructions that fit one PE"
+      (fun (s : Schedule.t) ->
+        let insts = Schedule.Imap.bindings s.inst_pe in
+        List.find_map
+          (fun (a, pe_a) ->
+            List.find_map
+              (fun (b, _) ->
+                let kind i = (Dfg.node s.variant.dfg i).kind in
+                match (kind a, kind b) with
+                | Dfg.Inst x, Dfg.Inst y
+                  when a < b && x.op = y.op && x.dtype = y.dtype ->
+                  Some (s, { s with inst_pe = Schedule.Imap.add b pe_a s.inst_pe }, sys)
+                | _ -> None)
+              insts)
+          insts)
+  in
+  let narrow_port =
+    find_case "a stream on a port"
+      (fun (s : Schedule.t) ->
+        List.find_map
+          (fun (st : Stream.t) ->
+            Option.map
+              (fun hw ->
+                ( s,
+                  s,
+                  on_graph hw
+                    (map_port (fun p -> { p with width_bytes = st.elem_bytes - 1 }))
+                ))
+              (stream_port s st))
+          s.variant.streams)
+  in
+  let unstated_port =
+    find_case "a stationary stream on a port"
+      (fun (s : Schedule.t) ->
+        List.find_map
+          (fun (st : Stream.t) ->
+            if st.reuse.stationary > 1.0 then
+              Option.map
+                (fun hw ->
+                  (s, s, on_graph hw (map_port (fun p -> { p with stated = false }))))
+                (stream_port s st)
+            else None)
+          s.variant.streams)
+  in
+  let engine_case what ok =
+    find_case what
+      (fun (s : Schedule.t) ->
+        List.find_map
+          (fun (name, e) ->
+            match Adg.comp_exn sys.adg e with
+            | Comp.Engine en when ok s name en -> Some (s, e)
+            | _ -> None)
+          s.array_engine)
+  in
+  let full_spad =
+    let s, e =
+      engine_case "an array on a scratchpad" (fun _ _ en -> en.kind = Comp.Spad)
+    in
+    (s, s, on_graph e (map_engine (fun en -> { en with capacity = 0 })))
+  in
+  let direct_engine =
+    let s, e =
+      engine_case "an indirect array" (fun (s : Schedule.t) name _ ->
+          List.exists
+            (fun (st : Stream.t) ->
+              st.array = name
+              && match st.access with Stream.Indirect _ -> true | _ -> false)
+            s.variant.streams)
+    in
+    (s, s, on_graph e (map_engine (fun en -> { en with indirect = false })))
+  in
+  let reg_on_dma =
+    (* no suite kernel has a scalar register stream: bind one of [s]'s
+       streams as one, on a DMA engine *)
+    match (s.variant.streams, Adg.engines_of_kind sys.adg Comp.Dma) with
+    | st :: _, (dma, _) :: _ ->
+      (s, { s with reg_streams = (st.id, dma) :: s.reg_streams }, sys)
+    | _ -> Alcotest.fail "no stream or no DMA engine"
+  in
+  let deep_delay =
+    find_case "a route into an instruction"
+      (fun (s : Schedule.t) ->
+        List.find_map
+          (fun (((_, dst) as edge), _) ->
+            match Schedule.Imap.find_opt dst s.inst_pe with
+            | Some pe -> (
+              match Adg.comp_exn sys.adg pe with
+              | Comp.Pe p ->
+                let routes =
+                  List.map
+                    (fun (e, (r : Schedule.route)) ->
+                      if e = edge then (e, { r with delay = p.delay_fifo + 1 })
+                      else (e, r))
+                    s.routes
+                in
+                Some (s, { s with routes }, sys)
+              | _ -> None)
+            | None -> None)
+          s.routes)
+  in
+  List.iter
+    (fun (rule, phrase, (intact, broken, sys')) ->
+      Alcotest.(check bool) (rule ^ ": intact schedule validates") true
+        (Schedule.validate intact sys = Ok ());
+      match Schedule.validate broken sys' with
+      | Ok () -> Alcotest.failf "%s: validated" rule
+      | Error e ->
+        let rec has i =
+          i + String.length phrase <= String.length e
+          && (String.sub e i (String.length phrase) = phrase || has (i + 1))
+        in
+        Alcotest.(check bool) (Printf.sprintf "%s: %S names it" rule e) true (has 0))
+    [
+      ("lost capability", "lost cap", lost_cap);
+      ("narrow PE", "too narrow", narrow_pe);
+      ("shared PE", "shared by insts", shared_pe);
+      ("narrow port", "narrower than element", narrow_port);
+      ("stationary stream on a stateless port", "lacks stream-state", unstated_port);
+      ("spad over capacity", "over capacity", full_spad);
+      ("indirect array on a direct engine", "lacks indirect", direct_engine);
+      ("reg stream on a DMA", "reg stream on non-reg engine", reg_on_dma);
+      ("delay beyond the FIFO", "needs delay", deep_delay);
+    ]
+
 let test_ii_at_least_one () =
   let sys = general () in
   List.iter
@@ -268,6 +445,45 @@ let test_repair_fails_when_placed_pe_removed () =
   match Spatial.reschedule sys' c ~prior:scheds with
   | Ok (_, Spatial.Repaired) -> Alcotest.fail "reschedule must not report a repair"
   | Ok ((_ : Schedule.t list), (Spatial.Incremental | Spatial.Full)) | Error _ -> ()
+
+(* Engine-binding breaks fall through to the full re-map: once the engine
+   an array is bound to is gone, repair fails and reschedule answers with
+   a full re-map (or its error), never Repaired or Incremental.  The
+   second case also strips a placed PE's capability, which alone the
+   incremental tier would absorb. *)
+let test_engine_break_falls_through_to_full () =
+  let sys = general () in
+  let c = Compile.compile ~tuned:false (Kernels.find "mm") in
+  let prior =
+    match Spatial.schedule_app sys c with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "mm: %s" e
+  in
+  let s = List.hd prior in
+  let engine =
+    match s.array_engine with
+    | (_, e) :: _ -> e
+    | [] -> Alcotest.fail "mm binds no array"
+  in
+  let inst, pe = Schedule.Imap.min_binding s.inst_pe in
+  let strip_cap adg =
+    match ((Dfg.node s.variant.dfg inst).kind, Adg.comp_exn adg pe) with
+    | Dfg.Inst { op; dtype; _ }, Comp.Pe p ->
+      Adg.set_comp adg pe (Comp.Pe { p with caps = Op.Cap.remove (op, dtype) p.caps })
+    | _ -> Alcotest.fail "instruction on a PE expected"
+  in
+  let no_engine = Adg.remove_node sys.adg engine in
+  List.iter
+    (fun (label, adg) ->
+      let sys' = Sys_adg.with_adg sys adg in
+      Alcotest.(check bool) (label ^ ": repair fails") true
+        (Result.is_error (Spatial.repair sys' prior));
+      match Spatial.reschedule sys' c ~prior with
+      | Ok (_, Spatial.Repaired) -> Alcotest.failf "%s: answered Repaired" label
+      | Ok (_, Spatial.Incremental) ->
+        Alcotest.failf "%s: answered Incremental" label
+      | Ok ((_ : Schedule.t list), Spatial.Full) | Error _ -> ())
+    [ ("engine removed", no_engine); ("engine removed, cap lost", strip_cap no_engine) ]
 
 let test_relaxation_on_small_fabric () =
   (* a tiny fabric forces fallback to a narrow variant, not failure *)
@@ -766,12 +982,16 @@ let tests =
     Alcotest.test_case "crs indirect engine" `Quick test_indirect_arrays_on_indirect_engine;
     Alcotest.test_case "route endpoints" `Quick test_routes_start_and_end_correctly;
     Alcotest.test_case "validate rejects a cut route" `Quick test_validate_rejects_cut_route;
+    Alcotest.test_case "validate rejects each broken rule" `Quick
+      test_validate_rejects_each_rule;
     Alcotest.test_case "ii sanity" `Quick test_ii_at_least_one;
     Alcotest.test_case "repair fast path" `Quick test_repair_after_harmless_change;
     Alcotest.test_case "repair reroutes" `Quick test_repair_reroutes_after_switch_removal;
     Alcotest.test_case "repair detects lost caps" `Quick test_repair_fails_when_pe_capability_lost;
     Alcotest.test_case "repair fails on a removed placed PE" `Quick
       test_repair_fails_when_placed_pe_removed;
+    Alcotest.test_case "engine-binding breaks fall through to full" `Quick
+      test_engine_break_falls_through_to_full;
     Alcotest.test_case "relax on small fabric" `Quick test_relaxation_on_small_fabric;
     Alcotest.test_case "ii covers port width" `Quick test_compute_ii_respects_port_width;
     QCheck_alcotest.to_alcotest prop_schedule_deterministic;
