@@ -3,31 +3,70 @@ open Overgen_mdfg
 open Overgen_scheduler
 module Rng = Overgen_util.Rng
 
+(* Tables indexed by node id, sized by the largest id the schedules use:
+   an id at or past [n] (a node added since) reads as unused. *)
 type usage = {
-  used_nodes : (Adg.id, unit) Hashtbl.t;
-  used_links : (Adg.id * Adg.id, unit) Hashtbl.t;
-  pe_caps_used : (Adg.id, (Op.t * Dtype.t) list) Hashtbl.t;
-  stated_used : (Adg.id, unit) Hashtbl.t;
-  indirect_used : (Adg.id, unit) Hashtbl.t;
-  dims_used : (Adg.id, int) Hashtbl.t;
-  delay_used : (Adg.id, int) Hashtbl.t;
-  routes_through : (Adg.id, (Adg.id * Adg.id) list) Hashtbl.t;
+  n : int;
+  used_nodes : bool array;
+  used_links : (int, unit) Hashtbl.t;  (* key src * n + dst *)
+  pe_caps_used : (Op.t * Dtype.t) list array;
+  stated_used : bool array;
+  indirect_used : bool array;
+  dims_used : int array;  (* 1 where unused *)
+  delay_used : int array;
+  routes_through : (Adg.id * Adg.id) list array;  (* newest pair first *)
 }
 
+let rec max_hop acc = function
+  | [] -> acc
+  | id :: rest -> max_hop (Int.max acc id) rest
+
+let rec max_bound acc = function
+  | [] -> acc
+  | (_, id) :: rest -> max_bound (Int.max acc id) rest
+
+(* the largest node id any schedule binds or routes through, or -1 *)
+let max_id schedules =
+  List.fold_left
+    (fun acc (s : Schedule.t) ->
+      let top _ id acc = Int.max acc id in
+      let acc = Schedule.Imap.fold top s.inst_pe acc in
+      let acc = Schedule.Imap.fold top s.port_map acc in
+      let acc = max_bound acc s.array_engine in
+      let acc = max_bound (max_bound acc s.rec_streams) s.reg_streams in
+      List.fold_left
+        (fun acc (_, (r : Schedule.route)) -> max_hop acc r.hops)
+        acc s.routes)
+    (-1) schedules
+
+let in_range u id = id >= 0 && id < u.n
+let used u id = in_range u id && u.used_nodes.(id)
+
+let link_used u a b =
+  in_range u a && in_range u b && Hashtbl.mem u.used_links ((a * u.n) + b)
+let pe_caps_used u id = if in_range u id then u.pe_caps_used.(id) else []
+let stated_used u id = in_range u id && u.stated_used.(id)
+let indirect_used u id = in_range u id && u.indirect_used.(id)
+let dims_used u id = if in_range u id then u.dims_used.(id) else 1
+let delay_used u id = if in_range u id then u.delay_used.(id) else 0
+let routes_through u id = if in_range u id then u.routes_through.(id) else []
+
 let usage_of schedules =
+  let n = max_id schedules + 1 in
   let u =
     {
-      used_nodes = Hashtbl.create 64;
+      n;
+      used_nodes = Array.make n false;
       used_links = Hashtbl.create 128;
-      pe_caps_used = Hashtbl.create 32;
-      stated_used = Hashtbl.create 8;
-      indirect_used = Hashtbl.create 4;
-      dims_used = Hashtbl.create 8;
-      delay_used = Hashtbl.create 32;
-      routes_through = Hashtbl.create 32;
+      pe_caps_used = Array.make n [];
+      stated_used = Array.make n false;
+      indirect_used = Array.make n false;
+      dims_used = Array.make n 1;
+      delay_used = Array.make n 0;
+      routes_through = Array.make n [];
     }
   in
-  let mark id = Hashtbl.replace u.used_nodes id () in
+  let mark id = u.used_nodes.(id) <- true in
   List.iter
     (fun (s : Schedule.t) ->
       let v = s.variant in
@@ -36,9 +75,9 @@ let usage_of schedules =
           mark pe;
           match (Dfg.node v.dfg inst).kind with
           | Dfg.Inst { op; dtype; _ } ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt u.pe_caps_used pe) in
+            let prev = u.pe_caps_used.(pe) in
             if not (List.mem (op, dtype) prev) then
-              Hashtbl.replace u.pe_caps_used pe ((op, dtype) :: prev)
+              u.pe_caps_used.(pe) <- (op, dtype) :: prev
           | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ())
         s.inst_pe;
       Schedule.Imap.iter (fun _ hw -> mark hw) s.port_map;
@@ -51,46 +90,33 @@ let usage_of schedules =
           (match st.port with
           | Some dfg_port -> (
             match Schedule.Imap.find_opt dfg_port s.port_map with
-            | Some hw when st.reuse.stationary > 1.0 ->
-              Hashtbl.replace u.stated_used hw ()
+            | Some hw when st.reuse.stationary > 1.0 -> u.stated_used.(hw) <- true
             | Some _ | None -> ())
           | None -> ());
-          let engines =
-            (* the serving engine, plus the memory engine holding the array
-               (distinct for recurrence-riding streams) *)
-            (match Schedule.engine_of_stream s st with Some e -> [ e ] | None -> [])
-            @ (match List.assoc_opt st.array s.array_engine with
-              | Some e -> [ e ]
-              | None -> [])
+          (* the serving engine, plus the memory engine holding the array
+             (distinct for recurrence-riding streams) *)
+          let need e =
+            (match st.access with
+            | Stream.Indirect _ -> u.indirect_used.(e) <- true
+            | Stream.Linear _ -> ());
+            u.dims_used.(e) <- max u.dims_used.(e) st.dims
           in
-          List.iter
-            (fun e ->
-              (match st.access with
-              | Stream.Indirect _ -> Hashtbl.replace u.indirect_used e ()
-              | Stream.Linear _ -> ());
-              let prev = Option.value ~default:1 (Hashtbl.find_opt u.dims_used e) in
-              Hashtbl.replace u.dims_used e (max prev st.dims))
-            engines)
+          Option.iter need (Schedule.engine_of_stream s st);
+          Option.iter need (List.assoc_opt st.array s.array_engine))
         v.streams;
       (* routes: mark links, through-switch pairs, delay needs *)
       List.iter
         (fun ((_, dst), (r : Schedule.route)) ->
           (match Schedule.Imap.find_opt dst s.inst_pe with
-          | Some pe ->
-            let prev = Option.value ~default:0 (Hashtbl.find_opt u.delay_used pe) in
-            Hashtbl.replace u.delay_used pe (max prev r.delay)
+          | Some pe -> u.delay_used.(pe) <- max u.delay_used.(pe) r.delay
           | None -> ());
           let rec walk = function
             | a :: (b :: _ as rest) ->
               mark a;
               mark b;
-              Hashtbl.replace u.used_links (a, b) ();
+              Hashtbl.replace u.used_links ((a * n) + b) ();
               (match rest with
-              | b' :: c :: _ ->
-                let prev =
-                  Option.value ~default:[] (Hashtbl.find_opt u.routes_through b')
-                in
-                Hashtbl.replace u.routes_through b' ((a, c) :: prev)
+              | b' :: c :: _ -> u.routes_through.(b') <- (a, c) :: u.routes_through.(b')
               | _ -> ());
               walk rest
             | [ _ ] | [] -> ()
@@ -133,7 +159,7 @@ let add_pe rng pool adg =
 
 let remove_pe rng ~preserve adg usage =
   let pes = List.map fst (Adg.pes adg) in
-  let unused = List.filter (fun id -> not (Hashtbl.mem usage.used_nodes id)) pes in
+  let unused = List.filter (fun id -> not (used usage id)) pes in
   let pick = if preserve && unused <> [] then unused else pes in
   match random_node_of rng pick with
   | None -> (adg, "noop (no pes)")
@@ -175,7 +201,7 @@ let remove_switch rng ~preserve adg usage =
       if not preserve then adg
       else begin
         let pairs =
-          Option.value ~default:[] (Hashtbl.find_opt usage.routes_through sw)
+          routes_through usage sw
         in
         let adg = ref adg in
         List.iter
@@ -221,7 +247,7 @@ let remove_link rng ~preserve adg usage =
   let edges = Adg.edges adg in
   let candidates =
     if preserve then
-      List.filter (fun e -> not (Hashtbl.mem usage.used_links e)) edges
+      List.filter (fun (a, b) -> not (link_used usage a b)) edges
     else edges
   in
   match random_node_of rng candidates with
@@ -242,7 +268,7 @@ let mutate_pe_caps rng ~preserve pool adg usage =
           Printf.sprintf "pe %d add cap" id )
     end
     else begin
-      let used = Option.value ~default:[] (Hashtbl.find_opt usage.pe_caps_used id) in
+      let used = pe_caps_used usage id in
       let removable =
         Op.Cap.elements pe.caps
         |> List.filter (fun p -> (not preserve) || not (List.mem p used))
@@ -280,7 +306,7 @@ let mutate_port rng ~preserve adg usage =
       | 0 -> { p with Comp.width_bytes = min 128 (p.width_bytes * 2) }
       | 1 -> { p with Comp.width_bytes = max 2 (p.width_bytes / 2) }
       | 2 ->
-        if p.stated && preserve && Hashtbl.mem usage.stated_used id then p
+        if p.stated && preserve && stated_used usage id then p
         else { p with Comp.stated = not p.stated }
       | _ ->
         { p with Comp.fifo_depth = Overgen_util.Stats.clamp_int ~lo:4 ~hi:64
@@ -328,7 +354,7 @@ let add_port rng adg =
 let remove_port rng ~preserve adg usage =
   let ports = List.map fst (Adg.in_ports adg) @ List.map fst (Adg.out_ports adg) in
   let cands =
-    if preserve then List.filter (fun id -> not (Hashtbl.mem usage.used_nodes id)) ports
+    if preserve then List.filter (fun id -> not (used usage id)) ports
     else ports
   in
   match random_node_of rng cands with
@@ -348,10 +374,10 @@ let mutate_engine rng ~preserve adg usage =
         { e with Comp.capacity = Overgen_util.Stats.clamp_int ~lo:4096 ~hi:(256 * 1024)
                    (if Rng.bool rng then e.capacity * 2 else e.capacity / 2) }
       | 2 ->
-        if e.indirect && preserve && Hashtbl.mem usage.indirect_used id then e
+        if e.indirect && preserve && indirect_used usage id then e
         else { e with Comp.indirect = not e.indirect }
       | _ ->
-        let lo = if preserve then Option.value ~default:1 (Hashtbl.find_opt usage.dims_used id) else 1 in
+        let lo = if preserve then dims_used usage id else 1 in
         let d = if Rng.bool rng then e.max_dims + 1 else e.max_dims - 1 in
         { e with Comp.max_dims = Overgen_util.Stats.clamp_int ~lo ~hi:3 d }
     in
@@ -381,7 +407,7 @@ let add_engine rng adg =
 let remove_engine rng ~preserve adg usage =
   let engines = List.map fst (Adg.engines adg) in
   let cands =
-    if preserve then List.filter (fun id -> not (Hashtbl.mem usage.used_nodes id)) engines
+    if preserve then List.filter (fun id -> not (used usage id)) engines
     else engines
   in
   match random_node_of rng cands with
@@ -394,25 +420,23 @@ let prune_unused adg usage =
   (* PE capabilities and delay FIFOs *)
   List.iter
     (fun (id, (pe : Comp.pe)) ->
-      match Hashtbl.find_opt usage.pe_caps_used id with
-      | Some used ->
+      match pe_caps_used usage id with
+      | _ :: _ as used ->
         let caps = Op.Cap.filter (fun p -> List.mem p used) pe.caps in
         let caps = if Op.Cap.is_empty caps then pe.caps else caps in
-        let delay_needed =
-          max 2 (Option.value ~default:0 (Hashtbl.find_opt usage.delay_used id))
-        in
+        let delay_needed = max 2 (delay_used usage id) in
         let delay_fifo = min pe.delay_fifo (max delay_needed 4) in
         if Op.Cap.cardinal caps < Op.Cap.cardinal pe.caps || delay_fifo < pe.delay_fifo
         then begin
           incr count;
           adg := Adg.set_comp !adg id (Comp.Pe { pe with caps; delay_fifo })
         end
-      | None -> ())
+      | [] -> ())
     (Adg.pes !adg);
   (* port features *)
   let prune_port dir (id, (p : Comp.port)) =
-    if Hashtbl.mem usage.used_nodes id then begin
-      let stated = p.stated && Hashtbl.mem usage.stated_used id in
+    if used usage id then begin
+      let stated = p.stated && stated_used usage id in
       if stated <> p.stated then begin
         incr count;
         let p' = { p with stated } in
@@ -427,12 +451,9 @@ let prune_unused adg usage =
   (* engine features *)
   List.iter
     (fun (id, (e : Comp.engine)) ->
-      if Hashtbl.mem usage.used_nodes id then begin
-        let indirect = e.indirect && Hashtbl.mem usage.indirect_used id in
-        let max_dims =
-          min e.max_dims
-            (max 1 (Option.value ~default:1 (Hashtbl.find_opt usage.dims_used id)))
-        in
+      if used usage id then begin
+        let indirect = e.indirect && indirect_used usage id in
+        let max_dims = min e.max_dims (max 1 (dims_used usage id)) in
         if indirect <> e.indirect || max_dims <> e.max_dims then begin
           incr count;
           adg := Adg.set_comp !adg id (Comp.Engine { e with indirect; max_dims })

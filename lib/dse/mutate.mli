@@ -14,6 +14,8 @@ type usage
     port/engine features. *)
 
 val usage_of : Schedule.t list -> usage
+(** Tables indexed by node id, sized by the largest id the schedules use:
+    a node added since (an id past that range) reads as unused. *)
 
 val propose :
   Overgen_util.Rng.t ->

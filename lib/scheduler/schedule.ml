@@ -28,18 +28,83 @@ let ipc t =
 
 let is_rec t (s : Stream.t) = List.mem_assoc s.id t.rec_streams
 
-let engine_of_stream t (s : Stream.t) =
-  match List.assoc_opt s.id t.rec_streams with
-  | Some e -> Some e
-  | None -> (
-    match List.assoc_opt s.id t.reg_streams with
-    | Some e -> Some e
-    | None -> List.assoc_opt s.array t.array_engine)
+let rec assoc_id (k : int) = function
+  | [] -> -1
+  | (k', e) :: rest -> if k' = k then e else assoc_id k rest
 
+let rec assoc_name name = function
+  | [] -> -1
+  | (n, e) :: rest -> if String.equal n name then e else assoc_name name rest
+
+(* [engine_of_stream] without the option: -1 for none (ids are >= 0) *)
+let engine_id t (s : Stream.t) =
+  let e = assoc_id s.id t.rec_streams in
+  if e >= 0 then e
+  else
+    let e = assoc_id s.id t.reg_streams in
+    if e >= 0 then e else assoc_name s.array t.array_engine
+
+let engine_of_stream t s = match engine_id t s with -1 -> None | e -> Some e
 
 (* ------------------------------------------------------------------ *)
 (* Initiation interval                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* [compute_ii] scans the stream list instead of building a table: a
+   variant has few streams and fewer engines, and the DSE computes an II
+   for every schedule it repairs or scores. *)
+
+let rec engine_in t e = function
+  | [] -> false
+  | s :: rest -> engine_id t s = e || engine_in t e rest
+
+(* The bytes engine [e] moves per firing, summed in stream order. *)
+let rec demand_of t e firings acc = function
+  | [] -> acc
+  | (s : Stream.t) :: rest ->
+    let acc =
+      if engine_id t s = e then
+        acc +. (Stream.mem_bytes s ~use_rec:(is_rec t s) /. firings)
+      else acc
+    in
+    demand_of t e firings acc rest
+
+(* The engine-bandwidth limit, each engine taken once at its last
+   stream. *)
+let rec engine_ii comp t firings acc = function
+  | [] -> acc
+  | s :: rest ->
+    let e = engine_id t s in
+    let acc =
+      if e < 0 || engine_in t e rest then acc
+      else
+        let bw =
+          match comp e with
+          | Some (Comp.Engine en) -> float_of_int (max 1 en.Comp.bandwidth)
+          | Some (Comp.Pe _ | Comp.Switch _ | Comp.In_port _ | Comp.Out_port _)
+          | None -> 1.0
+        in
+        let demand = demand_of t e firings 0.0 t.variant.streams in
+        Int.max acc (int_of_float (ceil (demand /. bw)))
+    in
+    engine_ii comp t firings acc rest
+
+(* Recurrence distance: a loop-carried chain of pipeline depth D with C
+   concurrent instances initiates at best every ceil(D/C) cycles.  [depth]
+   is -1 until a recurrence needs it. *)
+let rec rec_ii t depth acc = function
+  | [] -> acc
+  | (s : Stream.t) :: rest -> (
+    match s.recurrence with
+    | Some r when is_rec t s ->
+      let depth =
+        if depth < 0 then Dfg.depth t.variant.dfg + 4 (* port + engine forwarding *)
+        else depth
+      in
+      rec_ii t depth
+        (Int.max acc (Overgen_util.Stats.div_ceil depth (max 1 r.concurrent)))
+        rest
+    | Some _ | None -> rec_ii t depth acc rest)
 
 let compute_ii ?comp (sys : Sys_adg.t) t =
   let adg = sys.adg in
@@ -63,44 +128,8 @@ let compute_ii ?comp (sys : Sys_adg.t) t =
       t.port_map 1
   in
   (* Engine-bandwidth limit: average bytes an engine must move per firing. *)
-  let engine_demand = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Stream.t) ->
-      match engine_of_stream t s with
-      | None -> ()
-      | Some e ->
-        let bytes =
-          Stream.mem_bytes s ~use_rec:(is_rec t s) /. Float.max 1.0 v.firings
-        in
-        Hashtbl.replace engine_demand e
-          (bytes +. Option.value ~default:0.0 (Hashtbl.find_opt engine_demand e)))
-    v.streams;
-  let engine_ii =
-    Hashtbl.fold
-      (fun e demand acc ->
-        let bw =
-          match comp e with
-          | Some (Comp.Engine en) -> float_of_int (max 1 en.bandwidth)
-          | Some (Comp.Pe _ | Comp.Switch _ | Comp.In_port _ | Comp.Out_port _)
-          | None -> 1.0
-        in
-        max acc (int_of_float (ceil (demand /. bw))))
-      engine_demand 1
-  in
-  (* Recurrence distance: a loop-carried chain of pipeline depth D with C
-     concurrent instances initiates at best every ceil(D/C) cycles. *)
-  let depth = lazy (Dfg.depth v.dfg + 4 (* port + engine forwarding *)) in
-  let rec_ii =
-    List.fold_left
-      (fun acc (s : Stream.t) ->
-        match s.recurrence with
-        | Some r when is_rec t s ->
-          max acc
-            (Overgen_util.Stats.div_ceil (Lazy.force depth)
-               (max 1 r.concurrent))
-        | Some _ | None -> acc)
-      1 v.streams
-  in
+  let engine_ii = engine_ii comp t (Float.max 1.0 v.firings) 1 v.streams in
+  let rec_ii = rec_ii t (-1) 1 v.streams in
   max (max port_ii (t.max_link_share * t.skew_penalty)) (max engine_ii rec_ii)
 
 (* ------------------------------------------------------------------ *)
@@ -168,6 +197,151 @@ let spad_holds (en : Comp.engine) ~bytes = bytes <= en.capacity
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* [validate] stops at the first broken rule: each check raises, in the
+   order the rules are listed, and none builds a table. *)
+exception Invalid of string
+
+let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
+
+(* instructions on capable PEs *)
+let check_inst comp (v : Compile.variant) inst pe_id =
+  match ((Dfg.node v.dfg inst).kind, comp pe_id) with
+  | Dfg.Inst { op; dtype; _ }, Some (Comp.Pe p) ->
+    if not (pe_has_cap p ~op ~dtype) then
+      invalid "pe %d lost cap %s.%s" pe_id (Op.to_string op) (Dtype.to_string dtype)
+    else if not (pe_wide_enough p ~dtype) then invalid "pe %d too narrow" pe_id
+  | Dfg.Inst _, _ -> invalid "inst %d mapped to missing/non-pe %d" inst pe_id
+  | (Dfg.Const _ | Dfg.Input _ | Dfg.Output _), _ ->
+    invalid "non-inst %d in inst_pe" inst
+
+(* dedicated model: at most one instruction per PE.  Runs after
+   [check_inst] passed, so every PE id is a node's, hence >= 0. *)
+let check_dedicated inst_pe =
+  let top = Imap.fold (fun _ pe acc -> Int.max acc pe) inst_pe 0 in
+  let seen = Bytes.make ((top lsr 3) + 1) '\000' in
+  Imap.iter
+    (fun inst pe_id ->
+      let byte = Char.code (Bytes.get seen (pe_id lsr 3))
+      and bit = 1 lsl (pe_id land 7) in
+      if byte land bit <> 0 then begin
+        let other, _ =
+          Imap.min_binding (Imap.filter (fun i pe -> pe = pe_id && i < inst) inst_pe)
+        in
+        invalid "pe %d shared by insts %d and %d" pe_id other inst
+      end;
+      Bytes.set seen (pe_id lsr 3) (Char.chr (byte lor bit)))
+    inst_pe
+
+let check_port comp v dfg_port hw =
+  match ((Dfg.node v.Compile.dfg dfg_port).kind, comp hw) with
+  | Dfg.Input _, Some (Comp.In_port p) | Dfg.Output _, Some (Comp.Out_port p) ->
+    let elem, stated = port_need v dfg_port in
+    if not (port_wide_enough p ~elem) then
+      invalid "hw port %d narrower than element (%dB < %dB)" hw p.width_bytes elem;
+    if not (port_state_ok p ~stated) then invalid "hw port %d lacks stream-state" hw
+  | Dfg.Input _, _ -> invalid "dfg input %d on non-in-port %d" dfg_port hw
+  | Dfg.Output _, _ -> invalid "dfg output %d on non-out-port %d" dfg_port hw
+  | (Dfg.Inst _ | Dfg.Const _), _ -> invalid "non-port %d in port_map" dfg_port
+
+(* The scratchpad bytes of one array, or -1 for an array the variant does
+   not declare. *)
+let rec array_bytes_of name = function
+  | [] -> -1
+  | (a : Stream.array_info) :: rest ->
+    if String.equal a.name name then Stream.array_bytes a else array_bytes_of name rest
+
+(* The bytes of the declared arrays bound to [e], from the start of the
+   binding list [l] through the binding at list cell [here]. *)
+let rec spad_load (v : Compile.variant) e here acc l =
+  match l with
+  | [] -> acc
+  | (name, e') :: rest ->
+    let n = if e' = e then array_bytes_of name v.arrays else -1 in
+    let acc = if n >= 0 then acc + n else acc in
+    if l == here then acc else spad_load v e here acc rest
+
+(* feature support for one array's streams *)
+let rec check_features en e name = function
+  | [] -> ()
+  | (s : Stream.t) :: rest ->
+    if String.equal s.array name then begin
+      if not (engine_indirect_ok en s) then
+        invalid "engine %d lacks indirect for %s" e name;
+      if not (engine_dims_ok en s) then invalid "engine %d lacks %dD patterns" e s.dims
+    end;
+    check_features en e name rest
+
+(* arrays on engines with capacity and feature support *)
+let rec check_arrays comp (v : Compile.variant) all = function
+  | [] -> ()
+  | (name, e) :: rest as here ->
+    (match comp e with
+    | Some (Comp.Engine en) ->
+      (match en.Comp.kind with
+      | Comp.Spad ->
+        if array_bytes_of name v.arrays >= 0
+           && not (spad_holds en ~bytes:(spad_load v e here 0 all))
+        then invalid "spad %d over capacity" e
+      | Comp.Dma | Comp.Rec | Comp.Gen | Comp.Reg -> ());
+      check_features en e name v.streams
+    | Some (Comp.Pe _ | Comp.Switch _ | Comp.In_port _ | Comp.Out_port _) | None ->
+      invalid "array %s on missing engine %d" name e);
+    check_arrays comp v all rest
+
+let rec check_engine_kind comp kind what = function
+  | [] -> ()
+  | (_, e) :: rest ->
+    (match comp e with
+    | Some (Comp.Engine en) when en.Comp.kind = kind -> ()
+    | _ -> invalid "%s stream on non-%s engine %d" what what e);
+    check_engine_kind comp kind what rest
+
+(* DFG node [id] is placed on [hop] *)
+let placed_at t id hop =
+  if Imap.mem id t.inst_pe then Imap.find id t.inst_pe = hop
+  else Imap.mem id t.port_map && Imap.find id t.port_map = hop
+
+(* every hop edge present, and the last hop the consumer's placement *)
+let rec check_hops mem_edge t src dst = function
+  | a :: (b :: _ as rest) ->
+    if not (mem_edge a b) then invalid "route %d->%d broken at %d->%d" src dst a b;
+    check_hops mem_edge t src dst rest
+  | [ last ] ->
+    if not (placed_at t dst last) then
+      invalid "route %d->%d ends at %d, not at its consumer" src dst last
+  | [] -> invalid "route %d->%d is empty" src dst
+
+(* every hop but the last is a switch (the caller drops the first) *)
+let rec check_interior comp src dst = function
+  | hop :: (_ :: _ as rest) ->
+    (match comp hop with
+    | Some (Comp.Switch _) -> ()
+    | _ -> invalid "route %d->%d passes through non-switch %d" src dst hop);
+    check_interior comp src dst rest
+  | [ _ ] | [] -> ()
+
+(* routes intact: they start at the producer's placement and end at the
+   consumer's, every hop edge is present, intermediates are switches, and
+   the delay fits the consuming PE's FIFO *)
+let rec check_routes comp mem_edge t = function
+  | [] -> ()
+  | ((src, dst), r) :: rest ->
+    (match r.hops with
+    | first :: _ when not (placed_at t src first) ->
+      invalid "route %d->%d starts at %d, not at its producer" src dst first
+    | _ -> ());
+    check_hops mem_edge t src dst r.hops;
+    (match r.hops with
+    | _ :: interior -> check_interior comp src dst interior
+    | [] -> ());
+    (if Imap.mem dst t.inst_pe then
+       match comp (Imap.find dst t.inst_pe) with
+       | Some (Comp.Pe p) ->
+         if r.delay > p.delay_fifo then
+           invalid "route %d->%d needs delay %d > fifo %d" src dst r.delay p.delay_fifo
+       | _ -> ());
+    check_routes comp mem_edge t rest
+
 let validate ?comp ?mem_edge t (sys : Sys_adg.t) =
   let adg = sys.adg in
   let comp = match comp with Some f -> f | None -> fun id -> Adg.comp adg id in
@@ -177,123 +351,14 @@ let validate ?comp ?mem_edge t (sys : Sys_adg.t) =
     | None -> fun a b -> Adg.mem_edge adg a b
   in
   let v = t.variant in
-  let err = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
-  (* instructions on capable PEs *)
-  Imap.iter
-    (fun inst pe_id ->
-      match ((Dfg.node v.dfg inst).kind, comp pe_id) with
-      | Dfg.Inst { op; dtype; _ }, Some (Comp.Pe p) ->
-        if not (pe_has_cap p ~op ~dtype) then
-          fail "pe %d lost cap %s.%s" pe_id (Op.to_string op) (Dtype.to_string dtype)
-        else if not (pe_wide_enough p ~dtype) then fail "pe %d too narrow" pe_id
-      | Dfg.Inst _, _ -> fail "inst %d mapped to missing/non-pe %d" inst pe_id
-      | (Dfg.Const _ | Dfg.Input _ | Dfg.Output _), _ ->
-        fail "non-inst %d in inst_pe" inst)
-    t.inst_pe;
-  (* dedicated model: at most one instruction per PE *)
-  let seen = Hashtbl.create 16 in
-  Imap.iter
-    (fun inst pe_id ->
-      (match Hashtbl.find_opt seen pe_id with
-      | Some other -> fail "pe %d shared by insts %d and %d" pe_id other inst
-      | None -> ());
-      Hashtbl.replace seen pe_id inst)
-    t.inst_pe;
-  (* ports *)
-  Imap.iter
-    (fun dfg_port hw ->
-      match ((Dfg.node v.dfg dfg_port).kind, comp hw) with
-      | Dfg.Input _, Some (Comp.In_port p) | Dfg.Output _, Some (Comp.Out_port p) ->
-        let elem, stated = port_need v dfg_port in
-        if not (port_wide_enough p ~elem) then
-          fail "hw port %d narrower than element (%dB < %dB)" hw p.width_bytes elem;
-        if not (port_state_ok p ~stated) then fail "hw port %d lacks stream-state" hw
-      | Dfg.Input _, _ -> fail "dfg input %d on non-in-port %d" dfg_port hw
-      | Dfg.Output _, _ -> fail "dfg output %d on non-out-port %d" dfg_port hw
-      | (Dfg.Inst _ | Dfg.Const _), _ -> fail "non-port %d in port_map" dfg_port)
-    t.port_map;
-  (* arrays on engines with capacity and feature support *)
-  let spad_load = Hashtbl.create 4 in
-  List.iter
-    (fun (name, e) ->
-      match comp e with
-      | Some (Comp.Engine en) ->
-        let info = List.find_opt (fun (a : Stream.array_info) -> a.name = name) v.arrays in
-        (match (en.kind, info) with
-        | Comp.Spad, Some a ->
-          let total =
-            Stream.array_bytes a
-            + Option.value ~default:0 (Hashtbl.find_opt spad_load e)
-          in
-          Hashtbl.replace spad_load e total;
-          if not (spad_holds en ~bytes:total) then fail "spad %d over capacity" e
-        | (Comp.Dma | Comp.Spad | Comp.Rec | Comp.Gen | Comp.Reg), _ -> ());
-        (* feature support for this array's streams *)
-        List.iter
-          (fun (s : Stream.t) ->
-            if s.array = name then begin
-              if not (engine_indirect_ok en s) then
-                fail "engine %d lacks indirect for %s" e name;
-              if not (engine_dims_ok en s) then
-                fail "engine %d lacks %dD patterns" e s.dims
-            end)
-          v.streams
-      | Some (Comp.Pe _ | Comp.Switch _ | Comp.In_port _ | Comp.Out_port _) | None ->
-        fail "array %s on missing engine %d" name e)
-    t.array_engine;
-  List.iter
-    (fun (_, e) ->
-      match comp e with
-      | Some (Comp.Engine { kind = Comp.Rec; _ }) -> ()
-      | _ -> fail "rec stream on non-rec engine %d" e)
-    t.rec_streams;
-  List.iter
-    (fun (_, e) ->
-      match comp e with
-      | Some (Comp.Engine { kind = Comp.Reg; _ }) -> ()
-      | _ -> fail "reg stream on non-reg engine %d" e)
-    t.reg_streams;
-  (* routes intact: they start at the producer's placement and end at the
-     consumer's, every hop edge is present, intermediates are switches *)
-  let at id hop =
-    match Imap.find_opt id t.inst_pe with
-    | Some pe -> pe = hop
-    | None -> (
-      match Imap.find_opt id t.port_map with Some p -> p = hop | None -> false)
-  in
-  List.iter
-    (fun ((src, dst), r) ->
-      let rec walk = function
-        | a :: (b :: _ as rest) ->
-          if not (mem_edge a b) then fail "route %d->%d broken at %d->%d" src dst a b;
-          walk rest
-        | [ last ] ->
-          if not (at dst last) then
-            fail "route %d->%d ends at %d, not at its consumer" src dst last
-        | [] -> fail "route %d->%d is empty" src dst
-      in
-      (match r.hops with
-      | first :: _ when not (at src first) ->
-        fail "route %d->%d starts at %d, not at its producer" src dst first
-      | _ -> ());
-      walk r.hops;
-      let n_hops = List.length r.hops in
-      List.iteri
-        (fun i hop ->
-          if i > 0 && i < n_hops - 1 then
-            match comp hop with
-            | Some (Comp.Switch _) -> ()
-            | _ -> fail "route %d->%d passes through non-switch %d" src dst hop)
-        r.hops;
-      (* delay budget on the consuming PE *)
-      match Imap.find_opt dst t.inst_pe with
-      | Some pe_id -> (
-        match comp pe_id with
-        | Some (Comp.Pe p) ->
-          if r.delay > p.delay_fifo then
-            fail "route %d->%d needs delay %d > fifo %d" src dst r.delay p.delay_fifo
-        | _ -> ())
-      | None -> ())
-    t.routes;
-  match !err with None -> Ok () | Some e -> Error e
+  match
+    Imap.iter (fun inst pe_id -> check_inst comp v inst pe_id) t.inst_pe;
+    check_dedicated t.inst_pe;
+    Imap.iter (fun dfg_port hw -> check_port comp v dfg_port hw) t.port_map;
+    check_arrays comp v t.array_engine t.array_engine;
+    check_engine_kind comp Comp.Rec "rec" t.rec_streams;
+    check_engine_kind comp Comp.Reg "reg" t.reg_streams;
+    check_routes comp mem_edge t t.routes
+  with
+  | () -> Ok ()
+  | exception Invalid e -> Error e

@@ -39,6 +39,10 @@ let m_incremental_fallback =
   counter "overgen_scheduler_incremental_fallback_total"
     "reschedules that fell back to a full re-map"
 
+let m_pruned =
+  counter "overgen_scheduler_variants_pruned_total"
+    "variants skipped because they could not place or could not win"
+
 (* ------------------------------------------------------------------ *)
 (* Topology caches                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -72,8 +76,11 @@ type topo = {
   dmas : (Adg.id * Comp.engine) list;
   max_in_fifo : int;
   dist_cache : int array array;        (* BFS map per source; [||] = not yet *)
-  cap_cache : (Op.t * Dtype.t, (Adg.id * Comp.pe) list) Hashtbl.t;
-      (* PEs statically capable of (op, dtype): caps + width *)
+  cap_cache : (Adg.id * Comp.pe) list option array;
+      (* PEs statically capable of (op, dtype), by [pair_key]: caps + width *)
+  need : int array;
+      (* instructions per [pair_key] of the variant being checked for
+         placeability; all 0 between checks *)
   mutable repair_memo : (Schedule.t list * Schedule.t list) option;
       (* last all-valid repair on this graph, keyed by physical identity *)
   (* Dijkstra scratch *)
@@ -99,6 +106,21 @@ let lane_capacity lane_w a b =
     if wb >= 0 then max 1 (min wa wb / 64) else max 1 (wa / 64 * 4)
   else if wb >= 0 then max 1 (wb / 64 * 4)
   else 16
+
+(* A dense index for an (op, dtype) pair, from their positions in [Op.all]
+   and [Dtype.all], so per-pair tables are arrays. *)
+let n_dtypes = List.length Dtype.all
+let n_pairs = List.length Op.all * n_dtypes
+
+let rec op_pos (op : Op.t) i = function
+  | [] -> i
+  | o :: rest -> if o = op then i else op_pos op (i + 1) rest
+
+let rec dtype_pos (d : Dtype.t) i = function
+  | [] -> i
+  | d' :: rest -> if d' = d then i else dtype_pos d (i + 1) rest
+
+let pair_key op dtype = (op_pos op 0 Op.all * n_dtypes) + dtype_pos dtype 0 Dtype.all
 
 let build_topo adg =
   let n = max 1 (Adg.max_id adg + 1) in
@@ -152,7 +174,8 @@ let build_topo adg =
         (fun acc (_, (p : Comp.port)) -> max acc p.fifo_depth)
         0 in_ports;
     dist_cache = Array.make n [||];
-    cap_cache = Hashtbl.create 16;
+    cap_cache = Array.make n_pairs None;
+    need = Array.make n_pairs 0;
     repair_memo = None;
     d_dist = Array.make n max_int;
     d_parent = Array.make n (-1);
@@ -181,29 +204,27 @@ let topo_of adg =
     slot := Some (adg, t);
     t
 
-let array_mem (x : int) arr =
-  let n = Array.length arr in
-  let rec go i = i < n && (arr.(i) = x || go (i + 1)) in
-  go 0
+(* a top-level loop, so a membership test allocates no closure *)
+let rec array_mem_from (x : int) arr i =
+  i < Array.length arr && (arr.(i) = x || array_mem_from x arr (i + 1))
 
 (* [Adg.mem_edge] on the topology; false for an id beyond the graph *)
 let mem_edge t a b =
-  a >= 0 && a < t.n_ids && array_mem b t.succs.(a)
+  a >= 0 && a < t.n_ids && array_mem_from b t.succs.(a) 0
 
 (* [Adg.comp] on the topology; None for an id beyond the graph *)
 let comp t id = if id >= 0 && id < t.n_ids then t.comp_arr.(id) else None
 
-(* The id of edge [a -> b], by a scan of [a]'s successors. *)
-let edge_id t a b =
+(* The id of edge [a -> b], by a scan of [a]'s successors from the [j]th;
+   a top-level loop, so it allocates no closure per hop. *)
+let rec edge_from t a b j =
   let nexts = t.succs.(a) in
-  let n = Array.length nexts in
-  let rec go j =
-    if j = n then
-      invalid_arg (Printf.sprintf "Spatial: %d->%d is not an edge" a b)
-    else if nexts.(j) = b then t.e_off.(a) + j
-    else go (j + 1)
-  in
-  go 0
+  if j = Array.length nexts then
+    invalid_arg (Printf.sprintf "Spatial: %d->%d is not an edge" a b)
+  else if nexts.(j) = b then t.e_off.(a) + j
+  else edge_from t a b (j + 1)
+
+let edge_id t a b = edge_from t a b 0
 
 let rec int_mem (x : int) = function
   | [] -> false
@@ -495,26 +516,20 @@ let find_route ctx ~tag ~src ~dst =
 
 (* [claim_route] and [max_share_on] raise [Invalid_argument] on a hop pair
    that is not an edge. *)
-let claim_route ctx ~tag hops =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-      let e = edge_id ctx.topo a b in
-      let os = ctx.link_owner.(e) in
-      if not (int_mem tag os) then set_link ctx e (tag :: os);
-      go rest
-    | [ _ ] | [] -> ()
-  in
-  go hops
+let rec claim_route ctx ~tag = function
+  | a :: (b :: _ as rest) ->
+    let e = edge_id ctx.topo a b in
+    let os = ctx.link_owner.(e) in
+    if not (int_mem tag os) then set_link ctx e (tag :: os);
+    claim_route ctx ~tag rest
+  | [ _ ] | [] -> ()
+
+let rec share_on ctx acc = function
+  | a :: (b :: _ as rest) -> share_on ctx (Int.max acc (effective_share ctx a b)) rest
+  | [ _ ] | [] -> acc
 
 let max_share_on ctx hops_list =
-  List.fold_left
-    (fun acc hops ->
-      let rec go acc = function
-        | a :: (b :: _ as rest) -> go (Int.max acc (effective_share ctx a b)) rest
-        | [ _ ] | [] -> acc
-      in
-      go acc hops)
-    1 hops_list
+  List.fold_left (fun acc hops -> share_on ctx acc hops) 1 hops_list
 
 (* BFS distance through switches, for placement scoring.  Purely
    topological, so maps are memoized on the topo and shared by every
@@ -570,14 +585,49 @@ let n_consts_of (v : Compile.variant) (n : Dfg.node) =
    sets never change under a fixed graph, so the Set.mem tests run once *)
 let capable_pes ctx ~op ~dtype =
   let t = ctx.topo in
-  match Hashtbl.find_opt t.cap_cache (op, dtype) with
+  let k = pair_key op dtype in
+  match t.cap_cache.(k) with
   | Some l -> l
   | None ->
     let l =
       List.filter (fun (_, p) -> Schedule.pe_fits p ~op ~dtype) t.pes
     in
-    Hashtbl.replace t.cap_cache (op, dtype) l;
+    t.cap_cache.(k) <- Some l;
     l
+
+let rec count_free used = function
+  | [] -> 0
+  | (id, _) :: rest -> (if used.(id) then 0 else 1) + count_free used rest
+
+(* Greedy placement must fail when the variant has more instructions of
+   one (op, dtype) than free capable PEs, or more instructions than free
+   PEs: each instruction takes a free PE of its own.  Counts in the topo's
+   [need] scratch, which it leaves zeroed. *)
+let unplaceable ctx (v : Compile.variant) =
+  let need = ctx.topo.need and n = Dfg.size v.dfg in
+  let insts = ref 0 in
+  for id = 0 to n - 1 do
+    match (Dfg.node v.dfg id).kind with
+    | Dfg.Inst { op; dtype; _ } ->
+      let k = pair_key op dtype in
+      need.(k) <- need.(k) + 1;
+      incr insts
+    | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ()
+  done;
+  let over = ref (!insts > count_free ctx.used_pes ctx.topo.pes) in
+  for id = 0 to n - 1 do
+    match (Dfg.node v.dfg id).kind with
+    | Dfg.Inst { op; dtype; _ } ->
+      let k = pair_key op dtype in
+      if need.(k) > 0 then begin
+        if (not !over)
+           && need.(k) > count_free ctx.used_pes (capable_pes ctx ~op ~dtype)
+        then over := true;
+        need.(k) <- 0
+      end
+    | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ()
+  done;
+  !over
 
 (* The free capable PE with enough constant registers nearest its
    producers (summed BFS distance, 1000 per unreachable producer; the
@@ -666,10 +716,18 @@ let tag_of ctx tags id =
 
 (* ---------- the scheduler ---------- *)
 
-let schedule_variant ctx (v : Compile.variant) =
+(* Raised, after rolling the context back, by a variant that cannot beat
+   the score it was given. *)
+exception Cannot_win
+
+(* [schedule_variant], except that once the variant's ports and engines
+   are bound it gives up with [Cannot_win] unless its score (unroll / II)
+   can strictly exceed [beat].  Everything but link sharing and operand
+   skew is fixed by then, and those two only multiply into the II, so the
+   II computed with both at 1 is a lower bound on the final one. *)
+let schedule_variant_to_beat ctx (v : Compile.variant) ~beat =
   let adg = ctx.sys.Sys_adg.adg in
   let saved = snapshot ctx in
-  Obs.incr m_tried;
   try
     let demand_of e = ctx.engine_demand.(e) in
     let add_demand e d = set_demand ctx e (demand_of e +. d) in
@@ -843,6 +901,23 @@ let schedule_variant ctx (v : Compile.variant) =
           let hw = pick_port ~dir s in
           port_map := Imap.add dfg_port hw !port_map)
       v.streams;
+    let bound =
+      {
+        Schedule.variant = v;
+        inst_pe = Imap.empty;
+        port_map = !port_map;
+        array_engine;
+        rec_streams;
+        reg_streams;
+        routes = [];
+        max_link_share = 1;
+        skew_penalty = 1;
+        ii = 1;
+      }
+    in
+    let ii_bound = Schedule.compute_ii ctx.sys bound in
+    if not (float_of_int v.unroll /. float_of_int ii_bound > beat) then
+      raise Cannot_win;
     (* --- instruction placement --- *)
     let dfg_n = Dfg.size v.dfg in
     let tags = Array.make dfg_n (-1) in
@@ -851,26 +926,26 @@ let schedule_variant ctx (v : Compile.variant) =
     let adg_node_of id =
       adg_node_of v ~inst_pe:!inst_pe ~port_map:!port_map id
     in
-    List.iter
-      (fun (n : Dfg.node) ->
-        match n.kind with
-        | Dfg.Inst { op; dtype; _ } ->
-          let producers =
-            List.filter_map
-              (fun (o : Dfg.operand) -> adg_node_of o.src)
-              n.operands
-          in
-          (match
-             best_pe ctx ~op ~dtype ~n_consts:(n_consts_of v n) producers
-           with
-          | None ->
-            failf "no free PE for %s.%s" (Op.to_string op)
-              (Dtype.to_string dtype)
-          | Some pe_id ->
-            use_pe ctx pe_id;
-            inst_pe := Imap.add n.id pe_id !inst_pe)
-        | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ())
-      (Dfg.nodes v.dfg);
+    for id = 0 to dfg_n - 1 do
+      let n = Dfg.node v.dfg id in
+      match n.kind with
+      | Dfg.Inst { op; dtype; _ } ->
+        let producers =
+          List.filter_map
+            (fun (o : Dfg.operand) -> adg_node_of o.src)
+            n.operands
+        in
+        (match
+           best_pe ctx ~op ~dtype ~n_consts:(n_consts_of v n) producers
+         with
+        | None ->
+          failf "no free PE for %s.%s" (Op.to_string op)
+            (Dtype.to_string dtype)
+        | Some pe_id ->
+          use_pe ctx pe_id;
+          inst_pe := Imap.add n.id pe_id !inst_pe)
+      | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ()
+    done;
     (* --- routing --- *)
     (* routes into each node, newest first: a node that reads one source
        twice keeps the later route for both reads *)
@@ -879,27 +954,27 @@ let schedule_variant ctx (v : Compile.variant) =
       | [] -> None
       | (s, r) :: rest -> if s = src then Some r else route_from src rest
     in
-    List.iter
-      (fun (n : Dfg.node) ->
-        List.iter
-          (fun (o : Dfg.operand) ->
-            match (Dfg.node v.dfg o.src).kind with
-            | Dfg.Const _ -> () (* constants live in the PE's registers *)
-            | Dfg.Inst _ | Dfg.Input _ | Dfg.Output _ -> (
-              match (adg_node_of o.src, adg_node_of n.id) with
-              | Some src, Some dst -> (
-                let tag = tag_of o.src in
-                match find_route ctx ~tag ~src ~dst with
-                | Some hops ->
-                  claim_route ctx ~tag hops;
-                  routes_into.(n.id) <-
-                    (o.src, { Schedule.hops; delay = 0 }) :: routes_into.(n.id)
-                | None ->
-                  Obs.incr m_route_fail;
-                  failf "no route %d->%d" src dst)
-              | _ -> failf "unplaced endpoint for edge %d->%d" o.src n.id))
-          n.operands)
-      (Dfg.nodes v.dfg);
+    for id = 0 to dfg_n - 1 do
+      let n = Dfg.node v.dfg id in
+      List.iter
+        (fun (o : Dfg.operand) ->
+          match (Dfg.node v.dfg o.src).kind with
+          | Dfg.Const _ -> () (* constants live in the PE's registers *)
+          | Dfg.Inst _ | Dfg.Input _ | Dfg.Output _ -> (
+            match (adg_node_of o.src, adg_node_of n.id) with
+            | Some src, Some dst -> (
+              let tag = tag_of o.src in
+              match find_route ctx ~tag ~src ~dst with
+              | Some hops ->
+                claim_route ctx ~tag hops;
+                routes_into.(n.id) <-
+                  (o.src, { Schedule.hops; delay = 0 }) :: routes_into.(n.id)
+              | None ->
+                Obs.incr m_route_fail;
+                failf "no route %d->%d" src dst)
+            | _ -> failf "unplaced endpoint for edge %d->%d" o.src n.id))
+        n.operands
+    done;
     (* --- delay balancing --- *)
     let arrival = Array.make dfg_n 0 in
     let node_latency (n : Dfg.node) =
@@ -914,75 +989,76 @@ let schedule_variant ctx (v : Compile.variant) =
     in
     let routes_with_delay = ref [] in
     let skew_penalty = ref 1 in
-    List.iter
-      (fun (n : Dfg.node) ->
-        let op_arrivals =
-          List.filter_map
-            (fun (o : Dfg.operand) ->
-              match (Dfg.node v.dfg o.src).kind with
-              | Dfg.Const _ -> None
-              | Dfg.Inst _ | Dfg.Input _ | Dfg.Output _ ->
-                let a =
-                  arrival.(o.src)
-                  + node_latency (Dfg.node v.dfg o.src)
-                  + route_len o.src n.id
-                in
-                Some (o.src, a))
-            n.operands
-        in
-        let t_max = List.fold_left (fun acc (_, a) -> Int.max acc a) 0 op_arrivals in
-        arrival.(n.id) <- t_max;
-        (* set delays to balance operand arrival *)
-        List.iter
-          (fun (src, a) ->
-            let slack = t_max - a in
-            match route_from src routes_into.(n.id) with
-            | Some r ->
-              let budget =
-                match Imap.find_opt n.id !inst_pe with
-                | Some pe_id -> (
-                  match Adg.comp_exn adg pe_id with
-                  | Comp.Pe p -> p.delay_fifo
-                  | _ -> 0)
-                | None -> 64 (* output ports tolerate skew via their FIFOs *)
+    for id = 0 to dfg_n - 1 do
+      let n = Dfg.node v.dfg id in
+      let op_arrivals =
+        List.filter_map
+          (fun (o : Dfg.operand) ->
+            match (Dfg.node v.dfg o.src).kind with
+            | Dfg.Const _ -> None
+            | Dfg.Inst _ | Dfg.Input _ | Dfg.Output _ ->
+              let a =
+                arrival.(o.src)
+                + node_latency (Dfg.node v.dfg o.src)
+                + route_len o.src n.id
               in
-              (* skew beyond the FIFO budget bubbles the pipeline instead of
-                 failing the schedule; the DSE's edge-delay preservation
-                 exists precisely to remove this penalty *)
-              if slack > budget then
-                skew_penalty :=
-                  Int.max !skew_penalty
-                    (Overgen_util.Stats.div_ceil (slack + 1) (budget + 1));
-              routes_with_delay :=
-                ((src, n.id), { r with Schedule.delay = min slack budget })
-                :: !routes_with_delay
-            | None -> ())
-          op_arrivals)
-      (Dfg.nodes v.dfg);
+              Some (o.src, a))
+          n.operands
+      in
+      let t_max = List.fold_left (fun acc (_, a) -> Int.max acc a) 0 op_arrivals in
+      arrival.(n.id) <- t_max;
+      (* set delays to balance operand arrival *)
+      List.iter
+        (fun (src, a) ->
+          let slack = t_max - a in
+          match route_from src routes_into.(n.id) with
+          | Some r ->
+            let budget =
+              match Imap.find_opt n.id !inst_pe with
+              | Some pe_id -> (
+                match Adg.comp_exn adg pe_id with
+                | Comp.Pe p -> p.delay_fifo
+                | _ -> 0)
+              | None -> 64 (* output ports tolerate skew via their FIFOs *)
+            in
+            (* skew beyond the FIFO budget bubbles the pipeline instead of
+               failing the schedule; the DSE's edge-delay preservation
+               exists precisely to remove this penalty *)
+            if slack > budget then
+              skew_penalty :=
+                Int.max !skew_penalty
+                  (Overgen_util.Stats.div_ceil (slack + 1) (budget + 1));
+            routes_with_delay :=
+              ((src, n.id), { r with Schedule.delay = min slack budget })
+              :: !routes_with_delay
+          | None -> ())
+        op_arrivals
+    done;
     let final_routes = List.rev !routes_with_delay in
     let share =
       max_share_on ctx (List.map (fun (_, r) -> r.Schedule.hops) final_routes)
     in
-    let sched =
+    Obs.incr m_accepted;
+    Ok
       {
-        Schedule.variant = v;
-        inst_pe = !inst_pe;
-        port_map = !port_map;
-        array_engine;
-        rec_streams;
-        reg_streams;
+        bound with
+        Schedule.inst_pe = !inst_pe;
         routes = final_routes;
         max_link_share = share;
         skew_penalty = !skew_penalty;
-        ii = 1;
+        ii = Int.max ii_bound (share * !skew_penalty);
       }
-    in
-    let sched = { sched with Schedule.ii = Schedule.compute_ii ctx.sys sched } in
-    Obs.incr m_accepted;
-    Ok sched
-  with Fail msg ->
+  with
+  | Fail msg ->
     restore ctx saved;
     Error msg
+  | Cannot_win ->
+    restore ctx saved;
+    raise Cannot_win
+
+let schedule_variant ctx v =
+  Obs.incr m_tried;
+  schedule_variant_to_beat ctx v ~beat:neg_infinity
 
 (* The final value of every usage cell one scheduled variant touched, plus
    the route-tag counter.  Captured before rolling the variant back,
@@ -1021,6 +1097,11 @@ let replay c r =
     r.cells;
   c.next_tag <- r.tag
 
+(* The first (widest) failure of a region's variants: its message, or the
+   variant itself if it was skipped as unplaceable, whose message is
+   worked out only if no variant fits. *)
+type first_failure = No_failure | Message of string | Skipped of Compile.variant
+
 let schedule_app sys (c : Compile.compiled) =
   Overgen_fault.Fault.(point Points.scheduler_schedule_app);
   let ctx = fresh_ctx sys in
@@ -1029,8 +1110,13 @@ let schedule_app sys (c : Compile.compiled) =
      strangled by link sharing or operand skew.  Variants go widest first,
      and a score (iterations per cycle, unroll / II) never exceeds its
      unroll, so once the best score reaches the next variant's unroll no
-     later variant can beat it strictly: scoring stops there.  The winner
-     is rebuilt from its redo record, not scheduled a second time. *)
+     later variant can beat it strictly: scoring stops there.  Before
+     that, a variant is skipped when it cannot place ([unplaceable]) or,
+     once its ports and engines are bound, cannot beat the best score
+     ([schedule_variant_to_beat]); both skips leave the result as it
+     would be.  A winner whose score already reaches the next variant's
+     unroll stays in the context; any other is rolled back and rebuilt at the end from
+     its redo record, not scheduled a second time. *)
   let try_variants region_variants =
     let saved = snapshot ctx in
     let can_win best (v : Compile.variant) =
@@ -1040,27 +1126,46 @@ let schedule_app sys (c : Compile.compiled) =
     in
     let rec go best first_err = function
       | (v : Compile.variant) :: rest when can_win best v -> (
-        match schedule_variant ctx v with
-        | Ok s ->
-          let score = float_of_int v.unroll /. float_of_int (max 1 s.ii) in
-          let best =
-            match best with
-            | Some (bs, _, _) when not (score > bs) -> best
-            | _ -> Some (score, s, capture ctx saved)
-          in
-          restore ctx saved;
-          go best first_err rest
-        | Error e ->
-          go best (if first_err = None then Some e else first_err) rest)
+        if unplaceable ctx v then begin
+          Obs.incr m_pruned;
+          go best (match first_err with No_failure -> Skipped v | f -> f) rest
+        end
+        else
+          let beat = match best with Some (bs, _, _) -> bs | None -> neg_infinity in
+          match schedule_variant_to_beat ctx v ~beat with
+          | exception Cannot_win ->
+            Obs.incr m_pruned;
+            go best first_err rest
+          | Ok s -> (
+            Obs.incr m_tried;
+            let score = float_of_int v.unroll /. float_of_int (max 1 s.ii) in
+            match (best, rest) with
+            | Some (bs, _, _), _ when not (score > bs) ->
+              restore ctx saved;
+              go best first_err rest
+            | _, (next : Compile.variant) :: _ when score < float_of_int next.unroll ->
+              let redo = capture ctx saved in
+              restore ctx saved;
+              go (Some (score, s, redo)) first_err rest
+            | _ -> Ok s (* no later variant can beat it: the context holds it *))
+          | Error e ->
+            Obs.incr m_tried;
+            go best (match first_err with No_failure -> Message e | f -> f) rest)
       | _ -> (
         match (best, first_err) with
         | Some (_, s, redo), _ ->
           replay ctx redo;
           Ok s
-        | None, Some e -> Error e (* the widest variant's error *)
-        | None, None -> Error "region has no variants")
+        | None, Message e -> Error e (* the widest variant's error *)
+        | None, Skipped v -> (
+          (* every variant restored the context, so the skipped one fails
+             now as it would have then *)
+          match schedule_variant ctx v with
+          | Error e -> Error e
+          | Ok _ -> assert false)
+        | None, No_failure -> Error "region has no variants")
     in
-    go None None
+    go None No_failure
       (List.sort
          (fun (a : Compile.variant) b -> compare b.unroll a.unroll)
          region_variants)

@@ -78,15 +78,27 @@ val schedule_app :
     A region's variants are scored widest first by iterations per cycle
     (unroll / II, ties to the wider).  A score never exceeds its variant's
     unroll, so scoring stops as soon as the best score reaches the next
-    variant's unroll: no later variant could beat it.  Each scored variant
-    is rolled back; the winner's state is then rebuilt by {!replay}ing the
-    record {!capture}d before its rollback, not by scheduling it again.
-    Both cut work the obs counters see:
-    [overgen_scheduler_variants_tried_total] (and accepted) no longer
-    count pruned variants or a second run of the winner, and
-    [overgen_scheduler_rollback_entries_total] no longer counts the
-    pruned variants' rollbacks.  When no variant fits, the error is the
-    widest variant's. *)
+    variant's unroll: no later variant could beat it.  Before that, two
+    exact bounds skip a variant without placing it:
+    - {e cannot place}: it has more instructions of one (op, dtype) than
+      free PEs capable of them, or more instructions than free PEs, so
+      greedy placement must fail.  Checked before anything is bound.
+    - {e cannot win}: once a best score exists, the variant's recurrence,
+      register, memory and port bindings are made and the II is computed
+      with link sharing and skew at 1.  Those two only multiply into the
+      II, so this is a lower bound on the final II.  If unroll over it does
+      not strictly exceed the best score, the bindings are rolled back and
+      placement, routing and delay balancing are skipped.
+    Neither skip changes a schedule or an error.  Skipped variants count
+    in [overgen_scheduler_variants_pruned_total], not in
+    [overgen_scheduler_variants_tried_total] (or accepted).  A new best
+    whose score already reaches the next variant's unroll stays in the
+    context; otherwise it is rolled back and rebuilt at the end by {!replay}ing the
+    record {!capture}d before the rollback, not by scheduling it again.
+    [overgen_scheduler_rollback_entries_total] counts only what is rolled
+    back.  When no variant fits, the error is the widest variant's; if
+    that variant was skipped as unplaceable, it is scheduled once more,
+    from the same state, for its message. *)
 
 val repair :
   Sys_adg.t -> Schedule.t list -> (Schedule.t list, string) result

@@ -83,6 +83,94 @@ let test_preserving_remove_switch_collapses () =
   in
   attempt 200
 
+(* Nodes added after a usage was taken have ids past every id its
+   schedules use: they must read as unused, never raise or alias a used
+   node or link. *)
+let test_usage_past_its_range () =
+  let sys, scheds, usage = fir_usage () in
+  let used = Hashtbl.create 64 and used_links = Hashtbl.create 128 in
+  List.iter
+    (fun (s : Schedule.t) ->
+      Schedule.Imap.iter (fun _ id -> Hashtbl.replace used id ()) s.inst_pe;
+      Schedule.Imap.iter (fun _ id -> Hashtbl.replace used id ()) s.port_map;
+      List.iter (fun (_, e) -> Hashtbl.replace used e ()) s.array_engine;
+      List.iter
+        (fun (_, e) -> Hashtbl.replace used e ())
+        (s.rec_streams @ s.reg_streams);
+      List.iter
+        (fun (_, (r : Schedule.route)) ->
+          let rec walk = function
+            | a :: (b :: _ as rest) ->
+              Hashtbl.replace used a ();
+              Hashtbl.replace used_links (a, b) ();
+              walk rest
+            | [ b ] -> Hashtbl.replace used b ()
+            | [] -> ()
+          in
+          walk r.hops)
+        s.routes)
+    scheds;
+  let top = Hashtbl.fold (fun id () acc -> max acc id) used 0 in
+  let pool = Op.Cap.of_ops [ Op.Add; Op.Mul ] [ Dtype.F64; Dtype.I64 ] in
+  let sws = Array.of_list (Adg.switches sys.adg) in
+  let add adg comp =
+    let adg, id = Adg.add adg comp in
+    Alcotest.(check bool) "new id past the used range" true (id > top);
+    (adg, id)
+  in
+  (* new PEs (enough that their ids pass twice the used range, so a key
+     src * n + dst of an unchecked id would alias a used link), each fed
+     and drained by switches; a stated in-port; an indirect spad *)
+  let adg = ref sys.adg and fresh = ref [] in
+  for i = 0 to top + 8 do
+    let a, pe = add !adg (Comp.Pe (Comp.default_pe pool)) in
+    let sw = sws.(i mod Array.length sws) in
+    adg := Adg.add_edge (Adg.add_edge a sw pe) pe sws.((i + 1) mod Array.length sws);
+    fresh := pe :: !fresh
+  done;
+  let a, port =
+    add !adg (Comp.In_port { (Comp.default_port ~width_bytes:16) with stated = true })
+  in
+  adg := Adg.add_edge a port sws.(0);
+  let a, spad =
+    add !adg
+      (Comp.Engine { (Comp.default_engine Comp.Spad) with indirect = true; max_dims = 3 })
+  in
+  adg := Adg.add_edge a spad port;
+  let grown = !adg and fresh = port :: spad :: !fresh in
+  (* pruning strips only what schedules leave unused, and reads the new
+     nodes as unused: it leaves them as they were *)
+  let pruned, _ = Mutate.prune_unused grown usage in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d untouched by prune" id)
+        true
+        (Adg.comp pruned id = Adg.comp grown id))
+    fresh;
+  (* preserving proposals never remove a used node or link, and remove
+     the new ones like any unused node *)
+  let rng = Overgen_util.Rng.create 7 in
+  let fresh_removed = ref 0 in
+  for _ = 1 to 1000 do
+    let _, desc = Mutate.propose rng ~preserve:true ~caps_pool:pool grown usage in
+    match String.split_on_char ' ' desc with
+    | [ "remove"; ("pe" | "port" | "engine"); id ] ->
+      let id = int_of_string id in
+      Alcotest.(check bool) (desc ^ ": unused") false (Hashtbl.mem used id);
+      if List.mem id fresh then incr fresh_removed
+    | [ "remove"; "link"; link ] -> (
+      match String.split_on_char '-' link with
+      | [ a; b ] ->
+        let b = String.sub b 1 (String.length b - 1) in
+        Alcotest.(check bool)
+          (desc ^ ": unused") false
+          (Hashtbl.mem used_links (int_of_string a, int_of_string b))
+      | _ -> Alcotest.failf "unexpected link move %s" desc)
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "new nodes removed as unused" true (!fresh_removed > 0)
+
 (* ---------------- DSE ---------------- *)
 
 let test_dse_improves_over_seed () =
@@ -204,6 +292,7 @@ let tests =
     Alcotest.test_case "prune removes caps" `Quick test_prune_removes_unused_caps;
     Alcotest.test_case "proposals mutate" `Quick test_propose_produces_change;
     Alcotest.test_case "collapse + repair" `Quick test_preserving_remove_switch_collapses;
+    Alcotest.test_case "usage past its range" `Quick test_usage_past_its_range;
     Alcotest.test_case "dse improves" `Slow test_dse_improves_over_seed;
     Alcotest.test_case "dse fits device" `Slow test_dse_fits_device;
     Alcotest.test_case "dse schedules valid" `Slow test_dse_schedules_valid;

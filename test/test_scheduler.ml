@@ -832,13 +832,8 @@ let test_incremental_replaces_only_broken () =
 
 (* ---------- scheduler work golden ---------- *)
 
-(* Dse.explore's 3x4 seed mesh, rebuilt with the same arguments and the
-   capability pool of the 19 suite kernels. *)
-let seed_mesh_3x4 () =
-  let caps =
-    Overgen_dse.Dse.caps_pool
-      (List.map (Compile.compile ~tuned:false) Kernels.all)
-  in
+(* A mesh with the ports and engines of Dse.explore's seed mesh. *)
+let mesh ~caps ~rows ~cols ~sw_width_bits =
   let engines =
     [
       { (Comp.default_engine Comp.Dma) with indirect = true };
@@ -849,10 +844,19 @@ let seed_mesh_3x4 () =
     ]
   in
   Sys_adg.make
-    (Builder.mesh ~rows:3 ~cols:4 ~caps ~sw_width_bits:128 ~width_bits:64
+    (Builder.mesh ~rows ~cols ~caps ~sw_width_bits ~width_bits:64
        ~in_port_widths:[ 32; 32; 16; 16; 16; 8; 8; 8 ]
        ~out_port_widths:[ 32; 16; 16; 8; 8 ] ~engines)
     System.default
+
+(* Dse.explore's 3x4 seed mesh, rebuilt with the same arguments and the
+   capability pool of the 19 suite kernels. *)
+let seed_mesh_3x4 () =
+  let caps =
+    Overgen_dse.Dse.caps_pool
+      (List.map (Compile.compile ~tuned:false) Kernels.all)
+  in
+  mesh ~caps ~rows:3 ~cols:4 ~sw_width_bits:128
 
 (* Everything a schedule decides, as canonical text: placements, port
    map, engine bindings, route hops and delays, link share, skew penalty
@@ -937,10 +941,113 @@ let test_work_golden_table () =
        entries popped\twarm minor words\n"
     (rows general "general" @ rows mesh "mesh3x4")
 
+(* ---------- the pruned variant search against an unpruned one ---------- *)
+
+(* schedule_app without its variant pruning, over the exported context
+   operations: every variant of a region is scheduled and scored widest
+   first, the strictly best score wins (ties to the wider), and the winner
+   is scheduled again so the next region sees its claims.  With no fit,
+   the widest variant's error. *)
+let reference_schedule_app sys (c : Compile.compiled) =
+  let ctx = Spatial.fresh_ctx sys in
+  let region variants =
+    let saved = Spatial.snapshot ctx in
+    let best, first_err =
+      List.fold_left
+        (fun (best, first_err) (v : Compile.variant) ->
+          let r = Spatial.schedule_variant ctx v in
+          Spatial.restore ctx saved;
+          match r with
+          | Ok s -> (
+            let score = float_of_int v.unroll /. float_of_int (max 1 s.ii) in
+            match best with
+            | Some (bs, _) when not (score > bs) -> (best, first_err)
+            | _ -> (Some (score, v), first_err))
+          | Error e -> (best, if first_err = None then Some e else first_err))
+        (None, None)
+        (List.sort
+           (fun (a : Compile.variant) b -> compare b.unroll a.unroll)
+           variants)
+    in
+    match (best, first_err) with
+    | Some (_, v), _ -> Spatial.schedule_variant ctx v
+    | None, Some e -> Error e
+    | None, None -> Error "region has no variants"
+  in
+  let rec all acc = function
+    | [] -> Ok (List.rev acc)
+    | variants :: rest -> (
+      match region variants with
+      | Ok s -> all (s :: acc) rest
+      | Error e -> Error (Printf.sprintf "%s: %s" c.kname e))
+  in
+  all [] c.per_region
+
+(* A digest, an error, or the exception a run raised. *)
+let outcome f = try schedule_digest (f ()) with e -> "raised " ^ Printexc.to_string e
+
+(* [schedule_app] skips variants that cannot place or cannot beat the best
+   score so far; neither skip may change a schedule or an error.  Checked
+   against the reference on the general overlay, the DSE's seed mesh and
+   24 designs reached by seeded mutation chains from larger meshes, where
+   wide variants place but narrow ones can win on link sharing, so both
+   skips happen and some later variants still win. *)
+let test_pruned_search_matches_reference () =
+  let general = general () and seed_mesh = seed_mesh_3x4 () in
+  let compiled = List.map (Compile.compile ~tuned:false) Kernels.all in
+  let caps_pool = Overgen_dse.Dse.caps_pool compiled in
+  let bases =
+    [|
+      mesh ~caps:caps_pool ~rows:4 ~cols:4 ~sw_width_bits:64;
+      mesh ~caps:caps_pool ~rows:5 ~cols:5 ~sw_width_bits:128;
+      mesh ~caps:caps_pool ~rows:4 ~cols:6 ~sw_width_bits:64;
+      mesh ~caps:caps_pool ~rows:6 ~cols:6 ~sw_width_bits:64;
+    |]
+  in
+  let mutated (base : Sys_adg.t) seed =
+    let rng = Rng.create seed in
+    let usage = Mutate.usage_of [] in
+    let rec chain adg n =
+      if n = 0 then Sys_adg.with_adg base adg
+      else
+        let adg, _ =
+          Mutate.propose rng ~preserve:(seed mod 2 = 0) ~caps_pool adg usage
+        in
+        chain adg (n - 1)
+    in
+    chain base.adg (4 + (seed mod 5))
+  in
+  let designs =
+    [ ("general", general); ("mesh3x4", seed_mesh) ]
+    @ List.init 24 (fun i ->
+          (Printf.sprintf "mutant%d" i, mutated bases.(i mod 4) (100 + i)))
+  in
+  let pruned = counter "overgen_scheduler_variants_pruned_total" in
+  let p0 = Obs.Metrics.counter_value pruned in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      List.iter
+        (fun (label, sys) ->
+          List.iter
+            (fun (c : Compile.compiled) ->
+              Alcotest.(check string)
+                (label ^ "/" ^ c.kname)
+                (outcome (fun () -> reference_schedule_app sys c))
+                (outcome (fun () -> Spatial.schedule_app sys c)))
+            compiled)
+        designs);
+  Alcotest.(check bool) "variants were pruned" true
+    (Obs.Metrics.counter_value pruned > p0);
+  Alcotest.(check string) "every stencil-2d variant fails on the seed mesh"
+    "error: stencil-2d: no free PE for add.i64"
+    (outcome (fun () ->
+         Spatial.schedule_app seed_mesh
+           (Compile.compile ~tuned:false (Kernels.find "stencil-2d"))))
+
 (* Two domains scheduling the suite at once: each domain builds its own
    topology cache, and all owner state lives in the per-call context, so
    every digest equals the single-domain run's and the (atomic) counters
-   see exactly twice the single run's variants. *)
+   see exactly twice the single run's variants, tried and pruned. *)
 let test_scheduler_on_two_domains () =
   let overlays = [ general (); seed_mesh_3x4 () ] in
   let compiled = List.map (Compile.compile ~tuned:false) Kernels.all in
@@ -950,15 +1057,17 @@ let test_scheduler_on_two_domains () =
         List.map (fun c -> schedule_digest (Spatial.schedule_app sys c)) compiled)
       overlays
   in
-  let tried = counter "overgen_scheduler_variants_tried_total" in
+  let tried = counter "overgen_scheduler_variants_tried_total"
+  and pruned = counter "overgen_scheduler_variants_pruned_total" in
   let counted f =
-    let t0 = Obs.Metrics.counter_value tried in
+    let t0 = Obs.Metrics.counter_value tried
+    and p0 = Obs.Metrics.counter_value pruned in
     Obs.enable ();
     let r = Fun.protect ~finally:Obs.disable f in
-    (r, Obs.Metrics.counter_value tried - t0)
+    (r, Obs.Metrics.counter_value tried - t0, Obs.Metrics.counter_value pruned - p0)
   in
-  let seq, seq_tried = counted digests in
-  let (here, there), par_tried =
+  let seq, seq_tried, seq_pruned = counted digests in
+  let (here, there), par_tried, par_pruned =
     counted (fun () ->
         let d = Domain.spawn digests in
         let here = digests () in
@@ -966,7 +1075,9 @@ let test_scheduler_on_two_domains () =
   in
   Alcotest.(check (list string)) "spawned domain" seq there;
   Alcotest.(check (list string)) "calling domain" seq here;
-  Alcotest.(check int) "variants counted" (2 * seq_tried) par_tried
+  Alcotest.(check int) "variants counted" (2 * seq_tried) par_tried;
+  Alcotest.(check bool) "variants pruned" true (seq_pruned > 0);
+  Alcotest.(check int) "pruned variants counted" (2 * seq_pruned) par_pruned
 
 let tests =
   [
@@ -976,6 +1087,8 @@ let tests =
     Alcotest.test_case "schedules validate" `Quick test_schedules_validate;
     Alcotest.test_case "work golden table" `Quick test_work_golden_table;
     Alcotest.test_case "scheduler on two domains" `Quick test_scheduler_on_two_domains;
+    Alcotest.test_case "pruned variant search matches the unpruned one" `Quick
+      test_pruned_search_matches_reference;
     Alcotest.test_case "dedicated PEs" `Quick test_dedicated_pes;
     Alcotest.test_case "ports not shared" `Quick test_ports_not_shared_across_regions;
     Alcotest.test_case "fir recurrence engine" `Quick test_fir_uses_recurrence_engine;
