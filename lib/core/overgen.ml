@@ -126,7 +126,7 @@ let run ?(opts = default_opts) overlay (k : Ir.kernel) =
     Ok
       {
         cycles = sim.total_cycles;
-        wall_ms = Sim.wall_time_ms overlay.design.sys ~freq_mhz:overlay.synth.freq_mhz sim;
+        wall_ms = Sim.wall_time_ms ~freq_mhz:overlay.synth.freq_mhz sim;
         ipc = sim.sim_ipc;
         compile_seconds = c.seconds;
       }

@@ -121,6 +121,27 @@ type tile_state = {
 
 let[@inline] fnear a b = a >= b -. 1e-6
 
+(* [Float.min]/[Float.max] order signed zeros and propagate NaN, which
+   costs a call to C's signbit whenever the second operand is not the
+   larger.  The cycle loop uses these plain comparisons instead; the
+   [float] annotations keep them from being polymorphic [compare].  They
+   give the same bits here: no operand is NaN (only DMA fill and drain
+   streams have an infinite [port_cap], and they never read [ahead], so no
+   [inf -. inf] is formed), and otherwise the two differ only in the sign
+   of a zero result, which either passes through [fmax 0.0] (giving +0.0
+   both ways) or is compared against [1e-9] or through [fnear] before any
+   use. *)
+let[@inline] fmin (x : float) (y : float) = if y > x then x else y
+let[@inline] fmax (x : float) (y : float) = if y > x then y else x
+
+(* The cycle-loop functions ([deliver], [collect], [fire], [tile_done],
+   [replay], [arbitrate], [push]) index arrays without bounds checks.
+   [setup_tile] checks, once per region, the invariants that keep every
+   such index in range (see [check_tile]); every other index is bounded by
+   its own loop. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
 let ring_size cfg =
   let need = 1 + max cfg.spad_latency (max cfg.l2_hit_latency cfg.dram_latency) in
   let rec grow n = if n >= need then n else grow (2 * n) in
@@ -128,8 +149,8 @@ let ring_size cfg =
 
 let[@inline] push s ready bytes =
   let i = (s.head + s.len) land (Array.length s.ready - 1) in
-  s.ready.(i) <- ready;
-  s.bytes.(i) <- bytes;
+  s.ready.!(i) <- ready;
+  s.bytes.!(i) <- bytes;
   s.len <- s.len + 1
 
 (* ------------------------------------------------------------------ *)
@@ -155,6 +176,43 @@ let stream cfg ~ring role path engine ~port_cap ~mpf ~total ~miss_frac ~waste =
     f = { port_cap; mpf; total; miss_frac; waste; ahead;
           issued = 0.0; done_ = 0.0; write_buf = 0.0 };
     ready = Array.make ring 0; bytes = Array.make ring 0.0; head = 0; len = 0 }
+
+(* The invariants behind the cycle loop's unchecked indices:
+   - the engines' [members] partition [0 .. n_streams-1], so every member
+     indexes [streams], each stream issues at most once per cycle, an
+     engine's [active] (as long as its [members]) holds its issuing
+     members, and at most [n_streams] wants fill [wants], [want_bytes],
+     [l2_part] and [dram_part], which are that long;
+   - each response ring's length is a power of two, shared by its [ready]
+     and [bytes], so the masked ring indices stay in range.
+   [setup_tile] builds tiles this way; the check keeps it so. *)
+let check_tile t =
+  let n = Array.length t.streams in
+  let broken what = invalid_arg ("Sim.setup_tile: " ^ what) in
+  let seen = Array.make n false in
+  Array.iter
+    (fun e ->
+      if Array.length e.active <> Array.length e.members then
+        broken "engine scratch is not as long as its members";
+      Array.iter
+        (fun m ->
+          if m < 0 || m >= n || seen.(m) then
+            broken "engine members do not partition the streams";
+          seen.(m) <- true)
+        e.members)
+    t.engines;
+  if not (Array.for_all Fun.id seen) then
+    broken "engine members do not partition the streams";
+  if Array.length t.wants <> n || Array.length t.want_bytes <> n
+     || Array.length t.l2_part <> n || Array.length t.dram_part <> n
+  then broken "want buffers are not one slot per stream";
+  Array.iter
+    (fun s ->
+      let r = Array.length s.ready in
+      if r = 0 || r land (r - 1) <> 0 || Array.length s.bytes <> r then
+        broken "response ring length is not a power of two")
+    t.streams;
+  t
 
 (* One tile's state for a region run on [share] tiles. *)
 let setup_tile cfg (sys : Sys_adg.t) ~share ~ring (sched : Schedule.t) =
@@ -266,11 +324,12 @@ let setup_tile cfg (sys : Sys_adg.t) ~share ~ring (sched : Schedule.t) =
   in
   let n_streams = Array.length streams in
   let dispatches = dispatches_of_region v in
-  { streams; engines; ii = max 1 sched.ii; target = firings_tile; dispatches;
-    fired = 0; cooldown = 0;
-    dispatch_left = 2 + (2 * n_streams) + (dispatches * 2);
-    wants = Array.make n_streams 0; want_bytes = Array.make n_streams 0.0; n_wants = 0;
-    l2_part = Array.make n_streams 0.0; dram_part = Array.make n_streams 0.0 }
+  check_tile
+    { streams; engines; ii = max 1 sched.ii; target = firings_tile; dispatches;
+      fired = 0; cooldown = 0;
+      dispatch_left = 2 + (2 * n_streams) + (dispatches * 2);
+      wants = Array.make n_streams 0; want_bytes = Array.make n_streams 0.0; n_wants = 0;
+      l2_part = Array.make n_streams 0.0; dram_part = Array.make n_streams 0.0 }
 
 (* Shared-path bandwidths in bytes per cycle; all floats, so stored flat
    and passed to the cycle loop without boxing. *)
@@ -295,20 +354,25 @@ let limits cfg (sysp : System.t) =
 
 let tile_done t =
   t.fired >= t.target
-  && Array.for_all
-       (fun s ->
-         match s.role with
-         | Read -> true
-         | Write -> s.f.write_buf <= 1e-6
-         | Fill | Drain -> fnear s.f.done_ s.f.total)
-       t.streams
+  &&
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length t.streams do
+    let s = t.streams.!(!i) in
+    (ok :=
+       match s.role with
+       | Read -> true
+       | Write -> s.f.write_buf <= 1e-6
+       | Fill | Drain -> fnear s.f.done_ s.f.total);
+    incr i
+  done;
+  !ok
 
 (* Phase 1: deliver memory responses whose latency has elapsed. *)
 let deliver t c =
   for i = 0 to Array.length t.streams - 1 do
-    let s = t.streams.(i) in
-    while s.len > 0 && s.ready.(s.head) <= c do
-      s.f.done_ <- s.f.done_ +. s.bytes.(s.head);
+    let s = t.streams.!(i) in
+    while s.len > 0 && s.ready.!(s.head) <= c do
+      s.f.done_ <- s.f.done_ +. s.bytes.!(s.head);
       s.head <- (s.head + 1) land (Array.length s.ready - 1);
       s.len <- s.len - 1
     done
@@ -323,10 +387,10 @@ let collect cfg lim t c =
   else begin
     let consumed = float_of_int t.fired in
     for e = 0 to Array.length t.engines - 1 do
-      let e = t.engines.(e) in
+      let e = t.engines.!(e) in
       let n = ref 0 in
       for m = 0 to Array.length e.members - 1 do
-        let s = t.streams.(e.members.(m)) in
+        let s = t.streams.!(e.members.!(m)) in
         let f = s.f in
         let issuing =
           match s.role with
@@ -336,7 +400,7 @@ let collect cfg lim t c =
           | Drain -> t.fired >= t.target && f.issued < f.total -. 1e-9
         in
         if issuing then begin
-          e.active.(!n) <- m;
+          e.active.!(!n) <- m;
           incr n
         end
       done;
@@ -349,27 +413,27 @@ let collect cfg lim t c =
         e.rr <- (if r < n then r else r mod n);
         for k = 0 to n - 1 do
           let j = k + e.rr in
-          let m = e.members.(e.active.(if j < n then j else j - n)) in
-          let s = t.streams.(m) in
+          let m = e.members.!(e.active.!(if j < n then j else j - n)) in
+          let s = t.streams.!(m) in
           let f = s.f in
           if !budget > 1e-9 then begin
             let want =
               match s.role with
               | Read ->
-                Float.max 0.0
-                  (Float.min !budget
-                     (Float.min (f.total -. f.issued)
+                fmax 0.0
+                  (fmin !budget
+                     (fmin (f.total -. f.issued)
                         (f.ahead +. (consumed *. f.mpf) -. f.issued)))
-              | Fill -> Float.max 0.0 (Float.min !budget (f.total -. f.issued))
-              | Write -> Float.min !budget f.write_buf
-              | Drain -> Float.min !budget (f.total -. f.issued)
+              | Fill -> fmax 0.0 (fmin !budget (f.total -. f.issued))
+              | Write -> fmin !budget f.write_buf
+              | Drain -> fmin !budget (f.total -. f.issued)
             in
             if want > 1e-9 then begin
               budget := !budget -. want;
               match s.path, s.role with
               | Shared, _ ->
-                t.wants.(t.n_wants) <- m;
-                t.want_bytes.(t.n_wants) <- want;
+                t.wants.!(t.n_wants) <- m;
+                t.want_bytes.!(t.n_wants) <- want;
                 t.n_wants <- t.n_wants + 1
               | Local, (Read | Fill) ->
                 f.issued <- f.issued +. want;
@@ -386,12 +450,12 @@ let collect cfg lim t c =
     (* per-tile NoC clamp, summed latest request first *)
     let tot = ref 0.0 in
     for k = t.n_wants - 1 downto 0 do
-      tot := !tot +. (t.want_bytes.(k) *. t.streams.(t.wants.(k)).f.waste)
+      tot := !tot +. (t.want_bytes.!(k) *. t.streams.!(t.wants.!(k)).f.waste)
     done;
     if !tot > lim.noc_bw then begin
       let scale = lim.noc_bw /. !tot in
       for k = 0 to t.n_wants - 1 do
-        t.want_bytes.(k) <- t.want_bytes.(k) *. scale
+        t.want_bytes.!(k) <- t.want_bytes.!(k) *. scale
       done
     end
   end
@@ -403,11 +467,11 @@ let fire t =
     let next = float_of_int (t.fired + 1) in
     let ready = ref true and i = ref 0 in
     while !ready && !i < Array.length t.streams do
-      let s = t.streams.(!i) in
+      let s = t.streams.!(!i) in
       let f = s.f in
       (ready :=
          match s.role with
-         | Read -> fnear f.done_ (Float.min f.total (next *. f.mpf))
+         | Read -> fnear f.done_ (fmin f.total (next *. f.mpf))
          | Write -> f.write_buf +. f.mpf <= f.port_cap +. 1e-6
          | Fill -> fnear f.done_ f.total
          | Drain -> true);
@@ -416,9 +480,10 @@ let fire t =
     if !ready then begin
       t.fired <- t.fired + 1;
       t.cooldown <- t.ii - 1;
-      Array.iter
-        (fun s -> if s.role = Write then s.f.write_buf <- s.f.write_buf +. s.f.mpf)
-        t.streams
+      for i = 0 to Array.length t.streams - 1 do
+        let s = t.streams.!(i) in
+        if s.role = Write then s.f.write_buf <- s.f.write_buf +. s.f.mpf
+      done
     end
   end
 
@@ -440,69 +505,96 @@ type tenant = {
 
 type totals = { mutable l2 : float; mutable dram : float }
 
+(* Adds [copies] copies of [a.(0 .. n-1)] to [acc.l2] and of
+   [b.(0 .. n-1)] to [acc.dram], copy-major: the order, and so the
+   rounding, of a tile-by-tile sum.  The two chains of additions are
+   independent, so they overlap; widths 1 and 2 (most cycles have one or
+   two wants) keep their operands in registers. *)
+let replay acc copies n (a : float array) (b : float array) =
+  let x = ref acc.l2 and y = ref acc.dram in
+  (match n with
+  | 0 -> ()
+  | 1 ->
+    let a0 = a.!(0) and b0 = b.!(0) in
+    for _ = 1 to copies do
+      x := !x +. a0;
+      y := !y +. b0
+    done
+  | 2 ->
+    let a0 = a.!(0) and a1 = a.!(1) and b0 = b.!(0) and b1 = b.!(1) in
+    for _ = 1 to copies do
+      x := !x +. a0 +. a1;
+      y := !y +. b0 +. b1
+    done
+  | _ ->
+    for _ = 1 to copies do
+      for k = 0 to n - 1 do
+        x := !x +. a.!(k);
+        y := !y +. b.!(k)
+      done
+    done);
+  acc.l2 <- !x;
+  acc.dram <- !y
+
 (* Phase 3: global L2 / DRAM arbitration over every live tile's shared
    wants. The L2 demand sums want x waste, the DRAM demand want x waste x
    L2 scale x miss fraction, and the byte totals each grant's bytes, over
    every tile. Each product is computed once per want into the
    representative's scratch arrays and only the additions are replayed
-   [copies] times; their operands and order are those of a tile-by-tile
-   sum, so every total is exact. Independent sums are replayed in one loop
-   so their additions overlap. The grant itself is applied to the
+   [copies] times ([replay]); the DRAM demand is summed beside the L2
+   demand at an L2 scale of 1.0 (x 1.0 is exact) into [demand], a record
+   allocated once per run. The grant itself is applied to the
    representative once. *)
-let arbitrate cfg lim totals tenants c =
-  (* L2 demand, and DRAM demand at an L2 scale of 1.0 (x 1.0 is exact) *)
-  let l2_demand = ref 0.0 and miss_demand = ref 0.0 in
+let arbitrate cfg lim demand totals tenants c =
+  demand.l2 <- 0.0;
+  demand.dram <- 0.0;
   for i = 0 to Array.length tenants - 1 do
-    let tn = tenants.(i) and t = tenants.(i).tile in
+    let tn = tenants.!(i) in
+    let t = tn.tile in
     if tn.finished_at < 0 then begin
       for k = 0 to t.n_wants - 1 do
-        let f = t.streams.(t.wants.(k)).f in
-        let p = t.want_bytes.(k) *. f.waste in
-        t.l2_part.(k) <- p;
-        t.dram_part.(k) <- p *. f.miss_frac
+        let f = t.streams.!(t.wants.!(k)).f in
+        let p = t.want_bytes.!(k) *. f.waste in
+        t.l2_part.!(k) <- p;
+        t.dram_part.!(k) <- p *. f.miss_frac
       done;
-      for _ = 1 to tn.copies do
-        for k = 0 to t.n_wants - 1 do
-          l2_demand := !l2_demand +. t.l2_part.(k);
-          miss_demand := !miss_demand +. t.dram_part.(k)
-        done
-      done
+      replay demand tn.copies t.n_wants t.l2_part t.dram_part
     end
   done;
-  let l2_scale = if !l2_demand > lim.l2_bw then lim.l2_bw /. !l2_demand else 1.0 in
+  let l2_scale = if demand.l2 > lim.l2_bw then lim.l2_bw /. demand.l2 else 1.0 in
   if l2_scale <> 1.0 then begin
-    (* L2 binds (rare): the DRAM demand is summed again at its scale *)
-    miss_demand := 0.0;
+    (* L2 binds (rare): the DRAM demand is summed again at its scale (the
+       L2 demand is re-summed beside it and not read again) *)
+    demand.l2 <- 0.0;
+    demand.dram <- 0.0;
     for i = 0 to Array.length tenants - 1 do
-      let tn = tenants.(i) and t = tenants.(i).tile in
+      let tn = tenants.!(i) in
+      let t = tn.tile in
       if tn.finished_at < 0 then begin
         for k = 0 to t.n_wants - 1 do
-          t.dram_part.(k) <-
-            t.l2_part.(k) *. l2_scale *. t.streams.(t.wants.(k)).f.miss_frac
+          t.dram_part.!(k) <-
+            t.l2_part.!(k) *. l2_scale *. t.streams.!(t.wants.!(k)).f.miss_frac
         done;
-        for _ = 1 to tn.copies do
-          for k = 0 to t.n_wants - 1 do
-            miss_demand := !miss_demand +. t.dram_part.(k)
-          done
-        done
+        replay demand tn.copies t.n_wants t.l2_part t.dram_part
       end
     done
   end;
   let dram_scale =
-    if !miss_demand > lim.dram_bw then lim.dram_bw /. !miss_demand else 1.0
+    if demand.dram > lim.dram_bw then lim.dram_bw /. demand.dram else 1.0
   in
   for i = 0 to Array.length tenants - 1 do
-    let tn = tenants.(i) and t = tenants.(i).tile in
+    let tn = tenants.!(i) in
+    let t = tn.tile in
     if tn.finished_at < 0 then begin
       for k = 0 to t.n_wants - 1 do
-        let s = t.streams.(t.wants.(k)) in
+        let s = t.streams.!(t.wants.!(k)) in
         let f = s.f in
-        let g = t.want_bytes.(k) *. l2_scale in
+        let g = t.want_bytes.!(k) *. l2_scale in
         let hit = g *. (1.0 -. f.miss_frac) in
         let miss = g *. f.miss_frac *. dram_scale in
         let granted = hit +. miss in
-        t.l2_part.(k) <- granted *. f.waste;
-        t.dram_part.(k) <- miss *. f.waste;
+        t.l2_part.!(k) <- granted *. f.waste;
+        t.dram_part.!(k) <- miss *. f.waste;
         if granted > 1e-9 then
           match s.role with
           | Read | Fill ->
@@ -515,15 +607,7 @@ let arbitrate cfg lim totals tenants c =
             f.issued <- f.issued +. granted;
             f.done_ <- f.done_ +. granted
       done;
-      let l2 = ref totals.l2 and dram = ref totals.dram in
-      for _ = 1 to tn.copies do
-        for k = 0 to t.n_wants - 1 do
-          l2 := !l2 +. t.l2_part.(k);
-          dram := !dram +. t.dram_part.(k)
-        done
-      done;
-      totals.l2 <- !l2;
-      totals.dram <- !dram
+      replay totals tn.copies t.n_wants t.l2_part t.dram_part
     end
   done
 
@@ -560,7 +644,7 @@ let simulate cfg (sys : Sys_adg.t) assignments ~stuck =
                start = 0; regions = []; finished_at = -1 })
          assignments)
   in
-  let totals = { l2 = 0.0; dram = 0.0 } in
+  let demand = { l2 = 0.0; dram = 0.0 } and totals = { l2 = 0.0; dram = 0.0 } in
   let live = ref (Array.length tenants) and cycle = ref 0 in
   while !live > 0 do
     let c = !cycle in
@@ -571,7 +655,7 @@ let simulate cfg (sys : Sys_adg.t) assignments ~stuck =
         collect cfg lim tn.tile c
       end
     done;
-    arbitrate cfg lim totals tenants c;
+    arbitrate cfg lim demand totals tenants c;
     for i = 0 to Array.length tenants - 1 do
       let tn = tenants.(i) in
       if tn.finished_at < 0 then begin
@@ -622,7 +706,7 @@ let run ?(config = default_config) (sys : Sys_adg.t) schedules =
   { total_cycles; per_region; l2_bytes = totals.l2; dram_bytes = totals.dram;
     sim_ipc = work /. float_of_int (max 1 total_cycles) }
 
-let wall_time_ms (_sys : Sys_adg.t) ~freq_mhz t =
+let wall_time_ms ~freq_mhz t =
   float_of_int t.total_cycles /. (freq_mhz *. 1000.0)
 
 (* ------------------------------------------------------------------ *)

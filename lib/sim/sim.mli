@@ -58,7 +58,7 @@ val run : ?config:config -> Sys_adg.t -> Schedule.t list -> t
 (** Simulate all regions of one application back to back.
     @raise Failure if a schedule deadlocks or exceeds [max_cycles]. *)
 
-val wall_time_ms : Sys_adg.t -> freq_mhz:float -> t -> float
+val wall_time_ms : freq_mhz:float -> t -> float
 (** Convert simulated cycles to milliseconds at the synthesized clock. *)
 
 (** {2 Multi-tenant execution}

@@ -279,6 +279,28 @@ let test_sim_golden_table () =
     ~header:"# label\ttotal_cycles\tregion_cycles\tl2_bytes\tdram_bytes (general overlay)\n"
     (golden_rows ())
 
+(* The cycle loop allocates nothing: a warm Sim.run allocates only while
+   setting up its regions, and that work does not depend on the tile
+   count.  On one tile every kernel runs longer (stencil-3d 750k cycles
+   instead of 205k), yet allocates exactly the words it does on the
+   default system. *)
+let test_sim_words_independent_of_cycles () =
+  let sys = Lazy.force general in
+  let one_tile = Sys_adg.with_system sys { sys.system with System.tiles = 1 } in
+  let warm_run sys s =
+    ignore (Sim.run sys s);
+    let w0 = Gc.minor_words () in
+    let r = Sim.run sys s in
+    (r.total_cycles, Gc.minor_words () -. w0)
+  in
+  List.iter
+    (fun (name, s) ->
+      let cycles, words = warm_run sys s
+      and cycles1, words1 = warm_run one_tile s in
+      Alcotest.(check bool) (name ^ " runs longer on one tile") true (cycles1 > cycles);
+      Alcotest.(check (float 0.0)) (name ^ " words independent of cycles") words words1)
+    (Lazy.force all_schedules)
+
 let drain_of (s : Schedule.t) = Dfg.depth s.variant.dfg + Sim.default_config.l2_hit_latency
 
 let test_run_is_one_tenant_run_multi () =
@@ -385,6 +407,8 @@ let tests =
       test_multi_tenant_rejects_oversubscription;
     QCheck_alcotest.to_alcotest prop_sim_cycles_bounded_below;
     Alcotest.test_case "sim golden table" `Quick test_sim_golden_table;
+    Alcotest.test_case "sim words do not grow with cycles" `Quick
+      test_sim_words_independent_of_cycles;
     Alcotest.test_case "run = one-tenant run_multi" `Quick test_run_is_one_tenant_run_multi;
     Alcotest.test_case "sim deadlock guard" `Quick test_deadlock_guard;
     Alcotest.test_case "sim counters" `Quick test_sim_counters;

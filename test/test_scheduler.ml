@@ -894,7 +894,9 @@ let schedule_digest = function
 let counter name = Obs.Metrics.counter Obs.Metrics.default name
 
 let work_row sys label (k : Ir.kernel) =
+  let w0 = Gc.minor_words () in
   let c = Compile.compile ~tuned:false k in
+  let compile_words = Gc.minor_words () -. w0 in
   let tried = counter "overgen_scheduler_variants_tried_total"
   and popped = counter "overgen_scheduler_rollback_entries_total" in
   let t0 = Obs.Metrics.counter_value tried
@@ -911,17 +913,28 @@ let work_row sys label (k : Ir.kernel) =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check string) (label ^ "/" ^ k.name ^ " repeatable")
     (schedule_digest r) (schedule_digest r');
-  Printf.sprintf "%s/%s\t%s\t%d\t%d\t%.0f" label k.name (schedule_digest r)
-    (t1 - t0) (p1 - p0) words
+  let sim_words =
+    match r with
+    | Error _ -> "-"
+    | Ok scheds ->
+      ignore (Overgen_sim.Sim.run sys scheds);
+      let w0 = Gc.minor_words () in
+      ignore (Overgen_sim.Sim.run sys scheds);
+      Printf.sprintf "%.0f" (Gc.minor_words () -. w0)
+  in
+  Printf.sprintf "%s/%s\t%s\t%d\t%d\t%.0f\t%.0f\t%s" label k.name
+    (schedule_digest r) (t1 - t0) (p1 - p0) words compile_words sim_words
 
 (* Scheduler output and work pinned across commits: per kernel on the
    general overlay and on the DSE's 3x4 seed mesh, the schedule digest
-   (or error), the variants tried, the undo-log entries popped, and the
-   minor words of a warm schedule_app with Obs off.  The last column
-   depends on the compiler, hence the OCaml version stamp.  Regenerate
+   (or error), the variants tried, the undo-log entries popped, the minor
+   words of a warm schedule_app with Obs off, the minor words of the
+   kernel's Compile.compile, and the minor words of a warm Sim.run of the
+   schedules ('-' where the kernel does not schedule).  The word columns
+   depend on the compiler, hence the OCaml version stamp.  Regenerate
    with OVERGEN_WORK_GOLDEN_OUT=<file> dune test, then copy the file over
-   test/work-golden.tsv — only when a change to scheduler output or
-   allocation is intended. *)
+   test/work-golden.tsv — only when a change to compiler, scheduler or
+   simulator output or allocation is intended. *)
 let test_work_golden_table () =
   let general = general () and mesh = seed_mesh_3x4 () in
   (* accumulate and vecmax share links on the general overlay, so the
@@ -938,7 +951,8 @@ let test_work_golden_table () =
     ~regen_var:"OVERGEN_WORK_GOLDEN_OUT"
     ~header:
       "# overlay/kernel\tschedule digest or error\tvariants tried\tundo \
-       entries popped\twarm minor words\n"
+       entries popped\twarm minor words\tcompile minor words\twarm sim \
+       minor words\n"
     (rows general "general" @ rows mesh "mesh3x4")
 
 (* ---------- the pruned variant search against an unpruned one ---------- *)
