@@ -141,6 +141,68 @@ let test_rtl_unique_module_names () =
     (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* ---------------- configuration golden ---------------- *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let words_digest bs =
+  md5
+    (String.concat ","
+       (Array.to_list (Array.map Int64.to_string (Bitstream.words bs))))
+
+(* the PE modules' Verilog text: opcode width and case numbering *)
+let pe_rtl_digest sys =
+  md5
+    (String.concat "\n"
+       (List.filter_map
+          (fun (name, text) ->
+            if String.starts_with ~prefix:"overgen_pe_" name then Some (name ^ text)
+            else None)
+          (Emit.emit sys).modules))
+
+let config_row label sys scheds =
+  let bs = Assemble.config_bitstream sys scheds in
+  Printf.sprintf "%s\t%d\t%s\t%s\t%d" label (Bitstream.bit_count bs)
+    (words_digest bs) (pe_rtl_digest sys) (Sys_adg.config_bits sys)
+
+(* The configuration the PE opcode rule produces, per kernel: on the
+   general overlay (every PE holds all 102 pairs), on the DSE's 3x4 seed
+   mesh (every PE holds the suite's pool, so an opcode is a rank in a
+   sparse set), and on the general overlay pruned to the kernel's own
+   usage (PEs differ in their pairs, opcode widths and delay FIFOs).
+   Columns: bitstream payload bits, a digest of its framed words, a
+   digest of the PE modules' Verilog, and Sys_adg.config_bits; "-" where
+   the kernel does not schedule.  Regenerate with
+   OVERGEN_CONFIG_GOLDEN_OUT=<file> dune test, then copy the file over
+   test/config-golden.tsv — only when a change to the configuration is
+   intended. *)
+let test_config_golden_table () =
+  let general = Lazy.force general and mesh = Test_scheduler.seed_mesh_3x4 () in
+  let kernels = Kernels.all @ [ Dot_reg.kernel ] in
+  let rows label sys prune =
+    List.map
+      (fun (k : Ir.kernel) ->
+        match Spatial.schedule_app sys (Compile.compile k) with
+        | Error _ -> Printf.sprintf "%s/%s\t-\t-\t-\t-" label k.name
+        | Ok scheds ->
+          let sys =
+            if prune then
+              Sys_adg.with_adg sys
+                (fst
+                   (Overgen_dse.Mutate.prune_unused sys.adg
+                      (Overgen_dse.Mutate.usage_of scheds)))
+            else sys
+          in
+          config_row (label ^ "/" ^ k.name) sys scheds)
+      kernels
+  in
+  Golden.check ~file:"config-golden.tsv" ~regen_var:"OVERGEN_CONFIG_GOLDEN_OUT"
+    ~header:
+      "# overlay/kernel\tbitstream bits\tbitstream words digest\tPE module \
+       digest\tSys_adg config bits\n"
+    (rows "general" general false @ rows "mesh3x4" mesh false
+   @ rows "pruned" general true)
+
 (* ---------------- functional executor ---------------- *)
 
 let test_all_kernels_functionally_correct () =
@@ -190,6 +252,7 @@ let tests =
     Alcotest.test_case "indirect flag" `Quick test_assemble_indirect_flag;
     Alcotest.test_case "disassemble" `Quick test_disassemble_readable;
     Alcotest.test_case "distinct bitstreams" `Quick test_distinct_kernels_distinct_bitstreams;
+    Alcotest.test_case "configuration golden table" `Quick test_config_golden_table;
     Alcotest.test_case "rtl module balance" `Quick test_rtl_module_balance;
     Alcotest.test_case "rtl instance counts" `Quick test_rtl_instance_counts;
     Alcotest.test_case "rtl tile replication" `Quick test_rtl_tiles_replicated;

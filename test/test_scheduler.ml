@@ -79,6 +79,36 @@ let test_fir_uses_recurrence_engine () =
       | _ -> Alcotest.fail "rec stream on non-rec engine")
     s.rec_streams
 
+(* The register-engine path: a scalar reduction binds its collection
+   stream to a register engine, schedules at II 1, and the compiled mDFG
+   replays equal to the loop-nest interpreter. *)
+let test_reduce_uses_register_engine () =
+  let sys = general () in
+  let k = Dot_reg.kernel in
+  let scheds =
+    match Spatial.schedule_app sys (Compile.compile k) with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "%s failed to schedule: %s" k.name e
+  in
+  let s = List.hd scheds in
+  Alcotest.(check bool) "register streams bound" true (s.reg_streams <> []);
+  Alcotest.(check int) "ii" 1 s.ii;
+  List.iter
+    (fun (_, e) ->
+      match Adg.comp_exn sys.adg e with
+      | Comp.Engine { kind = Comp.Reg; _ } -> ()
+      | _ -> Alcotest.fail "reg stream on non-reg engine")
+    s.reg_streams;
+  List.iter
+    (fun s ->
+      match Schedule.validate s sys with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "dot-reg schedule invalid: %s" e)
+    scheds;
+  match Overgen_exec.Exec.check k with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "dot-reg replay: %s" e
+
 let test_indirect_arrays_on_indirect_engine () =
   let sys = general () in
   let scheds = ok_schedules sys "crs" in
@@ -946,7 +976,9 @@ let test_work_golden_table () =
            (fun acc (s : Schedule.t) -> max acc s.max_link_share)
            1 (ok_schedules general name)))
     [ "accumulate"; "vecmax" ];
-  let rows sys label = List.map (work_row sys label) Kernels.all in
+  let rows sys label =
+    List.map (work_row sys label) (Kernels.all @ [ Dot_reg.kernel ])
+  in
   Golden.check ~stamp:("ocaml " ^ Sys.ocaml_version) ~file:"work-golden.tsv"
     ~regen_var:"OVERGEN_WORK_GOLDEN_OUT"
     ~header:
@@ -1106,6 +1138,8 @@ let tests =
     Alcotest.test_case "dedicated PEs" `Quick test_dedicated_pes;
     Alcotest.test_case "ports not shared" `Quick test_ports_not_shared_across_regions;
     Alcotest.test_case "fir recurrence engine" `Quick test_fir_uses_recurrence_engine;
+    Alcotest.test_case "reduce on the register engine" `Quick
+      test_reduce_uses_register_engine;
     Alcotest.test_case "crs indirect engine" `Quick test_indirect_arrays_on_indirect_engine;
     Alcotest.test_case "route endpoints" `Quick test_routes_start_and_end_correctly;
     Alcotest.test_case "validate rejects a cut route" `Quick test_validate_rejects_cut_route;
