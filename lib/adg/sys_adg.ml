@@ -28,7 +28,7 @@ let config_bits t =
   let pe_bits =
     List.fold_left
       (fun acc (_, (pe : Comp.pe)) ->
-        let opcode = max 1 (int_of_float (ceil (Float.log2 (float_of_int (max 2 (Op.Cap.cardinal pe.caps)))))) in
+        let opcode = Op.Cap.opcode_bits pe.caps in
         let delay = 3 * 8 (* three operands, 8-bit delay-FIFO setting *) in
         let pred = if pe.predication then 64 else 8 in
         let consts = pe.const_regs * pe.width_bits in

@@ -190,7 +190,7 @@ end
 type checkpoint = { store : Store.t; key : string; interval : int }
 
 let checkpoint_ns = "dse-checkpoint"
-let checkpoint_schema = "dse-checkpoint-v2"
+let checkpoint_schema = "dse-checkpoint-v3"
 
 type island_snap = {
   s_idx : int;

@@ -9,7 +9,7 @@ type usage = {
   n : int;
   used_nodes : bool array;
   used_links : (int, unit) Hashtbl.t;  (* key src * n + dst *)
-  pe_caps_used : (Op.t * Dtype.t) list array;
+  pe_caps_used : Op.Cap.t array;
   stated_used : bool array;
   indirect_used : bool array;
   dims_used : int array;  (* 1 where unused *)
@@ -44,7 +44,7 @@ let used u id = in_range u id && u.used_nodes.(id)
 
 let link_used u a b =
   in_range u a && in_range u b && Hashtbl.mem u.used_links ((a * u.n) + b)
-let pe_caps_used u id = if in_range u id then u.pe_caps_used.(id) else []
+let pe_caps_used u id = if in_range u id then u.pe_caps_used.(id) else Op.Cap.empty
 let stated_used u id = in_range u id && u.stated_used.(id)
 let indirect_used u id = in_range u id && u.indirect_used.(id)
 let dims_used u id = if in_range u id then u.dims_used.(id) else 1
@@ -58,7 +58,7 @@ let usage_of schedules =
       n;
       used_nodes = Array.make n false;
       used_links = Hashtbl.create 128;
-      pe_caps_used = Array.make n [];
+      pe_caps_used = Array.make n Op.Cap.empty;
       stated_used = Array.make n false;
       indirect_used = Array.make n false;
       dims_used = Array.make n 1;
@@ -75,9 +75,7 @@ let usage_of schedules =
           mark pe;
           match (Dfg.node v.dfg inst).kind with
           | Dfg.Inst { op; dtype; _ } ->
-            let prev = u.pe_caps_used.(pe) in
-            if not (List.mem (op, dtype) prev) then
-              u.pe_caps_used.(pe) <- (op, dtype) :: prev
+            u.pe_caps_used.(pe) <- Op.Cap.add (op, dtype) u.pe_caps_used.(pe)
           | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ())
         s.inst_pe;
       Schedule.Imap.iter (fun _ hw -> mark hw) s.port_map;
@@ -271,7 +269,8 @@ let mutate_pe_caps rng ~preserve pool adg usage =
       let used = pe_caps_used usage id in
       let removable =
         Op.Cap.elements pe.caps
-        |> List.filter (fun p -> (not preserve) || not (List.mem p used))
+        |> List.filter (fun (op, dt) ->
+               (not preserve) || not (Op.Cap.supports used op dt))
       in
       match removable with
       | [] -> (adg, "noop (all caps used)")
@@ -420,9 +419,9 @@ let prune_unused adg usage =
   (* PE capabilities and delay FIFOs *)
   List.iter
     (fun (id, (pe : Comp.pe)) ->
-      match pe_caps_used usage id with
-      | _ :: _ as used ->
-        let caps = Op.Cap.filter (fun p -> List.mem p used) pe.caps in
+      let used = pe_caps_used usage id in
+      if not (Op.Cap.is_empty used) then begin
+        let caps = Op.Cap.inter pe.caps used in
         let caps = if Op.Cap.is_empty caps then pe.caps else caps in
         let delay_needed = max 2 (delay_used usage id) in
         let delay_fifo = min pe.delay_fifo (max delay_needed 4) in
@@ -431,7 +430,7 @@ let prune_unused adg usage =
           incr count;
           adg := Adg.set_comp !adg id (Comp.Pe { pe with caps; delay_fifo })
         end
-      | [] -> ())
+      end)
     (Adg.pes !adg);
   (* port features *)
   let prune_port dir (id, (p : Comp.port)) =

@@ -65,12 +65,7 @@ let config_bitstream (sys : Sys_adg.t) schedules =
         (fun inst pe_id ->
           match (Adg.comp adg pe_id, (Dfg.node s.variant.dfg inst).kind) with
           | Some (Comp.Pe p), Dfg.Inst { op; dtype; acc } ->
-            let caps = Op.Cap.elements p.caps in
-            let rec idx i = function
-              | [] -> 0
-              | c :: rest -> if c = (op, dtype) then i else idx (i + 1) rest
-            in
-            emit (idx 0 caps) (log2_ceil (max 2 (List.length caps)));
+            emit (Op.Cap.opcode p.caps op dtype) (Op.Cap.opcode_bits p.caps);
             if acc then emit 1 1;
             (* per-operand delay-FIFO settings *)
             List.iter

@@ -11,7 +11,7 @@ let buff fmt = Printf.sprintf fmt
 let fu_body caps =
   let cases =
     Op.Cap.elements caps
-    |> List.mapi (fun i (op, dt) ->
+    |> List.map (fun (op, dt) ->
            let expr =
              match op with
              | Op.Add -> "a + b"
@@ -32,15 +32,14 @@ let fu_body caps =
              | Op.Sqrt -> "a" (* iterative unit stub: handled by latency *)
              | Op.Acc -> "acc_q + a"
            in
-           buff "      %d: fu_result = %s; // %s.%s" i expr (Op.to_string op)
-             (Dtype.to_string dt))
+           buff "      %d: fu_result = %s; // %s.%s" (Op.Cap.opcode caps op dt) expr
+             (Op.to_string op) (Dtype.to_string dt))
     |> String.concat "\n"
   in
   cases
 
 let pe_module name (pe : Comp.pe) ~fan_in ~fan_out =
-  let n_ops = max 1 (Op.Cap.cardinal pe.caps) in
-  let opw = max 1 (int_of_float (ceil (Float.log2 (float_of_int (max 2 n_ops))))) in
+  let opw = Op.Cap.opcode_bits pe.caps in
   buff
     {|// Processing element: dedicated instruction, %d-entry delay FIFOs
 module %s #(

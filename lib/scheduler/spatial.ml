@@ -77,12 +77,10 @@ type topo = {
   max_in_fifo : int;
   dist_cache : int array array;        (* BFS map per source; [||] = not yet *)
   cap_cache : (Adg.id * Comp.pe) list option array;
-      (* PEs statically capable of (op, dtype), by [pair_key]: caps + width *)
+      (* PEs statically capable of (op, dtype), by [Op.Cap.key]: caps + width *)
   need : int array;
-      (* instructions per [pair_key] of the variant being checked for
+      (* instructions per [Op.Cap.key] of the variant being checked for
          placeability; all 0 between checks *)
-  mutable repair_memo : (Schedule.t list * Schedule.t list) option;
-      (* last all-valid repair on this graph, keyed by physical identity *)
   (* Dijkstra scratch *)
   d_dist : int array;
   d_parent : int array;
@@ -106,21 +104,6 @@ let lane_capacity lane_w a b =
     if wb >= 0 then max 1 (min wa wb / 64) else max 1 (wa / 64 * 4)
   else if wb >= 0 then max 1 (wb / 64 * 4)
   else 16
-
-(* A dense index for an (op, dtype) pair, from their positions in [Op.all]
-   and [Dtype.all], so per-pair tables are arrays. *)
-let n_dtypes = List.length Dtype.all
-let n_pairs = List.length Op.all * n_dtypes
-
-let rec op_pos (op : Op.t) i = function
-  | [] -> i
-  | o :: rest -> if o = op then i else op_pos op (i + 1) rest
-
-let rec dtype_pos (d : Dtype.t) i = function
-  | [] -> i
-  | d' :: rest -> if d' = d then i else dtype_pos d (i + 1) rest
-
-let pair_key op dtype = (op_pos op 0 Op.all * n_dtypes) + dtype_pos dtype 0 Dtype.all
 
 let build_topo adg =
   let n = max 1 (Adg.max_id adg + 1) in
@@ -174,9 +157,8 @@ let build_topo adg =
         (fun acc (_, (p : Comp.port)) -> max acc p.fifo_depth)
         0 in_ports;
     dist_cache = Array.make n [||];
-    cap_cache = Array.make n_pairs None;
-    need = Array.make n_pairs 0;
-    repair_memo = None;
+    cap_cache = Array.make Op.Cap.n_keys None;
+    need = Array.make Op.Cap.n_keys 0;
     d_dist = Array.make n max_int;
     d_parent = Array.make n (-1);
     d_seen = Array.make n 0;
@@ -582,10 +564,10 @@ let n_consts_of (v : Compile.variant) (n : Dfg.node) =
        n.operands)
 
 (* statically capable PEs, memoized per (op, dtype) on the topo: capability
-   sets never change under a fixed graph, so the Set.mem tests run once *)
+   sets never change under a fixed graph, so the filter runs once *)
 let capable_pes ctx ~op ~dtype =
   let t = ctx.topo in
-  let k = pair_key op dtype in
+  let k = Op.Cap.key op dtype in
   match t.cap_cache.(k) with
   | Some l -> l
   | None ->
@@ -609,7 +591,7 @@ let unplaceable ctx (v : Compile.variant) =
   for id = 0 to n - 1 do
     match (Dfg.node v.dfg id).kind with
     | Dfg.Inst { op; dtype; _ } ->
-      let k = pair_key op dtype in
+      let k = Op.Cap.key op dtype in
       need.(k) <- need.(k) + 1;
       incr insts
     | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ()
@@ -618,7 +600,7 @@ let unplaceable ctx (v : Compile.variant) =
   for id = 0 to n - 1 do
     match (Dfg.node v.dfg id).kind with
     | Dfg.Inst { op; dtype; _ } ->
-      let k = pair_key op dtype in
+      let k = Op.Cap.key op dtype in
       if need.(k) > 0 then begin
         if (not !over)
            && need.(k) > count_free ctx.used_pes (capable_pes ctx ~op ~dtype)
@@ -1201,7 +1183,8 @@ let port_binding_ok t (v : Compile.variant) dfg_port hw =
    but ports and engines are checked by kind only, not by the port and
    engine rules [Schedule.validate] applies, so a repair can keep a binding
    [validate] rejects.  Checking the full rules here changes which tier
-   answers a reschedule, and with it the DSE's results (ROADMAP item 3). *)
+   answers a reschedule, and with it the DSE's results, so closing this gap
+   must move the DSE goldens on purpose. *)
 let placement_kinds_ok t (s : Schedule.t) =
   let v = s.variant in
   let on_engine (_, e) =
@@ -1341,12 +1324,6 @@ let repin sys plan =
 let repair sys schedules =
   Obs.incr m_repairs;
   let t = topo_of sys.Sys_adg.adg in
-  match t.repair_memo with
-  (* Revalidating the same schedules on the same graph is pure
-     recomputation (the service re-serves unchanged overlays, benches loop
-     on one configuration); one memo slot on the topo covers it. *)
-  | Some (key, result) when key == schedules -> Ok result
-  | _ ->
   let comp = comp t in
   let mem_edge = mem_edge t in
   (* Fast path: everything still valid; just refresh IIs. *)
@@ -1355,15 +1332,11 @@ let repair sys schedules =
       (fun s -> Schedule.validate ~comp ~mem_edge s sys = Ok ())
       schedules
   in
-  if all_valid then begin
-    let result =
-      List.map
-        (fun s -> { s with Schedule.ii = Schedule.compute_ii ~comp sys s })
-        schedules
-    in
-    t.repair_memo <- Some (schedules, result);
-    Ok result
-  end
+  if all_valid then
+    Ok
+      (List.map
+         (fun s -> { s with Schedule.ii = Schedule.compute_ii ~comp sys s })
+         schedules)
   else if
     (* a mutation can prune a placed node beyond the new id range; that
        placement is broken, and the usage tables cannot even record it *)

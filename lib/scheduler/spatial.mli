@@ -107,8 +107,9 @@ val repair :
     otherwise re-route every operand path with placements pinned.  That
     slow path checks each instruction's capability and width on its PE,
     but only the kind of each port and engine, not the port and engine
-    rules {!Schedule.validate} checks (ROADMAP item 3), so it can return
-    schedules [validate] rejects.  Fails if a placement breaks that check
+    rules {!Schedule.validate} checks (checking them would change which
+    tier answers a reschedule, and with it the DSE's results), so it can
+    return schedules [validate] rejects.  Fails if a placement breaks that check
     or lies beyond the graph, or an operand finds no route. *)
 
 type reschedule_outcome =

@@ -12,7 +12,7 @@ type t = {
 }
 
 let ns = "overlay-registry"
-let schema = "registry-overlay-v1"
+let schema = "registry-overlay-v2"
 
 (* The persisted form of an overlay leads with the design's canonical
    Serial text (version-tagged); the rest of the overlay (synthesis
