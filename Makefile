@@ -1,4 +1,4 @@
-.PHONY: all build test bench check check-obs check-fault check-store check-net check-trace check-frontend check-fleet check-regress bench-baseline clean
+.PHONY: all build test bench check check-obs check-fault check-store check-net check-trace check-frontend check-fleet check-regress coverage bench-baseline clean
 
 all: build
 
@@ -63,6 +63,23 @@ check-fleet:
 check-regress:
 	dune build @regress-smoke
 
+# Branch-coverage gate: build the tier-1 suite with the tools/cover
+# rewriter in its own build directory (so _build stays as it is), run it,
+# then fail on any branch point of lib/ that no test hit and that
+# tools/cover/allowlist.tsv does not list with a reason, and on any stale
+# entry.  The instrumented suite's own verdict is not a gate: the counters
+# defeat float unboxing, so allocation bounds fail there (the uninstrumented
+# `dune runtest` is the test gate).  Counts land in _build_cover/cover/.
+coverage:
+	rm -rf _build_cover/cover
+	mkdir -p _build_cover
+	dune runtest --instrument-with cover --build-dir _build_cover --force \
+	  > _build_cover/runtest.log 2>&1 || \
+	  echo "coverage: the instrumented suite failed (not gated; see _build_cover/runtest.log)"
+	dune build --build-dir _build_cover tools/cover/gate.exe
+	_build_cover/default/tools/cover/gate.exe _build_cover/cover \
+	  tools/cover/allowlist.tsv
+
 # Refresh the committed perf baselines after an intentional perf change:
 # re-runs the same smoke-scale scenario set the gate uses, then copies the
 # emitted BENCH_*.json into bench/baselines/.  Commit both.
@@ -90,6 +107,7 @@ bench-baseline:
 check:
 	dune build @check
 	dune exec tools/deadexports.exe
+	$(MAKE) coverage
 	@if [ -n "$$(git ls-files _build)" ]; then \
 	  echo "error: _build artifacts are tracked by git:"; \
 	  git ls-files _build; \

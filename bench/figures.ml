@@ -64,7 +64,7 @@ let fig13 () =
              [ "Workload"; "Tuned-AD"; "AutoDSE"; "general-OG"; "suite-OG"; "w/l-OG" ]
            ~rows:(table_rows @ [ gm_row ]));
       print_endline
-        (Render.bar_chart ~log2:true
+        (Render.bar_chart
            ~title:(Printf.sprintf "speedup over AutoDSE (%s)" (Suite.to_string suite))
            (List.map
               (fun ((k : Ir.kernel), t, g, s, w) ->

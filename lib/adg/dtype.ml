@@ -46,6 +46,5 @@ let fu_latency t ~arith =
   | `Div, I64 -> 12
   | `Div, F32 -> 10
   | `Div, F64 -> 14
-  | `Sqrt, (I8 | I16 | I32 | I64) -> 12
-  | `Sqrt, F32 -> 12
+  | `Sqrt, (I8 | I16 | I32 | I64 | F32) -> 12
   | `Sqrt, F64 -> 16

@@ -44,8 +44,7 @@ let of_string s = List.find_opt (fun op -> to_string op = s) all
 let compare = Stdlib.compare
 
 let arity = function
-  | Abs | Sqrt -> 1
-  | Acc -> 1
+  | Abs | Sqrt | Acc -> 1
   | Select -> 3
   | Add | Sub | Mul | Div | Min | Max | Shl | Shr | Band | Bor | Bxor
   | Cmp_lt | Cmp_eq -> 2

@@ -13,17 +13,16 @@ let config_bits t =
   let adg = t.adg in
   let switch_bits =
     List.fold_left
-      (fun acc sw ->
-        let radix = Adg.switch_radix adg sw in
-        let sel = max 1 (int_of_float (ceil (Float.log2 (float_of_int (max 2 radix))))) in
-        let lanes =
+      (fun acc (sw, c) ->
+        match c with
+        | Comp.Switch { width_bits } ->
+          let radix = Adg.switch_radix adg sw in
+          let sel = max 1 (int_of_float (ceil (Float.log2 (float_of_int (max 2 radix))))) in
           (* subword lanes route independently on wide switches *)
-          match Adg.comp_exn adg sw with
-          | Comp.Switch { width_bits } -> max 1 (width_bits / 64)
-          | _ -> 1
-        in
-        acc + (radix * sel * lanes))
-      0 (Adg.switches adg)
+          let lanes = max 1 (width_bits / 64) in
+          acc + (radix * sel * lanes)
+        | _ -> acc)
+      0 (Adg.nodes adg)
   in
   let pe_bits =
     List.fold_left

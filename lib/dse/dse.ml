@@ -644,19 +644,18 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
       List.filteri
         (fun i _ -> i < max 2 n)
         (List.stable_sort (fun (a, _) (b, _) -> compare b a) !elites);
-    match !elites with
-    | [] -> ()
-    | (es, ed) :: _ ->
-      List.iter
-        (fun isl ->
-          (* island 0 is the anchor chain: it never adopts migrants, so it
-             replays the sequential explorer exactly and the parallel run's
-             best can only dominate it *)
-          if isl.idx > 0 && isl.cur_score < es then begin
-            isl.cur_score <- es;
-            isl.cur <- ed
-          end)
-        islands
+    (* every island just added its best, and there is at least one *)
+    let es, ed = List.hd !elites in
+    List.iter
+      (fun isl ->
+        (* island 0 is the anchor chain: it never adopts migrants, so it
+           replays the sequential explorer exactly and the parallel run's
+           best can only dominate it *)
+        if isl.idx > 0 && isl.cur_score < es then begin
+          isl.cur_score <- es;
+          isl.cur <- ed
+        end)
+      islands
   in
   (* Checkpoints are written by the driver at migration barriers only, when
      every worker has joined and no job owns any island, so a snapshot is a
@@ -673,7 +672,7 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
       in
       Store.put cp.store ~ns:checkpoint_ns ~key:cp.key
         (Codec.encode_marshal ~schema:checkpoint_schema snap);
-      if Obs.on () then Obs.incr m_checkpoints
+      Obs.incr m_checkpoints
   in
   let rounds_done = ref 0 in
   let rec rounds () =

@@ -185,8 +185,9 @@ let add_switch rng adg =
     let adg = ref adg in
     for _ = 1 to n do
       let peer = Rng.choose rng fabric in
-      (try adg := Adg.add_edge !adg peer id with Invalid_argument _ -> ());
-      try adg := Adg.add_edge !adg id peer with Invalid_argument _ -> ()
+      (* [id] is a new switch and [peer] a PE or switch: both edges are legal *)
+      adg := Adg.add_edge !adg peer id;
+      adg := Adg.add_edge !adg id peer
     done;
     (!adg, Printf.sprintf "add switch %d" id)
 
@@ -329,7 +330,7 @@ let add_port rng adg =
         (fun (e, (en : Comp.engine)) ->
           match en.kind with
           | Comp.Dma | Comp.Spad | Comp.Rec | Comp.Gen ->
-            (try adg := Adg.add_edge !adg e id with Invalid_argument _ -> ())
+            adg := Adg.add_edge !adg e id
           | Comp.Reg -> ())
         engines;
       adg := Adg.add_edge !adg id (Rng.choose rng sws);
@@ -343,7 +344,7 @@ let add_port rng adg =
         (fun (e, (en : Comp.engine)) ->
           match en.kind with
           | Comp.Dma | Comp.Spad | Comp.Rec | Comp.Reg ->
-            (try adg := Adg.add_edge !adg id e with Invalid_argument _ -> ())
+            adg := Adg.add_edge !adg id e
           | Comp.Gen -> ())
         engines;
       (!adg, Printf.sprintf "add out-port %d" id)
@@ -391,14 +392,14 @@ let add_engine rng adg =
     (fun (ip, _) ->
       match kind with
       | Comp.Dma | Comp.Spad | Comp.Rec | Comp.Gen ->
-        (try adg := Adg.add_edge !adg id ip with Invalid_argument _ -> ())
+        adg := Adg.add_edge !adg id ip
       | Comp.Reg -> ())
     (Adg.in_ports !adg);
   List.iter
     (fun (op_, _) ->
       match kind with
       | Comp.Dma | Comp.Spad | Comp.Rec | Comp.Reg ->
-        (try adg := Adg.add_edge !adg op_ id with Invalid_argument _ -> ())
+        adg := Adg.add_edge !adg op_ id
       | Comp.Gen -> ())
     (Adg.out_ports !adg);
   (!adg, Printf.sprintf "add %s engine %d" (Comp.engine_kind_to_string kind) id)

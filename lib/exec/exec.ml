@@ -193,10 +193,6 @@ let run_decoupled env (v : Compile.variant) =
           match node.operands with
           | [ a ] -> values.(node.id) <- apply1 op (operand a)
           | [ a; b ] -> values.(node.id) <- apply2 op (operand a) (operand b)
-          | [ p; a; b ] ->
-            (* select *)
-            values.(node.id) <-
-              (if operand p <> 0.0 then operand a else operand b)
           | _ -> invalid_arg "inst arity"))
       (Array.of_list (Dfg.nodes dfg));
     (* commit output ports *)

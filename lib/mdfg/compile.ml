@@ -547,14 +547,14 @@ let widest = function
   | [] -> invalid_arg "Compile.widest: no variants"
   | l -> List.fold_left (fun best v -> if v.unroll > best.unroll then v else best) (List.hd l) l
 
-let compile ?(unrolls = default_unrolls) ?(tuned = false) (k : Ir.kernel) =
+let compile ?(tuned = false) (k : Ir.kernel) =
   Overgen_fault.Fault.(point Points.mdfg_compile);
   let regions = Kernels.regions_for ~tuned k in
   let per_region =
     List.map
       (fun (r : Ir.region) ->
         let inner = Ir.trip_max (Ir.innermost r).trip in
-        let us = List.filter (fun u -> u <= inner) unrolls in
+        let us = List.filter (fun u -> u <= inner) default_unrolls in
         let us = if us = [] then [ 1 ] else us in
         List.map (fun unroll -> compile_region k r ~tuned ~unroll) us)
       regions

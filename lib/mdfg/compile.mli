@@ -36,8 +36,9 @@ type compiled = {
       (** one inner list per region, unroll-ascending *)
 }
 
-val compile : ?unrolls:int list -> ?tuned:bool -> Ir.kernel -> compiled
-(** Compile all regions of a kernel into their variant sets.  [tuned]
+val compile : ?tuned:bool -> Ir.kernel -> compiled
+(** Compile all regions of a kernel into their variant sets, one per
+    unrolling degree 1, 2, 4, 8, 16 up to the innermost trip count.  [tuned]
     selects the manually tuned source variant when the kernel has one. *)
 
 val compile_region :

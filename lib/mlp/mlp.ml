@@ -136,7 +136,9 @@ let step t s ~rate ~momentum x y =
       done
   done
 
-let train t ~rng ~rate ?(momentum = 0.9) ~epochs samples =
+let momentum = 0.9
+
+let train t ~rng ~rate ~epochs samples =
   let samples = Array.of_list samples in
   Array.iter
     (fun (x, y) ->

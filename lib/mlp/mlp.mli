@@ -18,7 +18,6 @@ val train :
   t ->
   rng:Overgen_util.Rng.t ->
   rate:float ->
-  ?momentum:float ->
   epochs:int ->
   (float array * float array) list ->
   unit

@@ -215,10 +215,10 @@ let train_kind ~seed kind n = fit (prepare ~seed kind n)
    first: that is a small share of the time but most of the allocation.
    PE goes first: it is about half the work, and the other three fill the
    second domain meanwhile. *)
-let train ?(counts = default_counts) ~seed () =
+let train ~seed () =
   let datasets =
     List.map
-      (fun k -> prepare ~seed k (List.assoc k counts))
+      (fun k -> prepare ~seed k (List.assoc k default_counts))
       [ Pe_k; Switch_k; In_port_k; Out_port_k ]
   in
   let pool = Pool.create (Pool.Domains 1) in

@@ -25,7 +25,7 @@ val default_counts : (kind * int) list
 (** The scaled-down counts actually synthesized here (1/100 of Table I), so
     training completes in seconds; recorded in EXPERIMENTS.md. *)
 
-val train : ?counts:(kind * int) list -> seed:int -> unit -> t
+val train : seed:int -> unit -> t
 (** Generate the dataset with the oracle and train all four models, the
     kinds concurrently on two domains.  The result does not depend on
     scheduling: each kind draws from its own seeded RNG. *)

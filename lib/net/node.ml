@@ -29,9 +29,9 @@ let parse_cluster s =
       | Ok peer -> go (peer :: acc) rest
       | Error _ as e -> e)
   in
-  match go [] (String.split_on_char ',' s) with
-  | Ok [||] -> Error "empty cluster"
-  | r -> r
+  (* [split_on_char] yields at least one endpoint, and [parse_peer] rejects
+     an empty one, so an empty cluster is an error *)
+  go [] (String.split_on_char ',' s)
 
 type config = {
   me : int;

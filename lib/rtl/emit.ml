@@ -300,13 +300,6 @@ endmodule
 (* Tile and top                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let sanitize s =
-  String.map (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> ' ' | _ -> '_') s
-  |> String.split_on_char ' '
-  |> String.concat ""
-
-let _ = sanitize
-
 let emit (sys : Sys_adg.t) =
   let adg = sys.adg in
   let modules = ref [] in

@@ -435,13 +435,12 @@ let collect cfg lim t c =
                 t.wants.!(t.n_wants) <- m;
                 t.want_bytes.!(t.n_wants) <- want;
                 t.n_wants <- t.n_wants + 1
-              | Local, (Read | Fill) ->
+              | Local, Write -> f.write_buf <- f.write_buf -. want
+              | Local, (Read | Fill | Drain) ->
+                (* fills and drains always take the shared path (see
+                   [setup_tile]), so this is a scratchpad read *)
                 f.issued <- f.issued +. want;
                 push s (c + cfg.spad_latency) want
-              | Local, Write -> f.write_buf <- f.write_buf -. want
-              | Local, Drain ->
-                f.issued <- f.issued +. want;
-                f.done_ <- f.done_ +. want
             end
           end
         done

@@ -120,7 +120,6 @@ type loc = { off : int; total : int; mutable seq : int }
 
 type t = {
   path_ : string;
-  fsync_every : bool;
   mutable fd : Unix.file_descr;
   index : (string * string, loc) Hashtbl.t;
   mutable next_seq : int;
@@ -184,7 +183,7 @@ let apply_record t off total d =
     t.live_bytes_ <- t.live_bytes_ + total
   | None -> ()
 
-let open_ ?(fsync = false) ~path () =
+let open_ ~path () =
   match
     if Sys.file_exists path then read_file path
     else begin
@@ -219,7 +218,6 @@ let open_ ?(fsync = false) ~path () =
       let t =
         {
           path_ = path;
-          fsync_every = fsync;
           fd = Unix.openfile path [ Unix.O_RDWR ] 0o644;
           index = Hashtbl.create 64;
           next_seq = 0;
@@ -286,10 +284,6 @@ let append t payload =
      t.file_bytes_ <- max t.file_bytes_ (Unix.lseek t.fd 0 Unix.SEEK_CUR);
      raise e);
   really_write t.fd payload;
-  if t.fsync_every then begin
-    Unix.fsync t.fd;
-    Obs.incr m_fsyncs
-  end;
   let total = rec_head_len + plen in
   t.good_len <- off + total;
   t.file_bytes_ <- max t.file_bytes_ t.good_len;

@@ -36,9 +36,9 @@
     temporary file and atomically renames it over the log, so a crash
     during compaction leaves either the old or the new file, both valid.
 
-    {b Durability.}  Writes go through the OS page cache; pass
-    [~fsync:true] (or call {!sync}) to force records to stable storage —
-    the Obs counters [overgen_store_appends/fsyncs_total] track the cost.
+    {b Durability.}  Appends go through the OS page cache; {!sync},
+    {!compact} and {!close} force them to stable storage — the Obs
+    counters [overgen_store_appends/fsyncs_total] track the cost.
 
     All operations are thread-safe (one internal mutex); worker domains
     write through the schedule cache concurrently. *)
@@ -52,9 +52,8 @@ type open_stats = {
       (** damaged tail bytes dropped by recovery; 0 for a clean log *)
 }
 
-val open_ : ?fsync:bool -> path:string -> unit -> (t, string) result
+val open_ : path:string -> unit -> (t, string) result
 (** Open or create the store at [path], scanning the log into memory.
-    [fsync] (default [false]) forces every append to stable storage.
     Errors are structural: an unreadable file or an incompatible header
     version.  Damaged tails are {e not} errors — they are truncated and
     counted in {!last_open_stats}. *)

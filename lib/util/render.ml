@@ -42,19 +42,14 @@ let table ~headers ~rows =
 
 let bar_glyphs = [| '#'; '='; '*'; '+'; 'o'; '~'; '%'; '@' |]
 
-let bar_chart ?(width = 40) ?(log2 = false) ~title rows ~series =
+let bar_chart ~title rows ~series =
+  let width = 40 in
   let buf = Buffer.create 512 in
   Buffer.add_string buf (title ^ "\n");
+  (* Map [1/8, 16] onto [0, width]; 1.0 sits at 3/7 of the width. *)
   let scale v =
-    if log2 then
-      (* Map [1/8, 16] onto [0, width]; 1.0 sits at 3/7 of the width. *)
-      let l = Float.log2 (Float.max v 0.125) +. 3.0 in
-      int_of_float (Stats.clamp ~lo:0.0 ~hi:(float_of_int width) (l /. 7.0 *. float_of_int width))
-    else
-      let vmax =
-        List.fold_left (fun acc (_, vs) -> List.fold_left Float.max acc vs) 1e-9 rows
-      in
-      int_of_float (v /. vmax *. float_of_int width)
+    let l = Float.log2 (Float.max v 0.125) +. 3.0 in
+    int_of_float (Stats.clamp ~lo:0.0 ~hi:(float_of_int width) (l /. 7.0 *. float_of_int width))
   in
   let label_width =
     List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 rows
@@ -75,12 +70,12 @@ let bar_chart ?(width = 40) ?(log2 = false) ~title rows ~series =
                (String.make n glyph) (float_cell v)))
         values)
     rows;
-  if log2 then
-    Buffer.add_string buf
-      (Printf.sprintf "  (log2 scale: bar at %d chars = 1.0x)\n" (3 * width / 7));
+  Buffer.add_string buf
+    (Printf.sprintf "  (log2 scale: bar at %d chars = 1.0x)\n" (3 * width / 7));
   Buffer.contents buf
 
-let line_chart ?(width = 60) ?(height = 16) ~title ~xlabel ~ylabel seriess =
+let line_chart ~title ~xlabel ~ylabel seriess =
+  let width = 60 and height = 16 in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (title ^ "\n");
   let all_pts = List.concat_map snd seriess in

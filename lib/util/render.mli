@@ -8,15 +8,14 @@ val table : headers:string list -> rows:string list list -> string
     with empty cells. *)
 
 val bar_chart :
-  ?width:int -> ?log2:bool -> title:string -> (string * float list) list ->
-  series:string list -> string
+  title:string -> (string * float list) list -> series:string list -> string
 (** [bar_chart ~title rows ~series] renders grouped horizontal bars, one group
-    per row label, one bar per series value.  With [log2], the bar length is
-    proportional to log2 of the value (for speedup charts spanning 1/8x..16x);
-    values are still printed exactly. *)
+    per row label, one bar per series value.  The bar length is proportional
+    to log2 of the value (for speedup charts spanning 1/8x..16x); values are
+    still printed exactly. *)
 
 val line_chart :
-  ?width:int -> ?height:int -> title:string -> xlabel:string -> ylabel:string ->
+  title:string -> xlabel:string -> ylabel:string ->
   (string * (float * float) list) list -> string
 (** Render one or more (x, y) series as an ASCII scatter/line plot, used for
     the DSE convergence figure.  Each series gets a distinct glyph. *)

@@ -217,6 +217,20 @@ let test_fingerprint_golden () =
     general_overlay_golden_fingerprint
     (Serial.fingerprint (Builder.general_overlay ()))
 
+(* The ring topology and a PE with no capabilities ("-") survive the text
+   format too; the general overlay has neither. *)
+let test_serial_roundtrip_ring () =
+  let sys = Builder.general_overlay () in
+  let pe, p = List.hd (Adg.pes sys.adg) in
+  let sys =
+    Sys_adg.with_adg
+      { sys with system = { sys.system with noc_topology = System.Ring } }
+      (Adg.set_comp sys.adg pe (Comp.Pe { p with caps = Op.Cap.empty }))
+  in
+  match Serial.of_string (Serial.to_string sys) with
+  | Ok back -> Alcotest.(check bool) "roundtrip" true (same_design sys back)
+  | Error e -> Alcotest.failf "parse error: %s" e
+
 let tests =
   [
     Alcotest.test_case "digraph basic" `Quick test_digraph_basic;
@@ -239,4 +253,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_serial_roundtrip_after_mutation;
     QCheck_alcotest.to_alcotest prop_mesh_always_valid;
     QCheck_alcotest.to_alcotest prop_digraph_add_remove_inverse;
+    Alcotest.test_case "serial ring + empty caps" `Quick test_serial_roundtrip_ring;
   ]

@@ -57,6 +57,37 @@ let test_report_consistency () =
       r.wall_ms
   | Error e -> Alcotest.failf "%s" e
 
+(* On a DSE-built overlay, [Overgen.compile] takes the DSE's own schedule
+   over a fresh one when the fresh one fails or estimates slower.  The DSE
+   prunes capabilities down to what its schedules exercise, so a one-shot
+   greedy schedule can fail on the overlay the DSE's schedule fits: fir on
+   the seed-33 fir+vecmax overlay.  Its annealed schedule can also beat the
+   fresh one: mm on the seed-33 mm+accumulate overlay. *)
+let test_stored_schedule_arbitration () =
+  let overlay names =
+    Overgen.generate
+      ~config:{ Dse.default_config with iterations = 40; seed = 33 }
+      ~model:(model ())
+      (List.map Kernels.find names)
+  in
+  let both o name =
+    let k = Kernels.find name in
+    ( Overgen.compile o k,
+      Overgen.compile ~opts:{ Overgen.default_opts with stored = `Ignore } o k )
+  in
+  (match both (overlay [ "fir"; "vecmax" ]) "fir" with
+  | Ok _, Error _ -> ()
+  | _ -> Alcotest.fail "fir: want the stored schedule where a fresh one fails");
+  let o = overlay [ "mm"; "accumulate" ] in
+  match both o "mm" with
+  | Ok auto, Ok fresh ->
+    let est (c : Overgen.compiled) =
+      (Overgen_perf.Perf.app o.design.sys c.schedules).total_cycles
+    in
+    Alcotest.(check bool) "mm: the stored schedule estimates faster" true
+      (est auto < est fresh)
+  | _ -> Alcotest.fail "mm: want both schedules"
+
 let tests =
   [
     Alcotest.test_case "generate + run" `Slow test_generate_and_run;
@@ -64,4 +95,6 @@ let tests =
     Alcotest.test_case "general hosts all" `Slow test_general_hosts_all;
     Alcotest.test_case "reconfigure fast" `Slow test_reconfigure_fast;
     Alcotest.test_case "report consistency" `Slow test_report_consistency;
+    Alcotest.test_case "stored schedule arbitration" `Slow
+      test_stored_schedule_arbitration;
   ]

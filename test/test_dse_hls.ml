@@ -286,6 +286,75 @@ let prop_hls_resources_grow_with_unroll =
       let b = Hls.evaluate ~tuned:false k { unroll = 2 * u; partition = 1 } in
       b.res.Res.lut >= a.res.Res.lut)
 
+(* Preserving proposals never take stream-state away from a port that a
+   stationary stream uses, nor indirection away from an engine that an
+   indirect stream uses. *)
+let test_preserving_keeps_used_features () =
+  let sys = Builder.general_overlay () in
+  let pool = Op.Cap.of_ops [ Op.Add ] [ Dtype.F64 ] in
+  List.iter
+    (fun name ->
+      let scheds =
+        match Spatial.schedule_app sys (Overgen_mdfg.Compile.compile (Kernels.find name)) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: %s" name e
+      in
+      let usage = Mutate.usage_of scheds in
+      let stated = ref [] and indirect = ref [] in
+      List.iter
+        (fun (s : Schedule.t) ->
+          List.iter
+            (fun (st : Overgen_mdfg.Stream.t) ->
+              (match st.port with
+              | Some p when st.reuse.stationary > 1.0 ->
+                stated := Schedule.Imap.find p s.port_map :: !stated
+              | _ -> ());
+              match (st.access, Schedule.engine_of_stream s st) with
+              | Overgen_mdfg.Stream.Indirect _, Some e -> indirect := e :: !indirect
+              | _ -> ())
+            s.variant.streams)
+        scheds;
+      Alcotest.(check bool) (name ^ " uses a stated port or indirect engine") true
+        (!stated <> [] || !indirect <> []);
+      let rng = Overgen_util.Rng.create 3 in
+      for _ = 1 to 3000 do
+        let adg', desc = Mutate.propose rng ~preserve:true ~caps_pool:pool sys.adg usage in
+        List.iter
+          (fun hw ->
+            match Adg.comp adg' hw with
+            | Some (Comp.In_port p | Comp.Out_port p) when not p.stated ->
+              Alcotest.failf "%s: %s cleared stream-state on port %d" name desc hw
+            | _ -> ())
+          !stated;
+        List.iter
+          (fun e ->
+            match Adg.comp adg' e with
+            | Some (Comp.Engine en) when not en.indirect ->
+              Alcotest.failf "%s: %s cleared indirection on engine %d" name desc e
+            | _ -> ())
+          !indirect
+      done)
+    [ "fir"; "crs" ]
+
+(* The Random policy (the paper's Figure 16 baseline) proposes arbitrary
+   mutations and reschedules them: some moves leave an application
+   unschedulable and count as invalid, and the run still ends on a design
+   whose schedules validate. *)
+let test_random_policy_explores () =
+  let r =
+    Dse.explore_kernels
+      ~config:{ (small_cfg 3) with mutation_policy = Dse.Random }
+      ~model:(model ())
+      [ Kernels.find "stencil-2d"; Kernels.find "fir" ]
+  in
+  Alcotest.(check bool) "some moves invalid" true (r.stats.invalid > 0);
+  List.iter
+    (List.iter (fun s ->
+         match Schedule.validate s r.best.sys with
+         | Ok () -> ()
+         | Error e -> Alcotest.failf "best design schedule invalid: %s" e))
+    r.best.per_app
+
 let tests =
   [
     Alcotest.test_case "usage + prune keep schedules" `Quick test_usage_marks_used_nodes;
@@ -307,4 +376,7 @@ let tests =
     Alcotest.test_case "tuning never slower" `Quick test_tuning_never_slower;
     Alcotest.test_case "dram channels (hls)" `Quick test_more_dram_channels_help_hls;
     QCheck_alcotest.to_alcotest prop_hls_resources_grow_with_unroll;
+    Alcotest.test_case "preserving keeps used features" `Quick
+      test_preserving_keeps_used_features;
+    Alcotest.test_case "random policy explores" `Slow test_random_policy_explores;
   ]

@@ -167,7 +167,7 @@ let test_tenant_parse () =
     | None -> Alcotest.fail "bronze quota missing")
   | Ok l -> Alcotest.failf "expected 3 tenants, got %d" (List.length l));
   (* round trip *)
-  let spec = "gold:10:interactive,bronze:1:batch:25@0.5" in
+  let spec = "gold:10:interactive,silver:3:standard,bronze:1:batch:25@0.5" in
   (match Tenant.parse spec with
   | Ok l ->
     let printed = String.concat "," (List.map Tenant.to_string l) in

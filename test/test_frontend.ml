@@ -544,7 +544,12 @@ let test_fuzz_with_faults () =
   Alcotest.(check int) "no invariant violations under faults" 0
     s.Fuzz.violations;
   Alcotest.(check int) "every schedule validates under faults" 0 s.Fuzz.invalid;
-  Alcotest.(check bool) "faults actually injected" true (s.Fuzz.injected > 0)
+  Alcotest.(check bool) "faults actually injected" true (s.Fuzz.injected > 0);
+  (* forty seeds reach every grammar production; two seeds do not *)
+  Alcotest.(check bool) "full sweep lists nothing uncovered" false
+    (contains (Fuzz.summary_to_string s) "uncovered productions");
+  Alcotest.(check bool) "short sweep lists uncovered productions" true
+    (contains (Fuzz.summary_to_string (Fuzz.run ~seeds:2 ~seed:3 ())) "uncovered productions")
 
 (* the test binary runs from the project root under [dune exec] and from
    [_build/default/test] under [dune runtest]; resolve data dirs from
@@ -595,6 +600,41 @@ let test_golden_sources () =
       if k' <> k then Alcotest.failf "%s does not parse back to %s" path k.name)
     Kernels.all
 
+(* Surface syntax the emitter never prints but the parser accepts: line
+   comments, "# pragma" with a space, a negative scalar initializer, a
+   non-static global with an initializer, a subscript scaled on the
+   right ([i * 2]) and an op called by its name ([shl]). *)
+let test_accepted_syntax () =
+  let k =
+    parse_ok
+      {|// a line comment
+# pragma dsa kernel name(syntax) suite(dsp) dtype(i32) lanes(1) size(64)
+#include <stdint.h>
+
+static int32_t og_p = -3;
+int unused_global = 7;
+static int32_t og_a[128];
+static int32_t og_c[64];
+
+void syntax_kernel(void) {
+#pragma dsa config
+{
+  #pragma dsa decouple region(r) hls(clean)
+  for (int i = 0; i < 64; ++i) {
+    og_c[i] = shl(og_a[i * 2], 1) + og_p;
+  }
+}
+}
+|}
+  in
+  Alcotest.(check string) "name" "syntax" k.Ir.name;
+  match (List.hd k.regions).body with
+  | [ Ir.Store (_, Ir.Binop (Overgen_adg.Op.Add, Ir.Binop (Overgen_adg.Op.Shl, Ir.Load a, _), Ir.Param "p")) ]
+    ->
+    Alcotest.(check (list (pair string int))) "scaled subscript" [ ("i", 2) ]
+      (match a.index with Ir.Direct aff -> aff.terms | Ir.Indirect _ -> [])
+  | _ -> Alcotest.fail "unexpected body"
+
 let tests =
   [
     Alcotest.test_case "round-trip: all 19 suite kernels" `Quick
@@ -636,4 +676,6 @@ let tests =
       test_corpus_rejects_cleanly;
     Alcotest.test_case "golden: emitted sources committed" `Quick
       test_golden_sources;
+    Alcotest.test_case "syntax: accepted surface forms" `Quick
+      test_accepted_syntax;
   ]

@@ -7,6 +7,11 @@ module Assemble = Overgen_isa.Assemble
 module Emit = Overgen_rtl.Emit
 module Exec = Overgen_exec.Exec
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let general = lazy (Builder.general_overlay ())
 
 let schedules name =
@@ -77,7 +82,9 @@ let test_assemble_indirect_flag () =
   let p = Assemble.assemble sys (schedules "crs") in
   let cmds = (List.hd p.regions).commands in
   Alcotest.(check bool) "indirect streams flagged" true
-    (List.exists (fun (c : Assemble.stream_cmd) -> c.indirect) cmds)
+    (List.exists (fun (c : Assemble.stream_cmd) -> c.indirect) cmds);
+  Alcotest.(check bool) "disassembly marks an indirect stream" true
+    (contains (Assemble.disassemble p) " indirect ")
 
 let test_disassemble_readable () =
   let sys = Lazy.force general in
@@ -242,6 +249,49 @@ let prop_exec_deterministic =
       | Ok () -> true
       | Error _ -> false)
 
+(* No Table II kernel uses the integer ops, so a kernel written for them
+   checks both interpreters' semantics: min, shifts, bitwise and, or and
+   xor, both compares (equal and unequal operands), and division by a zero
+   divisor, which both define as 0. *)
+let bitops_src =
+  {|#pragma dsa kernel name(bitops) suite(dsp) dtype(i32) lanes(1) size(64)
+#include <stdint.h>
+
+static int32_t og_a[64];
+static int32_t og_b[64];
+static int32_t og_c[64];
+
+void bitops_kernel(void) {
+#pragma dsa config
+{
+  #pragma dsa decouple region(ops) hls(clean)
+  for (int i = 0; i < 64; ++i) {
+    og_c[i] = (min(og_a[i], og_b[i]) << 1) + (og_a[i] & og_b[i])
+      + (og_a[i] | og_b[i]) + (og_a[i] ^ og_b[i]) + (og_a[i] < og_b[i])
+      + (og_a[i] == og_b[i]) + (og_a[i] == og_a[i])
+      + og_a[i] / (og_b[i] - og_b[i]);
+  }
+}
+}
+|}
+
+let test_integer_ops_functionally_correct () =
+  match Overgen_frontend.Frontend.parse bitops_src with
+  | Error e ->
+    Alcotest.failf "parse: %s" (Overgen_frontend.Frontend.error_to_string e)
+  | Ok k ->
+    List.iter
+      (fun u ->
+        match Exec.check ~unroll:u k with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "u=%d: %s" u e)
+      [ 1; 4 ];
+    (* [Ir.pretty] keys the service's compile memo: each op prints apart *)
+    let text = Ir.pretty k ^ Ir.pretty Dot_reg.kernel in
+    List.iter
+      (fun sym -> Alcotest.(check bool) (sym ^ " printed") true (contains text sym))
+      [ " << "; " & "; " | "; " ^ "; " < "; " == "; "min("; " = add(" ]
+
 let tests =
   [
     Alcotest.test_case "bitstream packing" `Quick test_bitstream_packing;
@@ -264,4 +314,6 @@ let tests =
       test_tuned_variants_functionally_correct;
     Alcotest.test_case "checker not vacuous" `Quick test_executor_detects_injected_bug;
     QCheck_alcotest.to_alcotest prop_exec_deterministic;
+    Alcotest.test_case "integer ops functional" `Quick
+      test_integer_ops_functionally_correct;
   ]

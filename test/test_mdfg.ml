@@ -266,6 +266,21 @@ let test_mdfg_golden_table () =
            (Compile.hash_compiled (Compile.compile ~tuned:true k)))
        Kernels.all)
 
+(* [Stream.describe] names each stream's direction and access: crs reads
+   its dense vector through an index array and writes its result. *)
+let test_stream_describe () =
+  let v = compile_one ~unroll:1 "crs" in
+  let starts p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p in
+  let has sub s =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let ds = List.map Stream.describe v.streams in
+  Alcotest.(check bool) "a write stream" true (List.exists (starts "write ") ds);
+  Alcotest.(check bool) "an indirect read" true
+    (List.exists (fun d -> starts "read " d && has "[.]]" d) ds)
+
 let tests =
   [
     Alcotest.test_case "all kernels compile" `Quick test_all_kernels_compile_all_unrolls;
@@ -289,4 +304,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_traffic_at_least_footprint;
     QCheck_alcotest.to_alcotest prop_firings_times_unroll_is_iters;
     QCheck_alcotest.to_alcotest prop_dfg_outputs_have_producers;
+    Alcotest.test_case "stream describe" `Quick test_stream_describe;
   ]

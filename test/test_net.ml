@@ -835,6 +835,138 @@ let test_merged_trace_validates () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "merged trace invalid: %s" e
 
+(* ---------------- ops plane through the codec ---------------- *)
+
+(* Each scrape request is encoded and decoded, handled by a node, and its
+   reply encoded and decoded back, as one socket round trip would.  The
+   metrics dump is the shard's registry in Prometheus text; the quiesced
+   gauge, the health report and the flight recorder all show a quiesce. *)
+let test_ops_plane_codec () =
+  let node =
+    must_node
+      (Node.init
+         (Node.default_config
+            ~cluster:[| { Node.host = "127.0.0.1"; port = 0 } |]
+            ~me:0))
+  in
+  let ask msg =
+    let msg' =
+      match Wire.decode_req (Wire.encode_req msg) with
+      | Ok m -> m
+      | Error e -> Alcotest.failf "decode_req: %s" e
+    in
+    Alcotest.(check bool) "request round-trips" true (msg' = msg);
+    let got = ref None in
+    Node.handle_net node msg' ~respond:(fun r -> got := Some r);
+    match !got with
+    | None -> Alcotest.fail "scrape not answered before handle_net returned"
+    | Some r -> (
+      match Wire.decode_resp (Wire.encode_resp r) with
+      | Ok r' ->
+        Alcotest.(check bool) "response round-trips" true (r' = r);
+        r'
+      | Error e -> Alcotest.failf "decode_resp: %s" e)
+  in
+  let has text line =
+    List.mem line (String.split_on_char '\n' text)
+  in
+  let dump () =
+    match ask Wire.Metrics_req with
+    | Wire.Metrics_dump { shard = 0; text } -> text
+    | _ -> Alcotest.fail "expected a Metrics_dump from shard 0"
+  in
+  let text = dump () in
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (has text line))
+    [ "# TYPE overgen_net_quiesced gauge"; "overgen_net_quiesced 0";
+      "# TYPE overgen_net_cache_entries gauge"; "overgen_net_cache_entries 0" ];
+  (match ask Wire.Quiesce with
+  | Wire.Bye -> ()
+  | _ -> Alcotest.fail "expected Bye to a quiesce");
+  Alcotest.(check bool) "quiesced gauge reads 1" true
+    (has (dump ()) "overgen_net_quiesced 1");
+  (match ask Wire.Health_req with
+  | Wire.Health { shard = 0; quiesced = true; served = 0; inflight = 0; _ } -> ()
+  | _ -> Alcotest.fail "expected a quiesced, idle Health from shard 0");
+  (match ask (Wire.Recent_events_req { max = 1 }) with
+  | Wire.Events { shard = 0; events = [ e ] } ->
+    let module Export = Overgen_obs.Export in
+    Alcotest.(check bool) "newest event is the quiesce" true
+      (match Export.parse_json e with
+       | Ok j -> Export.member "name" j = Some (Export.Str "quiesce")
+       | Error _ -> false)
+  | _ -> Alcotest.fail "expected one event from shard 0");
+  Node.shutdown node
+
+(* Every wire error survives the response codec, prints, and is retryable
+   exactly when resending can change the answer. *)
+let test_wire_errors_round_trip () =
+  List.iter
+    (fun (e, retry) ->
+      let r =
+        Wire.Result
+          { id = 7; outcome = Error e; cache_hit = false; service_s = 0.5;
+            shard = 1 }
+      in
+      let name = Wire.wire_error_to_string e in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Wire.decode_resp (Wire.encode_resp r) = Ok r);
+      Alcotest.(check bool) (name ^ " retryable") retry (Wire.retryable e))
+    [ (Wire.Unknown_overlay "x", false); (Wire.Queue_full, true);
+      (Wire.Compile_error "c", false); (Wire.Transient_failure "t", true);
+      (Wire.Deadline_exceeded, true); (Wire.Shutting_down, true);
+      (Wire.Source_error "1:2: s", false); (Wire.Quota_exceeded, false) ]
+
+(* [--cluster] parsing: host:port pairs in order, and the malformed forms
+   rejected with an error. *)
+let test_parse_cluster () =
+  (match Node.parse_cluster "127.0.0.1:7001,shard-b:80" with
+  | Ok [| a; b |] ->
+    Alcotest.(check (pair string int)) "first" ("127.0.0.1", 7001) (a.host, a.port);
+    Alcotest.(check (pair string int)) "second" ("shard-b", 80) (b.host, b.port)
+  | _ -> Alcotest.fail "want two peers");
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true
+        (Result.is_error (Node.parse_cluster s)))
+    [ ""; "nohost"; ":80"; "h:99999"; "h:80,h" ]
+
+(* One shard over loopback with tracing on: every request carries a trace
+   id, so the load generator opens a send span and the server a decode
+   span.  Stopping the server writes its flight recorder to the path it
+   was given, and the run's bench metrics derive from its summary. *)
+let test_traced_run_over_socket () =
+  let fd, port = Result.get_ok (Server.listen ~port:0 ()) in
+  let cluster = [| { Node.host = "127.0.0.1"; port } |] in
+  let node = must_node (Node.init ~setup (Node.default_config ~cluster ~me:0)) in
+  let flight = tmp_path "flight" in
+  Sys.remove flight;
+  let server = Server.start ~flight_out:flight ~node ~fd () in
+  let spec =
+    Trace.spec ~seed:4 ~requests:10 ~users:2 ~working_set:2
+      ~overlays:[ ("general", Kernels.all) ] ()
+  in
+  let requests =
+    Array.mapi
+      (fun i (r : Wire.request) -> { r with trace = Printf.sprintf "%032x" (i + 1) })
+      (Load_gen.of_trace (Trace.generate spec))
+  in
+  let config =
+    { Load_gen.cluster; requests; rate = 200.0; timeout_s = 60.0;
+      misroute_every = None }
+  in
+  let module Obs = Overgen_obs.Obs in
+  Obs.enable ();
+  let summary = Fun.protect ~finally:Obs.disable (fun () -> Load_gen.run config) in
+  Server.stop server;
+  Node.shutdown node;
+  Alcotest.(check int) "all answered" 10 summary.Load_gen.completed;
+  Alcotest.(check bool) "flight recorder written" true (Sys.file_exists flight);
+  Sys.remove flight;
+  Alcotest.(check (option (float 1e-9))) "hit rate metric"
+    (Some (float_of_int summary.hits /. 10.0))
+    (List.assoc_opt "hit_rate" (Load_gen.to_metrics config summary))
+
 let tests =
   [
     ("frame round-trip", `Quick, test_frame_roundtrip);
@@ -859,4 +991,8 @@ let tests =
     ("misroutes redirect over sockets", `Quick, test_misroutes_redirect_over_sockets);
     ("previous-generation schemas rejected", `Quick, test_old_schema_payload_rejected);
     ("merged two-lane trace validates", `Quick, test_merged_trace_validates);
+    ("ops plane through the codec", `Quick, test_ops_plane_codec);
+    ("wire errors round-trip", `Quick, test_wire_errors_round_trip);
+    ("cluster parsing", `Quick, test_parse_cluster);
+    ("traced run over a socket", `Quick, test_traced_run_over_socket);
   ]

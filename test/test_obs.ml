@@ -490,6 +490,58 @@ let test_null_backend () =
     (Printf.sprintf "allocation-free when disabled (%.4f words/op)" per_op)
     true (per_op < 0.01)
 
+(* The human-readable report prints every kind, labels, and an empty
+   registry; [Obs.observe] records only while telemetry is on. *)
+let test_render_report () =
+  let reg = Metrics.create_registry ~label:"shard" () in
+  Alcotest.(check bool) "empty registry" true
+    (contains ~needle:"(no metrics registered)" (Metrics.render_report reg));
+  Metrics.incr (Metrics.counter ~labels:[ ("k", "v") ] reg "c_total");
+  Metrics.set (Metrics.gauge reg "g") 2.5;
+  ignore (Metrics.histogram reg "empty_s");
+  let h = Metrics.histogram reg "h_s" in
+  Obs.disable ();
+  Obs.observe h 1.0;
+  Obs.enable ();
+  Obs.observe h 3.0;
+  Obs.disable ();
+  let text = Metrics.render_report reg and plain = Metrics.render_report ~label:"" reg in
+  List.iter
+    (fun sub -> Alcotest.(check bool) sub true (contains ~needle:sub text))
+    [ "[shard]"; "c_total{k=\"v\"}"; "2.5000"; "mean   3.000000"; "mean   0.000000" ];
+  Alcotest.(check bool) "no label" false (contains ~needle:"[" plain)
+
+(* The service report prints the hit rate, faults and quota sheds only
+   when there are any, and throughput only over a positive wall time. *)
+let test_telemetry_report () =
+  let module Telemetry = Overgen_service.Telemetry in
+  let t = Telemetry.create () in
+  let quiet = Telemetry.report ~wall_s:0.0 (Telemetry.snapshot t) in
+  Telemetry.record t Telemetry.Hit ~service_s:0.001;
+  Telemetry.record_fault t;
+  Telemetry.record_quota t;
+  let busy = Telemetry.report ~label:"a" ~wall_s:1.0 (Telemetry.snapshot t) in
+  List.iter
+    (fun sub ->
+      Alcotest.(check bool) (sub ^ " only when busy") true
+        (contains ~needle:sub busy && not (contains ~needle:sub quiet)))
+    [ "[a]"; "hit rate"; "faults"; "quota shed"; "throughput" ]
+
+(* Bench JSON holds only finite numbers: NaN reads 0 and infinities clamp
+   to +-1e308.  The file lands in the given directory. *)
+let test_write_bench_json () =
+  let dir = Filename.get_temp_dir_name () in
+  let path =
+    Export.write_bench_json ~dir ~scenario:"cover_probe"
+      [ ("nan", Float.nan); ("inf", infinity); ("ninf", neg_infinity); ("x", 1.5) ]
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check string) "written under dir" (Filename.concat dir "BENCH_cover_probe.json") path;
+  List.iter
+    (fun sub -> Alcotest.(check bool) sub true (contains ~needle:sub text))
+    [ "1e308"; "-1e308"; "1.5" ]
+
 let tests =
   [
     Alcotest.test_case "counter concurrency" `Quick test_counter_concurrent;
@@ -516,4 +568,7 @@ let tests =
       test_jsonl_roundtrip_and_orphans;
     Alcotest.test_case "bench_json round-trips" `Quick test_bench_json_roundtrip;
     Alcotest.test_case "null backend" `Quick test_null_backend;
+    Alcotest.test_case "metrics report" `Quick test_render_report;
+    Alcotest.test_case "telemetry report" `Quick test_telemetry_report;
+    Alcotest.test_case "bench json file" `Quick test_write_bench_json;
   ]

@@ -1125,6 +1125,46 @@ let test_scheduler_on_two_domains () =
   Alcotest.(check bool) "variants pruned" true (seq_pruned > 0);
   Alcotest.(check int) "pruned variants counted" (2 * seq_pruned) par_pruned
 
+(* A mutation that removes a port the schedule uses: repair cannot keep
+   the binding, the incremental tier re-places just that port (an input
+   and then an output port) on another free port and re-routes. *)
+let test_incremental_replaces_port () =
+  let sys = general () in
+  let compiled = Compile.compile ~tuned:false (Kernels.find "mm") in
+  let prior =
+    match Spatial.schedule_app sys compiled with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "schedule failed: %s" e
+  in
+  let s = List.hd prior in
+  List.iter
+    (fun input ->
+      let dfg_port, hw =
+        List.find
+          (fun (p, _) ->
+            match (Dfg.node s.variant.dfg p).kind with
+            | Dfg.Input _ -> input
+            | Dfg.Output _ -> not input
+            | _ -> false)
+          (Schedule.Imap.bindings s.port_map)
+      in
+      let sys' = Sys_adg.with_adg sys (Adg.remove_node sys.adg hw) in
+      match Spatial.reschedule sys' compiled ~prior with
+      | Error e -> Alcotest.failf "reschedule failed: %s" e
+      | Ok (scheds, outcome) ->
+        Alcotest.(check bool) "incremental tier used" true
+          (outcome = Spatial.Incremental);
+        let s' = List.hd scheds in
+        Alcotest.(check bool) "the port moved" true
+          (Schedule.Imap.find dfg_port s'.port_map <> hw);
+        List.iter
+          (fun sc ->
+            match Schedule.validate sc sys' with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "rescheduled schedule invalid: %s" e)
+          scheds)
+    [ true; false ]
+
 let tests =
   [
     Alcotest.test_case "all kernels schedule on general" `Quick
@@ -1164,4 +1204,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_reschedule_matches_legacy;
     Alcotest.test_case "incremental re-places only broken" `Quick
       test_incremental_replaces_only_broken;
+    Alcotest.test_case "incremental re-places a removed port" `Quick
+      test_incremental_replaces_port;
   ]

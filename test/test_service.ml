@@ -813,6 +813,50 @@ let test_fingerprint_collisions () =
   Alcotest.(check bool) "mutation walk explored distinct structures" true
     (Hashtbl.length seen >= 100)
 
+(* A tenanted trace spreads its users over the tenants round-robin and
+   requests the same kernels as the untenanted trace of the same seed. *)
+let test_trace_tenants () =
+  let spec tenants =
+    Trace.spec ~seed:3 ~requests:40 ~users:4 ?tenants
+      ~overlays:[ ("general", Kernels.all) ] ()
+  in
+  let plain = Trace.generate (spec None)
+  and tenanted = Trace.generate (spec (Some [| "a"; "b" |])) in
+  Alcotest.(check (list string)) "tenants in use" [ "a"; "b" ]
+    (List.sort_uniq compare
+       (List.map (fun (r : Service.request) -> r.tenant) tenanted));
+  Alcotest.(check bool) "same kernels" true
+    (List.map (fun (r : Service.request) -> r.payload) plain
+     = List.map (fun (r : Service.request) -> r.payload) tenanted)
+
+(* A tuned request compiles the tuned source variant under its own cache
+   key: it misses after the untuned one, then hits. *)
+let test_tuned_request_own_entry () =
+  let o = Lazy.force general in
+  let registry = Registry.create () in
+  (match Registry.register registry ~name:"general" o with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  let svc = Service.create ~caching:true registry in
+  let kernel = List.find (fun (k : Ir.kernel) -> k.og_tuning <> None) Kernels.all in
+  let req id tuned =
+    { Service.id; user = "u"; tenant = ""; overlay = "general";
+      payload = Service.Kernel kernel; tuned; trace = ""; deadline_s = None }
+  in
+  match
+    Admission.run (Admission.create svc) [ req 0 false; req 1 true; req 2 true ]
+  with
+  | [ r0; r1; r2 ] ->
+    List.iter
+      (fun (r : Service.response) ->
+        match r.result with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "compile failed: %s" (Service.error_to_string e))
+      [ r0; r1; r2 ];
+    Alcotest.(check (list bool)) "tuned misses once, then hits" [ false; false; true ]
+      [ r0.cache_hit; r1.cache_hit; r2.cache_hit ]
+  | _ -> Alcotest.fail "expected three responses"
+
 let tests =
   [
     Alcotest.test_case "lru basics" `Quick test_lru_basics;
@@ -852,4 +896,7 @@ let tests =
       test_cache_key_no_boundary_collisions;
     Alcotest.test_case "fingerprint collision probe" `Quick
       test_fingerprint_collisions;
+    Alcotest.test_case "trace tenants" `Quick test_trace_tenants;
+    Alcotest.test_case "tuned request own entry" `Quick
+      test_tuned_request_own_entry;
   ]

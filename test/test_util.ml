@@ -148,7 +148,7 @@ let test_table_render () =
 
 let test_bar_chart_runs () =
   let s =
-    Render.bar_chart ~log2:true ~title:"t"
+    Render.bar_chart ~title:"t"
       [ ("w1", [ 0.5; 2.0 ]); ("w2", [ 1.0; 4.0 ]) ]
       ~series:[ "x"; "y" ]
   in
@@ -233,6 +233,11 @@ let prop_percentile_bounded =
       and hi = List.fold_left max neg_infinity l in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
 
+(* Table cells: integers bare, then fewer decimals the larger the value. *)
+let test_float_cell () =
+  Alcotest.(check (list string)) "cells" [ "42"; "123.5"; "4.57"; "0.123" ]
+    (List.map Render.float_cell [ 42.0; 123.45; 4.567; 0.1234 ])
+
 let tests =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -262,4 +267,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_geomean_between_min_max;
     QCheck_alcotest.to_alcotest prop_shuffle_preserves;
     QCheck_alcotest.to_alcotest prop_percentile_bounded;
+    Alcotest.test_case "float cell" `Quick test_float_cell;
   ]

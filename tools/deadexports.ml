@@ -52,13 +52,17 @@ let readdir d =
 
 let is_dir p = try Sys.is_directory p with Sys_error _ -> false
 
-(* Source files under [dir], skipping hidden and [_build] directories. *)
+(* Source files under [dir], skipping hidden and [_build] directories and
+   the [.pp.ml] copies a ppx leaves beside its sources (their typed tree is
+   the source's). *)
 let rec sources dir =
   List.concat_map
     (fun f ->
       let p = Filename.concat dir f in
       if f.[0] = '.' || f.[0] = '_' then []
       else if is_dir p then sources p
+      else if Filename.check_suffix f ".pp.ml" || Filename.check_suffix f ".pp.mli"
+      then []
       else if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
       then [ p ]
       else [])
