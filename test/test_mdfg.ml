@@ -266,6 +266,56 @@ let test_mdfg_golden_table () =
            (Compile.hash_compiled (Compile.compile ~tuned:true k)))
        Kernels.all)
 
+(* The compiler pinned beyond Table II: [Compile.hash_compiled], untuned
+   and tuned, of 200 kernels drawn as the frontend fuzzer draws them
+   (seed 11, one coverage map), which reach shapes no Table II kernel has:
+   several [Reduce]s, negative strides, reads of an array the region also
+   writes. The last row is a histogram, [h[idx[i]] += x[i]]: an indirect
+   read-modify-write, which the generator never emits. Regenerate with
+   OVERGEN_MDFG_GEN_GOLDEN_OUT=<file> dune test, then copy the file over
+   test/mdfg-gen-golden.tsv — only when a change to compiled variants is
+   intended. *)
+let test_mdfg_gen_golden_table () =
+  let cov = Overgen_frontend.Gen.Cov.create () in
+  let row name (k : Ir.kernel) =
+    Printf.sprintf "%s\t%s\t%s" name
+      (Compile.hash_compiled (Compile.compile k))
+      (Compile.hash_compiled (Compile.compile ~tuned:true k))
+  in
+  let gen =
+    List.init 200 (fun i ->
+        let rng = Overgen_util.Rng.of_string (Printf.sprintf "fuzz:11:%d" i) in
+        let k = Overgen_frontend.Gen.kernel ~cov rng in
+        row (Printf.sprintf "%d/%s" i k.name) k)
+  in
+  let hist =
+    let i = Ir.affine [ ("i", 1) ] in
+    {
+      (Kernels.find "crs") with
+      name = "hist";
+      arrays = [ ("h", 16); ("idx", 64); ("x", 64) ];
+      regions =
+        [
+          {
+            Ir.rname = "hist";
+            loops = [ { Ir.var = "i"; trip = Ir.Fixed 64 } ];
+            body =
+              [
+                Ir.Accum
+                  ( { array = "h"; index = Ir.Indirect { idx_array = "idx"; at = i } },
+                    Overgen_adg.Op.Add,
+                    Ir.Load { array = "x"; index = Ir.Direct i } );
+              ];
+            hls = Ir.Clean;
+          };
+        ];
+      og_tuning = None;
+    }
+  in
+  Golden.check ~file:"mdfg-gen-golden.tsv" ~regen_var:"OVERGEN_MDFG_GEN_GOLDEN_OUT"
+    ~header:"# seed/kernel\tuntuned hash_compiled\ttuned hash_compiled\n"
+    (gen @ [ row "hist" hist ])
+
 (* [Stream.describe] names each stream's direction and access: crs reads
    its dense vector through an index array and writes its result. *)
 let test_stream_describe () =
@@ -305,4 +355,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_firings_times_unroll_is_iters;
     QCheck_alcotest.to_alcotest prop_dfg_outputs_have_producers;
     Alcotest.test_case "stream describe" `Quick test_stream_describe;
+    Alcotest.test_case "mdfg gen golden table" `Quick test_mdfg_gen_golden_table;
   ]
