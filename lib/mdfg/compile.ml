@@ -48,62 +48,94 @@ let range_width loops terms =
       | None -> acc)
     0 terms
 
-(* ---------- group collection ---------- *)
+(* ---------- access groups ---------- *)
 
+(* An access group: the accesses of one array with the same post-unroll
+   subscript terms and index array, which differ only in their constant.
+   Each group is one vector port per side (loads, stores).  Under
+   [Ir.affine_subst_scaled] neither an access's group nor whether it uses
+   the innermost variable depends on the unroll lane: lane [l] only adds
+   [step * l] to the constant.  So every access is resolved once per
+   variant, and the per-lane work is integer arithmetic on its rank. *)
 type group = {
-  key : string;
+  gid : int;
   garray : string;
   terms : (string * int) list;  (* post-unroll subscript coefficients *)
   via : string option;          (* index array of an indirect access *)
-  mutable slots : (int * int) list;
-      (* distinct (lane-tag, constant) pairs, sorted: one port lane each.
-         Loop-variant accesses keep one slot per unroll lane even when their
-         addresses overlap — automatic unrolling does not exploit
+  lanes : int;
+      (* the unroll degree when the terms use the innermost variable, else
+         1.  Loop-variant accesses keep one slot per unroll lane even when
+         their addresses overlap — automatic unrolling does not exploit
          overlapped reuse (paper Q2); loop-invariant operands share a single
-         slot (tag 0), which is ordinary invariant hoisting. *)
-  mutable consts : int list;    (* distinct constant offsets, sorted *)
+         slot, which is ordinary invariant hoisting. *)
+  step : int;  (* constant added per lane; a function of [terms] *)
+  mutable recur : bool;  (* the last accumulation into it is a recurrence *)
 }
 
-type store_class = Plain | Acc_inner of Op.t | Rec_acc of Op.t
+(* One access on one side, at its lane-0 constant [base]. *)
+type site = { g : group; base : int; mutable rank : int }
 
-let group_key ~array ~terms ~via =
-  let ts =
-    List.map (fun (v, c) -> v ^ ":" ^ string_of_int c) terms
-    |> String.concat ","
-  in
-  array ^ "|" ^ ts ^ match via with Some s -> "@" ^ s | None -> ""
-
-type collector = {
-  tbl : (string, group) Hashtbl.t;
-  mutable order : string list;  (* first-seen order, reversed *)
+(* A side's port of group [g] has [lanes] times as many slots as distinct
+   bases: the distinct (lane, constant) pairs in ascending order, so
+   lane-major, then base.  A site at lane [l] is in slot
+   [l * (number of bases) + rank] ([rank] when [lanes] is 1). *)
+type side = {
+  mutable sites : site list;  (* reversed *)
+  mutable order : group list;  (* first-seen order *)
+  mutable bases : int array array;  (* by gid: distinct bases, ascending *)
 }
 
-let collector () = { tbl = Hashtbl.create 16; order = [] }
+let side () = { sites = []; order = []; bases = [||] }
 
-(* [x] inserted before the first greater element of the sorted [l], which
-   does not hold it: the list [List.sort compare (x :: l)] would give. *)
-let rec insert_sorted x = function
-  | y :: rest when compare y x < 0 -> y :: insert_sorted x rest
-  | l -> x :: l
+let close side ngroups =
+  let found = Array.make ngroups [] in
+  let sites = List.rev side.sites in
+  List.iter
+    (fun s ->
+      (match found.(s.g.gid) with [] -> side.order <- s.g :: side.order | _ :: _ -> ());
+      found.(s.g.gid) <- s.base :: found.(s.g.gid))
+    sites;
+  side.order <- List.rev side.order;
+  side.bases <- Array.map (fun l -> Array.of_list (List.sort_uniq Int.compare l)) found;
+  List.iter
+    (fun s ->
+      let bs = side.bases.(s.g.gid) in
+      let rec rank i = if bs.(i) = s.base then i else rank (i + 1) in
+      s.rank <- rank 0)
+    sites
 
-let collect c ~array ~terms ~via ~tag ~const =
-  let key = group_key ~array ~terms ~via in
-  let g =
-    match Hashtbl.find_opt c.tbl key with
-    | Some g -> g
-    | None ->
-      let g = { key; garray = array; terms; via; slots = []; consts = [] } in
-      Hashtbl.add c.tbl key g;
-      c.order <- key :: c.order;
-      g
-  in
-  if not (List.mem (tag, const) g.slots) then
-    g.slots <- insert_sorted (tag, const) g.slots;
-  if not (List.mem const g.consts) then g.consts <- insert_sorted const g.consts;
-  key
+let slots side g = Array.length side.bases.(g.gid) * g.lanes
 
-let groups_in_order c =
-  List.rev_map (fun key -> Hashtbl.find c.tbl key) c.order
+let slot side s ~lane =
+  if s.g.lanes = 1 then s.rank else (lane * Array.length side.bases.(s.g.gid)) + s.rank
+
+(* The constant of each slot, in slot order. *)
+let slot_consts side g =
+  let bs = side.bases.(g.gid) in
+  let n = Array.length bs in
+  List.init (n * g.lanes) (fun i -> bs.(i mod n) + (g.step * (i / n)))
+
+(* A side's group as its stream sees it: the port node, each slot's
+   constant, and the distinct constants, ascending. *)
+type port = { group : group; node : int; slot_consts : int list; consts : int list }
+
+(* A region body with every access resolved. *)
+type cexpr =
+  | Load of site
+  | Leaf of { value : float; name : string option; mutable operand : Dfg.operand }
+      (* a literal or parameter: its node, once built *)
+  | Unop of Op.t * cexpr
+  | Binop of Op.t * cexpr * cexpr
+
+type cstmt =
+  | Store of site * cexpr
+  | Acc_inner of Op.t * site * site * cexpr
+      (* accumulation whose target ignores the innermost variable: one write
+         per reduction, initialized from a one-shot read of the target *)
+  | Rmw of Op.t * site * site * cexpr  (* per-lane read, combine, write *)
+  | Reduce of string * Op.t * cexpr
+
+let unset = { Dfg.src = -1; lane = -1 }
 
 (* ---------- per-variant compilation ---------- *)
 
@@ -116,112 +148,99 @@ let compile_region (k : Ir.kernel) (region : Ir.region) ~tuned ~unroll =
   let arr_elems name =
     match List.assoc_opt name k.arrays with Some n -> n | None -> 1
   in
-  let subst_aff a ~lane =
-    if unroll = 1 then a
-    else Ir.affine_subst_scaled a ~var:iv ~scale:unroll ~offset:lane
-  in
-  let subst_aref (r : Ir.aref) ~lane : Ir.aref =
-    match r.index with
-    | Ir.Direct a -> { r with index = Ir.Direct (subst_aff a ~lane) }
-    | Ir.Indirect { idx_array; at } ->
-      { r with index = Ir.Indirect { idx_array; at = subst_aff at ~lane } }
-  in
-  let parts_of_aref (r : Ir.aref) =
-    match r.index with
-    | Ir.Direct a -> (r.array, a.Ir.terms, None, a.Ir.const)
-    | Ir.Indirect { idx_array; at } ->
-      (r.array, at.Ir.terms, Some idx_array, at.Ir.const)
-  in
-  (* Classify each statement once (pre-substitution: the target's use of the
-     innermost variable is unchanged by unrolling). *)
-  let classify = function
-    | Ir.Store _ | Ir.Reduce _ -> Plain
-    | Ir.Accum (aref, op, _) -> (
-      match aref.index with
-      | Ir.Indirect _ -> Plain (* indirect RMW: treat as plain load+store *)
-      | Ir.Direct a ->
-        let vars = Ir.affine_vars a in
-        if List.mem iv vars then
-          let reduction =
-            List.filter (fun (l : Ir.loop) -> not (List.mem l.var vars)) loops
-          in
-          if reduction = [] then Plain else Rec_acc op
-        else Acc_inner op)
-  in
-  (* Phase A: collect load and store groups over all unroll lanes. *)
-  let loadc = collector () and storec = collector () in
-  let store_class = Hashtbl.create 8 in
-  let collect_aref c ~lane aref =
-    let array, terms, via, const = parts_of_aref aref in
-    let tag = if List.mem_assoc iv terms then lane else 0 in
-    collect c ~array ~terms ~via ~tag ~const
-  in
-  List.iter
-    (fun stmt ->
-      let cls = classify stmt in
-      for lane = 0 to unroll - 1 do
-        (* expression loads *)
-        let expr =
-          match stmt with
-          | Ir.Store (_, e) | Ir.Accum (_, _, e) | Ir.Reduce (_, _, e) -> e
+  (* Phase A: resolve every access, in first-seen order per side. *)
+  let groups = Hashtbl.create 16 and ngroups = ref 0 in
+  let loads = side () and stores = side () in
+  let site side (r : Ir.aref) =
+    let a, via =
+      match r.index with
+      | Ir.Direct a -> (a, None)
+      | Ir.Indirect { idx_array; at } -> (at, Some idx_array)
+    in
+    let terms =
+      if unroll = 1 then a.terms
+      else (Ir.affine_subst_scaled a ~var:iv ~scale:unroll ~offset:0).terms
+    in
+    let g =
+      match Hashtbl.find_opt groups (r.array, terms, via) with
+      | Some g -> g
+      | None ->
+        let g =
+          { gid = !ngroups; garray = r.array; terms; via;
+            lanes = (if List.mem_assoc iv terms then unroll else 1);
+            step = (if unroll = 1 then 0 else Ir.affine_coeff a iv);
+            recur = false }
         in
-        List.iter
-          (fun aref -> ignore (collect_aref loadc ~lane (subst_aref aref ~lane)))
-          (Ir.loads_of_expr expr);
-        (* target *)
-        match (stmt, cls) with
-        | Ir.Store (aref, _), _ ->
-          ignore (collect_aref storec ~lane (subst_aref aref ~lane))
-        | Ir.Accum (aref, _, _), Acc_inner _ ->
-          (* one write per reduction; the accumulator initializes from a
-             one-shot read of the target *)
-          ignore (collect_aref loadc ~lane (subst_aref aref ~lane));
-          let key = collect_aref storec ~lane (subst_aref aref ~lane) in
-          Hashtbl.replace store_class key cls
-        | Ir.Accum (aref, _, _), (Rec_acc _ | Plain) ->
-          let sa = subst_aref aref ~lane in
-          ignore (collect_aref loadc ~lane sa);
-          let key = collect_aref storec ~lane sa in
-          Hashtbl.replace store_class key cls
-        | Ir.Reduce _, _ -> ()
-      done)
-    region.body;
+        incr ngroups;
+        Hashtbl.add groups (r.array, terms, via) g;
+        g
+    in
+    let s = { g; base = a.const; rank = 0 } in
+    side.sites <- s :: side.sites;
+    s
+  in
+  (* loads left to right, as [Ir.stmt_loads] lists them: the first-seen
+     order of groups is the order of the input ports *)
+  let rec resolve = function
+    | Ir.Load r -> Load (site loads r)
+    | Ir.Const value -> Leaf { value; name = None; operand = unset }
+    | Ir.Param p -> Leaf { value = 1.0; name = Some p; operand = unset }
+    | Ir.Unop (op, e) -> Unop (op, resolve e)
+    | Ir.Binop (op, x, y) ->
+      let x = resolve x in
+      Binop (op, x, resolve y)
+  in
+  let body =
+    List.map
+      (function
+        | Ir.Store (r, e) ->
+          let e = resolve e in
+          Store (site stores r, e)
+        | Ir.Accum (r, op, e) -> (
+          let e = resolve e in
+          let ls = site loads r in
+          let ss = site stores r in
+          (* classified before substitution: the target's use of the
+             innermost variable is unchanged by unrolling *)
+          match r.index with
+          | Ir.Indirect _ ->
+            (* indirect RMW: treat as plain load+store *)
+            ss.g.recur <- false;
+            Rmw (op, ls, ss, e)
+          | Ir.Direct a ->
+            let vars = Ir.affine_vars a in
+            let inner = List.mem iv vars in
+            ss.g.recur <-
+              inner && List.exists (fun (l : Ir.loop) -> not (List.mem l.var vars)) loops;
+            if inner then Rmw (op, ls, ss, e) else Acc_inner (op, ls, ss, e))
+        | Ir.Reduce (name, op, e) -> Reduce (name, op, resolve e))
+      region.body
+  in
+  close loads !ngroups;
+  close stores !ngroups;
   (* Phase B: DFG inputs, one vector port per load group. *)
   let b = Dfg.Builder.create () in
-  let load_groups = groups_in_order loadc in
-  let input_ids = Hashtbl.create 16 in
-  let operand_of = Hashtbl.create 32 in
+  let input_ids = Array.make !ngroups (-1) in
+  let operands = Array.make !ngroups [||] in
   List.iter
     (fun g ->
-      let vars = List.map fst g.terms in
-      let stationary = stationary_factor loops vars in
-      let id =
-        Dfg.Builder.input b
-          ~width_bytes:(List.length g.slots * eb)
-          ~stated:(stationary > 1.0)
-      in
-      Hashtbl.replace input_ids g.key id;
-      List.iteri
-        (fun slot_idx (tag, const) ->
-          Hashtbl.replace operand_of (g.key, tag, const) { Dfg.src = id; lane = slot_idx })
-        g.slots)
-    load_groups;
-  let lookup ~lane aref =
-    let array, terms, via, const = parts_of_aref aref in
-    let tag = if List.mem_assoc iv terms then lane else 0 in
-    let key = group_key ~array ~terms ~via in
-    match Hashtbl.find_opt operand_of (key, tag, const) with
-    | Some o -> o
-    | None -> invalid_arg ("Compile: uncollected load " ^ Ir.aref_to_string aref)
-  in
+      let stationary = stationary_factor loops (List.map fst g.terms) in
+      let n = slots loads g in
+      let id = Dfg.Builder.input b ~width_bytes:(n * eb) ~stated:(stationary > 1.0) in
+      input_ids.(g.gid) <- id;
+      operands.(g.gid) <- Array.init n (fun lane -> { Dfg.src = id; lane }))
+    loads.order;
+  let load s ~lane = operands.(s.g.gid).(slot loads s ~lane) in
   let rec eval ~lane expr : Dfg.operand =
     match expr with
-    | Ir.Load aref -> lookup ~lane (subst_aref aref ~lane)
-    | Ir.Const v -> { Dfg.src = Dfg.Builder.const b v; lane = 0 }
-    | Ir.Param p -> { Dfg.src = Dfg.Builder.const b ~name:p 1.0; lane = 0 }
-    | Ir.Unop (op, e) ->
+    | Load s -> load s ~lane
+    | Leaf l ->
+      if l.operand == unset then
+        l.operand <- { Dfg.src = Dfg.Builder.const b ?name:l.name l.value; lane = 0 };
+      l.operand
+    | Unop (op, e) ->
       { Dfg.src = Dfg.Builder.inst b op dtype [ eval ~lane e ]; lane = 0 }
-    | Ir.Binop (op, x, y) ->
+    | Binop (op, x, y) ->
       { Dfg.src = Dfg.Builder.inst b op dtype [ eval ~lane x; eval ~lane y ]; lane = 0 }
   in
   let tree_combine op operands =
@@ -242,134 +261,119 @@ let compile_region (k : Ir.kernel) (region : Ir.region) ~tuned ~unroll =
     in
     go operands
   in
-  (* Phase C: evaluate bodies, recording store results per group+const. *)
-  let store_results : ((string * int) * int, Dfg.operand) Hashtbl.t = Hashtbl.create 16 in
+  let combine_lanes op e = tree_combine op (List.init unroll (fun lane -> eval ~lane e)) in
+  (* Phase C: evaluate bodies, recording each store slot's result. *)
+  let results = Array.make !ngroups [||] in
+  List.iter (fun g -> results.(g.gid) <- Array.make (slots stores g) unset) stores.order;
+  let store s ~lane o = results.(s.g.gid).(slot stores s ~lane) <- o in
   let scalar_outputs = ref [] in
   List.iter
-    (fun stmt ->
-      let cls = classify stmt in
-      match (stmt, cls) with
-      | Ir.Store (aref, e), _ ->
+    (function
+      | Store (s, e) ->
         for lane = 0 to unroll - 1 do
-          let res = eval ~lane e in
-          let array, terms, via, const = parts_of_aref (subst_aref aref ~lane) in
-          let tag = if List.mem_assoc iv terms then lane else 0 in
-          Hashtbl.replace store_results ((group_key ~array ~terms ~via, tag), const) res
+          store s ~lane (eval ~lane e)
         done
-      | Ir.Accum (aref, op, e), Acc_inner _ ->
-        let lane_results =
-          List.init unroll (fun lane -> eval ~lane e)
-        in
-        let combined = tree_combine op lane_results in
-        let init = lookup ~lane:0 (subst_aref aref ~lane:0) in
-        let acc =
-          { Dfg.src = Dfg.Builder.inst b op dtype ~acc:true [ combined; init ];
+      | Acc_inner (op, ls, ss, e) ->
+        let combined = combine_lanes op e in
+        store ss ~lane:0
+          { Dfg.src = Dfg.Builder.inst b op dtype ~acc:true [ combined; load ls ~lane:0 ];
             lane = 0 }
-        in
-        let array, terms, via, const = parts_of_aref (subst_aref aref ~lane:0) in
-        ignore (List.mem_assoc iv terms);
-        Hashtbl.replace store_results ((group_key ~array ~terms ~via, 0), const) acc
-      | Ir.Accum (aref, op, e), (Rec_acc _ | Plain) ->
+      | Rmw (op, ls, ss, e) ->
         for lane = 0 to unroll - 1 do
-          let target = subst_aref aref ~lane in
-          let old_v = lookup ~lane target in
-          let res =
+          let old_v = load ls ~lane in
+          store ss ~lane
             { Dfg.src = Dfg.Builder.inst b op dtype [ old_v; eval ~lane e ]; lane = 0 }
-          in
-          let array, terms, via, const = parts_of_aref target in
-          let tag = if List.mem_assoc iv terms then lane else 0 in
-          Hashtbl.replace store_results ((group_key ~array ~terms ~via, tag), const) res
         done
-      | Ir.Reduce (name, op, e), _ ->
-        let lane_results = List.init unroll (fun lane -> eval ~lane e) in
-        let combined = tree_combine op lane_results in
+      | Reduce (name, op, e) ->
+        let combined = combine_lanes op e in
         let acc =
           { Dfg.src = Dfg.Builder.inst b op dtype ~acc:true [ combined ]; lane = 0 }
         in
         let out = Dfg.Builder.output b ~width_bytes:eb [ acc ] in
         scalar_outputs := (name, out) :: !scalar_outputs)
-    region.body;
+    body;
   (* Phase D: one output port per store group. *)
-  let store_groups = groups_in_order storec in
-  let output_ids = Hashtbl.create 8 in
+  let output_ids = Array.make !ngroups (-1) in
   List.iter
     (fun g ->
+      let rs = results.(g.gid) in
+      let n = Array.length rs in
       let operands =
-        List.map
-          (fun (tag, const) ->
-            match Hashtbl.find_opt store_results ((g.key, tag), const) with
-            | Some o -> o
-            | None -> invalid_arg ("Compile: store without result " ^ g.key))
-          g.slots
+        List.init n (fun i ->
+            if rs.(i) == unset then invalid_arg ("Compile: store without result " ^ g.garray);
+            rs.(i))
       in
-      let id =
-        Dfg.Builder.output b ~width_bytes:(List.length g.slots * eb) operands
-      in
-      Hashtbl.replace output_ids g.key id)
-    store_groups;
+      output_ids.(g.gid) <- Dfg.Builder.output b ~width_bytes:(n * eb) operands)
+    stores.order;
   let dfg = Dfg.Builder.finish b in
   (* Phase E: streams with reuse annotations. *)
+  let port side node_ids g =
+    let slot_consts = slot_consts side g in
+    { group = g; node = node_ids.(g.gid); slot_consts;
+      consts = List.sort_uniq Int.compare slot_consts }
+  in
+  let load_ports = List.map (port loads input_ids) loads.order in
+  let store_ports = List.map (port stores output_ids) stores.order in
   let next_stream = ref 0 in
   let fresh () =
     let i = !next_stream in
     incr next_stream;
     i
   in
-  let reuse_of g =
-    let vars = List.map fst g.terms in
+  let reuse_of p =
+    let vars = List.map fst p.group.terms in
     let s = stationary_factor loops vars in
-    let u = List.length g.slots in
+    let u = List.length p.slot_consts in
     let denom = Float.max s (float_of_int unroll) in
     let traffic = iters *. float_of_int u /. denom in
     let footprint =
-      match g.via with
-      | Some _ -> arr_elems g.garray
+      match p.group.via with
+      | Some _ -> arr_elems p.group.garray
       | None ->
-        let width = range_width loops g.terms in
+        let width = range_width loops p.group.terms in
         let spread =
-          match g.consts with
+          match p.consts with
           | [] -> 0
           | cs -> List.fold_left max min_int cs - List.fold_left min max_int cs
         in
-        min (arr_elems g.garray) (width + spread + 1)
+        min (arr_elems p.group.garray) (width + spread + 1)
     in
     { Stream.traffic; footprint; stationary = s }
   in
-  let stride_of g =
-    match g.consts with
+  let stride_of p =
+    match p.consts with
     | _ :: _ :: _ ->
-      let sorted = List.sort compare g.consts in
       let rec min_gap acc = function
         | a :: (bb :: _ as rest) -> min_gap (min acc (bb - a)) rest
         | [ _ ] | [] -> acc
       in
-      max 1 (min_gap max_int sorted)
+      max 1 (min_gap max_int p.consts)
     | _ ->
       (* coefficient of the deepest loop that appears in the subscript *)
       let rec deepest = function
         | [] -> 1
         | (l : Ir.loop) :: rest ->
-          let c = List.assoc_opt l.var g.terms in
+          let c = List.assoc_opt l.var p.group.terms in
           (match c with
            | Some c when c <> 0 -> abs c / max 1 (if l.var = iv then unroll else 1)
            | Some _ | None -> deepest rest)
       in
       max 1 (deepest (List.rev loops))
   in
-  let dims_of g = Overgen_util.Stats.clamp_int ~lo:1 ~hi:3 (List.length g.terms) in
-  let partitioned_of g =
+  let dims_of p = Overgen_util.Stats.clamp_int ~lo:1 ~hi:3 (List.length p.group.terms) in
+  let partitioned_of p =
     match loops with
     | [] -> true
-    | outer :: _ -> List.mem_assoc outer.Ir.var g.terms
+    | outer :: _ -> List.mem_assoc outer.Ir.var p.group.terms
   in
-  let access_of g =
-    match g.via with
+  let access_of p =
+    match p.group.via with
     | Some via -> Stream.Indirect { via }
-    | None -> Stream.Linear { stride = stride_of g }
+    | None -> Stream.Linear { stride = stride_of p }
   in
   (* Recurrence info for Rec_acc store groups (and their partner reads). *)
-  let rec_info_of g =
-    let vars = List.map fst g.terms in
+  let rec_info_of p =
+    let vars = List.map fst p.group.terms in
     let reductions =
       List.filter (fun (l : Ir.loop) -> not (List.mem l.var vars)) loops
     in
@@ -388,91 +392,53 @@ let compile_region (k : Ir.kernel) (region : Ir.region) ~tuned ~unroll =
         List.filteri (fun i (l : Ir.loop) -> i < red_pos && List.mem l.var vars) loops
       in
       let prod_shallow = product (fun (l : Ir.loop) -> float_of_int (Ir.trip_max l.trip)) shallow in
-      let reuse = reuse_of g in
+      let reuse = reuse_of p in
       let concurrent =
         max 1 (int_of_float (float_of_int reuse.footprint /. Float.max 1.0 prod_shallow))
       in
       let mem_traffic = reuse.traffic /. Float.max 1.0 recurs in
       Some { Stream.concurrent; recurs; mem_traffic }
   in
-  let rec_store_keys =
-    Hashtbl.fold
-      (fun key cls acc -> match cls with Rec_acc _ -> key :: acc | Acc_inner _ | Plain -> acc)
-      store_class []
+  let stream dir p recurrence =
+    {
+      Stream.id = fresh ();
+      array = p.group.garray;
+      dir;
+      access = access_of p;
+      dims = dims_of p;
+      lanes = List.length p.slot_consts;
+      elem_bytes = eb;
+      port = Some p.node;
+      partitioned = partitioned_of p;
+      reuse = reuse_of p;
+      recurrence;
+    }
   in
   let read_streams =
     List.map
-      (fun g ->
-        let recurrence =
-          if List.mem g.key rec_store_keys then
-            match Hashtbl.find_opt storec.tbl g.key with
-            | Some sg -> rec_info_of sg
-            | None -> None
-          else None
-        in
-        {
-          Stream.id = fresh ();
-          array = g.garray;
-          dir = Stream.Read;
-          access = access_of g;
-          dims = dims_of g;
-          lanes = List.length g.slots;
-          elem_bytes = eb;
-          port = Some (Hashtbl.find input_ids g.key);
-          partitioned = partitioned_of g;
-          reuse = reuse_of g;
-          recurrence;
-        })
-      load_groups
+      (fun p ->
+        (* a recurrence's partner read shares its store group's info *)
+        let partner () = List.find (fun sp -> sp.group == p.group) store_ports in
+        stream Stream.Read p (if p.group.recur then rec_info_of (partner ()) else None))
+      load_ports
   in
   (* Engine-internal index streams of indirect accesses. *)
   let index_streams =
     List.filter_map
-      (fun g ->
-        match g.via with
+      (fun p ->
+        match p.group.via with
         | None -> None
         | Some via ->
-          let idx_g = { g with garray = via; via = None; key = g.key ^ "#idx" } in
-          Some
-            {
-              Stream.id = fresh ();
-              array = via;
-              dir = Stream.Read;
-              access = Stream.Linear { stride = stride_of idx_g };
-              dims = dims_of idx_g;
-              lanes = List.length g.slots;
-              elem_bytes = eb;
-              port = None;
-              partitioned = partitioned_of idx_g;
-              reuse = reuse_of idx_g;
-              recurrence = None;
-            })
-      load_groups
+          let idx = { p with group = { p.group with garray = via; via = None } } in
+          Some { (stream Stream.Read idx None) with port = None })
+      load_ports
   in
   let write_streams =
     List.map
-      (fun g ->
-        let recurrence =
-          match Hashtbl.find_opt store_class g.key with
-          | Some (Rec_acc _) -> rec_info_of g
-          | Some (Acc_inner _ | Plain) | None -> None
-        in
-        {
-          Stream.id = fresh ();
-          array = g.garray;
-          dir = Stream.Write;
-          access = access_of g;
-          dims = dims_of g;
-          lanes = List.length g.slots;
-          elem_bytes = eb;
-          port = Some (Hashtbl.find output_ids g.key);
-          partitioned = partitioned_of g;
-          reuse = reuse_of g;
-          recurrence;
-        })
-      store_groups
+      (fun p -> stream Stream.Write p (if p.group.recur then rec_info_of p else None))
+      store_ports
   in
-  let aref_of_slot g (_, const) : Ir.aref =
+  let aref_of_slot g const : Ir.aref =
     match g.via with
     | Some via ->
       { array = g.garray;
@@ -481,11 +447,8 @@ let compile_region (k : Ir.kernel) (region : Ir.region) ~tuned ~unroll =
   in
   let port_slots =
     List.map
-      (fun g -> (Hashtbl.find input_ids g.key, List.map (aref_of_slot g) g.slots))
-      load_groups
-    @ List.map
-        (fun g -> (Hashtbl.find output_ids g.key, List.map (aref_of_slot g) g.slots))
-        store_groups
+      (fun p -> (p.node, List.map (aref_of_slot p.group) p.slot_consts))
+      (load_ports @ store_ports)
     @ List.map
         (fun (name, out) ->
           (out, [ { Ir.array = name; index = Ir.Direct (Ir.affine_const 0) } ]))

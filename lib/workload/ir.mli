@@ -106,9 +106,6 @@ type kernel = {
       (** kernels needing DRAM->all-scratchpad broadcast (ellpack outlier) *)
 }
 
-val loads_of_expr : expr -> aref list
-(** All loads, left-to-right, duplicates preserved. *)
-
 val stmt_loads : stmt -> aref list
 (** Loads including the implicit read of an [Accum] target. *)
 
