@@ -255,9 +255,28 @@ let max_abs_diff a b =
     a 0.0
 
 let check ?(seed = 42) ?(unroll = 4) ?(tuned = false) (k : Ir.kernel) =
-  let env = make_env ~seed k in
-  let env_ref = copy_env env and env_dec = copy_env env in
   let regions = Kernels.regions_for ~tuned k in
+  let env_ref = make_env ~seed k in
+  (* the decoupled run gets its own copy of every array a region writes,
+     and shares the read-only ones *)
+  let written =
+    List.concat_map
+      (fun (r : Ir.region) ->
+        List.map
+          (function
+            | Ir.Store (a, _) | Ir.Accum (a, _, _) -> a.Ir.array
+            | Ir.Reduce (name, _, _) -> name)
+          r.body)
+      regions
+    |> List.sort_uniq String.compare
+  in
+  let env_dec = Hashtbl.copy env_ref in
+  List.iter
+    (fun name ->
+      Option.iter
+        (fun a -> Hashtbl.replace env_dec name (Array.copy a))
+        (Hashtbl.find_opt env_ref name))
+    written;
   let rec largest_divisor u trip =
     if u <= 1 then 1 else if trip mod u = 0 then u else largest_divisor (u - 1) trip
   in
