@@ -541,7 +541,8 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
     invalid_arg "Dse.explore: resume requested without a checkpoint";
   let t_start = Unix.gettimeofday () in
   let caps = caps_pool apps in
-  let signature = run_signature config apps in
+  (* hashing every variant of every app is read only by checkpointing *)
+  let signature = lazy (run_signature config apps) in
   let pregen_s = Time.pregen_per_app_s *. float_of_int (List.length apps) in
   let n = config.islands in
   (* Total budget split across islands; earlier islands take the remainder,
@@ -626,7 +627,7 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
         with
         | Error e -> failwith ("Dse.explore: unreadable checkpoint: " ^ e)
         | Ok snap ->
-          if snap.snap_sig <> signature then
+          if snap.snap_sig <> Lazy.force signature then
             failwith
               "Dse.explore: checkpoint was written by a different \
                configuration or workload";
@@ -666,7 +667,7 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
     | Some cp ->
       Obs.Span.with_span "dse_checkpoint" @@ fun () ->
       let snap =
-        { snap_sig = signature;
+        { snap_sig = Lazy.force signature;
           snap_islands = List.map snap_island islands;
           snap_elites = !elites }
       in

@@ -166,6 +166,24 @@ let test_resume_refuses_other_config () =
         (Dse.explore ~config:(cfg 28) ~checkpoint ~resume:true
            ~model:(model ()) (Lazy.force apps)))
 
+(* The mutation policy is part of the signature: a checkpoint written by a
+   Random-policy run does not resume under the preserving policy. *)
+let test_resume_refuses_other_policy () =
+  with_store @@ fun store ->
+  let checkpoint = { Dse.store; key = "run"; interval = 1 } in
+  ignore
+    (Dse.explore
+       ~config:{ (cfg 27) with mutation_policy = Dse.Random }
+       ~checkpoint ~stop_after_rounds:1 ~model:(model ()) (Lazy.force apps));
+  Alcotest.check_raises "signature mismatch refused"
+    (Failure
+       "Dse.explore: checkpoint was written by a different configuration or \
+        workload")
+    (fun () ->
+      ignore
+        (Dse.explore ~config:(cfg 27) ~checkpoint ~resume:true
+           ~model:(model ()) (Lazy.force apps)))
+
 let test_resume_requires_checkpoint_record () =
   with_store @@ fun store ->
   let checkpoint = { Dse.store; key = "never-written"; interval = 1 } in
@@ -262,4 +280,6 @@ let tests =
     Alcotest.test_case "explore spawns no domain per call" `Quick
       test_no_domain_per_call;
     Alcotest.test_case "idle DSE pool released" `Quick test_idle_pool_released;
+    Alcotest.test_case "resume refuses a different policy" `Quick
+      test_resume_refuses_other_policy;
   ]
