@@ -18,6 +18,10 @@ let fits a ~within =
   a.lut <= within.lut && a.ff <= within.ff && a.bram <= within.bram
   && a.dsp <= within.dsp
 
+let fits_sum a b ~within =
+  a.lut + b.lut <= within.lut && a.ff + b.ff <= within.ff
+  && a.bram + b.bram <= within.bram && a.dsp + b.dsp <= within.dsp
+
 let utilization a ~device =
   let f x d = if d = 0 then 0.0 else float_of_int x /. float_of_int d in
   (f a.lut device.lut, f a.ff device.ff, f a.bram device.bram, f a.dsp device.dsp)

@@ -10,6 +10,11 @@ val scale_f : float -> t -> t
 (** Per-field multiply with rounding; used for optimization discounts. *)
 
 val fits : t -> within:t -> bool
+
+val fits_sum : t -> t -> within:t -> bool
+(** [fits_sum a b ~within] is [fits (add a b) ~within], without building
+    the sum. *)
+
 val utilization : t -> device:t -> float * float * float * float
 (** (lut, ff, bram, dsp) fractions of the device. *)
 

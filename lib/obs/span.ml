@@ -108,6 +108,17 @@ let with_span ?(attrs = []) name f =
       f
   end
 
+(* A stand-in frame for a span open on another domain: only its id is
+   read, as the parent of the spans opened above it. *)
+let with_parent id f =
+  if id = 0 || not (Control.on ()) then f ()
+  else begin
+    let b = Domain.DLS.get dls_key in
+    let saved = b.stack in
+    b.stack <- [ { fid = id; fname = ""; fattrs = []; ft0 = 0.0 } ];
+    Fun.protect ~finally:(fun () -> b.stack <- saved) f
+  end
+
 (* Serializes the one buffer write of detached spans recorded by
    threads that share a domain. *)
 let detached_m = Mutex.create ()

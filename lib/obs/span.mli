@@ -41,6 +41,15 @@ val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span.  The span is recorded even if the thunk
     raises.  When recording is disabled this is just [f ()]. *)
 
+val with_parent : int -> (unit -> 'a) -> 'a
+(** [with_parent id f] runs [f] as if span [id] were this domain's only
+    open span: spans opened in [f] get [id] as their parent, and
+    {!current_id} answers [id].  A pool job run with the {!current_id} of
+    the code that submitted it thus nests under that span on whichever
+    domain it runs.  The domain's own open spans are back when [f]
+    returns or raises.  [with_parent 0 f] and, with recording disabled,
+    [with_parent id f] are just [f ()]. *)
+
 val with_detached_span :
   trace:string -> ?attrs:(string * string) list -> string -> (int -> 'a) -> 'a
 (** [with_detached_span ~trace name f] runs [f id] inside a root span of

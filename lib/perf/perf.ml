@@ -29,11 +29,9 @@ let stride_waste (s : Stream.t) =
     float_of_int (min (max 1 stride) line_elems)
   | Stream.Indirect _ -> 2.0
 
-let clamp01 f = Overgen_util.Stats.clamp ~lo:1e-9 ~hi:1.0 f
-
 (* Everything the model needs from one region's schedule that does not
    depend on the system parameters.  Byte counts are whole-region totals,
-   kept in stream (or array) order so [eval_region] sums them exactly as
+   kept in stream (or array) order so [prepare_region] sums them exactly as
    the per-stream formulas always have. *)
 type region_profile = {
   ipc : float;
@@ -155,8 +153,33 @@ let profile adg schedules =
         0.0 schedules;
   }
 
-let eval_region (sysp : System.t) p =
-  let tiles = float_of_int sysp.tiles in
+(* [Float.min] / [Float.max] without the C call to [signbit]: they differ
+   from the plain comparison only on NaN and on the sign of a zero result.
+   Every operand here is a non-negative rate, byte count or factor computed
+   from positive firings, IIs and tile counts, and the only zero one meets
+   is a [+0.] sum against a positive constant, so neither case arises. *)
+let[@inline] fmin (x : float) (y : float) = if y > x then x else y
+let[@inline] fmax (x : float) (y : float) = if x > y then x else y
+
+(* [Overgen_util.Stats.clamp ~lo:1e-9 ~hi:1.0], in the same order. *)
+let[@inline] clamp01 f = fmax 1e-9 (fmin 1.0 f)
+
+(* One region at one tile count: every term of the model except the NoC,
+   L2 and DRAM factors, which also depend on the rest of the [System.t]. *)
+type region_prep = {
+  r_ipc : float;
+  duration_tile : float;  (* per-tile cycles of the region, pre-bottleneck *)
+  spad_factor : float;
+  l2_cons_per_tile : float;
+  l2_cons_total : float;
+  cold_dram_cons : float;  (* DRAM consumption when the working set fits L2 *)
+  r_working_set : int;
+  r_ramp_up : float;
+}
+
+type prepared = { tiles : float; regions : region_prep array; work : float }
+
+let prepare_region tiles p =
   (* Per-tile duration of the region in cycles, pre-bottleneck. *)
   let duration_tile = p.firings /. tiles *. p.ii in
   (* each tile's private spad serves that tile's share of firings *)
@@ -168,7 +191,7 @@ let eval_region (sysp : System.t) p =
             (fun cons bytes -> (bytes /. tiles /. duration_tile) +. cons)
             0.0 streams
         in
-        Float.min acc (clamp01 (bandwidth /. Float.max 1e-9 cons)))
+        fmin acc (clamp01 (bandwidth /. fmax 1e-9 cons)))
       1.0 p.spad_streams
   in
   let dma_rate =
@@ -189,53 +212,101 @@ let eval_region (sysp : System.t) p =
       0.0 p.rec_bytes
   in
   let l2_cons_per_tile = dma_rate +. fill_rate +. rec_rate in
-  let noc_factor =
-    clamp01 (float_of_int sysp.noc_bytes /. Float.max 1e-9 l2_cons_per_tile)
-  in
-  let l2_cons_total = l2_cons_per_tile *. tiles in
-  (* the topology's aggregate tile<->L2 bandwidth caps the bank bandwidth
-     (the ring's bisection in the topology-specialization extension) *)
+  {
+    r_ipc = p.ipc;
+    duration_tile;
+    spad_factor;
+    l2_cons_per_tile;
+    l2_cons_total = l2_cons_per_tile *. tiles;
+    (* only cold misses: footprints once, amortized over the region *)
+    cold_dram_cons = float_of_int p.working_set /. duration_tile;
+    r_working_set = p.working_set;
+    r_ramp_up = p.ramp_up;
+  }
+
+let prepare tiles p =
+  let tiles = float_of_int tiles in
+  {
+    tiles;
+    regions = Array.of_list (List.map (prepare_region tiles) p.region_profiles);
+    work = p.total_work;
+  }
+
+(* The system-dependent factors.  Each allocates nothing once inlined, so
+   the sweep's per-candidate scoring below boxes no float. *)
+let[@inline] noc_factor (sysp : System.t) r =
+  clamp01 (float_of_int sysp.noc_bytes /. fmax 1e-9 r.l2_cons_per_tile)
+
+(* the topology's aggregate tile<->L2 bandwidth caps the bank bandwidth
+   (the ring's bisection in the topology-specialization extension) *)
+let[@inline] l2_factor sysp r =
   let l2_prod =
     float_of_int
       (min (System.l2_bytes_per_cycle sysp) (System.shared_bandwidth sysp))
   in
-  let l2_factor = clamp01 (l2_prod /. Float.max 1e-9 l2_cons_total) in
-  (* --- DRAM: L2 misses --- *)
+  clamp01 (l2_prod /. fmax 1e-9 r.l2_cons_total)
+
+(* DRAM serves the L2 misses *)
+let[@inline] dram_factor (sysp : System.t) r =
   let dram_cons =
-    if p.working_set <= sysp.l2_kb * 1024 then
-      (* only cold misses: footprints once, amortized over the region *)
-      float_of_int p.working_set /. duration_tile
-    else l2_cons_total
+    if r.r_working_set <= sysp.l2_kb * 1024 then r.cold_dram_cons else r.l2_cons_total
   in
   let dram_prod = float_of_int (System.dram_bytes_per_cycle sysp) in
-  let dram_factor = clamp01 (dram_prod /. Float.max 1e-9 dram_cons) in
-  let bottleneck =
-    Float.min spad_factor (Float.min noc_factor (Float.min l2_factor dram_factor))
-  in
+  clamp01 (dram_prod /. fmax 1e-9 dram_cons)
+
+let[@inline] bottleneck r ~noc ~l2 ~dram = fmin r.spad_factor (fmin noc (fmin l2 dram))
+let[@inline] cycles r bottleneck = (r.duration_tile /. bottleneck) +. r.r_ramp_up
+let[@inline] app_ipc work total_cycles = work /. fmax 1.0 total_cycles
+
+let finish_region sysp tiles r =
+  let noc_factor = noc_factor sysp r
+  and l2_factor = l2_factor sysp r
+  and dram_factor = dram_factor sysp r in
+  let bottleneck = bottleneck r ~noc:noc_factor ~l2:l2_factor ~dram:dram_factor in
   {
-    ipc_single = p.ipc;
-    spad_factor;
+    ipc_single = r.r_ipc;
+    spad_factor = r.spad_factor;
     noc_factor;
     l2_factor;
     dram_factor;
     bottleneck;
-    est_ipc = p.ipc *. tiles *. bottleneck;
-    cycles = (duration_tile /. bottleneck) +. p.ramp_up;
+    est_ipc = r.r_ipc *. tiles *. bottleneck;
+    cycles = cycles r bottleneck;
   }
 
-let evaluate sysp p =
-  let regions = List.map (eval_region sysp) p.region_profiles in
+let finish sysp p =
+  let regions = List.map (finish_region sysp p.tiles) (Array.to_list p.regions) in
   let total_cycles = List.fold_left (fun acc r -> acc +. r.cycles) 0.0 regions in
-  { regions; total_cycles; app_ipc = p.total_work /. Float.max 1.0 total_cycles }
+  { regions; total_cycles; app_ipc = app_ipc p.work total_cycles }
 
-let objective_of sysp profiles =
-  match profiles with
-  | [] -> 0.0
-  | _ ->
-    Overgen_util.Stats.geomean
-      (List.map (fun p -> Float.max 1e-6 (evaluate sysp p).app_ipc) profiles)
+let evaluate (sysp : System.t) p = finish sysp (prepare sysp.tiles p)
+
+(* [finish]'s [app_ipc] for every app, folded as [Stats.geomean] folds
+   them, without building a region record or boxing a float. *)
+let prepared_objective sysp apps =
+  let n = Array.length apps in
+  if n = 0 then 0.0
+  else begin
+    let log_sum = ref 0.0 in
+    for a = 0 to n - 1 do
+      let p = apps.(a) in
+      let total_cycles = ref 0.0 in
+      for i = 0 to Array.length p.regions - 1 do
+        let r = p.regions.(i) in
+        let b =
+          bottleneck r ~noc:(noc_factor sysp r) ~l2:(l2_factor sysp r)
+            ~dram:(dram_factor sysp r)
+        in
+        total_cycles := !total_cycles +. cycles r b
+      done;
+      log_sum := !log_sum +. log (fmax 1e-6 (app_ipc p.work !total_cycles))
+    done;
+    exp (!log_sum /. float_of_int n)
+  end
 
 let app (sys : Sys_adg.t) schedules = evaluate sys.system (profile sys.adg schedules)
 
 let objective (sys : Sys_adg.t) apps =
-  objective_of sys.system (List.map (profile sys.adg) apps)
+  prepared_objective sys.system
+    (Array.of_list
+       (List.map (fun s -> prepare sys.system.tiles (profile sys.adg s)) apps))

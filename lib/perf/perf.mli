@@ -6,20 +6,22 @@
     DRAM — each computed as production rate / consumption rate with the
     streams' reuse factors (Equations 1 and 2).
 
-    The model is split in two.  A {!profile}, built once per (ADG,
+    The model is split in three.  A {!profile}, built once per (ADG,
     schedules), holds everything that does not depend on the system
     parameters: each region's single-tile IPC, II and firings, the bytes
     of every scratchpad stream grouped by engine (in stream order, with
     the engine's bandwidth), every DMA stream's bytes and stride waste,
     every scratchpad array's fill bytes and partitioning, the recurrence
     bytes, the working set, the DFG ramp-up, and the application's total
-    work.  {!evaluate} then does only the arithmetic that depends on the
-    {!System.t} (tile count, NoC, L2, DRAM), in the same operation order
-    as the per-stream formulas, so its results are bit-identical to them.
-    The nested system DSE prepares the profiles once per iteration and
-    evaluates every candidate system against them; {!region}, {!app} and
-    {!objective} are that same path on one sysADG. *)
-
+    work.  {!prepare} adds what depends on the tile count alone: each
+    region's per-tile duration, scratchpad factor, L2 consumption per tile
+    and in total, and cold DRAM consumption.  What is left for one
+    {!System.t} is the NoC, L2 and DRAM factors and the sums over regions
+    and applications.  Every step keeps the operation order of the
+    per-stream formulas, so the results are bit-identical to them.  The
+    nested system DSE profiles once per call, prepares once per tile
+    count and scores each candidate system with {!prepared_objective};
+    {!app} and {!objective} are that same path on one sysADG. *)
 
 open Overgen_adg
 open Overgen_scheduler
@@ -53,8 +55,16 @@ val evaluate : System.t -> profile -> app_perf
     For tests: the model under one system configuration, which tests compare
     against the per-stream reference. *)
 
-val objective_of : System.t -> profile list -> float
-(** {!objective} over profiled applications. *)
+type prepared
+(** A profiled application prepared for one tile count. *)
+
+val prepare : int -> profile -> prepared
+(** [prepare tiles p]: the terms of [p]'s model that depend only on the
+    tile count. *)
+
+val prepared_objective : System.t -> prepared array -> float
+(** {!objective} of applications prepared for [sysp.tiles], computed
+    without allocating a region record or a float per region. *)
 
 val app : Sys_adg.t -> Schedule.t list -> app_perf
 

@@ -1055,18 +1055,24 @@ type cell =
 
 type redo = { cells : cell array; tag : int }
 
+(* A static filler for the redo array.  [Array.init] fills from the first
+   (young) cell, and [caml_make_vect] empties the minor heap before it
+   builds an array of more than 256 words from a young value: with several
+   domains that is a stop-the-world collection per capture. *)
+let no_cell = R_pe (-1)
+
 let capture c m =
-  {
-    cells =
-      Array.init (c.log_len - m.m_len) (fun i ->
-          match c.log.(m.m_len + i) with
-          | U_pe id -> R_pe id
-          | U_port id -> R_port id
-          | U_spad (id, _) -> R_spad (id, c.spad_used.(id))
-          | U_demand (id, _) -> R_demand (id, c.engine_demand.(id))
-          | U_link (e, _) -> R_link (e, c.link_owner.(e)));
-    tag = c.next_tag;
-  }
+  let cells = Array.make (c.log_len - m.m_len) no_cell in
+  for i = 0 to Array.length cells - 1 do
+    cells.(i) <-
+      (match c.log.(m.m_len + i) with
+      | U_pe id -> R_pe id
+      | U_port id -> R_port id
+      | U_spad (id, _) -> R_spad (id, c.spad_used.(id))
+      | U_demand (id, _) -> R_demand (id, c.engine_demand.(id))
+      | U_link (e, _) -> R_link (e, c.link_owner.(e)))
+  done;
+  { cells; tag = c.next_tag }
 
 let replay c r =
   Array.iter
@@ -1361,9 +1367,9 @@ let broken_bindings t (s : Schedule.t) =
     broken (inst_binding_ok t s.variant) s.inst_pe,
     broken (port_binding_ok t s.variant) s.port_map )
 
-let reschedule sys (c : Compile.compiled) ~prior =
+let reschedule_pinned sys ~prior =
   match repair sys prior with
-  | Ok s -> Ok (s, Repaired)
+  | Ok s -> Some (s, Repaired)
   | Error _ -> (
     let plan = List.map (broken_bindings (topo_of sys.Sys_adg.adg)) prior in
     let patched =
@@ -1376,7 +1382,12 @@ let reschedule sys (c : Compile.compiled) ~prior =
     match patched with
     | Ok s ->
       Obs.incr m_incremental;
-      Ok (s, Incremental)
+      Some (s, Incremental)
     | Error _ ->
       Obs.incr m_incremental_fallback;
-      Result.map (fun s -> (s, Full)) (schedule_app sys c))
+      None)
+
+let reschedule sys (c : Compile.compiled) ~prior =
+  match reschedule_pinned sys ~prior with
+  | Some r -> Ok r
+  | None -> Result.map (fun s -> (s, Full)) (schedule_app sys c)

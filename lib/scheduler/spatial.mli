@@ -130,3 +130,11 @@ val reschedule :
     share one re-pin path, which repair runs with nothing broken.
     Engine-binding breaks always fall through to the full re-map, since
     re-binding an array cascades into port legality. *)
+
+val reschedule_pinned :
+  Sys_adg.t ->
+  prior:Schedule.t list ->
+  (Schedule.t list * reschedule_outcome) option
+(** {!reschedule}'s first two tiers: [Some] with [Repaired] or
+    [Incremental], or [None] where only the full re-map
+    ([schedule_app]) can help, which the caller runs or already has. *)

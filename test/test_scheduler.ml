@@ -987,6 +987,30 @@ let test_work_golden_table () =
        minor words\n"
     (rows general "general" @ rows mesh "mesh3x4")
 
+(* On the DSE's largest seed mesh (5x8) fir's first winning variant is
+   rolled back and replayed, and its capture holds more than 256 cells.
+   Building that redo array from a young first cell made the runtime
+   empty the minor heap (a stop-the-world collection on two domains) on
+   every such call; a warm call allocates far less than the minor heap,
+   so it must now run without one. *)
+let test_capture_no_minor_gc () =
+  let caps =
+    Overgen_dse.Dse.caps_pool (List.map (Compile.compile ~tuned:false) Kernels.all)
+  in
+  let sys = mesh ~caps ~rows:5 ~cols:8 ~sw_width_bits:256 in
+  let c = Compile.compile ~tuned:false (Kernels.find "fir") in
+  let popped = counter "overgen_scheduler_rollback_entries_total" in
+  Obs.enable ();
+  let p0 = Obs.Metrics.counter_value popped in
+  let r = Fun.protect ~finally:Obs.disable (fun () -> Spatial.schedule_app sys c) in
+  Alcotest.(check bool) "schedules" true (Result.is_ok r);
+  Alcotest.(check bool) "more than 256 undo entries rolled back" true
+    (Obs.Metrics.counter_value popped - p0 > 256);
+  Gc.minor ();
+  let m0 = (Gc.quick_stat ()).minor_collections in
+  ignore (Spatial.schedule_app sys c);
+  Alcotest.(check int) "minor collections" 0 ((Gc.quick_stat ()).minor_collections - m0)
+
 (* ---------- the pruned variant search against an unpruned one ---------- *)
 
 (* schedule_app without its variant pruning, over the exported context
@@ -1172,6 +1196,8 @@ let tests =
     Alcotest.test_case "double restore" `Quick test_double_restore;
     Alcotest.test_case "schedules validate" `Quick test_schedules_validate;
     Alcotest.test_case "work golden table" `Quick test_work_golden_table;
+    Alcotest.test_case "capture forces no minor collection" `Quick
+      test_capture_no_minor_gc;
     Alcotest.test_case "scheduler on two domains" `Quick test_scheduler_on_two_domains;
     Alcotest.test_case "pruned variant search matches the unpruned one" `Quick
       test_pruned_search_matches_reference;
