@@ -156,26 +156,54 @@ let run_decoupled env (v : Compile.variant) =
   let values = Array.make n 0.0 in
   let port_lanes = Array.make n [||] in
   let acc_state = Array.make n 0.0 in
+  let nodes = Array.of_list (Dfg.nodes dfg) in
+  let is_input =
+    Array.map (fun (nd : Dfg.node) -> match nd.kind with Dfg.Input _ -> true | _ -> false) nodes
+  in
+  (* input ports with their slots; each port's lanes are refilled in place *)
+  let inputs =
+    List.filter_map
+      (fun (port, slots) ->
+        if is_input.(port) then begin
+          port_lanes.(port) <- Array.make (List.length slots) 0.0;
+          Some (port_lanes.(port), Array.of_list slots)
+        end
+        else None)
+      v.port_slots
+  in
+  let operand (o : Dfg.operand) =
+    if is_input.(o.src) then
+      let lanes = port_lanes.(o.src) in
+      if o.lane < Array.length lanes then lanes.(o.lane) else 0.0
+    else values.(o.src)
+  in
+  (* each output slot with the operand that feeds it; a slot past the
+     port's operands is never stored *)
+  let outputs =
+    List.concat_map
+      (fun (port, slots) ->
+        let node = Dfg.node dfg port in
+        match node.kind with
+        | Dfg.Output _ ->
+          List.concat
+            (List.mapi
+               (fun lane a ->
+                 match List.nth_opt node.operands lane with
+                 | Some o -> [ (a, o) ]
+                 | None -> [])
+               slots)
+        | Dfg.Input _ | Dfg.Const _ | Dfg.Inst _ -> [])
+      v.port_slots
+  in
   let fire idx ~first_block =
     (* gather input ports *)
     List.iter
-      (fun (port, slots) ->
-        match (Dfg.node dfg port).kind with
-        | Dfg.Input _ ->
-          port_lanes.(port) <-
-            Array.of_list (List.map (fun a -> load_ref env a idx) slots)
-        | _ -> ())
-      v.port_slots;
+      (fun (lanes, slots) ->
+        Array.iteri (fun lane a -> lanes.(lane) <- load_ref env a idx) slots)
+      inputs;
     (* evaluate nodes in id (topological) order *)
     Array.iter
       (fun (node : Dfg.node) ->
-        let operand (o : Dfg.operand) =
-          match (Dfg.node dfg o.src).kind with
-          | Dfg.Input _ ->
-            let lanes = port_lanes.(o.src) in
-            if o.lane < Array.length lanes then lanes.(o.lane) else 0.0
-          | _ -> values.(o.src)
-        in
         match node.kind with
         | Dfg.Const { value; _ } -> values.(node.id) <- value
         | Dfg.Input _ | Dfg.Output _ -> ()
@@ -194,29 +222,9 @@ let run_decoupled env (v : Compile.variant) =
           | [ a ] -> values.(node.id) <- apply1 op (operand a)
           | [ a; b ] -> values.(node.id) <- apply2 op (operand a) (operand b)
           | _ -> invalid_arg "inst arity"))
-      (Array.of_list (Dfg.nodes dfg));
+      nodes;
     (* commit output ports *)
-    List.iter
-      (fun (port, slots) ->
-        match (Dfg.node dfg port).kind with
-        | Dfg.Output _ ->
-          let node = Dfg.node dfg port in
-          List.iteri
-            (fun lane a ->
-              match List.nth_opt node.operands lane with
-              | Some o ->
-                let value =
-                  match (Dfg.node dfg o.src).kind with
-                  | Dfg.Input _ ->
-                    let lanes = port_lanes.(o.src) in
-                    if o.lane < Array.length lanes then lanes.(o.lane) else 0.0
-                  | _ -> values.(o.src)
-                in
-                store_ref env a idx value
-              | None -> ())
-            slots
-        | _ -> ())
-      v.port_slots
+    List.iter (fun (a, o) -> store_ref env a idx (operand o)) outputs
   in
   (* iterate the blocked iteration space *)
   let rec loops idx = function

@@ -257,6 +257,202 @@ let test_idle_pool_released () =
   Alcotest.(check bool) "worker domain released when idle" true (threads_drop_below busy);
   same_result first (explore (cfg ~iterations:4 24))
 
+(* ---------------- one iteration's rescore as pool jobs ---------------- *)
+
+module Spatial = Overgen_scheduler.Spatial
+module Pool = Overgen_par.Pool
+module Fault = Overgen_fault.Fault
+module Compile = Overgen_mdfg.Compile
+module Dfg = Overgen_mdfg.Dfg
+module Schedule = Overgen_scheduler.Schedule
+open Overgen_adg
+
+let compiled names = List.map (fun n -> Compile.compile ~tuned:false (Kernels.find n)) names
+
+let schedules sys (c : Compile.compiled) =
+  match Spatial.schedule_app sys c with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "%s: %s" c.kname e
+
+(* The sequential rescore the job split must reproduce: each app in
+   order, reschedule, then after an additive move a full re-map of a
+   repaired app, kept when no worse. *)
+let sequential ~additive sys apps prior =
+  let ipc s = (Overgen_perf.Perf.app sys s).app_ipc in
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | (c, p) :: rest -> (
+      match Spatial.reschedule sys c ~prior:p with
+      | Error _ -> None
+      | Ok (s, Spatial.Repaired) when additive -> (
+        match Spatial.schedule_app sys c with
+        | Ok s' -> go (((if ipc s' >= ipc s then s' else s), Spatial.Repaired, true) :: acc) rest
+        | Error _ -> go ((s, Spatial.Repaired, false) :: acc) rest)
+      | Ok (s, o) -> go ((s, o, false) :: acc) rest)
+  in
+  go [] (List.combine apps prior)
+
+let check_rescore label want (got : Dse.sched_outcome option) =
+  match (want, got) with
+  | None, None -> ()
+  | Some rescored, Some (o : Dse.sched_outcome) ->
+    let count f = List.length (List.filter f rescored) in
+    Alcotest.(check int) (label ^ " repaired")
+      (count (fun (_, o, _) -> o = Spatial.Repaired)) o.n_repaired;
+    Alcotest.(check int) (label ^ " incremental")
+      (count (fun (_, o, _) -> o = Spatial.Incremental)) o.n_incremental;
+    Alcotest.(check int) (label ^ " rescheduled")
+      (count (fun (_, o, full) -> o = Spatial.Full || full)) o.n_rescheduled;
+    Alcotest.(check bool) (label ^ " schedules") true
+      (List.map (fun (s, _, _) -> s) rescored = o.per_app)
+  | Some _, None | None, Some _ -> Alcotest.failf "%s: one side failed" label
+
+(* Run [f pool] on a sequential pool and on one worker domain. *)
+let on_pools f =
+  List.iter
+    (fun (label, mode) ->
+      let pool = Pool.create mode in
+      Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f label pool))
+    [ ("sequential", Pool.Deterministic); ("2 domains", Pool.Domains 1) ]
+
+let schedule_app_visits f =
+  let cfg =
+    { Fault.default_config with rate = 0.0; points = [ Fault.Points.scheduler_schedule_app ] }
+  in
+  Fault.with_faults cfg (fun () ->
+      let r = f () in
+      let _, visits, _ =
+        List.find (fun (p, _, _) -> p = Fault.Points.scheduler_schedule_app) (Fault.stats ())
+      in
+      (r, visits))
+
+(* The general overlay with one capability taken from the PE of mm's
+   first instruction: repair cannot keep that placement and the
+   incremental tier re-places it.  vecmax does not use the PE and is
+   repaired. *)
+let stripped_general apps =
+  let sys = Builder.general_overlay () in
+  let prior = List.map (schedules sys) apps in
+  let s = List.hd (List.hd prior) in
+  let inst, pe = Schedule.Imap.min_binding s.inst_pe in
+  let cap =
+    match (Dfg.node s.variant.dfg inst).kind with
+    | Dfg.Inst { op; dtype; _ } -> (op, dtype)
+    | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> Alcotest.fail "instruction expected"
+  in
+  let adg =
+    match Adg.comp_exn sys.adg pe with
+    | Comp.Pe p -> Adg.set_comp sys.adg pe (Comp.Pe { p with caps = Op.Cap.remove cap p.caps })
+    | _ -> Alcotest.fail "PE expected"
+  in
+  (Sys_adg.with_adg sys adg, prior)
+
+(* An additive iteration whose first app answers Incremental: its
+   speculative re-map runs (it visits the fault point like every other)
+   and is discarded, and the result is the sequential loop's. *)
+let test_additive_incremental_discards_remap () =
+  let apps = compiled [ "mm"; "fir"; "vecmax" ] in
+  let sys', prior = stripped_general apps in
+  let want = sequential ~additive:true sys' apps prior in
+  (match want with
+  | Some ((_, Spatial.Incremental, false) :: rest)
+    when List.exists (fun (_, o, kept) -> o = Spatial.Repaired && kept) rest -> ()
+  | Some _ | None -> Alcotest.fail "expected mm Incremental and a repaired app re-mapped");
+  on_pools (fun label pool ->
+      let got, visits =
+        schedule_app_visits (fun () -> Dse.schedule_all pool ~additive:true sys' apps prior)
+      in
+      check_rescore label want got;
+      Alcotest.(check int) (label ^ ": every app re-mapped") 3 visits)
+
+(* No app fits a one-PE mesh.  App 0 fails first, so the later apps'
+   reschedule jobs return at once: one repair pass runs, not three.  After
+   an additive move the re-maps, queued first, all ran already. *)
+let test_early_failure_skips_later_jobs () =
+  let apps = compiled [ "mm"; "fir"; "vecmax" ] in
+  let general = Builder.general_overlay () in
+  let prior = List.map (schedules general) apps in
+  let tiny =
+    Sys_adg.with_adg general
+      (Builder.mesh ~rows:1 ~cols:1 ~caps:(Op.Cap.of_ops [ Op.Add ] [ Dtype.I16 ])
+         ~sw_width_bits:64 ~width_bits:64 ~in_port_widths:[ 64 ] ~out_port_widths:[ 64 ]
+         ~engines:[ Comp.default_engine Comp.Dma ])
+  in
+  let repairs =
+    Obs.Metrics.counter Obs.Metrics.default "overgen_scheduler_repairs_total"
+  in
+  let pool = Pool.create Pool.Deterministic in
+  List.iter
+    (fun (additive, remaps) ->
+      let label = if additive then "additive" else "plain" in
+      Alcotest.(check bool) (label ^ ": sequential fails") true
+        (sequential ~additive tiny apps prior = None);
+      Obs.enable ();
+      let r0 = Obs.Metrics.counter_value repairs in
+      let got, visits =
+        Fun.protect ~finally:Obs.disable (fun () ->
+            schedule_app_visits (fun () -> Dse.schedule_all pool ~additive tiny apps prior))
+      in
+      Alcotest.(check bool) (label ^ ": fails") true (got = None);
+      Alcotest.(check int) (label ^ ": one repair pass") 1
+        (Obs.Metrics.counter_value repairs - r0);
+      Alcotest.(check int) (label ^ ": full re-maps") remaps visits)
+    [ (false, 1); (true, 3) ]
+
+(* A re-map that raises: discarded behind an Incremental answer, and
+   re-raised for the first repaired app, as the sequential loop would. *)
+let test_remap_exception_in_app_order () =
+  let apps = compiled [ "mm"; "vecmax" ] in
+  let sys', prior = stripped_general apps in
+  let cfg =
+    { Fault.default_config with
+      rate = 1.0; transient_fraction = 0.0; points = [ Fault.Points.scheduler_schedule_app ] }
+  in
+  on_pools (fun label pool ->
+      match Fault.with_faults cfg (fun () -> Dse.schedule_all pool ~additive:true sys' apps prior) with
+      | _ -> Alcotest.failf "%s: the repaired app's re-map must raise" label
+      | exception Fault.Injected _ -> ())
+
+(* Pool jobs nest under the span that submitted them: in a traced
+   two-island run on two domains, every job span's parent is its own
+   island's span (or, for the seed design's sweep, the seed span). *)
+let test_job_spans_parented () =
+  Obs.Span.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      ignore
+        (Dse.explore
+           ~config:(cfg ~iterations:40 ~islands:2 25)
+           ~model:(model ())
+           (Dse.compile_apps ~tuned:false [ Kernels.find "vecmax"; Kernels.find "fir" ])));
+  let spans = Obs.Span.spans () in
+  Obs.Span.reset ();
+  let by_id = Hashtbl.create 1024 in
+  List.iter (fun (s : Obs.Span.span) -> Hashtbl.replace by_id s.id s) spans;
+  let island (s : Obs.Span.span) = List.assoc_opt "island" s.attrs in
+  let jobs = [ "dse_reschedule"; "dse_additive"; "dse_system"; "dse_usage" ] in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " recorded") true
+        (List.exists (fun (s : Obs.Span.span) -> s.name = name) spans))
+    jobs;
+  List.iter
+    (fun (s : Obs.Span.span) ->
+      if List.mem s.name jobs then
+        match Hashtbl.find_opt by_id s.parent with
+        | None -> Alcotest.failf "%s %d: parent %d is no span" s.name s.id s.parent
+        | Some p ->
+          let ok =
+            match island s with
+            | Some _ -> p.name = "dse_island" && island p = island s
+            | None -> p.name = "dse_seed"
+          in
+          if not ok then
+            Alcotest.failf "%s of island %s under %s of island %s" s.name
+              (Option.value ~default:"-" (island s)) p.name
+              (Option.value ~default:"-" (island p)))
+    spans
+
 let tests =
   [
     Alcotest.test_case "single island deterministic" `Quick
@@ -282,4 +478,11 @@ let tests =
     Alcotest.test_case "idle DSE pool released" `Quick test_idle_pool_released;
     Alcotest.test_case "resume refuses a different policy" `Quick
       test_resume_refuses_other_policy;
+    Alcotest.test_case "additive Incremental app discards its re-map" `Quick
+      test_additive_incremental_discards_remap;
+    Alcotest.test_case "early failure skips later jobs" `Quick
+      test_early_failure_skips_later_jobs;
+    Alcotest.test_case "re-map exception in app order" `Quick
+      test_remap_exception_in_app_order;
+    Alcotest.test_case "job spans under their island" `Quick test_job_spans_parented;
   ]
