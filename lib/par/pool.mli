@@ -51,7 +51,9 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_result : t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 (** Like {!map} but total: each element's outcome is surfaced in place as
-    [Ok y] or [Error exn], in input order, and nothing is re-raised. *)
+    [Ok y] or [Error exn], in input order, and nothing is re-raised.
+    For tests: {!map} is built on it, and the tests check each slot's
+    failure here, where {!map} re-raises only the first. *)
 
 val shutdown : t -> unit
 (** Stop accepting jobs and join the worker domains; jobs still queued

@@ -204,6 +204,34 @@ let test_span_multi_domain () =
   Alcotest.(check bool) "distinct domains" true
     ((find "main_root").domain <> (find "worker_root").domain)
 
+(* A job run on another domain under the submitter's span id nests there,
+   and the running domain's own stack is back afterwards. *)
+let test_span_with_parent () =
+  with_recording (fun () ->
+      Span.with_span "submitter" (fun () ->
+          let parent = Span.current_id () in
+          let d =
+            Domain.spawn (fun () ->
+                Span.with_span "busy" (fun () ->
+                    let busy = Span.current_id () in
+                    let seen =
+                      Span.with_parent parent (fun () ->
+                          Span.with_span "job" (fun () -> ());
+                          Span.current_id ())
+                    in
+                    Span.with_parent 0 (fun () -> Span.with_span "own" (fun () -> ()));
+                    (seen, busy, Span.current_id ())))
+          in
+          let seen, busy, after = Domain.join d in
+          Alcotest.(check int) "current_id inside is the parent" parent seen;
+          Alcotest.(check int) "own stack restored" busy after);
+      let find name = List.find (fun (s : Span.span) -> s.name = name) (Span.spans ()) in
+      Alcotest.(check int) "job under the submitter" (find "submitter").id (find "job").parent;
+      Alcotest.(check int) "parent 0 leaves the stack alone" (find "busy").id
+        (find "own").parent);
+  Alcotest.(check int) "recording off: just the thunk" 0
+    (Span.with_parent 7 Span.current_id)
+
 (* --- exporters --- *)
 
 let test_chrome_export () =
@@ -554,6 +582,7 @@ let tests =
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span survives raise" `Quick test_span_recorded_on_raise;
     Alcotest.test_case "span multi-domain merge" `Quick test_span_multi_domain;
+    Alcotest.test_case "span under an explicit parent" `Quick test_span_with_parent;
     Alcotest.test_case "chrome + jsonl export" `Quick test_chrome_export;
     Alcotest.test_case "json validator" `Quick test_validate_json_rejects;
     Alcotest.test_case "trace context" `Quick test_trace_context;
