@@ -943,6 +943,16 @@ let work_row sys label (k : Ir.kernel) =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check string) (label ^ "/" ^ k.name ^ " repeatable")
     (schedule_digest r) (schedule_digest r');
+  (* the route searches and heap pops of one more warm call *)
+  let routes = counter "overgen_scheduler_routes_searched_total"
+  and pops = counter "overgen_scheduler_heap_pops_total" in
+  let r0 = Obs.Metrics.counter_value routes
+  and h0 = Obs.Metrics.counter_value pops in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      ignore (Spatial.schedule_app sys c));
+  let r1 = Obs.Metrics.counter_value routes
+  and h1 = Obs.Metrics.counter_value pops in
   let sim_words =
     match r with
     | Error _ -> "-"
@@ -952,15 +962,17 @@ let work_row sys label (k : Ir.kernel) =
       ignore (Overgen_sim.Sim.run sys scheds);
       Printf.sprintf "%.0f" (Gc.minor_words () -. w0)
   in
-  Printf.sprintf "%s/%s\t%s\t%d\t%d\t%.0f\t%.0f\t%s" label k.name
+  Printf.sprintf "%s/%s\t%s\t%d\t%d\t%.0f\t%.0f\t%s\t%d\t%d" label k.name
     (schedule_digest r) (t1 - t0) (p1 - p0) words compile_words sim_words
+    (r1 - r0) (h1 - h0)
 
 (* Scheduler output and work pinned across commits: per kernel on the
    general overlay and on the DSE's 3x4 seed mesh, the schedule digest
    (or error), the variants tried, the undo-log entries popped, the minor
    words of a warm schedule_app with Obs off, the minor words of the
-   kernel's Compile.compile, and the minor words of a warm Sim.run of the
-   schedules ('-' where the kernel does not schedule).  The word columns
+   kernel's Compile.compile, the minor words of a warm Sim.run of the
+   schedules ('-' where the kernel does not schedule), and the route
+   searches and route-search heap pops of a warm schedule_app.  The word columns
    depend on the compiler, hence the OCaml version stamp.  Regenerate
    with OVERGEN_WORK_GOLDEN_OUT=<file> dune test, then copy the file over
    test/work-golden.tsv — only when a change to compiler, scheduler or
@@ -984,7 +996,7 @@ let test_work_golden_table () =
     ~header:
       "# overlay/kernel\tschedule digest or error\tvariants tried\tundo \
        entries popped\twarm minor words\tcompile minor words\twarm sim \
-       minor words\n"
+       minor words\troutes searched\theap pops\n"
     (rows general "general" @ rows mesh "mesh3x4")
 
 (* On the DSE's largest seed mesh (5x8) fir's first winning variant is
