@@ -39,6 +39,9 @@ let mem t id = Digraph.mem t.g id
 let mem_edge t src dst = Digraph.mem_edge t.g src dst
 let succs t id = Digraph.succs t.g id
 let preds t id = Digraph.preds t.g id
+let out_degree t id = Digraph.out_degree t.g id
+let in_degree t id = Digraph.in_degree t.g id
+let iter_with_succs t ~node ~succ = Digraph.iter_with_succs t.g ~node ~succ
 let nodes t = Digraph.nodes t.g
 let edges t = Digraph.edges t.g
 let max_id t = Digraph.max_id t.g
@@ -73,8 +76,7 @@ let engines t =
 let engines_of_kind t kind =
   List.filter (fun (_, (e : Comp.engine)) -> e.kind = kind) (engines t)
 
-let switch_radix t id =
-  max (List.length (preds t id)) (List.length (succs t id))
+let switch_radix t id = max (in_degree t id) (out_degree t id)
 
 let avg_switch_radix t =
   match switches t with
@@ -108,7 +110,7 @@ let validate t =
     (edges t);
   List.iter
     (fun (id, c) ->
-      let ins = List.length (preds t id) and outs = List.length (succs t id) in
+      let ins = in_degree t id and outs = out_degree t id in
       match c with
       | Comp.Pe _ ->
         if ins = 0 then err "pe %d has no inputs" id;

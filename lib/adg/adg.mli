@@ -28,11 +28,24 @@ val mem : t -> id -> bool
 val mem_edge : t -> id -> id -> bool
 val succs : t -> id -> id list
 val preds : t -> id -> id list
+
+val out_degree : t -> id -> int
+(** The number of successors, without listing them. *)
+
+val in_degree : t -> id -> int
+(** The number of predecessors, without listing them. *)
+
+val iter_with_succs : t -> node:(id -> Comp.t -> unit) -> succ:(id -> unit) -> unit
+(** Every node in increasing id order: [node id c], then [succ s] for each
+    of its successors in increasing order.  One walk over the graph and no
+    lists: the scheduler builds its successor arrays from it. *)
+
 val nodes : t -> (id * Comp.t) list
 val edges : t -> (id * id) list
 
-(** Largest live node id, or [-1] when the graph is empty.  Ids are dense
-    enough that [max_id + 1]-sized arrays make good id-indexed tables. *)
+(** Largest live node id, or [-1] when the graph is empty; O(log n).  Ids
+    are dense enough that [max_id + 1]-sized arrays make good id-indexed
+    tables. *)
 val max_id : t -> int
 
 val node_count : t -> int

@@ -26,6 +26,18 @@ val succs : 'a t -> int -> int list
 (** Successor ids in increasing order; [] if absent. *)
 
 val preds : 'a t -> int -> int list
+
+val out_degree : 'a t -> int -> int
+(** [List.length (succs t id)], without the list. *)
+
+val in_degree : 'a t -> int -> int
+(** [List.length (preds t id)], without the list. *)
+
+val iter_with_succs :
+  'a t -> node:(int -> 'a -> unit) -> succ:(int -> unit) -> unit
+(** Every node in increasing id order: [node id x], then [succ s] for each
+    of its successors in increasing order.  One walk, no lists. *)
+
 val nodes : 'a t -> (int * 'a) list
 (** All nodes in increasing id order. *)
 
@@ -33,4 +45,4 @@ val edges : 'a t -> (int * int) list
 val node_count : 'a t -> int
 val edge_count : 'a t -> int
 val max_id : 'a t -> int
-(** Largest node id, or -1 when empty; used for fresh-id allocation. *)
+(** Largest node id, or -1 when empty; O(log n). *)

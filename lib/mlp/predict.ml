@@ -2,6 +2,7 @@ open Overgen_adg
 open Overgen_fpga
 module Rng = Overgen_util.Rng
 module Pool = Overgen_par.Pool
+module Obs = Overgen_obs.Obs
 
 type kind = Pe_k | Switch_k | In_port_k | Out_port_k
 
@@ -218,12 +219,18 @@ let train_kind ~seed kind n = fit (prepare ~seed kind n)
 let train ~seed () =
   let datasets =
     List.map
-      (fun k -> prepare ~seed k (List.assoc k default_counts))
+      (fun k -> (k, prepare ~seed k (List.assoc k default_counts)))
       [ Pe_k; Switch_k; In_port_k; Out_port_k ]
+  in
+  (* each fit is a span under the caller's, whichever domain runs it *)
+  let parent = Obs.Span.current_id () in
+  let fit_job (k, d) =
+    Obs.Span.with_parent parent (fun () ->
+        Obs.Span.with_span "mlp_fit" ~attrs:[ ("kind", kind_name k) ] (fun () -> fit d))
   in
   let pool = Pool.create (Pool.Domains 1) in
   let models =
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Pool.map pool fit datasets)
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Pool.map pool fit_job datasets)
   in
   match models with
   | [ pe_m; sw_m; ip_m; op_m ] -> { pe_m; sw_m; ip_m; op_m }
@@ -271,8 +278,7 @@ let predict_accel ?memo t adg =
     List.map
       (fun (id, c) ->
         predict_comp ?memo t c
-          ~fan_in:(List.length (Adg.preds adg id))
-          ~fan_out:(List.length (Adg.succs adg id)))
+          ~fan_in:(Adg.in_degree adg id) ~fan_out:(Adg.out_degree adg id))
       (Adg.nodes adg)
   in
   let n_engines = List.length (Adg.engines adg) in
