@@ -317,8 +317,15 @@ let create ?(mode = Deterministic) ?(caching = true) ?cache
     memo_m = Mutex.create ();
   }
 
+(* The jobs' spans nest under the dispatcher's open span on whichever
+   domain runs them, as they do when a Deterministic service runs them
+   inline. *)
 let dispatch t jobs =
-  match Pool.submit t.pool (fun () -> List.iter (run_job t) jobs) with
+  let parent = Obs.Span.current_id () in
+  match
+    Pool.submit t.pool (fun () ->
+        Obs.Span.with_parent parent (fun () -> List.iter (run_job t) jobs))
+  with
   | Ok () -> ()
   | Error Pool.Stopped ->
     List.iter

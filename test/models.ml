@@ -8,6 +8,13 @@ module Predict = Overgen_mlp.Predict
 let memo : (int, Predict.t) Hashtbl.t = Hashtbl.create 4
 let lock = Mutex.create ()
 
+(* Keep a model a test trained itself (to watch the training), unless the
+   seed is trained already: training is deterministic, so either is the
+   model [trained seed] would return. *)
+let keep seed m =
+  Mutex.protect lock (fun () ->
+      if not (Hashtbl.mem memo seed) then Hashtbl.add memo seed m)
+
 let trained seed =
   Mutex.protect lock (fun () ->
       match Hashtbl.find_opt memo seed with

@@ -355,6 +355,38 @@ let test_random_policy_explores () =
          | Error e -> Alcotest.failf "best design schedule invalid: %s" e))
     r.best.per_app
 
+(* A move with nothing to act on returns the graph it was given.  On the
+   empty ADG every move but adding an engine finds nothing (no PEs,
+   switches, ports, engines or links); on a lone one-capability PE with an
+   empty capability pool, growing or dropping a capability finds nothing
+   too.  Moves are drawn through [propose], with both policies. *)
+let test_noop_moves_leave_graph () =
+  let usage = Mutate.usage_of [] in
+  let draw label adg caps_pool ~changes =
+    let noops = ref 0 in
+    for i = 0 to 399 do
+      let rng = Overgen_util.Rng.create (1000 + i) in
+      let adg', desc =
+        Mutate.propose rng ~preserve:(i mod 2 = 0) ~caps_pool adg usage
+      in
+      if String.starts_with ~prefix:"noop" desc || desc = "prune 0 capabilities"
+      then begin
+        incr noops;
+        if adg' != adg then Alcotest.failf "%s: %S changed the graph" label desc
+      end
+      else if not (changes desc) then Alcotest.failf "%s: unexpected move %S" label desc
+    done;
+    Alcotest.(check bool) (label ^ ": noop moves drawn") true (!noops > 0)
+  in
+  draw "empty" Adg.empty (Op.Cap.of_ops [ Op.Add ] [ Dtype.I32 ]) ~changes:(fun d ->
+      match String.split_on_char ' ' d with
+      | [ "add"; _; "engine"; _ ] -> true
+      | _ -> false);
+  let lone, _ =
+    Adg.add Adg.empty (Comp.Pe (Comp.default_pe (Op.Cap.of_ops [ Op.Add ] [ Dtype.I32 ])))
+  in
+  draw "lone pe" lone Op.Cap.empty ~changes:(fun _ -> true)
+
 let tests =
   [
     Alcotest.test_case "usage + prune keep schedules" `Quick test_usage_marks_used_nodes;
@@ -379,4 +411,5 @@ let tests =
     Alcotest.test_case "preserving keeps used features" `Quick
       test_preserving_keeps_used_features;
     Alcotest.test_case "random policy explores" `Slow test_random_policy_explores;
+    Alcotest.test_case "noop moves leave the graph" `Quick test_noop_moves_leave_graph;
   ]

@@ -233,6 +233,30 @@ let prop_predictions_nonnegative =
       in
       r.Res.lut >= 0 && r.Res.ff >= 0 && r.Res.bram >= 0 && r.Res.dsp >= 0)
 
+(* Predict.train fits its four models as pool jobs on two domains; each
+   fit's span nests under the caller's span, whichever domain ran it.
+   Seed 21 is trained afresh here and kept for the tests that use it. *)
+let test_train_spans_parented () =
+  let module Obs = Overgen_obs.Obs in
+  Obs.Span.reset ();
+  Obs.enable ();
+  let m =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Obs.Span.with_span "train" (fun () -> Predict.train ~seed:21 ()))
+  in
+  Models.keep 21 m;
+  let spans = Obs.Span.spans () in
+  Obs.Span.reset ();
+  let named n = List.filter (fun (s : Obs.Span.span) -> s.name = n) spans in
+  let train = List.hd (named "train") in
+  let fits = named "mlp_fit" in
+  Alcotest.(check int) "one fit span per kind" 4 (List.length fits);
+  List.iter
+    (fun (s : Obs.Span.span) ->
+      Alcotest.(check int) (List.assoc "kind" s.attrs ^ " fit under train") train.id
+        s.parent)
+    fits
+
 let tests =
   [
     Alcotest.test_case "res arithmetic" `Quick test_res_arith;
@@ -258,4 +282,6 @@ let tests =
     Alcotest.test_case "predictor monotone" `Slow test_predictor_monotone_in_tiles;
     Alcotest.test_case "Table I counts" `Quick test_paper_counts;
     QCheck_alcotest.to_alcotest prop_predictions_nonnegative;
+    Alcotest.test_case "train jobs under the caller's span" `Quick
+      test_train_spans_parented;
   ]

@@ -857,6 +857,42 @@ let test_tuned_request_own_entry () =
       [ r0.cache_hit; r1.cache_hit; r2.cache_hit ]
   | _ -> Alcotest.fail "expected three responses"
 
+(* Under [Workers] a dispatched group runs as a pool job on a worker
+   domain; its request spans still nest under the span open where it was
+   dispatched, as they do when a Deterministic service runs it inline. *)
+let test_dispatch_spans_parented () =
+  let svc = Service.create ~mode:(Service.Workers 1) (Registry.create ()) in
+  let done_ = Atomic.make 0 in
+  let job id =
+    {
+      Service.req =
+        { Service.id; user = "u"; tenant = ""; overlay = "absent";
+          payload = Service.Kernel (Kernels.find "fir"); tuned = false;
+          trace = ""; deadline_s = None };
+      admitted_at = Unix.gettimeofday ();
+      k = (fun _ -> Atomic.incr done_);
+    }
+  in
+  Overgen_obs.Obs.Span.reset ();
+  Overgen_obs.Obs.enable ();
+  Fun.protect ~finally:Overgen_obs.Obs.disable (fun () ->
+      Overgen_obs.Obs.Span.with_span "dispatcher" (fun () ->
+          Service.dispatch svc [ job 0; job 1 ]);
+      while Atomic.get done_ < 2 do
+        Domain.cpu_relax ()
+      done);
+  Service.shutdown svc;
+  let spans = Overgen_obs.Obs.Span.spans () in
+  Overgen_obs.Obs.Span.reset ();
+  let named n = List.filter (fun (s : Overgen_obs.Obs.Span.span) -> s.name = n) spans in
+  let dispatcher = List.hd (named "dispatcher") in
+  let requests = named "request" in
+  Alcotest.(check int) "two request spans" 2 (List.length requests);
+  List.iter
+    (fun (s : Overgen_obs.Obs.Span.span) ->
+      Alcotest.(check int) "request under the dispatcher" dispatcher.id s.parent)
+    requests
+
 let tests =
   [
     Alcotest.test_case "lru basics" `Quick test_lru_basics;
@@ -899,4 +935,6 @@ let tests =
     Alcotest.test_case "trace tenants" `Quick test_trace_tenants;
     Alcotest.test_case "tuned request own entry" `Quick
       test_tuned_request_own_entry;
+    Alcotest.test_case "dispatch spans under the dispatcher" `Quick
+      test_dispatch_spans_parented;
   ]
