@@ -380,6 +380,118 @@ let prop_serial_round_trip =
         && Serial.fingerprint sys' = Serial.fingerprint sys
         && caps sys' = caps sys)
 
+(* ---------------- scheduler topology ---------------- *)
+
+(* The scheduler's topology of [adg] as [Spatial.topo_text] prints it,
+   read through the Adg API: successors in order with CSR edge ids and
+   lane capacities, then the per-kind id lists. *)
+let reference_topo_text adg =
+  let b = Buffer.create 4096 in
+  let width = function
+    | Comp.Switch { width_bits } -> width_bits
+    | Comp.Pe p -> p.width_bits
+    | Comp.In_port _ | Comp.Out_port _ | Comp.Engine _ -> -1
+  in
+  let lanes a b =
+    let wa = width (Adg.comp_exn adg a) and wb = width (Adg.comp_exn adg b) in
+    if wa >= 0 && wb >= 0 then max 1 (min wa wb / 64)
+    else if wa >= 0 then max 1 (wa / 64 * 4)
+    else if wb >= 0 then max 1 (wb / 64 * 4)
+    else 16
+  in
+  let edge = ref 0 in
+  List.iter
+    (fun (a, _) ->
+      Printf.bprintf b "%d:" a;
+      List.iter
+        (fun s ->
+          Printf.bprintf b " %d#%d/%d" s !edge (lanes a s);
+          incr edge)
+        (Adg.succs adg a);
+      Buffer.add_char b '\n')
+    (Adg.nodes adg);
+  let ids name l =
+    Printf.bprintf b "%s:%s\n" name
+      (String.concat "" (List.map (fun id -> " " ^ string_of_int id) l))
+  in
+  let engines kind = List.map fst (Adg.engines_of_kind adg kind) in
+  let first = function id :: _ -> id | [] -> -1 in
+  ids "pe" (List.map fst (Adg.pes adg));
+  ids "in" (List.map fst (Adg.in_ports adg));
+  ids "out" (List.map fst (Adg.out_ports adg));
+  ids "spad" (engines Comp.Spad);
+  ids "dma" (engines Comp.Dma);
+  Printf.bprintf b "rec: %d\nreg: %d\nfifo: %d\n"
+    (first (engines Comp.Rec))
+    (first (engines Comp.Reg))
+    (List.fold_left (fun acc (_, (p : Comp.port)) -> max acc p.fifo_depth) 0
+       (Adg.in_ports adg));
+  Buffer.contents b
+
+(* Hop counts from [src] through switches only (the source itself may be
+   any node), by a breadth-first search over Adg.succs. *)
+let reference_bfs adg src =
+  let d = Array.make (max 1 (Adg.max_id adg + 1)) max_int in
+  let q = Queue.create () in
+  d.(src) <- 0;
+  Queue.add src q;
+  while not (Queue.is_empty q) do
+    let cur = Queue.pop q in
+    let through =
+      cur = src
+      || match Adg.comp_exn adg cur with Comp.Switch _ -> true | _ -> false
+    in
+    if through then
+      List.iter
+        (fun next ->
+          if d.(next) = max_int then begin
+            d.(next) <- d.(cur) + 1;
+            Queue.add next q
+          end)
+        (Adg.succs adg cur)
+  done;
+  d
+
+let dsp_apps = lazy (Overgen_dse.Dse.compile_apps ~tuned:false (Kernels.of_suite Suite.Dsp))
+let topo_bases = lazy [| Test_scheduler.seed_mesh_3x4 (); Builder.general_overlay () |]
+
+let prop_scheduler_topology =
+  QCheck.Test.make
+    ~name:"scheduler topology, BFS maps and cold/warm schedules match the ADG"
+    ~count:20
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let apps = Lazy.force dsp_apps and bases = Lazy.force topo_bases in
+      let base = bases.(seed mod 2) in
+      let pool = Overgen_dse.Dse.caps_pool apps in
+      let usage = Mutate.usage_of [] in
+      let adg = ref base.Sys_adg.adg in
+      for i = 0 to seed mod 8 do
+        let adg', _ =
+          Mutate.propose rng ~preserve:(i mod 2 = 0) ~caps_pool:pool !adg usage
+        in
+        adg := adg'
+      done;
+      let adg = !adg in
+      let sys = Sys_adg.with_adg base adg in
+      let topo = Spatial.topo_text adg in
+      if topo <> reference_topo_text adg then
+        QCheck.Test.fail_reportf "topology differs:\n%s\nwant:\n%s" topo
+          (reference_topo_text adg);
+      List.iter
+        (fun (src, _) ->
+          if Spatial.bfs_map adg src <> reference_bfs adg src then
+            QCheck.Test.fail_reportf "BFS map from %d differs" src)
+        (Adg.nodes adg);
+      let app = List.nth apps (seed mod List.length apps) in
+      (* the slot holds [adg] with its BFS maps: warm; then evicted: cold *)
+      let warm = Test_scheduler.schedule_digest (Spatial.schedule_app sys app) in
+      ignore (Spatial.topo_text base.Sys_adg.adg);
+      let cold = Test_scheduler.schedule_digest (Spatial.schedule_app sys app) in
+      if warm <> cold then QCheck.Test.fail_reportf "warm %s, cold %s" warm cold;
+      true)
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -404,4 +516,5 @@ let tests =
         test_cap_keys_follow_compare;
       Alcotest.test_case "Cap.supports allocates nothing" `Quick
         test_cap_supports_allocates_nothing;
+      QCheck_alcotest.to_alcotest prop_scheduler_topology;
     ]
