@@ -59,7 +59,7 @@ let depth t =
   Array.iter
     (fun n ->
       let in_depth =
-        List.fold_left (fun acc o -> max acc d.(o.src)) 0 n.operands
+        List.fold_left (fun acc o -> Int.max acc d.(o.src)) 0 n.operands
       in
       let lat =
         match n.kind with
@@ -69,7 +69,7 @@ let depth t =
       in
       d.(n.id) <- in_depth + lat)
     t.arr;
-  Array.fold_left max 0 d
+  Array.fold_left Int.max 0 d
 
 let validate t =
   let err = ref None in

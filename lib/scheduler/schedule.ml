@@ -24,7 +24,7 @@ let mem_ops t =
     0 t.variant.streams
 
 let ipc t =
-  float_of_int (Dfg.inst_count t.variant.dfg + mem_ops t) /. float_of_int (max 1 t.ii)
+  float_of_int (Dfg.inst_count t.variant.dfg + mem_ops t) /. float_of_int (Int.max 1 t.ii)
 
 let is_rec t (s : Stream.t) = List.mem_assoc s.id t.rec_streams
 
@@ -80,7 +80,7 @@ let rec engine_ii comp t firings acc = function
       else
         let bw =
           match comp e with
-          | Some (Comp.Engine en) -> float_of_int (max 1 en.Comp.bandwidth)
+          | Some (Comp.Engine en) -> float_of_int (Int.max 1 en.Comp.bandwidth)
           | Some (Comp.Pe _ | Comp.Switch _ | Comp.In_port _ | Comp.Out_port _)
           | None -> 1.0
         in
@@ -124,13 +124,13 @@ let compute_ii ?comp (sys : Sys_adg.t) t =
           | Some (Comp.In_port p) | Some (Comp.Out_port p) -> p.width_bytes
           | Some (Comp.Pe _ | Comp.Switch _ | Comp.Engine _) | None -> 1
         in
-        max acc (Overgen_util.Stats.div_ceil (max 1 need) (max 1 width)))
+        Int.max acc (Overgen_util.Stats.div_ceil (Int.max 1 need) (Int.max 1 width)))
       t.port_map 1
   in
   (* Engine-bandwidth limit: average bytes an engine must move per firing. *)
   let engine_ii = engine_ii comp t (Float.max 1.0 v.firings) 1 v.streams in
   let rec_ii = rec_ii t (-1) 1 v.streams in
-  max (max port_ii (t.max_link_share * t.skew_penalty)) (max engine_ii rec_ii)
+  Int.max (Int.max port_ii (t.max_link_share * t.skew_penalty)) (Int.max engine_ii rec_ii)
 
 (* ------------------------------------------------------------------ *)
 (* Legality rules                                                      *)
@@ -165,7 +165,7 @@ let port_need (v : Compile.variant) dfg_port =
     | (s : Stream.t) :: rest -> (
       match s.port with
       | Some p when p = dfg_port ->
-        go (max elem s.elem_bytes) (stated || needs_state s) rest
+        go (Int.max elem s.elem_bytes) (stated || needs_state s) rest
       | Some _ | None -> go elem stated rest)
   in
   go 1 false v.streams
