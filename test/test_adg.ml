@@ -231,6 +231,30 @@ let test_serial_roundtrip_ring () =
   | Ok back -> Alcotest.(check bool) "roundtrip" true (same_design sys back)
   | Error e -> Alcotest.failf "parse error: %s" e
 
+(* The list-free queries agree with the list-based ones: degrees with the
+   lengths of [preds]/[succs], the one-walk iterator with [nodes] and
+   [succs] in order, [max_id] with the largest node id (-1 when empty). *)
+let test_list_free_queries () =
+  let adg = (Builder.general_overlay ()).Sys_adg.adg in
+  List.iter
+    (fun (id, _) ->
+      Alcotest.(check int) "out degree" (List.length (Adg.succs adg id)) (Adg.out_degree adg id);
+      Alcotest.(check int) "in degree" (List.length (Adg.preds adg id)) (Adg.in_degree adg id))
+    (Adg.nodes adg);
+  let walk = ref [] in
+  Adg.iter_with_succs adg
+    ~node:(fun id _ -> walk := `Node id :: !walk)
+    ~succ:(fun s -> walk := `Succ s :: !walk);
+  let want =
+    List.concat_map
+      (fun (id, _) -> `Node id :: List.map (fun s -> `Succ s) (Adg.succs adg id))
+      (Adg.nodes adg)
+  in
+  Alcotest.(check bool) "walk order" true (List.rev !walk = want);
+  Alcotest.(check int) "max id" (fst (List.nth (Adg.nodes adg) (Adg.node_count adg - 1)))
+    (Adg.max_id adg);
+  Alcotest.(check int) "empty max id" (-1) (Adg.max_id Adg.empty)
+
 let tests =
   [
     Alcotest.test_case "digraph basic" `Quick test_digraph_basic;
@@ -254,4 +278,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_mesh_always_valid;
     QCheck_alcotest.to_alcotest prop_digraph_add_remove_inverse;
     Alcotest.test_case "serial ring + empty caps" `Quick test_serial_roundtrip_ring;
+    Alcotest.test_case "list-free queries" `Quick test_list_free_queries;
   ]
