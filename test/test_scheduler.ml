@@ -966,13 +966,45 @@ let work_row sys label (k : Ir.kernel) =
     (schedule_digest r) (t1 - t0) (p1 - p0) words compile_words sim_words
     (r1 - r0) (h1 - h0)
 
+(* The hot paths the paper's figures time beyond compile, schedule and
+   simulate, on the general overlay: per path a digest of its result and
+   the minor words of a warm call (the first call fills whatever caches
+   the path keeps). *)
+let path_rows () =
+  let sys = general () in
+  let fir = Kernels.find "fir" in
+  let scheds = ok_schedules sys "fir" in
+  let model = Models.trained 21 in
+  let marshalled v =
+    Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+  in
+  let row name digest f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    let words = Gc.minor_words () -. w0 in
+    Printf.sprintf "path/%s\t%s\t%.0f" name (digest r) words
+  in
+  let sys4 = Sys_adg.with_system sys { sys.system with System.dram_channels = 4 } in
+  [
+    row "autodse-fir" marshalled (fun () -> Overgen_hls.Hls.autodse ~tuned:false fir);
+    row "synth-oracle" marshalled (fun () -> Overgen_fpga.Oracle.synth_full sys);
+    row "mlp-predict-accel" marshalled (fun () ->
+        Overgen_mlp.Predict.predict_accel model sys.adg);
+    row "repair-fir" schedule_digest (fun () -> Spatial.repair sys scheds);
+    row "perf-objective" (Printf.sprintf "%h") (fun () ->
+        Overgen_perf.Perf.objective sys [ scheds ]);
+    row "sim-4ch-fir" marshalled (fun () -> Overgen_sim.Sim.run sys4 scheds);
+  ]
+
 (* Scheduler output and work pinned across commits: per kernel on the
    general overlay and on the DSE's 3x4 seed mesh, the schedule digest
    (or error), the variants tried, the undo-log entries popped, the minor
    words of a warm schedule_app with Obs off, the minor words of the
    kernel's Compile.compile, the minor words of a warm Sim.run of the
    schedules ('-' where the kernel does not schedule), and the route
-   searches and route-search heap pops of a warm schedule_app.  The word columns
+   searches and route-search heap pops of a warm schedule_app; then the
+   [path_rows].  The word columns
    depend on the compiler, hence the OCaml version stamp.  Regenerate
    with OVERGEN_WORK_GOLDEN_OUT=<file> dune test, then copy the file over
    test/work-golden.tsv — only when a change to compiler, scheduler or
@@ -996,8 +1028,9 @@ let test_work_golden_table () =
     ~header:
       "# overlay/kernel\tschedule digest or error\tvariants tried\tundo \
        entries popped\twarm minor words\tcompile minor words\twarm sim \
-       minor words\troutes searched\theap pops\n"
-    (rows general "general" @ rows mesh "mesh3x4")
+       minor words\troutes searched\theap pops\n\
+       # path/name\tresult digest\twarm minor words\n"
+    (rows general "general" @ rows mesh "mesh3x4" @ path_rows ())
 
 (* On the DSE's largest seed mesh (5x8) fir's first winning variant is
    rolled back and replayed, and its capture holds more than 256 cells.
