@@ -1,4 +1,4 @@
-.PHONY: all build test bench check check-obs check-fault check-store check-net check-trace check-frontend check-fleet check-regress coverage bench-baseline clean
+.PHONY: all build test bench check check-obs check-fault check-store check-net check-trace check-frontend check-fleet coverage clean
 
 all: build
 
@@ -12,7 +12,8 @@ bench:
 	dune exec bench/main.exe
 
 # Observability smoke: compile one kernel with --trace-out and validate
-# the emitted Chrome trace JSON.
+# the emitted Chrome trace JSON, then the overhead scenario (fails if the
+# disabled instrumentation's estimated cost reaches 3%).
 check-obs:
 	dune build @obs-smoke
 
@@ -30,8 +31,8 @@ check-store:
 
 # Net smoke: the sharded network tier end to end — 2 shard processes
 # under open-loop socket load with a SIGKILL + durable-store restart of
-# one shard mid-run (fails on any lost response), then an in-process
-# 2-shard cluster driving a self-test through real sockets.
+# one shard mid-run (fails on any lost response or a resend storm), then
+# an in-process 2-shard cluster driving a self-test through real sockets.
 check-net:
 	dune build @net-smoke
 
@@ -57,12 +58,6 @@ check-frontend:
 check-fleet:
 	dune build @fleet-smoke
 
-# Perf regression gate: re-run all eight bench scenarios at smoke scale
-# and diff the emitted BENCH_*.json against the baselines committed in
-# bench/baselines/ (fails on any gated metric past the tolerance).
-check-regress:
-	dune build @regress-smoke
-
 # Branch-coverage gate: build the tier-1 suite with the tools/cover
 # rewriter in its own build directory (so _build stays as it is), run it,
 # then fail on any branch point of lib/ that no test hit and that
@@ -79,16 +74,6 @@ coverage:
 	dune build --build-dir _build_cover tools/cover/gate.exe
 	_build_cover/default/tools/cover/gate.exe _build_cover/cover \
 	  tools/cover/allowlist.tsv
-
-# Refresh the committed perf baselines after an intentional perf change:
-# re-runs the same smoke-scale scenario set the gate uses, then copies the
-# emitted BENCH_*.json into bench/baselines/.  Commit both.
-bench-baseline:
-	dune exec bench/main.exe -- micro service obs fault store \
-	  dse --islands 2 --iterations 50 net --smoke fleet
-	cp BENCH_micro.json BENCH_service.json BENCH_obs.json BENCH_fault.json \
-	  BENCH_store.json BENCH_dse.json BENCH_net.json BENCH_fleet.json \
-	  bench/baselines/
 
 # Full gate: build everything, run the whole test suite, smoke the CLI
 # (`overgen list` + a small deterministic serve-bench trace), the

@@ -62,7 +62,6 @@ let run args =
   let base = explore 1 in
   Printf.printf "%8s %14s %12s %10s %10s  %s\n" "islands" "modeled (h)"
     "speedup" "objective" "parity" "wall (s)";
-  let metrics = ref [] in
   let row n (r : Dse.result) =
     let speedup = base.modeled_hours /. r.modeled_hours in
     let parity = r.best.objective >= base.best.objective -. 1e-9 in
@@ -70,16 +69,6 @@ let run args =
       speedup r.best.objective
       (if parity then "ok" else "worse")
       r.wall_seconds;
-    let slug = Printf.sprintf "islands%d" n in
-    metrics :=
-      !metrics
-      @ [
-          (slug ^ "_modeled_hours", r.modeled_hours);
-          (slug ^ "_speedup_x", speedup);
-          (slug ^ "_objective_ipc", r.best.objective);
-          (slug ^ "_incremental", float_of_int r.stats.incremental);
-          (slug ^ "_parity", if parity then 1.0 else 0.0);
-        ];
     (speedup, parity)
   in
   ignore (row 1 base);
@@ -94,5 +83,4 @@ let run args =
       if not parity then
         Printf.printf
           "note: %d islands ended below the sequential objective\n" n)
-    results;
-  { Bench.metrics = !metrics }
+    results

@@ -73,8 +73,7 @@ let run () =
     requests fault_seed (100.0 *. rate);
   Printf.printf "%-30s %8s %8s %8s %8s %8s\n" "configuration" "ok" "error"
     "faults" "retries" "deadline";
-  let metrics = ref [] in
-  let row ?slug label (responses, _wall_s, (snap : Telemetry.snapshot)) =
+  let row label (responses, _wall_s, (snap : Telemetry.snapshot)) =
     check_responses ~label trace responses;
     let ok, err =
       List.fold_left
@@ -84,26 +83,15 @@ let run () =
     in
     Printf.printf "%-30s %8d %8d %8d %8d %8d\n" label ok err snap.faults
       snap.retries snap.deadlines;
-    (match slug with
-    | None -> ()
-    | Some s ->
-      metrics :=
-        !metrics
-        @ [
-            (s ^ "_ok", float_of_int ok);
-            (s ^ "_error", float_of_int err);
-            (s ^ "_faults", float_of_int snap.faults);
-            (s ^ "_retries", float_of_int snap.retries);
-          ]);
     (responses, snap)
   in
   let policy = Service.default_policy in
   let baseline, _ =
-    row ~slug:"nofault" "deterministic, no faults"
+    row "deterministic, no faults"
       (replay registry trace ~mode:Service.Deterministic ~policy ~faults:None)
   in
   ignore
-    (row ~slug:"det_faults" "deterministic, 20% faults"
+    (row "deterministic, 20% faults"
        (replay registry trace ~mode:Service.Deterministic ~policy
           ~faults:(Some cfg)));
   ignore
@@ -121,7 +109,7 @@ let run () =
      clean baseline. *)
   let retried_policy = { policy with retries = 8 } in
   let absorbed, _ =
-    row ~slug:"retries8" "4 workers, faults, retries 8"
+    row "4 workers, faults, retries 8"
       (replay registry trace ~mode:(Service.Workers 4) ~policy:retried_policy
          ~faults:(Some cfg))
   in
@@ -152,8 +140,4 @@ let run () =
     "flight recorder: %d recent events (faults and retries on the record)\n"
     (List.length events);
   Printf.printf "\nfault scenario ok: %d/%d invariants held\n"
-    (5 * List.length trace) (5 * List.length trace);
-  {
-    Bench.metrics =
-      !metrics @ [ ("invariants_held", float_of_int (5 * List.length trace)) ];
-  }
+    (5 * List.length trace) (5 * List.length trace)

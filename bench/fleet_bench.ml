@@ -170,17 +170,4 @@ let run () =
   if not (pinned "promote") then die "no promote event in the flight recorder";
   if Registry.find registry promoted = None then
     die "promoted overlay %s missing from the registry" promoted;
-  print_newline ();
-  {
-    Bench.metrics =
-      [
-        ("fleet_req_per_s", float_of_int total /. wall_s);
-        ("fleet_share_err_pct", 100.0 *. share_err);
-        ("fleet_quota_shed", float_of_int stats.quota_shed);
-        ("fleet_lost_responses", float_of_int (total - !responses));
-        ("fleet_avg_batch_x", avg_batch);
-        ("fleet_max_batch", float_of_int stats.max_batch);
-        ("fleet_retire_purged", float_of_int purged);
-        ("fleet_promotes", float_of_int (Manager.promotes manager));
-      ];
-  }
+  print_newline ()

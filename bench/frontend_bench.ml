@@ -1,8 +1,7 @@
 (* The source frontend under load: parse throughput over the emitted
    suite, the full emit→parse round trip, and the seeded fuzz pipeline
-   (generate → emit → parse → compile → schedule → simulate).  Emits
-   BENCH_frontend.json; not in the regress default set — the numbers are
-   informational until a baseline is captured. *)
+   (generate → emit → parse → compile → schedule → simulate).  Fails if
+   the fuzz pipeline finds a violation. *)
 
 open Overgen_workload
 module Frontend = Overgen_frontend.Frontend
@@ -55,16 +54,4 @@ let run () =
   Printf.printf "  fuzz: %s\n" (Fuzz.summary_to_string summary);
   Printf.printf "  fuzz wall: %.2f s (%.1f seeds/s)\n" fuzz_s
     (float_of_int seeds /. fuzz_s);
-  if not (Fuzz.ok summary) then failwith "frontend bench: fuzz found violations";
-  {
-    Bench.metrics =
-      [
-        ("frontend_parse_per_s", parse_per_s);
-        ("frontend_parse_lines_per_s", lines_per_s);
-        ("frontend_roundtrip_per_s", rt_per_s);
-        ("frontend_fuzz_seeds_per_s", float_of_int seeds /. fuzz_s);
-        ("frontend_fuzz_scheduled", float_of_int summary.Fuzz.scheduled);
-        ( "frontend_fuzz_coverage_pct",
-          100.0 *. Overgen_frontend.Gen.Cov.fraction summary.Fuzz.coverage );
-      ];
-  }
+  if not (Fuzz.ok summary) then failwith "frontend bench: fuzz found violations"

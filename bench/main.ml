@@ -1,21 +1,24 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section VIII).  Run with no argument for the full set, or pass
-   scenario names; arguments after a name are handed to that scenario, e.g.
-   `main.exe dse --islands 2,4 --iterations 200`.
+   evaluation (Section VIII) and runs the serving-stack scenarios.  Run with
+   no argument for the full set, or pass scenario names; arguments after a
+   name are handed to that scenario, e.g.
+   `main.exe dse --islands 2,4 --iterations 200`.  `main.exe list` prints
+   the registry.
 
-   Every scenario is a {!Bench.scenario} in the registry below.  Scenarios
-   that return metrics have them written to BENCH_<name>.json through the one
-   shared emitter; `main.exe regress` diffs those files against the
-   committed baselines in bench/baselines/ (see bench/regress.ml), and
-   `main.exe list` prints the registry. *)
+   Every scenario prints its results and fails (raises, or exits 1) when a
+   contract it checks is broken; the smoke aliases in the root dune file
+   run them under `dune build @check`. *)
 
-let sc name synopsis run = { Bench.name; synopsis; run }
+type scenario = {
+  name : string;
+  synopsis : string;  (* one line, shown by `main.exe list` *)
+  run : string list -> unit;  (* the arguments after the scenario's name *)
+}
 
-(* Legacy table/figure drivers: console output only, no metric document. *)
-let plain name synopsis f =
-  sc name synopsis (fun (_ : string list) ->
-      f ();
-      Bench.no_metrics)
+let sc name synopsis run = { name; synopsis; run }
+
+(* Scenarios that take no arguments. *)
+let plain name synopsis f = sc name synopsis (fun (_ : string list) -> f ())
 
 let scenarios =
   [
@@ -33,22 +36,17 @@ let scenarios =
     plain "fig20" "Figure 20: schedule-preserving DSE ablation" Figures2.fig20;
     plain "ablation" "feature ablation sweep" Ablation.run;
     plain "extensions" "beyond-paper extension experiments" Extensions.run;
-    sc "service" "compile service under multi-user traffic"
-      (fun _ -> Service_bench.run ());
-    sc "store" "durable artifact store: log, restart, DSE resume"
-      (fun _ -> Store_bench.run ());
-    sc "fault" "service replay under seeded fault injection"
-      (fun _ -> Fault_bench.run ());
-    sc "obs" "observability overhead of the gated primitives"
-      (fun _ -> Obs_bench.run ());
+    plain "service" "compile service under multi-user traffic" Service_bench.run;
+    plain "store" "durable artifact store: log, restart, DSE resume"
+      Store_bench.run;
+    plain "fault" "service replay under seeded fault injection" Fault_bench.run;
+    plain "obs" "observability overhead of the gated primitives" Obs_bench.run;
     sc "dse" "island-model DSE scaling sweep" Dse_bench.run;
-    sc "micro" "bechamel micro-benchmarks of the hot paths"
-      (fun _ -> Micro.run ());
     sc "net" "sharded network tier under open-loop socket load" Net_bench.run;
-    sc "frontend" "source frontend parse throughput + fuzz pipeline"
-      (fun _ -> Frontend_bench.run ());
-    sc "fleet" "multi-tenant weighted-fair admission + fleet manager"
-      (fun _ -> Fleet_bench.run ());
+    plain "frontend" "source frontend parse throughput + fuzz pipeline"
+      Frontend_bench.run;
+    plain "fleet" "multi-tenant weighted-fair admission + fleet manager"
+      Fleet_bench.run;
   ]
 
 (* Reachable by name but excluded from the no-argument full run:
@@ -64,10 +62,8 @@ let hidden =
 let list_scenarios () =
   Printf.printf "scenarios (main.exe <name> [args], no argument runs all):\n";
   List.iter
-    (fun (s : Bench.scenario) -> Printf.printf "  %-12s %s\n" s.name s.synopsis)
-    scenarios;
-  Printf.printf "  %-12s %s\n" "regress"
-    "diff BENCH_*.json against bench/baselines/ (--tolerance F)"
+    (fun s -> Printf.printf "  %-12s %s\n" s.name s.synopsis)
+    scenarios
 
 (* Group the command line into (scenario, its-arguments) runs: each
    scenario name starts a run and collects the arguments up to the next
@@ -77,7 +73,7 @@ let group args =
   let runs =
     List.fold_left
       (fun runs arg ->
-        match List.find_opt (fun (s : Bench.scenario) -> s.name = arg) all with
+        match List.find_opt (fun s -> s.name = arg) all with
         | Some s -> (s, ref []) :: runs
         | None -> (
           match runs with
@@ -85,9 +81,8 @@ let group args =
             extra := arg :: !extra;
             runs
           | [] ->
-            Printf.eprintf "unknown scenario %s; available: %s regress\n" arg
-              (String.concat " "
-                 (List.map (fun (s : Bench.scenario) -> s.name) scenarios));
+            Printf.eprintf "unknown scenario %s; available: %s\n" arg
+              (String.concat " " (List.map (fun s -> s.name) scenarios));
             exit 1))
       [] args
   in
@@ -96,7 +91,6 @@ let group args =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
-  | "regress" :: rest -> exit (Regress.main rest)
   | "list" :: _ -> list_scenarios ()
   | _ ->
     let to_run =
@@ -106,16 +100,9 @@ let () =
     in
     let t0 = Unix.gettimeofday () in
     List.iter
-      (fun ((s : Bench.scenario), extra) ->
+      (fun (s, extra) ->
         let t = Unix.gettimeofday () in
-        let result = s.run extra in
-        (match result.Bench.metrics with
-        | [] -> ()
-        | metrics ->
-          let path =
-            Overgen_obs.Export.write_bench_json ~scenario:s.name metrics
-          in
-          Printf.printf "  wrote %s\n" path);
+        s.run extra;
         Printf.printf "[%s done in %.1fs]\n%!" s.name
           (Unix.gettimeofday () -. t))
       to_run;

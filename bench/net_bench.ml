@@ -2,7 +2,7 @@
    (spawned from this very binary via the hidden `net-shard` entry), a
    consistent-hash client driving a fixed arrival rate through real
    sockets, and a mid-run SIGKILL + restart of one shard to exercise
-   reconnect, retry and durable-store replay.  Emits BENCH_net.json.
+   reconnect, retry and durable-store replay.
 
    Every request carries a trace id; shard processes write their spans as
    JSONL and dump their flight recorders, and after the run the bench
@@ -215,6 +215,11 @@ let read_file path =
   close_in ic;
   s
 
+(* Resends are bounded by the load generator's in-flight window (256 per
+   sender) per dropped connection, so this cap catches a resend storm (a
+   retry loop, a ledger bug) whatever the SIGKILL's timing. *)
+let max_resends = 1000
+
 let run extra =
   (* defaults match the acceptance scenario: >= 100k requests at a fixed
      arrival rate against 2 shard processes with a mid-run kill+restart *)
@@ -263,7 +268,6 @@ let run extra =
   (* the parent is the client process: record client_send spans here *)
   Obs.enable ();
   Obs.Span.reset ();
-  let metrics = ref [] in
   let store_dir = Filename.temp_dir "overgen-net-bench" "" in
   let ports = pick_free_ports shards in
   let cluster =
@@ -352,6 +356,11 @@ let run extra =
      if summary.Load_gen.failed <> 0 then
        failures :=
          Printf.sprintf "%d requests failed" summary.Load_gen.failed :: !failures;
+     if summary.Load_gen.resends > max_resends then
+       failures :=
+         Printf.sprintf "%d resends (cap %d)" summary.Load_gen.resends
+           max_resends
+         :: !failures;
      if kill && warm_loaded <= 0 then
        failures :=
          "restarted shard replayed nothing from its durable store" :: !failures;
@@ -427,14 +436,7 @@ let run extra =
      | fs ->
        teardown ();
        List.iter (Printf.eprintf "  FAILED: %s\n") fs;
-       exit 1);
-     metrics :=
-       Load_gen.to_metrics cfg summary
-       @ [
-           ("warm_loaded", float_of_int warm_loaded);
-           ("killed_and_restarted", if kill then 1.0 else 0.0);
-           ("shard0_redirects", redirects0);
-         ]
+       exit 1)
    with e ->
      teardown ();
      raise e);
@@ -526,11 +528,4 @@ let run extra =
   | [] -> ()
   | fs ->
     List.iter (Printf.eprintf "  FAILED: %s\n") fs;
-    exit 1);
-  metrics :=
-    !metrics
-    @ [
-        ("merged_spans", float_of_int (List.length all_spans));
-        ("wire_traces", float_of_int (SS.cardinal server_traces));
-      ];
-  { Bench.metrics = !metrics }
+    exit 1)

@@ -45,8 +45,7 @@ let run () =
     requests (Trace.distinct_keys spec);
   Printf.printf "%-28s %10s %9s %9s %9s %9s\n" "configuration" "req/s" "hit%" "p50 ms"
     "p99 ms" "failures";
-  let metrics = ref [] in
-  let row ?slug label
+  let row label
       ((wall_s, (snap : Telemetry.snapshot), cache_stats, failures, _) as r) =
     let hit =
       match cache_stats with
@@ -56,27 +55,15 @@ let run () =
     Printf.printf "%-28s %10.1f %8.1f%% %9.3f %9.3f %9d\n" label
       (float_of_int requests /. wall_s)
       hit snap.p50_ms snap.p99_ms failures;
-    (match slug with
-    | None -> ()
-    | Some s ->
-      metrics :=
-        !metrics
-        @ [
-            (s ^ "_req_per_s", float_of_int requests /. wall_s);
-            (s ^ "_hit_rate", hit /. 100.0);
-            (s ^ "_p50_ms", snap.p50_ms);
-            (s ^ "_p99_ms", snap.p99_ms);
-            (s ^ "_failures", float_of_int failures);
-          ]);
     r
   in
   let cap = 1024 in
   ignore
-    (row ~slug:"cold" "deterministic, cold"
+    (row "deterministic, cold"
        (replay registry trace ~mode:Service.Deterministic ~caching:false
           ~capacity:cap));
   let warm_wall_s, warm_snap, _, _, warm_telemetry =
-    row ~slug:"warm" "deterministic, warm"
+    row "deterministic, warm"
       (replay registry trace ~mode:Service.Deterministic ~caching:true
          ~capacity:cap)
   in
@@ -89,7 +76,6 @@ let run () =
               ~capacity:cap));
       ignore
         (row
-           ?slug:(if n = 4 then Some "workers4_warm" else None)
            (Printf.sprintf "%d workers, warm" n)
            (replay registry trace ~mode:(Service.Workers n) ~caching:true
               ~capacity:cap)))
@@ -114,5 +100,4 @@ let run () =
   print_newline ();
   print_string
     (Overgen_obs.Metrics.render_report (Telemetry.registry warm_telemetry));
-  print_newline ();
-  { Bench.metrics = !metrics }
+  print_newline ()

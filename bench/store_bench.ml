@@ -73,14 +73,7 @@ let micro () =
   Printf.printf "  append %8.2f us/op   read %8.2f us/op   scan-on-open %6.1f ms\n"
     (per_op append_s) (per_op read_s) (open_s *. 1000.0);
   Printf.printf "  compact %6.1f ms: %d -> %d bytes (reclaimed %d)\n\n"
-    (compact_s *. 1000.0) before after (before - after);
-  [
-    ("append_us", per_op append_s);
-    ("read_us", per_op read_s);
-    ("scan_on_open_ms", open_s *. 1000.0);
-    ("compact_ms", compact_s *. 1000.0);
-    ("compacted_bytes", float_of_int after);
-  ]
+    (compact_s *. 1000.0) before after (before - after)
 
 (* --- 2: service restart --- *)
 
@@ -97,7 +90,7 @@ let restart () =
          ~overlays:[ ("general", Kernels.all) ]
          ())
   in
-  let replay slug label store =
+  let replay label store =
     let cache = Cache.create ~store () in
     let svc = Service.create ~caching:true ~cache registry in
     let responses, wall_s =
@@ -115,24 +108,17 @@ let restart () =
       label
       (float_of_int requests /. wall_s)
       (100.0 *. Cache.hit_rate stats)
-      (Cache.warm_loaded cache) failures;
-    [
-      (slug ^ "_req_per_s", float_of_int requests /. wall_s);
-      (slug ^ "_hit_rate", Cache.hit_rate stats);
-      (slug ^ "_warm_loaded", float_of_int (Cache.warm_loaded cache));
-      (slug ^ "_failures", float_of_int failures);
-    ]
+      (Cache.warm_loaded cache) failures
   in
   Printf.printf "service restart, %d requests writing through to a store:\n"
     requests;
   let s1 = open_store path in
-  let m1 = replay "restart_cold" "first run (cold disk)" s1 in
+  replay "first run (cold disk)" s1;
   Store.close s1;
   let s2 = open_store path in
-  let m2 = replay "restart_warm" "restarted (warm from disk)" s2 in
+  replay "restarted (warm from disk)" s2;
   Store.close s2;
-  print_newline ();
-  m1 @ m2
+  print_newline ()
 
 (* --- 3: DSE checkpoint/resume --- *)
 
@@ -179,15 +165,10 @@ let checkpointing () =
   Printf.printf
     "  killed at round 6 of 12, resume finished in %6.2f s; objective matches \
      the uninterrupted run (%.2f)\n\n"
-    resume_s resumed.Dse.best.objective;
-  [
-    ("checkpoint_overhead_pct", 100.0 *. ((cp_s /. plain_s) -. 1.0));
-    ("resume_objective_ipc", resumed.Dse.best.objective);
-  ]
+    resume_s resumed.Dse.best.objective
 
 let run () =
   Exp_common.header "bench store: durable artifact store";
-  let m1 = micro () in
-  let m2 = restart () in
-  let m3 = checkpointing () in
-  { Bench.metrics = m1 @ m2 @ m3 }
+  micro ();
+  restart ();
+  checkpointing ()

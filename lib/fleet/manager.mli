@@ -70,3 +70,5 @@ val maybe_promote : t -> Registry.entry option
     Resets the observation window on success. *)
 
 val promotes : t -> int
+(** Promotes so far.
+    For tests: the fleet tests check that a fired trigger counts one. *)

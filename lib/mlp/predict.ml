@@ -208,8 +208,6 @@ let fit d =
     n_samples = d.n_total;
   }
 
-let train_kind ~seed kind n = fit (prepare ~seed kind n)
-
 (* The four kinds share nothing and each draws from its own seeded RNG, so
    they train concurrently on two domains, one worker and the helping
    caller, with the bits of a sequential run.  The datasets are drawn here

@@ -23,19 +23,13 @@ val paper_counts : (kind * int) list
 
 val default_counts : (kind * int) list
 (** The scaled-down counts actually synthesized here (1/100 of Table I), so
-    training completes in seconds; recorded in EXPERIMENTS.md. *)
+    training completes in seconds; recorded in EXPERIMENTS.md.
+    For tests: the tests pin the per-kind models trained at these counts. *)
 
 val train : seed:int -> unit -> t
 (** Generate the dataset with the oracle and train all four models, the
     kinds concurrently on two domains.  The result does not depend on
     scheduling: each kind draws from its own seeded RNG. *)
-
-type model
-(** One kind's trained network, with its scalers and test error. *)
-
-val train_kind : seed:int -> kind -> int -> model
-(** [train_kind ~seed kind n]: the model {!train} builds for [kind] from
-    [n] samples (what the micro-benchmark times). *)
 
 type memo
 (** Component predictions already computed, keyed on the exact input each

@@ -418,31 +418,6 @@ let run (cfg : config) =
     resend_p99_ms = resend_p99;
   }
 
-let to_metrics (cfg : config) (s : summary) =
-  [
-    ("requests", float_of_int s.requests);
-    ("rate_rps", cfg.rate);
-    ("shards", float_of_int (Array.length cfg.cluster));
-    ("completed", float_of_int s.completed);
-    ("ok", float_of_int s.ok);
-    ("failed", float_of_int s.failed);
-    ("hit_rate",
-     if s.completed > 0 then float_of_int s.hits /. float_of_int s.completed
-     else 0.0);
-    ("redirects", float_of_int s.redirects);
-    ("reconnects", float_of_int s.reconnects);
-    ("resends", float_of_int s.resends);
-    ("resent_requests", float_of_int s.resent_requests);
-    ("wall_s", s.wall_s);
-    ("goodput_rps", s.goodput_rps);
-    ("mean_ms", s.mean_ms);
-    ("p50_ms", s.p50_ms);
-    ("p90_ms", s.p90_ms);
-    ("p99_ms", s.p99_ms);
-    ("max_ms", s.max_ms);
-    ("resend_p99_ms", s.resend_p99_ms);
-  ]
-
 let report s =
   let b = Buffer.create 512 in
   Printf.bprintf b "net load: %d requests, %d completed (%d ok, %d failed)\n"

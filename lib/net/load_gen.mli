@@ -74,9 +74,5 @@ val of_trace :
 
 val run : config -> summary
 
-val to_metrics : config -> summary -> (string * float) list
-(** The summary as metric pairs, ready for
-    {!Overgen_obs.Export.write_bench_json}. *)
-
 val report : summary -> string
 (** One-screen text report. *)

@@ -369,37 +369,3 @@ let parse_jsonl contents =
 let write_file ~path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
-(* ---------- durable benchmark results (BENCH_<scenario>.json) ---------- *)
-
-(* Full precision, but still a valid JSON number (no nan/inf, no "1." with
-   nothing after the point). *)
-let bench_num v =
-  if Float.is_nan v then "0"
-  else if v = infinity then "1e308"
-  else if v = neg_infinity then "-1e308"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-let bench_json ~scenario metrics =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "{\n  \"scenario\": \"%s\",\n  \"metrics\": {\n" (escape scenario);
-  List.iteri
-    (fun i (name, v) ->
-      Printf.bprintf b "    \"%s\": %s%s\n" (escape name) (bench_num v)
-        (if i = List.length metrics - 1 then "" else ","))
-    metrics;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
-
-let write_bench_json ?dir ~scenario metrics =
-  let json = bench_json ~scenario metrics in
-  (match validate_json json with
-  | Ok () -> ()
-  | Error e ->
-    failwith (Printf.sprintf "emitted BENCH_%s.json is not valid JSON: %s" scenario e));
-  let file = Printf.sprintf "BENCH_%s.json" scenario in
-  let path = match dir with None -> file | Some d -> Filename.concat d file in
-  write_file ~path json;
-  path

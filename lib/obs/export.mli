@@ -30,8 +30,7 @@ val orphans : (int * Span.span) list -> (int * int) list
     pairs.  Empty on a well-formed trace. *)
 
 (** {2 JSON value parsing} — dependency-free reader for the JSONL span
-    files shards write and the [BENCH_*.json] documents [bench regress]
-    diffs. *)
+    files shards write. *)
 
 type json =
   | Null
@@ -44,7 +43,8 @@ type json =
 val parse_json : string -> (json, string) result
 (** Exactly one JSON value (RFC 8259; [\u] escapes decode to UTF-8),
     surrounding whitespace allowed.  Object members keep document
-    order. *)
+    order.
+    For tests: the net tests read a JSON flight-recorder event back. *)
 
 val validate_json : string -> (unit, string) result
 (** {!parse_json} with the value discarded: [Ok ()] iff the whole string
@@ -52,7 +52,8 @@ val validate_json : string -> (unit, string) result
 
 val member : string -> json -> json option
 (** The first member named [k] of an object; [None] for a missing key
-    or a non-object. *)
+    or a non-object.
+    For tests: see {!parse_json}. *)
 
 val parse_jsonl : string -> ((int * Span.span) list, string) result
 (** Read back a {!to_jsonl} document: one [(pid, span)] per non-blank
@@ -61,17 +62,3 @@ val parse_jsonl : string -> ((int * Span.span) list, string) result
 
 val write_file : path:string -> string -> unit
 (** Write contents to [path] (truncating). *)
-
-val bench_json : scenario:string -> (string * float) list -> string
-(** The machine-readable benchmark-result document every [bench] scenario
-    persists: a scenario name plus a flat object of named numeric
-    metrics — the durable perf trajectory a future [bench regress] can
-    diff against.
-    For tests: the tests check the document parses back to its metrics. *)
-
-val write_bench_json :
-  ?dir:string -> scenario:string -> (string * float) list -> string
-(** Render {!bench_json}, self-validate it with {!validate_json}, and
-    write it to [BENCH_<scenario>.json] under [dir] (default: the current
-    directory).  Returns the path written.
-    @raise Failure if the rendered document fails validation. *)

@@ -129,7 +129,9 @@ val repair :
     rules {!Schedule.validate} checks (checking them would change which
     tier answers a reschedule, and with it the DSE's results), so it can
     return schedules [validate] rejects.  Fails if a placement breaks that check
-    or lies beyond the graph, or an operand finds no route. *)
+    or lies beyond the graph, or an operand finds no route.
+    For tests: {!reschedule} is its caller here; the tests drive the repair
+    tier alone. *)
 
 type reschedule_outcome =
   | Repaired     (** placements intact; routes refreshed / IIs recomputed *)

@@ -15,6 +15,11 @@ let m_fsyncs =
   Obs.Metrics.counter Obs.Metrics.default "overgen_store_fsyncs_total"
     ~help:"fsync calls issued by the artifact store"
 
+(* Every fsync the store issues goes through here, so the count is whole. *)
+let fsync fd =
+  Unix.fsync fd;
+  Obs.incr m_fsyncs
+
 let m_reads =
   Obs.Metrics.counter Obs.Metrics.default "overgen_store_reads_total"
     ~help:"record reads served from the artifact store log"
@@ -349,15 +354,13 @@ let file_bytes t = with_lock t @@ fun () -> t.file_bytes_
 let live_bytes t = with_lock t @@ fun () -> t.live_bytes_
 
 let sync t =
-  with_lock t @@ fun () ->
-  Unix.fsync t.fd;
-  Obs.incr m_fsyncs
+  with_lock t @@ fun () -> fsync t.fd
 
 let close t =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) (fun () ->
       if not t.closed then begin
-        Unix.fsync t.fd;
+        fsync t.fd;
         Unix.close t.fd;
         t.closed <- true
       end)
@@ -393,7 +396,7 @@ let compact t =
               loc)
             items
         in
-        Unix.fsync fd;
+        fsync fd;
         locs)
   in
   Unix.close t.fd;

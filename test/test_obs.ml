@@ -270,7 +270,8 @@ let test_validate_json_rejects () =
     (fun good ->
       Alcotest.(check bool) ("accepts " ^ good) true
         (Result.is_ok (Export.validate_json good)))
-    [ "{}"; "[]"; "null"; "-1.5e3"; "{\"a\":[1,{\"b\":\"\\u00e9\"}]}" ]
+    [ "{}"; "[]"; "null"; "-1.5e3"; "[1e+5,2E-3]";
+      "{\"a\":[1,{\"b\":\"\\u00e9\"}]}" ]
 
 (* --- trace context --- *)
 
@@ -424,7 +425,9 @@ let test_log_concurrent () =
 let test_jsonl_roundtrip_and_orphans () =
   with_recording @@ fun () ->
   Span.with_trace "00ff00ff00ff00ff00ff00ff00ff00ff" (fun () ->
-      Span.with_span "outer" ~attrs:[ ("k", "v\"w") ] (fun () ->
+      Span.with_span "outer"
+        ~attrs:[ ("k", "v\"w"); ("ctl", "tab\tnew\nline\001") ]
+        (fun () ->
           Span.with_span "inner" (fun () -> ())));
   let spans = Span.spans () in
   let parsed =
@@ -455,44 +458,6 @@ let test_jsonl_roundtrip_and_orphans () =
     "ids are per-process: another pid's copy cannot adopt the orphan"
     [ (7, inner.parent) ]
     (Export.orphans (cut @ other_lane))
-
-(* --- BENCH_*.json read back through the value parser --- *)
-
-let test_bench_json_roundtrip () =
-  let metrics =
-    [
-      ("zero", 0.0);
-      ("count", 42.0);
-      ("big_int", 123456789012.0);
-      ("neg_int", -7.0);
-      ("neg_ms", -3.25);
-      ("tiny_s", 1.23456789e-05);
-      ("huge", 1e308);
-      ("neg_huge", -1e308);
-      ("quote\"and\\slash", 0.5);
-      ("tab\tnew\nline\001ctl", 2.0);
-    ]
-  in
-  let scenario = "round\"trip" in
-  match Export.parse_json (Export.bench_json ~scenario metrics) with
-  | Error e -> Alcotest.failf "parse_json: %s" e
-  | Ok doc ->
-    Alcotest.(check (option string)) "scenario" (Some scenario)
-      (match Export.member "scenario" doc with
-      | Some (Export.Str s) -> Some s
-      | _ -> None);
-    let back =
-      match Export.member "metrics" doc with
-      | Some (Export.Obj kvs) ->
-        List.map
-          (function
-            | k, Export.Num v -> (k, v)
-            | k, _ -> Alcotest.failf "metric %S is not a number" k)
-          kvs
-      | _ -> Alcotest.fail "no metrics object"
-    in
-    Alcotest.(check (list (pair string (float 0.0)))) "metrics, in order"
-      metrics back
 
 (* --- the null backend --- *)
 
@@ -555,21 +520,6 @@ let test_telemetry_report () =
         (contains ~needle:sub busy && not (contains ~needle:sub quiet)))
     [ "[a]"; "hit rate"; "faults"; "quota shed"; "throughput" ]
 
-(* Bench JSON holds only finite numbers: NaN reads 0 and infinities clamp
-   to +-1e308.  The file lands in the given directory. *)
-let test_write_bench_json () =
-  let dir = Filename.get_temp_dir_name () in
-  let path =
-    Export.write_bench_json ~dir ~scenario:"cover_probe"
-      [ ("nan", Float.nan); ("inf", infinity); ("ninf", neg_infinity); ("x", 1.5) ]
-  in
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  Sys.remove path;
-  Alcotest.(check string) "written under dir" (Filename.concat dir "BENCH_cover_probe.json") path;
-  List.iter
-    (fun sub -> Alcotest.(check bool) sub true (contains ~needle:sub text))
-    [ "1e308"; "-1e308"; "1.5" ]
-
 let tests =
   [
     Alcotest.test_case "counter concurrency" `Quick test_counter_concurrent;
@@ -595,9 +545,7 @@ let tests =
     Alcotest.test_case "flight recorder concurrency" `Quick test_log_concurrent;
     Alcotest.test_case "jsonl parse-back + orphans" `Quick
       test_jsonl_roundtrip_and_orphans;
-    Alcotest.test_case "bench_json round-trips" `Quick test_bench_json_roundtrip;
     Alcotest.test_case "null backend" `Quick test_null_backend;
     Alcotest.test_case "metrics report" `Quick test_render_report;
     Alcotest.test_case "telemetry report" `Quick test_telemetry_report;
-    Alcotest.test_case "bench json file" `Quick test_write_bench_json;
   ]

@@ -16,6 +16,7 @@ module Admission = Overgen_fleet.Admission
 module Trace = Overgen_service.Trace
 module Fault = Overgen_fault.Fault
 module Serial = Overgen_adg.Serial
+module Obs = Overgen_obs.Obs
 
 let model () = Models.trained 21
 
@@ -338,6 +339,33 @@ let test_compact () =
   Alcotest.(check bool) "verify after compact" true
     (Result.is_ok (Store.verify ~path))
 
+(* Every fsync is counted, and scan-on-open, appends and compaction issue
+   a fixed number of them whatever the record count: none per record. *)
+let test_fsync_count () =
+  with_path @@ fun path ->
+  let fsyncs =
+    Obs.Metrics.counter Obs.Metrics.default "overgen_store_fsyncs_total"
+  in
+  let fsyncs_of what expected f =
+    let n0 = Obs.Metrics.counter_value fsyncs in
+    Obs.enable ();
+    let r = Fun.protect ~finally:Obs.disable f in
+    Alcotest.(check int) (what ^ " fsyncs") expected
+      (Obs.Metrics.counter_value fsyncs - n0);
+    r
+  in
+  let s = fsyncs_of "open of a fresh log" 0 (fun () -> open_ok path) in
+  fsyncs_of "200 appends" 0 (fun () ->
+      for i = 1 to 200 do
+        Store.put s ~ns:"n" ~key:(string_of_int (i mod 50)) "v"
+      done);
+  fsyncs_of "sync" 1 (fun () -> Store.sync s);
+  fsyncs_of "close" 1 (fun () -> Store.close s);
+  let s = fsyncs_of "scan-on-open of 200 records" 0 (fun () -> open_ok path) in
+  Alcotest.(check int) "records scanned" 200 (Store.last_open_stats s).records;
+  fsyncs_of "compaction to 50 live records" 1 (fun () -> Store.compact s);
+  fsyncs_of "close after compaction" 1 (fun () -> Store.close s)
+
 (* ---------------- cache write-through + warm start ---------------- *)
 
 (* The cache's one entry point, with a fixed outcome: [put] stores it the
@@ -519,6 +547,8 @@ let tests =
     Alcotest.test_case "fault: retry after injection" `Quick
       test_fault_retry_after_injection;
     Alcotest.test_case "compaction" `Quick test_compact;
+    Alcotest.test_case "fsyncs counted, none per record" `Quick
+      test_fsync_count;
     Alcotest.test_case "cache write-through + warm start" `Quick
       test_cache_write_through_and_warm_start;
     Alcotest.test_case "cache eviction read-through" `Quick
