@@ -32,16 +32,19 @@ let frame_error_to_string = function
 
 type header = { length : int; crc : int32 }
 
+(* One allocation: the header, one blit of the payload, then its CRC. *)
 let frame payload =
-  let b = Buffer.create (String.length payload + header_bytes) in
-  Buffer.add_char b magic0;
-  Buffer.add_char b magic1;
-  Codec.put_u8 b version;
-  Codec.put_u8 b 0;
-  Codec.put_u32 b (String.length payload);
-  Buffer.add_int32_le b (Crc32.string payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let n = String.length payload in
+  if n > 0xFFFF_FFFF then invalid_arg "Wire.frame: payload over 4 GiB";
+  let b = Bytes.create (header_bytes + n) in
+  Bytes.set b 0 magic0;
+  Bytes.set b 1 magic1;
+  Bytes.set_uint8 b 2 version;
+  Bytes.set_uint8 b 3 0;
+  Bytes.set_int32_le b 4 (Int32.of_int n);
+  Bytes.set_int32_le b 8 (Crc32.string payload);
+  Bytes.blit_string payload 0 b header_bytes n;
+  Bytes.unsafe_to_string b
 
 (* Header checks are ordered so the most diagnostic error wins: a peer
    speaking a different protocol version still frames with our magic, so
@@ -64,16 +67,16 @@ let verify_payload h payload =
   else if Crc32.string payload <> h.crc then Error Checksum_mismatch
   else Ok ()
 
+(* The CRC is checked in place, before the payload is copied out. *)
 let deframe ?(pos = 0) s =
   match decode_header_at s pos with
   | Error e -> Error e
   | Ok h ->
-    if String.length s - pos - header_bytes < h.length then Error Truncated
-    else
-      let payload = String.sub s (pos + header_bytes) h.length in
-      (match verify_payload h payload with
-      | Error e -> Error e
-      | Ok () -> Ok (payload, header_bytes + h.length))
+    let off = pos + header_bytes in
+    if String.length s - off < h.length then Error Truncated
+    else if not (Int32.equal (Crc32.string ~off ~len:h.length s) h.crc) then
+      Error Checksum_mismatch
+    else Ok (String.sub s off h.length, header_bytes + h.length)
 
 (* ---------------- messages ---------------- *)
 

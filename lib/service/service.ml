@@ -148,8 +148,10 @@ let process t ~admitted_at req =
      client set it at submission, but this code runs on whichever domain
      picked the job up. *)
   Obs.Span.with_trace req.trace @@ fun () ->
-  Obs.Span.with_span "request"
-    ~attrs:
+  (* the attributes cost a source peek and a float format, so they are
+     built only when the span is recorded *)
+  let attrs =
+    if Obs.on () then
       [
         ("id", string_of_int req.id);
         ("user", req.user);
@@ -157,7 +159,9 @@ let process t ~admitted_at req =
         ("kernel", payload_name req.payload);
         ("queue_wait_ms", Printf.sprintf "%.3f" ((t0 -. admitted_at) *. 1000.0));
       ]
-  @@ fun () ->
+    else []
+  in
+  Obs.Span.with_span "request" ~attrs @@ fun () ->
   (* A per-request deadline (stamped by an admission layer from the
      tenant's deadline class) overrides the service-wide policy one. *)
   let deadline =

@@ -45,7 +45,10 @@ type index = Direct of affine | Indirect of { idx_array : string; at : affine }
 type aref = { array : string; index : index }
 
 val aref_equal : aref -> aref -> bool
-val aref_to_string : aref -> string
+
+val add_aref : Buffer.t -> aref -> unit
+(** Append the compact rendering of a reference to the buffer:
+    ["a[2*i-1]"], ["x[idx[i]]"]. *)
 
 type expr =
   | Load of aref

@@ -12,6 +12,7 @@ module Node = Overgen_net.Node
 module Server = Overgen_net.Server
 module Client = Overgen_net.Client
 module Load_gen = Overgen_net.Load_gen
+module Io = Overgen_net.Io
 module Registry = Overgen_service.Registry
 module Cache = Overgen_service.Cache
 module Service = Overgen_service.Service
@@ -89,6 +90,37 @@ let test_version_and_corruption_rejected () =
   match Wire.deframe (Bytes.to_string huge) with
   | Error (Wire.Oversized _) -> ()
   | _ -> Alcotest.fail "oversized frame accepted"
+
+(* A frame checks its CRC where it starts, also past other frames: two
+   frames back to back deframe at [pos], and a flipped payload byte of
+   the second is caught in place.  [Io.recv_frame] over a socket pair
+   rejects the same damage and then reads the next frame intact. *)
+let test_crc_in_place () =
+  let a = Wire.frame "first" and b = Wire.frame "second payload" in
+  let both = a ^ b in
+  (match Wire.deframe ~pos:(String.length a) both with
+  | Ok (p, used) ->
+    Alcotest.(check string) "second payload" "second payload" p;
+    Alcotest.(check int) "second frame consumed" (String.length b) used
+  | Error e -> Alcotest.failf "deframe at pos: %s" (Wire.frame_error_to_string e));
+  let bad = Bytes.of_string both in
+  let i = String.length a + Wire.header_bytes + 3 in
+  Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 0x10));
+  (match Wire.deframe ~pos:(String.length a) (Bytes.to_string bad) with
+  | Error Wire.Checksum_mismatch -> ()
+  | _ -> Alcotest.fail "corrupt second payload accepted");
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r; Unix.close w)
+    (fun () ->
+      Io.write_all w (Bytes.sub_string bad (String.length a) (String.length b));
+      Io.send_frame w "next";
+      (match Io.recv_frame r with
+      | Error Wire.Checksum_mismatch -> ()
+      | _ -> Alcotest.fail "recv_frame accepted a corrupt payload");
+      match Io.recv_frame r with
+      | Ok p -> Alcotest.(check string) "next frame intact" "next" p
+      | Error e -> Alcotest.failf "recv_frame: %s" (Wire.frame_error_to_string e))
 
 (* ---------------- message round-trip properties ---------------- *)
 
@@ -971,6 +1003,7 @@ let tests =
     ("frame round-trip", `Quick, test_frame_roundtrip);
     ("truncated frames rejected", `Quick, test_truncated_rejected);
     ("version/corruption rejected", `Quick, test_version_and_corruption_rejected);
+    ("frame CRC checked in place", `Quick, test_crc_in_place);
     QCheck_alcotest.to_alcotest prop_req_roundtrip;
     QCheck_alcotest.to_alcotest prop_resp_roundtrip;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]) prop_below_crc_mutations;

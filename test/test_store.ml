@@ -64,6 +64,89 @@ let test_crc32 () =
   Alcotest.(check bool) "one flipped bit changes the digest" true
     (Crc32.string "123456789" <> Crc32.string "123456788")
 
+(* The CRC straight from its definition: reflected, polynomial
+   0xEDB88320, one bit at a time, initial and final xor 0xFFFFFFFF. *)
+let crc32_bitwise ?(off = 0) ?len s =
+  let len = Option.value len ~default:(String.length s - off) in
+  let c = ref 0xFFFF_FFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
+
+let test_crc32_bounds () =
+  let bad off len =
+    Alcotest.check_raises
+      (Printf.sprintf "off=%d len=%d" off len)
+      (Invalid_argument "Crc32.string: range out of bounds")
+      (fun () -> ignore (Crc32.string ~off ~len "0123456789"))
+  in
+  bad (-1) 2;
+  bad 0 (-1);
+  bad 3 8;
+  bad 11 0;
+  Alcotest.(check int32) "empty range at the end" 0l (Crc32.string ~off:10 ~len:0 "0123456789")
+
+(* The sliced CRC against the bit-serial one: every start alignment 0-7
+   and every tail length 0-7 (the bytes after the last 8-byte step), the
+   empty range and the whole string. *)
+let prop_crc32_bitwise =
+  QCheck.Test.make ~name:"Crc32.string = bit-serial CRC at every alignment and tail"
+    ~count:200 QCheck.(string_of_size Gen.(0 -- 200))
+    (fun s ->
+      let n = String.length s in
+      let agree ?off ?len () = Crc32.string ?off ?len s = crc32_bitwise ?off ?len s in
+      agree () && agree ~off:0 ~len:0 ()
+      && List.for_all
+           (fun off ->
+             let room = n - off in
+             room < 0
+             || List.for_all
+                  (fun tail ->
+                    room < tail
+                    || List.for_all
+                         (fun len -> len > room || agree ~off ~len ())
+                         [ tail; tail + 8; tail + ((room - tail) / 8 * 8) ])
+                  [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+           [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* A store file written through [Store.put] carries, per record, the
+   bit-serial CRC of its payload, and reopening reads every value back
+   byte for byte without rewriting the file. *)
+let test_store_record_crcs () =
+  with_path @@ fun path ->
+  let values =
+    List.init 24 (fun i ->
+        (Printf.sprintf "k%d" i, String.init (i * 37) (fun j -> Char.chr ((i + (j * 7)) land 0xFF))))
+  in
+  let s = open_ok path in
+  List.iter (fun (key, v) -> Store.put s ~ns:"crc" ~key v) values;
+  Store.close s;
+  let contents = read_file path in
+  let pos = ref (String.index contents '\n' + 1) and records = ref 0 in
+  while !pos < String.length contents do
+    let plen = Codec.get_u32 contents pos in
+    let crc = Int32.of_int (Codec.get_u32 contents pos) in
+    Alcotest.(check int32)
+      (Printf.sprintf "record %d CRC" !records)
+      (crc32_bitwise ~off:!pos ~len:plen contents)
+      crc;
+    pos := !pos + plen;
+    incr records
+  done;
+  Alcotest.(check int) "one record per put" (List.length values) !records;
+  let s = open_ok path in
+  List.iter
+    (fun (key, v) ->
+      Alcotest.(check (option string)) key (Some v) (Store.get s ~ns:"crc" ~key))
+    values;
+  Store.close s;
+  Alcotest.(check bool) "reopen leaves the file byte-identical" true
+    (String.equal contents (read_file path))
+
 let test_codec_framing () =
   let b = Buffer.create 64 in
   Codec.put_u8 b 7;
@@ -529,6 +612,9 @@ let test_service_kill_and_restart () =
 let tests =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32;
+    Alcotest.test_case "crc32 bounds" `Quick test_crc32_bounds;
+    QCheck_alcotest.to_alcotest prop_crc32_bitwise;
+    Alcotest.test_case "store record CRCs" `Quick test_store_record_crcs;
     Alcotest.test_case "codec framing" `Quick test_codec_framing;
     Alcotest.test_case "codec schema rejection" `Quick
       test_codec_schema_rejection;

@@ -238,6 +238,42 @@ let test_float_cell () =
   Alcotest.(check (list string)) "cells" [ "42"; "123.5"; "4.57"; "0.123" ]
     (List.map Render.float_cell [ 42.0; 123.45; 4.567; 0.1234 ])
 
+(* [Append] writes what [string_of_int] and [Printf.sprintf "%h"] write:
+   on random 64-bit patterns (every sign, exponent and fraction, so
+   subnormals, infinities and NaNs too) and on the edge values by name. *)
+let appended f x =
+  let b = Buffer.create 32 in
+  f b x;
+  Buffer.contents b
+
+let hex_float = appended Append.hex_float
+
+let test_hex_float_edges () =
+  List.iter
+    (fun x -> Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%h" x) (hex_float x))
+    [ 0.0; -0.0; 1.0; -1.0; 0.1; 3.0; 1e300; Float.min_float; -.Float.min_float;
+      Float.max_float; -.Float.max_float; Float.epsilon;
+      Int64.float_of_bits 1L; Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL;
+      Int64.float_of_bits 0x8000_0000_0000_0001L; Float.infinity;
+      Float.neg_infinity; Float.nan; -.Float.nan;
+      Int64.float_of_bits 0x7FF0_0000_0000_0001L; Int64.float_of_bits (-1L) ]
+
+let test_append_int_edges () =
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (appended Append.int n))
+    [ 0; 1; 9; 10; -1; -9; -10; 1022; -1022; 1 lsl 52; max_int; min_int ]
+
+let prop_append_int =
+  QCheck.Test.make ~name:"Append.int = string_of_int" ~count:1000 QCheck.int
+    (fun n -> String.equal (appended Append.int n) (string_of_int n))
+
+let prop_hex_float_printf =
+  QCheck.Test.make ~name:"Append.hex_float = Printf %h on random bit patterns"
+    ~count:2000 QCheck.int64
+    (fun bits ->
+      let x = Int64.float_of_bits bits in
+      String.equal (hex_float x) (Printf.sprintf "%h" x))
+
 let tests =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -268,4 +304,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_shuffle_preserves;
     QCheck_alcotest.to_alcotest prop_percentile_bounded;
     Alcotest.test_case "float cell" `Quick test_float_cell;
+    Alcotest.test_case "hex float edges" `Quick test_hex_float_edges;
+    QCheck_alcotest.to_alcotest prop_hex_float_printf;
+    Alcotest.test_case "append int edges" `Quick test_append_int_edges;
+    QCheck_alcotest.to_alcotest prop_append_int;
   ]
