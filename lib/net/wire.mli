@@ -65,7 +65,9 @@ val frame_error_to_string : frame_error -> string
 type header = { length : int; crc : int32 }
 
 val frame : string -> string
-(** Wrap a payload into a complete frame. *)
+(** Wrap a payload into a complete frame: one allocation of
+    [header_bytes + length], the payload copied in once.
+    @raise Invalid_argument for a payload of 4 GiB or more. *)
 
 val decode_header : string -> (header, frame_error) result
 (** Parse exactly the first {!header_bytes} bytes of a frame.  [Truncated]
@@ -77,7 +79,8 @@ val verify_payload : header -> string -> (unit, frame_error) result
 val deframe : ?pos:int -> string -> (string * int, frame_error) result
 (** Whole-buffer convenience (tests, buffered readers): parse one frame
     starting at [pos] (default 0) and return (payload, bytes consumed).
-    [Truncated] when the buffer holds only a frame prefix. *)
+    [Truncated] when the buffer holds only a frame prefix.  The CRC is
+    checked in place; the payload is copied out only once it passes. *)
 
 (** {2 Messages} *)
 
