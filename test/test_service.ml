@@ -890,7 +890,13 @@ let test_dispatch_spans_parented () =
   Alcotest.(check int) "two request spans" 2 (List.length requests);
   List.iter
     (fun (s : Overgen_obs.Obs.Span.span) ->
-      Alcotest.(check int) "request under the dispatcher" dispatcher.id s.parent)
+      Alcotest.(check int) "request under the dispatcher" dispatcher.id s.parent;
+      (* built only when tracing is on, and then all of them *)
+      Alcotest.(check (list string)) "request attributes"
+        [ "id"; "user"; "overlay"; "kernel"; "queue_wait_ms"; "outcome" ]
+        (List.map fst s.attrs);
+      Alcotest.(check (option string)) "kernel attribute" (Some "fir")
+        (List.assoc_opt "kernel" s.attrs))
     requests
 
 let tests =
