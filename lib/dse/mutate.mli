@@ -17,6 +17,15 @@ val usage_of : Schedule.t list -> usage
 (** Tables indexed by node id, sized by the largest id the schedules use:
     a node added since (an id past that range) reads as unused. *)
 
+val usage_text : usage -> string
+(** Canonical text of every accessor the moves read: for each id from -1
+    to one past the largest the schedules use, whether the node is used,
+    its used PE capabilities, stated and indirect needs, pattern dims,
+    delay need and through-switch pairs (newest first); then every used
+    link.
+    For tests: the usage oracle compares it with a reference
+    implementation, and the work golden digests it. *)
+
 val propose :
   Overgen_util.Rng.t ->
   preserve:bool ->
