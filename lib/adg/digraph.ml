@@ -67,8 +67,10 @@ let set_node t id x =
 
 let succs t id = Iset.elements (adj t.succ id)
 let preds t id = Iset.elements (adj t.pred id)
-let out_degree t id = Iset.cardinal (adj t.succ id)
-let in_degree t id = Iset.cardinal (adj t.pred id)
+(* [Imap.find] rather than [adj]: no option is allocated *)
+let degree map id = match Imap.find id map with s -> Iset.cardinal s | exception Not_found -> 0
+let out_degree t id = degree t.succ id
+let in_degree t id = degree t.pred id
 let nodes t = Imap.bindings t.payload
 
 let iter_with_succs t ~node ~succ =

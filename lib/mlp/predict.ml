@@ -237,51 +237,73 @@ let train ~seed () =
 let run_model (m : model) feats =
   targets_to_res (Mlp.Scaler.unapply m.out_scaler (Mlp.forward m.net (Mlp.Scaler.apply m.in_scaler feats)))
 
-(* Predictions keyed on the exact model input: the kind and its feature
-   vector.  The MLP is a pure function of that pair, so a hit returns the
-   bits a fresh forward pass would. *)
-type memo = (kind * float array, Res.t) Hashtbl.t
-
-let memo () = Hashtbl.create 256
-
 let model_of t = function
   | Pe_k -> t.pe_m
   | Switch_k -> t.sw_m
   | In_port_k -> t.ip_m
   | Out_port_k -> t.op_m
 
-let run_kind ?memo t kind feats =
-  let m = model_of t kind in
-  match memo with
-  | None -> run_model m feats
-  | Some tbl -> (
-    match Hashtbl.find_opt tbl (kind, feats) with
-    | Some r -> r
-    | None ->
-      let r = run_model m feats in
-      Hashtbl.add tbl (kind, feats) r;
-      r)
-
-let predict_comp ?memo t comp ~fan_in ~fan_out =
+let predict_comp t comp ~fan_in ~fan_out =
   match comp with
-  | Comp.Pe p -> run_kind ?memo t Pe_k (pe_features p ~fan_in ~fan_out)
-  | Comp.Switch { width_bits } ->
-    run_kind ?memo t Switch_k (sw_features ~width_bits ~fan_in ~fan_out)
-  | Comp.In_port p -> run_kind ?memo t In_port_k (port_features p)
-  | Comp.Out_port p -> run_kind ?memo t Out_port_k (port_features p)
+  | Comp.Pe p -> run_model t.pe_m (pe_features p ~fan_in ~fan_out)
+  | Comp.Switch { width_bits } -> run_model t.sw_m (sw_features ~width_bits ~fan_in ~fan_out)
+  | Comp.In_port p -> run_model t.ip_m (port_features p)
+  | Comp.Out_port p -> run_model t.op_m (port_features p)
   | Comp.Engine e -> Oracle.engine e
 
-let predict_accel ?memo t adg =
-  let comps =
-    List.map
-      (fun (id, c) ->
-        predict_comp ?memo t c
-          ~fan_in:(Adg.in_degree adg id) ~fan_out:(Adg.out_degree adg id))
-      (Adg.nodes adg)
-  in
-  let n_engines = List.length (Adg.engines adg) in
-  let n_ports = List.length (Adg.in_ports adg) + List.length (Adg.out_ports adg) in
-  Res.add (Res.sum comps) (Oracle.dispatcher ~n_engines ~n_ports)
+(* Per node id, the component and degrees its prediction was made for
+   (degrees 0 for ports and engines, whose predictions do not read them).
+   A prediction depends on nothing else, and the ADG is persistent: a node
+   a move did not touch keeps its [Comp.t] physically, so [==] and two int
+   compares decide reuse.  [none]'s component is a fresh block no graph
+   holds, so an empty slot never matches. *)
+type slot = { comp : Comp.t; fan_in : int; fan_out : int; res : Res.t }
+
+let none = { comp = Comp.Switch { width_bits = -1 }; fan_in = -1; fan_out = -1; res = Res.zero }
+
+type memo = { mutable slots : slot array }
+
+let memo () = { slots = [||] }
+
+(* The total is summed in node order from the per-node values; each field
+   is an int, so the sum equals a fresh prediction's in any order. *)
+let predict_accel ?memo:m t adg =
+  let m = match m with Some m -> m | None -> memo () in
+  let n = Adg.max_id adg + 1 in
+  if Array.length m.slots < n then begin
+    let grown = Array.make (Int.max n (2 * Array.length m.slots)) none in
+    Array.blit m.slots 0 grown 0 (Array.length m.slots);
+    m.slots <- grown
+  end;
+  let slots = m.slots in
+  let lut = ref 0 and ff = ref 0 and bram = ref 0 and dsp = ref 0 in
+  let n_engines = ref 0 and n_ports = ref 0 in
+  Adg.iter_with_succs adg
+    ~node:(fun id c ->
+      let fabric = Adg.is_fabric c in
+      let fan_in = if fabric then Adg.in_degree adg id else 0
+      and fan_out = if fabric then Adg.out_degree adg id else 0 in
+      let s = slots.(id) in
+      let r =
+        if s.comp == c && s.fan_in = fan_in && s.fan_out = fan_out then s.res
+        else begin
+          let res = predict_comp t c ~fan_in ~fan_out in
+          slots.(id) <- { comp = c; fan_in; fan_out; res };
+          res
+        end
+      in
+      lut := !lut + r.lut;
+      ff := !ff + r.ff;
+      bram := !bram + r.bram;
+      dsp := !dsp + r.dsp;
+      match c with
+      | Comp.Engine _ -> incr n_engines
+      | Comp.In_port _ | Comp.Out_port _ -> incr n_ports
+      | Comp.Pe _ | Comp.Switch _ -> ())
+    ~succ:ignore;
+  Res.add
+    { Res.lut = !lut; ff = !ff; bram = !bram; dsp = !dsp }
+    (Oracle.dispatcher ~n_engines:!n_engines ~n_ports:!n_ports)
 
 let predict_full t (s : Sys_adg.t) =
   let tile = predict_accel t s.adg in

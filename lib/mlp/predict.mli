@@ -32,25 +32,29 @@ val train : seed:int -> unit -> t
     scheduling: each kind draws from its own seeded RNG. *)
 
 type memo
-(** Component predictions already computed, keyed on the exact input each
-    MLP sees (its kind and feature vector).  Mutable and unsynchronized:
-    one memo per domain, never shared. *)
+(** Per node id, the last prediction made for that node with the
+    component and degrees it was made for.  An entry is reused only while
+    the node's [Comp.t] is physically the same (the ADG is persistent, so
+    a move leaves untouched components shared) and, for a PE or switch
+    (the kinds whose models read them), its in- and out-degree are
+    unchanged; anything else is predicted afresh and replaces it.
+    Mutable and unsynchronized: one memo per domain and per model, never
+    shared. *)
 
 val memo : unit -> memo
 (** An empty memo. *)
 
-val predict_comp : ?memo:memo -> t -> Comp.t -> fan_in:int -> fan_out:int -> Res.t
-(** Resource prediction for one component, looked up in [memo] first (and
-    stored there on a miss) when one is given.
+val predict_comp : t -> Comp.t -> fan_in:int -> fan_out:int -> Res.t
+(** Resource prediction for one component.
     For tests: the tests probe the model on single components. *)
 
 val predict_accel : ?memo:memo -> t -> Adg.t -> Res.t
 (** Predicted resources of one accelerator tile (MLP for datapath units,
-    analytic for engines and the dispatcher).  With [memo], each
-    component's prediction is looked up first and stored on a miss; the
-    result is bit-identical either way, since a prediction depends only on
-    its key.  The DSE keeps one memo per island: successive designs share
-    almost every component. *)
+    analytic for engines and the dispatcher).  With [memo], only the
+    components whose entry does not match are predicted, so a call after a
+    move costs about what the move changed; the result is bit-identical
+    either way.  The DSE keeps one memo per island: successive designs
+    share almost every component. *)
 
 val predict_full : t -> Sys_adg.t -> Res.t
 (** Predicted whole-SoC resources: tiles + cores + NoC + L2 + shell.  Used

@@ -30,7 +30,7 @@ let frame_error_to_string = function
   | Checksum_mismatch -> "frame payload checksum mismatch"
   | Truncated -> "truncated frame"
 
-type header = { length : int; crc : int32 }
+type header = { length : int; crc : int }
 
 (* One allocation: the header, one blit of the payload, then its CRC. *)
 let frame payload =
@@ -42,7 +42,7 @@ let frame payload =
   Bytes.set_uint8 b 2 version;
   Bytes.set_uint8 b 3 0;
   Bytes.set_int32_le b 4 (Int32.of_int n);
-  Bytes.set_int32_le b 8 (Crc32.string payload);
+  Bytes.set_int32_le b 8 (Int32.of_int (Crc32.sub payload 0 n));
   Bytes.blit_string payload 0 b header_bytes n;
   Bytes.unsafe_to_string b
 
@@ -58,13 +58,13 @@ let decode_header_at s pos =
     else
       let length = Int32.to_int (String.get_int32_le s (pos + 4)) land 0xFFFFFFFF in
       if length > max_payload_bytes then Error (Oversized length)
-      else Ok { length; crc = String.get_int32_le s (pos + 8) }
+      else Ok { length; crc = Int32.to_int (String.get_int32_le s (pos + 8)) land 0xFFFFFFFF }
 
 let decode_header s = decode_header_at s 0
 
 let verify_payload h payload =
   if String.length payload <> h.length then Error Truncated
-  else if Crc32.string payload <> h.crc then Error Checksum_mismatch
+  else if Crc32.sub payload 0 h.length <> h.crc then Error Checksum_mismatch
   else Ok ()
 
 (* The CRC is checked in place, before the payload is copied out. *)
@@ -74,7 +74,7 @@ let deframe ?(pos = 0) s =
   | Ok h ->
     let off = pos + header_bytes in
     if String.length s - off < h.length then Error Truncated
-    else if not (Int32.equal (Crc32.string ~off ~len:h.length s) h.crc) then
+    else if Crc32.sub s off h.length <> h.crc then
       Error Checksum_mismatch
     else Ok (String.sub s off h.length, header_bytes + h.length)
 

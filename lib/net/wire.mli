@@ -62,7 +62,8 @@ type frame_error =
 
 val frame_error_to_string : frame_error -> string
 
-type header = { length : int; crc : int32 }
+type header = { length : int; crc : int }
+(** A frame's payload length and the payload's CRC-32 ({!Overgen_store.Crc32.sub}). *)
 
 val frame : string -> string
 (** Wrap a payload into a complete frame: one allocation of

@@ -46,6 +46,9 @@ val engine_of_stream : t -> Stream.t -> Adg.id option
 (** The engine serving a stream under this schedule: its recurrence/register
     engine if riding one, otherwise the engine its array is mapped to. *)
 
+val engine_id : t -> Stream.t -> Adg.id
+(** {!engine_of_stream} without the option: -1 for none. *)
+
 val is_rec : t -> Stream.t -> bool
 
 val compute_ii : ?comp:(Adg.id -> Comp.t option) -> Sys_adg.t -> t -> int

@@ -31,10 +31,9 @@ let[@inline] get32_le s i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_F
 
 let[@inline] look k i = Array.unsafe_get tables ((k lsl 8) lor (i land 0xFF))
 
-let string ?(off = 0) ?len s =
-  let len = match len with Some l -> l | None -> String.length s - off in
-  if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Crc32.string: range out of bounds";
+let sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Crc32.sub: range out of bounds";
   let stop = off + len in
   let crc = ref 0xFFFF_FFFF and i = ref off in
   while !i + 8 <= stop do
@@ -54,4 +53,10 @@ let string ?(off = 0) ?len s =
     crc := look 0 (!crc lxor Char.code (String.unsafe_get s !i)) lxor (!crc lsr 8);
     incr i
   done;
-  Int32.of_int (!crc lxor 0xFFFF_FFFF)
+  !crc lxor 0xFFFF_FFFF
+
+let string ?(off = 0) ?len s =
+  let len = match len with Some l -> l | None -> String.length s - off in
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Crc32.string: range out of bounds";
+  Int32.of_int (sub s off len)

@@ -6,9 +6,17 @@
     so every served request pays it four times.  Sliced by 8: eight
     256-entry tables of native ints fold eight bytes per step from two
     little-endian 32-bit reads, and the 0-7 bytes after the last step go
-    one at a time; nothing is allocated but the boxed result. *)
+    one at a time. *)
+
+val sub : string -> int -> int -> int
+(** [sub s off len] is the CRC of [len] bytes of [s] starting at [off], as
+    an unsigned 32-bit value in an [int]; it allocates nothing.  Every
+    frame, record and check in the repo goes through it.
+    @raise Invalid_argument when the range is not inside [s]. *)
 
 val string : ?off:int -> ?len:int -> string -> int32
-(** CRC of [len] bytes of [s] starting at [off]; defaults cover the whole
-    string.  [string "123456789" = 0xCBF43926l].
+(** {!sub} with optional bounds (defaults cover the whole string) and the
+    result as an [int32]: [string "123456789" = 0xCBF43926l].
+    For tests: the check vectors and the bit-serial property state the
+    CRC in this form.
     @raise Invalid_argument when the range is not inside [s]. *)

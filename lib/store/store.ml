@@ -99,10 +99,10 @@ let scan contents apply =
     else
       let pos = ref off in
       let plen = Codec.get_u32 contents pos in
-      let crc = Int32.of_int (Codec.get_u32 contents pos) in
+      let crc = Codec.get_u32 contents pos in
       if len - !pos < plen then
         (off, n, Some { dmg_offset = off; dmg_reason = "torn record payload" })
-      else if Crc32.string ~off:!pos ~len:plen contents <> crc then
+      else if Crc32.sub contents !pos plen <> crc then
         (off, n, Some { dmg_offset = off; dmg_reason = "checksum mismatch" })
       else
         match decode_payload (String.sub contents !pos plen) with
@@ -273,7 +273,7 @@ let append t payload =
   let plen = String.length payload in
   let head = Buffer.create rec_head_len in
   Codec.put_u32 head plen;
-  Codec.put_u32 head (Int32.to_int (Crc32.string payload) land 0xFFFFFFFF);
+  Codec.put_u32 head (Crc32.sub payload 0 plen);
   let off = t.good_len in
   t.dirty <- true;
   really_write t.fd (Buffer.contents head);
@@ -314,9 +314,9 @@ let read_value t (l : loc) =
   let contents = really_read t.fd ~off:l.off ~len:l.total in
   let pos = ref 0 in
   let plen = Codec.get_u32 contents pos in
-  let crc = Int32.of_int (Codec.get_u32 contents pos) in
+  let crc = Codec.get_u32 contents pos in
   if plen <> l.total - rec_head_len then failwith "Store: record length changed on disk";
-  if Crc32.string ~off:rec_head_len ~len:plen contents <> crc then
+  if Crc32.sub contents rec_head_len plen <> crc then
     failwith "Store: checksum mismatch on read (log damaged underneath us)";
   match decode_payload (String.sub contents rec_head_len plen) with
   | Some { d_value = Some v; _ } ->
@@ -388,7 +388,7 @@ let compact t =
               let plen = String.length payload in
               let head = Buffer.create rec_head_len in
               Codec.put_u32 head plen;
-              Codec.put_u32 head (Int32.to_int (Crc32.string payload) land 0xFFFFFFFF);
+              Codec.put_u32 head (Crc32.sub payload 0 plen);
               really_write fd (Buffer.contents head);
               really_write fd payload;
               let loc = ((ns, key), !off, rec_head_len + plen) in

@@ -24,7 +24,9 @@ let test_digraph_remove_node_cleans_edges () =
   let g = Digraph.remove_node g 1 in
   Alcotest.(check (list int)) "no succ" [] (Digraph.succs g 0);
   Alcotest.(check (list int)) "no pred" [] (Digraph.preds g 2);
-  Alcotest.(check int) "two nodes left" 2 (Digraph.node_count g)
+  Alcotest.(check int) "two nodes left" 2 (Digraph.node_count g);
+  Alcotest.(check (pair int int)) "a removed node has no degree" (0, 0)
+    (Digraph.in_degree g 1, Digraph.out_degree g 1)
 
 let test_digraph_rejects_self_loop () =
   let g = Digraph.add_node Digraph.empty 0 "x" in

@@ -492,6 +492,217 @@ let prop_scheduler_topology =
       if warm <> cold then QCheck.Test.fail_reportf "warm %s, cold %s" warm cold;
       true)
 
+(* ---------------- the DSE iteration's tail ---------------- *)
+
+module Predict = Overgen_mlp.Predict
+
+(* Incremental tile resources against a fresh prediction, over random
+   mutation chains from both seed graphs.  Candidates are accepted and
+   rejected in turn, and each rejection is followed by a prediction of
+   the design it returns to, so the memo sees a move undone. *)
+let prop_incremental_tile_resources =
+  QCheck.Test.make ~name:"incremental tile resources = fresh prediction over mutation chains"
+    ~count:20
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let model = Models.trained 7 in
+      let apps = Lazy.force dsp_apps and bases = Lazy.force topo_bases in
+      let pool = Overgen_dse.Dse.caps_pool apps in
+      let usage = Mutate.usage_of [] in
+      let memo = Predict.memo () in
+      let check step adg =
+        let fresh = Predict.predict_accel model adg in
+        if Predict.predict_accel ~memo model adg <> fresh then
+          QCheck.Test.fail_reportf "step %d: incremental prediction differs" step
+      in
+      let cur = ref bases.(seed mod 2).Sys_adg.adg in
+      check 0 !cur;
+      for i = 1 to 16 do
+        let cand, _ = Mutate.propose rng ~preserve:(i mod 3 = 0) ~caps_pool:pool !cur usage in
+        check i cand;
+        if i mod 2 = 0 then cur := cand else check i !cur
+      done;
+      true)
+
+(* The usage summary as it was built on hash tables and per-node pair
+   lists, kept as the oracle for [Mutate.usage_of]. *)
+module Ref_usage = struct
+  type t = {
+    n : int;
+    used_nodes : bool array;
+    used_links : (int, unit) Hashtbl.t;
+    pe_caps_used : Op.Cap.t array;
+    stated_used : bool array;
+    indirect_used : bool array;
+    dims_used : int array;
+    delay_used : int array;
+    routes_through : (Adg.id * Adg.id) list array;
+  }
+
+  let max_id schedules =
+    List.fold_left
+      (fun acc (s : Schedule.t) ->
+        let top _ id acc = max acc id in
+        let acc = Schedule.Imap.fold top s.inst_pe acc in
+        let acc = Schedule.Imap.fold top s.port_map acc in
+        let acc = List.fold_left (fun acc (_, id) -> max acc id) acc s.array_engine in
+        let acc = List.fold_left (fun acc (_, id) -> max acc id) acc s.rec_streams in
+        let acc = List.fold_left (fun acc (_, id) -> max acc id) acc s.reg_streams in
+        List.fold_left
+          (fun acc (_, (r : Schedule.route)) -> List.fold_left max acc r.hops)
+          acc s.routes)
+      (-1) schedules
+
+  let of_schedules schedules =
+    let n = max_id schedules + 1 in
+    let u =
+      {
+        n;
+        used_nodes = Array.make n false;
+        used_links = Hashtbl.create 128;
+        pe_caps_used = Array.make n Op.Cap.empty;
+        stated_used = Array.make n false;
+        indirect_used = Array.make n false;
+        dims_used = Array.make n 1;
+        delay_used = Array.make n 0;
+        routes_through = Array.make n [];
+      }
+    in
+    let mark id = u.used_nodes.(id) <- true in
+    List.iter
+      (fun (s : Schedule.t) ->
+        let v = s.variant in
+        Schedule.Imap.iter
+          (fun inst pe ->
+            mark pe;
+            match (Dfg.node v.dfg inst).kind with
+            | Dfg.Inst { op; dtype; _ } ->
+              u.pe_caps_used.(pe) <- Op.Cap.add (op, dtype) u.pe_caps_used.(pe)
+            | Dfg.Const _ | Dfg.Input _ | Dfg.Output _ -> ())
+          s.inst_pe;
+        Schedule.Imap.iter (fun _ hw -> mark hw) s.port_map;
+        List.iter (fun (_, e) -> mark e) s.array_engine;
+        List.iter (fun (_, e) -> mark e) s.rec_streams;
+        List.iter (fun (_, e) -> mark e) s.reg_streams;
+        List.iter
+          (fun (st : Stream.t) ->
+            (match st.port with
+            | Some dfg_port -> (
+              match Schedule.Imap.find_opt dfg_port s.port_map with
+              | Some hw when st.reuse.stationary > 1.0 -> u.stated_used.(hw) <- true
+              | Some _ | None -> ())
+            | None -> ());
+            let need e =
+              (match st.access with
+              | Stream.Indirect _ -> u.indirect_used.(e) <- true
+              | Stream.Linear _ -> ());
+              u.dims_used.(e) <- max u.dims_used.(e) st.dims
+            in
+            Option.iter need (Schedule.engine_of_stream s st);
+            Option.iter need (List.assoc_opt st.array s.array_engine))
+          v.streams;
+        List.iter
+          (fun ((_, dst), (r : Schedule.route)) ->
+            (match Schedule.Imap.find_opt dst s.inst_pe with
+            | Some pe -> u.delay_used.(pe) <- max u.delay_used.(pe) r.delay
+            | None -> ());
+            let rec walk = function
+              | a :: (b :: _ as rest) ->
+                mark a;
+                mark b;
+                Hashtbl.replace u.used_links ((a * n) + b) ();
+                (match rest with
+                | b' :: c :: _ -> u.routes_through.(b') <- (a, c) :: u.routes_through.(b')
+                | _ -> ());
+                walk rest
+              | [ _ ] | [] -> ()
+            in
+            walk r.hops)
+          s.routes)
+      schedules;
+    u
+
+  (* [Mutate.usage_text]'s format *)
+  let text u =
+    let ok id = id >= 0 && id < u.n in
+    let get a d id = if ok id then a.(id) else d in
+    let b = Buffer.create 4096 in
+    Printf.bprintf b "n: %d\n" u.n;
+    for id = -1 to u.n do
+      Printf.bprintf b "%d: used=%b caps=%s stated=%b indirect=%b dims=%d delay=%d through=" id
+        (get u.used_nodes false id)
+        (Op.Cap.to_string (get u.pe_caps_used Op.Cap.empty id))
+        (get u.stated_used false id) (get u.indirect_used false id)
+        (get u.dims_used 1 id) (get u.delay_used 0 id);
+      List.iter (fun (a, c) -> Printf.bprintf b " %d>%d" a c) (get u.routes_through [] id);
+      Buffer.add_char b '\n'
+    done;
+    Buffer.add_string b "links:";
+    for a = -1 to u.n do
+      for c = -1 to u.n do
+        if ok a && ok c && Hashtbl.mem u.used_links ((a * u.n) + c) then
+          Printf.bprintf b " %d>%d" a c
+      done
+    done;
+    Buffer.add_char b '\n';
+    Buffer.contents b
+end
+
+(* Each base graph's DSP schedules, the apps that fit on it only. *)
+let base_schedules =
+  lazy
+    (Array.map
+       (fun sys ->
+         List.map
+           (fun app -> (app, Result.to_option (Spatial.schedule_app sys app)))
+           (Lazy.force dsp_apps))
+       (Lazy.force topo_bases))
+
+(* [Mutate.usage_of] against the oracle on [], on a base graph's
+   schedules, and on the schedules of a chain of DSE steps from it: a
+   preserving move proposed from the current usage, each app rescheduled
+   from its prior, the step taken when every app still maps. *)
+let prop_usage_matches_reference =
+  QCheck.Test.make ~name:"usage summary = hash-table reference on DSE steps" ~count:12
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let bases = Lazy.force topo_bases in
+      let base = bases.(seed mod 2) in
+      let pool = Overgen_dse.Dse.caps_pool (Lazy.force dsp_apps) in
+      let agree what scheds =
+        let got = Mutate.usage_text (Mutate.usage_of scheds)
+        and want = Ref_usage.text (Ref_usage.of_schedules scheds) in
+        if got <> want then QCheck.Test.fail_reportf "%s:\n%s\nwant:\n%s" what got want
+      in
+      agree "no schedules" [];
+      let cur =
+        ref
+          ( base,
+            List.filter_map
+              (fun (app, s) -> Option.map (fun s -> (app, s)) s)
+              (Lazy.force base_schedules).(seed mod 2) )
+      in
+      agree "base" (List.concat_map snd (snd !cur));
+      for step = 1 to 1 + (seed mod 4) do
+        let sys, per_app = !cur in
+        let usage = Mutate.usage_of (List.concat_map snd per_app) in
+        let adg', desc = Mutate.propose rng ~preserve:true ~caps_pool:pool sys.Sys_adg.adg usage in
+        let sys' = Sys_adg.with_adg sys adg' in
+        let per_app' =
+          List.filter_map
+            (fun (app, prior) ->
+              match Spatial.reschedule sys' app ~prior with
+              | Ok (s, _) -> Some (app, s)
+              | Error _ -> None)
+            per_app
+        in
+        agree (Printf.sprintf "step %d (%s)" step desc) (List.concat_map snd per_app');
+        if List.length per_app' = List.length per_app then cur := (sys', per_app')
+      done;
+      true)
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -517,4 +728,6 @@ let tests =
       Alcotest.test_case "Cap.supports allocates nothing" `Quick
         test_cap_supports_allocates_nothing;
       QCheck_alcotest.to_alcotest prop_scheduler_topology;
+      QCheck_alcotest.to_alcotest prop_incremental_tile_resources;
+      QCheck_alcotest.to_alcotest prop_usage_matches_reference;
     ]

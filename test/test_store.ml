@@ -88,7 +88,15 @@ let test_crc32_bounds () =
   bad 0 (-1);
   bad 3 8;
   bad 11 0;
-  Alcotest.(check int32) "empty range at the end" 0l (Crc32.string ~off:10 ~len:0 "0123456789")
+  Alcotest.(check int32) "empty range at the end" 0l (Crc32.string ~off:10 ~len:0 "0123456789");
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "sub off=%d len=%d" off len)
+        (Invalid_argument "Crc32.sub: range out of bounds")
+        (fun () -> ignore (Crc32.sub "0123456789" off len)))
+    [ (-1, 2); (0, -1); (3, 8); (11, 0); (1, max_int) ];
+  Alcotest.(check int) "sub: empty range at the end" 0 (Crc32.sub "0123456789" 10 0)
 
 (* The sliced CRC against the bit-serial one: every start alignment 0-7
    and every tail length 0-7 (the bytes after the last 8-byte step), the
@@ -98,7 +106,13 @@ let prop_crc32_bitwise =
     ~count:200 QCheck.(string_of_size Gen.(0 -- 200))
     (fun s ->
       let n = String.length s in
-      let agree ?off ?len () = Crc32.string ?off ?len s = crc32_bitwise ?off ?len s in
+      let agree ?off ?len () =
+        let want = crc32_bitwise ?off ?len s in
+        Crc32.string ?off ?len s = want
+        &&
+        let off = Option.value off ~default:0 in
+        Crc32.sub s off (Option.value len ~default:(n - off)) = Int32.to_int want land 0xFFFFFFFF
+      in
       agree () && agree ~off:0 ~len:0 ()
       && List.for_all
            (fun off ->
