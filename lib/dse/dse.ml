@@ -661,6 +661,8 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
      every step, which anneals far better than growing across the reward
      plateau between unroll levels. *)
   let fresh_islands () =
+    (* the seed sweep's predictions are island 0's first memo entries *)
+    let seed_memo = Predict.memo () in
     let seed_adg, prior0, (score0, sysp0, obj0, pred0) =
       Obs.Span.with_span "dse_seed" @@ fun () ->
       let rec pick = function
@@ -668,7 +670,7 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
         | adg :: rest -> (
           match initial (Sys_adg.make adg System.default) with
           | Some p -> (
-            match system_dse ~device ~model systems adg p with
+            match system_dse ~memo:seed_memo ~device ~model systems adg p with
             | Some r -> (adg, p, r)
             | None -> pick rest)
           | None -> pick rest)
@@ -684,8 +686,8 @@ let explore ?(config = default_config) ?(device = Device.default) ?checkpoint
         { idx = i; rng; iters = share i; iter = 0; cur_score = score0;
           cur = init_design; best_score = score0; best = init_design;
           trace_rev = []; modeled_s = pregen_s; accepted = 0; invalid = 0;
-          repaired = 0; incremental = 0; rescheduled = 0; memo = Predict.memo ();
-          usage = None })
+          repaired = 0; incremental = 0; rescheduled = 0;
+          memo = (if i = 0 then seed_memo else Predict.memo ()); usage = None })
       (Rng.streams config.seed n)
   in
   (* Resume skips the seed-design selection entirely: the snapshot holds
